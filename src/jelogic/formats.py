@@ -14,7 +14,9 @@ Four formats, each versioned by its header line:
   values and term entries, all world-tagged.
 
 Writers emit canonical order, so ``write(parse(text)) == text`` whenever
-``text`` itself was produced by a writer.
+``text`` itself was produced by a writer.  Each reader call parses through one
+``syntax.Reader``, so the trees it returns share every repeated subformula
+and subterm, and memory grows with the distinct nodes in the file.
 """
 
 from __future__ import annotations
@@ -22,46 +24,55 @@ from __future__ import annotations
 from .axioms import ConstantSpecification, match, scheme_by_id
 from .hilbert import ANStep, AxiomStep, Derivation, Hyp, MPStep
 from .semantics import FiniteBasicEvaluation, QuasiModel
-from .sequent import Proof, Sequent, parse_sequent_line
-from .syntax import (
-    Dialect,
-    ParseError,
-    parse_formula,
-    parse_just_term,
-    parse_proof_term,
-    print_formula,
-    print_term,
-)
+from .sequent import Proof, Sequent
+from .syntax import Dialect, DialectError, ParseError, Reader, print_formula, print_term
 
 
 class FormatError(Exception):
     pass
 
 
-def _parse_any_term(text: str, dialect: Dialect):
+def _parse_any_term(text: str, reader: Reader):
     try:
-        return parse_proof_term(text, dialect)
+        return reader.proof_term(text)
     except ParseError:
-        return parse_just_term(text, dialect)
+        return reader.just_term(text)
 
 
-def _lines(text: str, header: str) -> list[str]:
-    raw = [ln.rstrip() for ln in text.splitlines()]
-    body = [ln for ln in raw if ln.strip()]
-    if not body or body[0].strip() != header:
+def _lines(text: str, header: str) -> list[tuple[int, str]]:
+    """The nonblank lines after the header, right-stripped, each with its
+    1-based line number in ``text``."""
+    body = [(n, ln.rstrip()) for n, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    if not body or body[0][1].strip() != header:
         raise FormatError(f"expected header {header!r}")
     return body[1:]
 
 
-def _dialect_line(lines: list[str]) -> tuple[Dialect, list[str]]:
-    if not lines or not lines[0].startswith("dialect "):
+def _dialect_line(lines: list[tuple[int, str]]) -> tuple[Dialect, list[tuple[int, str]]]:
+    if not lines or not lines[0][1].startswith("dialect "):
         raise FormatError("expected a 'dialect' line")
-    name = lines[0].split(None, 1)[1].strip()
+    name = lines[0][1].split(None, 1)[1].strip()
     try:
         dialect = Dialect[name]
     except KeyError:
         raise FormatError(f"unknown dialect {name!r}") from None
     return dialect, lines[1:]
+
+
+def _int(text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise FormatError(f"bad {what} {text!r}") from None
+
+
+def _fields(text: str, count: int, sep: str | None = None) -> list[str]:
+    """``text`` split at ``sep`` (whitespace when None) into exactly
+    ``count`` fields, the last one taking the rest."""
+    parts = text.split(sep, count - 1)
+    if len(parts) != count:
+        raise FormatError(f"expected {count} fields in {text!r}")
+    return parts
 
 
 # ---------------------------------------------------------------------------
@@ -90,12 +101,13 @@ def write_derivation(d: Derivation) -> str:
 def parse_derivation(text: str) -> Derivation:
     lines = _lines(text, _DERIVATION_HEADER)
     dialect, lines = _dialect_line(lines)
+    reader = Reader(dialect)
     steps = []
     conclusion = None
-    for ln in lines:
+    for _, ln in lines:
         parts = ln.split(None, 1)
         if parts[0] == "conclusion":
-            conclusion = int(parts[1])
+            conclusion = _int(parts[1] if len(parts) == 2 else "", "conclusion")
             continue
         if conclusion is not None:
             raise FormatError("steps after the conclusion line")
@@ -103,31 +115,33 @@ def parse_derivation(text: str) -> Derivation:
             num, kind, rest = ln.split(None, 2)
         except ValueError:
             raise FormatError(f"malformed step line {ln!r}") from None
-        if int(num) != len(steps):
+        if _int(num, "step number") != len(steps):
             raise FormatError(f"step numbered {num}, expected {len(steps)}")
         try:
             if kind == "hyp":
-                steps.append(Hyp(parse_formula(rest, dialect)))
+                steps.append(Hyp(reader.formula(rest)))
             elif kind == "axiom":
-                scheme_id, ftext = rest.split(None, 1)
-                f = parse_formula(ftext, dialect)
+                scheme_id, ftext = _fields(rest, 2)
+                f = reader.formula(ftext)
                 scheme = scheme_by_id(scheme_id, dialect)
                 binding = match(scheme.pattern, f)
                 if binding is None:
                     raise FormatError(f"{print_formula(f)} is not a {scheme_id} instance")
                 steps.append(AxiomStep(f, scheme_id, binding))
             elif kind == "an":
-                constant, ftext = rest.split(None, 1)
-                steps.append(ANStep(constant, parse_formula(ftext, dialect)))
+                constant, ftext = _fields(rest, 2)
+                steps.append(ANStep(constant, reader.formula(ftext)))
             elif kind == "mp":
                 major, minor = rest.split()
                 steps.append(MPStep(int(major), int(minor)))
             else:
                 raise FormatError(f"unknown step kind {kind!r}")
-        except ParseError as e:
+        except (ParseError, DialectError) as e:
             raise FormatError(f"bad formula in step {num}: {e}") from e
         except KeyError as e:
             raise FormatError(f"unknown axiom scheme in step {num}: {e}") from e
+        except (FormatError, ValueError) as e:
+            raise FormatError(f"malformed step {num}: {e}") from e
     if conclusion is None:
         raise FormatError("missing conclusion line")
     return Derivation(dialect, tuple(steps), conclusion)
@@ -151,7 +165,7 @@ def parse_cs(text: str) -> ConstantSpecification:
     lines = _lines(text, _CS_HEADER)
     dialect, lines = _dialect_line(lines)
     assignment: dict[str, frozenset[str]] = {}
-    for ln in lines:
+    for _, ln in lines:
         if ":" not in ln:
             raise FormatError(f"malformed constant line {ln!r}")
         name, rest = ln.split(":", 1)
@@ -189,13 +203,14 @@ def write_sequent_proof(p: Proof, calculus: str) -> str:
 
 def parse_sequent_proof(text: str) -> tuple[Proof, str]:
     lines = _lines(text, _PROOF_HEADER)
-    if not lines or not lines[0].startswith("calculus "):
+    if not lines or not lines[0][1].startswith("calculus "):
         raise FormatError("expected a 'calculus' line")
-    calculus = lines[0].split(None, 1)[1].strip()
+    calculus = lines[0][1].split(None, 1)[1].strip()
     if calculus not in ("GE", "GM"):
         raise FormatError(f"unknown calculus {calculus!r}")
+    reader = Reader(Dialect.MODAL)
     entries = []
-    for ln in lines[1:]:
+    for _, ln in lines[1:]:
         stripped = ln.lstrip(" ")
         indent = len(ln) - len(stripped)
         if indent % 2:
@@ -205,6 +220,8 @@ def parse_sequent_proof(text: str) -> tuple[Proof, str]:
         except ValueError:
             raise FormatError(f"missing '|' in proof line {ln!r}") from None
         parts = head.split()
+        if not parts:
+            raise FormatError(f"missing rule name in proof line {ln!r}")
         rule, occ_texts = parts[0], parts[1:]
         principal = []
         for occ in occ_texts:
@@ -212,8 +229,8 @@ def parse_sequent_proof(text: str) -> tuple[Proof, str]:
                 raise FormatError(f"bad principal occurrence {occ!r}")
             principal.append((occ[0], int(occ[1:])))
         try:
-            sequent = parse_sequent_line(seq_text.strip())
-        except ParseError as e:
+            sequent = Sequent(*reader.sequent(seq_text.strip()))
+        except (ParseError, DialectError) as e:
             raise FormatError(f"bad sequent in {ln!r}: {e}") from e
         entries.append((indent // 2, rule, tuple(principal), sequent))
     if not entries:
@@ -311,53 +328,56 @@ def _split_outside_brackets(text: str) -> list[str]:
 def parse_model(text: str) -> QuasiModel:
     lines = _lines(text, _MODEL_HEADER)
     dialect, lines = _dialect_line(lines)
-    if not lines or not lines[0].startswith("bound "):
+    if not lines or not lines[0][1].startswith("bound "):
         raise FormatError("expected a 'bound' line")
-    bound = int(lines[0].split()[1])
-    if not lines[1:] or not lines[1].startswith("worlds "):
+    if not lines[1:] or not lines[1][1].startswith("worlds "):
         raise FormatError("expected a 'worlds' line")
-    worlds = tuple(lines[1].split()[1:])
-    if not worlds or len(set(worlds)) != len(worlds):
-        raise FormatError("world list must be nonempty and duplicate-free")
-    wset = frozenset(worlds)
-    neighborhoods: dict[str, frozenset[frozenset[str]]] = {w: frozenset() for w in worlds}
-    atoms: dict[str, dict[str, bool]] = {w: {} for w in worlds}
-    tables: dict[str, dict] = {w: {} for w in worlds}
-    for ln in lines[2:]:
-        kind, rest = ln.split(None, 1)
-        if kind == "neighborhood":
-            w, sets_text = rest.split(":", 1)
-            w = w.strip()
-            if w not in wset:
-                raise FormatError(f"unknown world {w!r}")
-            fam = frozenset(
-                _parse_world_set(s, wset) for s in sets_text.split() if s.strip()
-            )
-            neighborhoods[w] = fam
-        elif kind == "atom":
-            w, a, value = rest.split()
-            if w not in wset:
-                raise FormatError(f"unknown world {w!r}")
-            if value not in ("true", "false"):
-                raise FormatError(f"bad atom value {value!r}")
-            atoms[w][a] = value == "true"
-        elif kind == "entry":
-            w, tail = rest.split(None, 1)
-            if w not in wset:
-                raise FormatError(f"unknown world {w!r}")
-            term_text, fs_text = tail.split(":", 1)
-            try:
-                t = _parse_any_term(term_text.strip(), dialect)
-                fs = frozenset(
-                    parse_formula(s.strip(), dialect)
-                    for s in _split_outside_brackets(fs_text)
-                    if s.strip()
-                )
-            except ParseError as e:
-                raise FormatError(f"bad entry line {ln!r}: {e}") from e
-            tables[w][t] = fs
-        else:
-            raise FormatError(f"unknown model line {ln!r}")
+    reader = Reader(dialect)
+    lineno, ln = lines[0]
+    try:
+        bound = _int(_fields(ln, 2)[1], "bound")
+        lineno, ln = lines[1]
+        worlds = tuple(ln.split()[1:])
+        if not worlds or len(set(worlds)) != len(worlds):
+            raise FormatError("world list must be nonempty and duplicate-free")
+        wset = frozenset(worlds)
+        neighborhoods: dict[str, frozenset[frozenset[str]]] = {w: frozenset() for w in worlds}
+        atoms: dict[str, dict[str, bool]] = {w: {} for w in worlds}
+        tables: dict[str, dict] = {w: {} for w in worlds}
+        for lineno, ln in lines[2:]:
+            kind, rest = _fields(ln, 2)
+            if kind == "neighborhood":
+                w, sets_text = _fields(rest, 2, ":")
+                w = w.strip()
+                if w not in wset:
+                    raise FormatError(f"unknown world {w!r}")
+                neighborhoods[w] = frozenset(_parse_world_set(s, wset) for s in sets_text.split())
+            elif kind == "atom":
+                w, a, value = _fields(rest, 3)
+                if w not in wset:
+                    raise FormatError(f"unknown world {w!r}")
+                if value not in ("true", "false"):
+                    raise FormatError(f"bad atom value {value!r}")
+                atoms[w][a] = value == "true"
+            elif kind == "entry":
+                w, tail = _fields(rest, 2)
+                if w not in wset:
+                    raise FormatError(f"unknown world {w!r}")
+                term_text, fs_text = _fields(tail, 2, ":")
+                try:
+                    t = _parse_any_term(term_text.strip(), reader)
+                    fs = frozenset(
+                        reader.formula(s.strip())
+                        for s in _split_outside_brackets(fs_text)
+                        if s.strip()
+                    )
+                except (ParseError, DialectError) as e:
+                    raise FormatError(f"bad entry line {ln!r}: {e}") from e
+                tables[w][t] = fs
+            else:
+                raise FormatError(f"unknown model line {ln!r}")
+    except FormatError as e:
+        raise FormatError(f"line {lineno}: {e}") from e
     evaluations = {
         w: FiniteBasicEvaluation(dialect, atoms[w], tables[w], bound) for w in worlds
     }

@@ -153,10 +153,13 @@ def check_derivation(d: Derivation, cs: ConstantSpecification) -> Judgment:
         raise DerivationError("index-order", d.conclusion, "conclusion out of range")
     formulas = step_formulas(d)
     hyps = set()
+    # Ids of the nodes validated so far: steps share subformulas, so each
+    # distinct node is checked against the dialect once per derivation.
+    seen: set[int] = set()
     for i, step in enumerate(d.steps):
         match step:
             case Hyp(f):
-                check_formula(f, d.dialect)
+                check_formula(f, d.dialect, seen)
                 hyps.add(f)
             case AxiomStep(f, scheme_id, binding):
                 try:
@@ -165,11 +168,11 @@ def check_derivation(d: Derivation, cs: ConstantSpecification) -> Judgment:
                     raise DerivationError("bad-axiom", i, f"unknown scheme {scheme_id}")
                 if instantiate(pattern, binding) != f:
                     raise DerivationError("bad-axiom", i, f"not an instance of {scheme_id}")
-                check_formula(f, d.dialect)
+                check_formula(f, d.dialect, seen)
             case ANStep(c, a):
                 if not cs_contains(cs, c, a):
                     raise DerivationError("bad-an", i, f"({c}, {print_formula(a)}) not in the specification")
-                check_formula(a, d.dialect)
+                check_formula(a, d.dialect, seen)
     return Judgment(frozenset(hyps), formulas[d.conclusion])
 
 

@@ -23,6 +23,9 @@ Concrete syntax notes (the full grammar lives in docs/grammar.md):
   without parentheses.
 * ``A <-> B`` is accepted as input sugar for ``(A -> B) & (B -> A)``; the
   printer never emits it.
+* Parsed trees share structure: one parse call, or one ``Reader`` over many
+  texts, returns a single object per distinct subformula and subterm.
+* Nesting deeper than ``_Parser.MAX_DEPTH`` levels is a ``ParseError``.
 """
 
 from __future__ import annotations
@@ -327,6 +330,8 @@ def terms_in(f: Formula) -> Iterator[Term]:
 def check_proof_term(t: ProofTerm, dialect: Dialect, _seen: set[int] | None = None) -> None:
     # ``_seen`` holds ids of nodes already validated during this call, so a
     # term DAG with heavy sharing is walked once per node, not once per path.
+    # A caller may pass one set to several calls (``check_derivation`` does,
+    # across all steps) as long as it keeps every checked node alive.
     if _seen is None:
         _seen = set()
     elif id(t) in _seen:
@@ -587,17 +592,11 @@ def print_sequent(antecedent: tuple[Formula, ...], succedent: tuple[Formula, ...
 # ---------------------------------------------------------------------------
 # Lexing
 
-_TOKEN_RE = re.compile(
-    r"""(?P<ws>\s+)
-      | (?P<bot>_\|_)
-      | (?P<iff><->)
-      | (?P<imp>->)
-      | (?P<seq>=>)
-      | (?P<ident>[A-Za-z][A-Za-z0-9_]*)
-      | (?P<punct>[()\[\]:~&|+*!,])
-    """,
-    re.VERBOSE,
-)
+_TOKEN = r"_\|_|<->|->|=>|[A-Za-z][A-Za-z0-9_]*|[()\[\]:~&|+*!,]"
+_VALID_TOKEN_RE = re.compile(_TOKEN)
+# One token per match, after optional whitespace.  The last alternative
+# catches any other character, so no input is skipped; ``_tokenize`` rejects it.
+_TOKEN_RE = re.compile(rf"\s*({_TOKEN}|\S)")
 
 _ATOM_RE = re.compile(r"[A-Z][A-Za-z0-9_]*$")
 _PCONST_RE = re.compile(r"c(?:[0-9]+|_[A-Za-z0-9_]+)$")
@@ -605,146 +604,263 @@ _PVAR_RE = re.compile(r"p([0-9]+)$")
 _JVAR_RE = re.compile(r"x([0-9]+)$")
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    pos: int
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        kind = m.lastgroup
-        if kind != "ws":
-            tokens.append(_Token(kind, m.group(), pos))
-        pos = m.end()
-    tokens.append(_Token("eof", "", len(text)))
+def _tokenize(text: str) -> list[str]:
+    """The token texts of ``text``, then ``""`` for the end of the input.
+    Positions are recovered by ``_token_starts`` only when an error needs one."""
+    tokens = _TOKEN_RE.findall(text)
+    bad = {t for t in set(tokens) if not _VALID_TOKEN_RE.fullmatch(t)}
+    if bad:
+        i = next(i for i, t in enumerate(tokens) if t in bad)
+        raise ParseError(f"unexpected character {tokens[i]!r}", _token_starts(text)[i])
+    tokens.append("")
     return tokens
+
+
+def _token_starts(text: str) -> list[int]:
+    """The offset of each token of ``_tokenize(text)``, the end included."""
+    return [m.start(1) for m in _TOKEN_RE.finditer(text)] + [len(text)]
 
 
 # ---------------------------------------------------------------------------
 # Parsing
 
+# Binary connectives for precedence climbing: class and precedence.  ``->``
+# is right-associative, ``|`` and ``&`` are left-associative.
+_BINARY = {"->": (Implies, _PREC_IMP), "|": (Or, _PREC_OR), "&": (And, _PREC_AND)}
+
+
+class Reader:
+    """Parses texts of one dialect into structure-shared trees.
+
+    Every node is built through the reader's table, keyed by its class and
+    its children, so equal subformulas and subterms, within one text and
+    across all the texts one reader parses, come back as the same object.
+    Memory then grows with the distinct nodes read, not with the printed
+    size.  The table lives as long as the reader: make one per file or per
+    call, never one per process, or it keeps every node ever read alive.
+    """
+
+    def __init__(self, dialect: Dialect):
+        self.dialect = dialect
+        # (class, value) for leaves, (class, id(child), id(child or None))
+        # otherwise.  Every child was built through this table and stays
+        # alive in it, so its id names it uniquely for the reader's lifetime.
+        self.nodes: dict[tuple, Formula | Term] = {}
+        self.depths: dict[int, int] = {}  # id(node) -> tree depth; leaves are 0
+
+    def formula(self, text: str) -> Formula:
+        return self._read(text, _Parser.formula)
+
+    def proof_term(self, text: str) -> ProofTerm:
+        return self._read(text, _Parser.proof_term)
+
+    def just_term(self, text: str) -> JustTerm:
+        return self._read(text, _Parser.just_term)
+
+    def sequent(self, text: str) -> tuple[tuple[Formula, ...], tuple[Formula, ...]]:
+        return self._read(text, _Parser.sequent)
+
+    def _read(self, text: str, rule):
+        p = _Parser(text, self)
+        try:
+            out = rule(p)
+            if not p.at_end():
+                raise p.error(f"trailing input {p.peek()!r}")
+        except _Failure as e:
+            message, index = e.args
+            raise ParseError(message, _token_starts(text)[index]) from None
+        return out
+
+
+class _Failure(Exception):
+    """A parse failure at a token index.  The parser backtracks on these, so
+    the character position is only worked out once one reaches the caller."""
+
 
 class _Parser:
-    def __init__(self, text: str, dialect: Dialect):
+    # The deepest nesting accepted, counted two ways: the depth of the syntax
+    # tree (a level per connective, box, assertion and term constructor), and
+    # while reading, the parentheses, prefixes and right operands open at the
+    # current token.  Recursion in the parser and in every walker over its
+    # output then stays far inside Python's default limit of 1000 frames.
+    # The toolkit's own files nest far less: 69 tree levels at most in the
+    # derivation of the GE realization of []^4 A => []^4 A.
+    MAX_DEPTH = 200
+
+    def __init__(self, text: str, reader: Reader):
         self.tokens = _tokenize(text)
         self.pos = 0
-        self.dialect = dialect
+        self.dialect = reader.dialect
+        self.nodes = reader.nodes
+        self.depths = reader.depths
+        self.depth = 0  # parentheses, prefixes and right operands open here
 
-    def peek(self) -> _Token:
+    def peek(self) -> str:
         return self.tokens[self.pos]
 
-    def next(self) -> _Token:
+    def next(self) -> str:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
-    def expect(self, text: str) -> _Token:
-        tok = self.next()
-        if tok.text != text:
-            raise ParseError(f"expected {text!r}, found {tok.text or 'end of input'!r}", tok.pos)
-        return tok
+    def expect(self, text: str) -> None:
+        tok = self.peek()
+        if tok != text:
+            raise self.error(f"expected {text!r}, found {tok or 'end of input'!r}")
+        self.pos += 1
 
     def at_end(self) -> bool:
-        return self.peek().kind == "eof"
+        return self.peek() == ""
+
+    def error(self, message: str) -> _Failure:
+        return _Failure(message, self.pos)
+
+    def enter(self) -> None:
+        """Open one level of nesting; the caller closes it with ``depth -= 1``."""
+        self.depth += 1
+        if self.depth > self.MAX_DEPTH:
+            raise self.error(f"nesting deeper than {self.MAX_DEPTH} levels")
+
+    # -- building
+
+    def leaf(self, cls, value):
+        key = (cls, value)
+        node = self.nodes.get(key)
+        if node is None:
+            node = self.nodes[key] = cls(value)
+        return node
+
+    def node(self, cls, a, b=None):
+        key = (cls, id(a), id(b))
+        node = self.nodes.get(key)
+        if node is None:
+            depths = self.depths
+            if b is None:
+                node, depth = cls(a), depths.get(id(a), 0) + 1
+            else:
+                node, depth = cls(a, b), max(depths.get(id(a), 0), depths.get(id(b), 0)) + 1
+            if depth > self.MAX_DEPTH:
+                raise self.error(f"nesting deeper than {self.MAX_DEPTH} levels")
+            self.nodes[key] = node
+            depths[id(node)] = depth
+        return node
 
     # -- formulas
 
+    def sequent(self) -> tuple[tuple[Formula, ...], tuple[Formula, ...]]:
+        """``F1, F2 => G1, G2``; either side may be empty."""
+        ante = self.formula_list("=>")
+        self.expect("=>")
+        return ante, self.formula_list("")
+
+    def formula_list(self, closer: str) -> tuple[Formula, ...]:
+        """Comma-separated formulas up to ``closer`` (``""`` is the end of
+        the input), possibly none."""
+        if self.peek() == closer:
+            return ()
+        out = [self.formula()]
+        while self.peek() == ",":
+            self.next()
+            out.append(self.formula())
+        return tuple(out)
+
     def formula(self) -> Formula:
-        left = self.imp()
-        if self.peek().text == "<->":
+        left = self.binary(_PREC_IMP)
+        if self.peek() == "<->":
             self.next()
-            right = self.imp()
-            return And(Implies(left, right), Implies(right, left))
+            right = self.binary(_PREC_IMP)
+            return self.node(And, self.node(Implies, left, right), self.node(Implies, right, left))
         return left
 
-    def imp(self) -> Formula:
-        left = self.disj()
-        if self.peek().text == "->":
-            self.next()
-            return Implies(left, self.imp())
-        return left
-
-    def disj(self) -> Formula:
-        left = self.conj()
-        while self.peek().text == "|":
-            self.next()
-            left = Or(left, self.conj())
-        return left
-
-    def conj(self) -> Formula:
+    def binary(self, min_prec: int) -> Formula:
+        """Precedence climbing over the connectives binding at least as
+        tightly as ``min_prec``."""
         left = self.unary()
-        while self.peek().text == "&":
+        while True:
+            op = _BINARY.get(self.peek())
+            if op is None or op[1] < min_prec:
+                return left
+            cls, prec = op
             self.next()
-            left = And(left, self.unary())
-        return left
+            self.enter()
+            right = self.binary(prec if cls is Implies else prec + 1)
+            self.depth -= 1
+            left = self.node(cls, left, right)
 
     def unary(self) -> Formula:
         tok = self.peek()
-        if tok.text == "~":
+        if tok == "~":
             self.next()
-            return Not(self.unary())
-        if tok.text == "[":
+            self.enter()
+            inner = self.unary()
+            self.depth -= 1
+            return self.node(Not, inner)
+        if tok == "[":
             self.next()
-            if self.peek().text == "]":
+            self.enter()
+            if self.peek() == "]":
                 if self.dialect is not Dialect.MODAL:
                     raise DialectError("[] is only available in the modal dialect")
                 self.next()
-                return Box(self.unary())
+                body = self.unary()
+                self.depth -= 1
+                return self.node(Box, body)
             if self.dialect is Dialect.MODAL:
                 raise DialectError("justification terms are not available in the modal dialect")
             term = self.just_term()
             self.expect("]")
-            return JustOf(term, self.unary())
-        if tok.kind == "bot":
+            body = self.unary()
+            self.depth -= 1
+            return self.node(JustOf, term, body)
+        if tok == "_|_":
             self.next()
             return BOT
-        if tok.kind == "ident" and _ATOM_RE.match(tok.text):
+        if _ATOM_RE.match(tok):
             self.next()
-            return Atom(tok.text)
-        if tok.text == "(":
+            return self.leaf(Atom, tok)
+        if tok == "(":
             if self.dialect is not Dialect.MODAL:
-                saved = self.pos
+                saved = self.pos, self.depth
                 try:
-                    term = self.proof_term()
-                    self.expect(":")
-                    return ProofOf(term, self.colon_body())
-                except ParseError:
-                    self.pos = saved
+                    return self.proof_of()
+                except _Failure:
+                    self.pos, self.depth = saved
             self.next()
+            self.enter()
             inner = self.formula()
             self.expect(")")
+            self.depth -= 1
             return inner
-        if tok.text == "!" or (tok.kind == "ident" and (_PCONST_RE.match(tok.text) or _PVAR_RE.match(tok.text))):
+        if tok == "!" or _PCONST_RE.match(tok) or _PVAR_RE.match(tok):
             if self.dialect is Dialect.MODAL:
                 raise DialectError("proof terms are not available in the modal dialect")
-            term = self.proof_term()
-            self.expect(":")
-            return ProofOf(term, self.colon_body())
-        if tok.kind == "ident":
-            raise DialectError(f"name {tok.text!r} does not start a {self.dialect.value} formula")
-        raise ParseError(f"unexpected {tok.text or 'end of input'!r}", tok.pos)
+            return self.proof_of()
+        if tok[:1].isalpha():
+            raise DialectError(f"name {tok!r} does not start a {self.dialect.value} formula")
+        raise self.error(f"unexpected {tok or 'end of input'!r}")
 
-    def colon_body(self) -> Formula:
+    def proof_of(self) -> Formula:
+        """``t:F``, where ``F`` is an atom, ``_|_`` or parenthesised."""
+        term = self.proof_term()
+        self.expect(":")
+        self.enter()
         tok = self.peek()
-        if tok.kind == "bot":
+        if tok == "_|_":
             self.next()
-            return BOT
-        if tok.kind == "ident" and _ATOM_RE.match(tok.text):
+            body = BOT
+        elif _ATOM_RE.match(tok):
             self.next()
-            return Atom(tok.text)
-        if tok.text == "(":
+            body = self.leaf(Atom, tok)
+        elif tok == "(":
             self.next()
-            inner = self.formula()
+            self.enter()
+            body = self.formula()
             self.expect(")")
-            return inner
-        raise ParseError("the body of ':' must be an atom, _|_ or parenthesised", tok.pos)
+            self.depth -= 1
+        else:
+            raise self.error("the body of ':' must be an atom, _|_ or parenthesised")
+        self.depth -= 1
+        return self.node(ProofOf, term, body)
 
     # -- proof terms
 
@@ -752,132 +868,109 @@ class _Parser:
         if self.dialect is Dialect.MODAL:
             raise DialectError("proof terms are not available in the modal dialect")
         left = self.proof_prod()
-        while self.peek().text == "+":
+        while self.peek() == "+":
             if self.dialect is Dialect.JEM:
                 raise DialectError("proof-term sum is not available in JEM")
             self.next()
-            left = Sum(left, self.proof_prod())
+            left = self.node(Sum, left, self.proof_prod())
         return left
 
     def proof_prod(self) -> ProofTerm:
         left = self.proof_atom()
-        while self.peek().text == "*":
+        while self.peek() == "*":
             self.next()
-            left = Apply(left, self.proof_atom())
+            left = self.node(Apply, left, self.proof_atom())
         return left
 
     def proof_atom(self) -> ProofTerm:
         tok = self.peek()
-        if tok.text == "!":
+        if tok == "!":
             self.next()
-            return Bang(self.proof_atom())
-        if tok.text == "(":
+            self.enter()
+            inner = self.proof_atom()
+            self.depth -= 1
+            return self.node(Bang, inner)
+        if tok == "(":
             self.next()
+            self.enter()
             inner = self.proof_term()
             self.expect(")")
+            self.depth -= 1
             return inner
-        if tok.kind == "ident":
-            if _PCONST_RE.match(tok.text):
-                self.next()
-                return ProofConst(tok.text)
-            m = _PVAR_RE.match(tok.text)
-            if m:
-                self.next()
-                return ProofVar(int(m.group(1)))
-            if tok.text in ("e", "m") or _JVAR_RE.match(tok.text):
-                raise ParseError(f"justification term {tok.text!r} where a proof term is needed", tok.pos)
-        raise ParseError(f"expected a proof term, found {tok.text or 'end of input'!r}", tok.pos)
+        if _PCONST_RE.match(tok):
+            self.next()
+            return self.leaf(ProofConst, tok)
+        m = _PVAR_RE.match(tok)
+        if m:
+            self.next()
+            return self.leaf(ProofVar, int(m.group(1)))
+        if tok in ("e", "m") or _JVAR_RE.match(tok):
+            raise self.error(f"justification term {tok!r} where a proof term is needed")
+        raise self.error(f"expected a proof term, found {tok or 'end of input'!r}")
 
     # -- justification terms
 
     def just_term(self) -> JustTerm:
         if self.dialect is Dialect.JE:
             tok = self.peek()
-            if tok.text in ("m",) or (tok.kind == "ident" and _JVAR_RE.match(tok.text)):
-                raise DialectError(f"{tok.text!r} belongs to JEM, not JE")
+            if tok == "m" or _JVAR_RE.match(tok):
+                raise DialectError(f"{tok!r} belongs to JEM, not JE")
             self.expect("e")
             self.expect("(")
+            self.enter()
             inner = self.proof_term()
             self.expect(")")
-            return Evidence(inner)
+            self.depth -= 1
+            return self.node(Evidence, inner)
         return self.just_sum()
 
     def just_sum(self) -> JustTerm:
         left = self.just_atom()
-        while self.peek().text == "+":
+        while self.peek() == "+":
             self.next()
-            left = JustSum(left, self.just_atom())
+            left = self.node(JustSum, left, self.just_atom())
         return left
 
     def just_atom(self) -> JustTerm:
         tok = self.peek()
-        if tok.text == "(":
+        if tok == "(":
             self.next()
+            self.enter()
             inner = self.just_sum()
             self.expect(")")
+            self.depth -= 1
             return inner
-        if tok.kind == "ident":
-            if tok.text == "e":
-                raise DialectError("e(.) belongs to JE, not JEM")
-            if tok.text == "m":
-                self.next()
-                self.expect("(")
-                p = self.proof_term()
-                self.expect(",")
-                j = self.just_sum()
-                self.expect(")")
-                return MApply(p, j)
-            m = _JVAR_RE.match(tok.text)
-            if m:
-                self.next()
-                return JustVar(int(m.group(1)))
-        raise ParseError(f"expected a justification term, found {tok.text or 'end of input'!r}", tok.pos)
+        if tok == "e":
+            raise DialectError("e(.) belongs to JE, not JEM")
+        if tok == "m":
+            self.next()
+            self.expect("(")
+            self.enter()
+            p = self.proof_term()
+            self.expect(",")
+            j = self.just_sum()
+            self.expect(")")
+            self.depth -= 1
+            return self.node(MApply, p, j)
+        m = _JVAR_RE.match(tok)
+        if m:
+            self.next()
+            return self.leaf(JustVar, int(m.group(1)))
+        raise self.error(f"expected a justification term, found {tok or 'end of input'!r}")
 
 
 def parse_formula(text: str, dialect: Dialect) -> Formula:
-    p = _Parser(text, dialect)
-    f = p.formula()
-    if not p.at_end():
-        tok = p.peek()
-        raise ParseError(f"trailing input {tok.text!r}", tok.pos)
-    return f
+    return Reader(dialect).formula(text)
 
 
 def parse_proof_term(text: str, dialect: Dialect) -> ProofTerm:
-    p = _Parser(text, dialect)
-    t = p.proof_term()
-    if not p.at_end():
-        tok = p.peek()
-        raise ParseError(f"trailing input {tok.text!r}", tok.pos)
-    return t
+    return Reader(dialect).proof_term(text)
 
 
 def parse_just_term(text: str, dialect: Dialect) -> JustTerm:
-    p = _Parser(text, dialect)
-    t = p.just_term()
-    if not p.at_end():
-        tok = p.peek()
-        raise ParseError(f"trailing input {tok.text!r}", tok.pos)
-    return t
+    return Reader(dialect).just_term(text)
 
 
 def parse_sequent(text: str, dialect: Dialect) -> tuple[tuple[Formula, ...], tuple[Formula, ...]]:
     """Parse ``F1, F2 => G1, G2``; either side may be empty."""
-    p = _Parser(text, dialect)
-
-    def side(closer: str) -> tuple[Formula, ...]:
-        if p.peek().text == closer or (closer == "" and p.at_end()):
-            return ()
-        out = [p.formula()]
-        while p.peek().text == ",":
-            p.next()
-            out.append(p.formula())
-        return tuple(out)
-
-    ante = side("=>")
-    p.expect("=>")
-    succ = side("")
-    if not p.at_end():
-        tok = p.peek()
-        raise ParseError(f"trailing input {tok.text!r}", tok.pos)
-    return ante, succ
+    return Reader(dialect).sequent(text)

@@ -7,7 +7,7 @@ from jelogic.cli import main
 from jelogic.formats import parse_derivation, write_cs, write_derivation, write_model
 from jelogic.hilbert import Derivation, Hyp, MPStep, prove_id
 from jelogic.semantics import FiniteBasicEvaluation, QuasiModel, saturate
-from jelogic.syntax import Atom, Dialect, Evidence, Implies, ProofVar
+from jelogic.syntax import Atom, Dialect, Evidence, Implies, ProofVar, _Parser
 
 A, B = Atom("A"), Atom("B")
 
@@ -48,6 +48,16 @@ class TestParse:
     def test_dialect_violation_is_an_input_error(self, capsys):
         code, _, _ = run(capsys, "parse", "[x0]A", "--dialect", "JE")
         assert code == 2
+
+    def test_nesting_at_the_limit(self, capsys):
+        text = "[]" * _Parser.MAX_DEPTH + "A"
+        code, _, record = run(capsys, "parse", text, "--dialect", "MODAL")
+        assert code == 0 and record["canonical"] == text
+
+    def test_nesting_over_the_limit_is_an_input_error(self, capsys):
+        for n in (_Parser.MAX_DEPTH + 1, 1000):
+            code, _, record = run(capsys, "prove", "=> " + "[]" * n + "A", "--calculus", "GE")
+            assert code == 2 and "nesting deeper than" in record["error"]
 
 
 class TestProve:

@@ -32,6 +32,7 @@ from jelogic.syntax import (
     BOT,
     Bang,
     Bottom,
+    Box,
     Dialect,
     DialectError,
     Implies,
@@ -101,6 +102,14 @@ class TestChecker:
         d = Derivation(Dialect.JEM, (Hyp(alien),), 0)
         with pytest.raises(DialectError):
             check_derivation(d, CS_JEM)
+
+    def test_dialect_enforced_below_a_shared_node(self):
+        # The checker validates each node once across steps; a node first
+        # met inside a later step is still validated.
+        shared = _je("[e(p0)]A")
+        d = Derivation(Dialect.JE, (Hyp(shared), Hyp(Implies(shared, Box(A)))), 1)
+        with pytest.raises(DialectError):
+            check_derivation(d, CS_JE)
 
 
 class TestBuilder:

@@ -24,6 +24,7 @@ from jelogic.syntax import (
     ProofOf,
     ProofOfPresent,
     ProofVar,
+    Reader,
     Substitution,
     Sum,
     apply_substitution,
@@ -38,7 +39,9 @@ from jelogic.syntax import (
     print_sequent,
     print_term,
     subformula_at,
+    _Parser,
 )
+from jelogic.sequent import parse_sequent_line
 
 A, B, C = Atom("A"), Atom("B"), Atom("C")
 DIALECTS = [Dialect.JE, Dialect.JEM, Dialect.MODAL]
@@ -89,6 +92,70 @@ class TestParse:
     def test_sequent_empty_sides(self):
         assert parse_sequent("=> A", Dialect.MODAL) == ((), (A,))
         assert parse_sequent("A =>", Dialect.MODAL) == ((A,), ())
+
+
+class TestSharing:
+    def test_equal_subtrees_are_one_object(self):
+        f = parse_formula("[e(p0 * c1)]A -> ([e(p0 * c1)]A & ~A)", Dialect.JE)
+        assert f.left is f.right.left
+        assert f.left.body is f.right.right.inner
+
+    def test_reader_shares_across_texts(self):
+        r = Reader(Dialect.JEM)
+        f, g = r.formula("[m(p0, x0)]A -> B"), r.formula("C | [m(p0, x0)]A")
+        assert f.left is g.right
+        ante, succ = r.sequent("[m(p0, x0)]A => B")
+        assert ante[0] is f.left and succ[0] is f.right
+
+    def test_no_sharing_between_calls(self):
+        # The table lives for one call only, so nothing read stays alive in it.
+        assert parse_formula("A", Dialect.MODAL) is not parse_formula("A", Dialect.MODAL)
+
+    def test_unexpected_character_position(self):
+        with pytest.raises(ParseError) as e:
+            parse_formula("A -> 5", Dialect.MODAL)
+        assert e.value.position == 5
+
+    def test_error_position_after_backtracking(self):
+        with pytest.raises(ParseError) as e:
+            parse_formula("(A & B) -> (A &)", Dialect.JE)
+        assert e.value.position == 15
+
+
+LIMIT = _Parser.MAX_DEPTH
+
+# Each shape at nesting n, for n >= 2.
+NESTED = {
+    "boxes": (lambda n: "[]" * n + "A", Dialect.MODAL),
+    "negations": (lambda n: "~" * n + "A", Dialect.JE),
+    "parentheses": (lambda n: "(" * n + "A" + ")" * n, Dialect.JE),
+    "implications": (lambda n: " -> ".join(["A"] * (n + 1)), Dialect.MODAL),
+    "conjunctions": (lambda n: " & ".join(["A"] * (n + 1)), Dialect.MODAL),
+    "justifications": (lambda n: "[x0]" * n + "A", Dialect.JEM),
+    "bangs": (lambda n: "!" * (n - 1) + "c0:A", Dialect.JE),
+    "applications": (lambda n: "[e(" + " * ".join(["c0"] * (n - 1)) + ")]A", Dialect.JE),
+    "term parentheses": (lambda n: "[e(" + "(" * (n - 2) + "c0" + ")" * (n - 2) + ")]A", Dialect.JE),
+    "m terms": (lambda n: "[" + "m(p0, " * (n - 1) + "x0" + ")" * (n - 1) + "]A", Dialect.JEM),
+}
+
+
+class TestNestingLimit:
+    @pytest.mark.parametrize("shape", NESTED)
+    def test_at_the_limit(self, shape):
+        make, dialect = NESTED[shape]
+        f = parse_formula(make(LIMIT), dialect)
+        assert parse_formula(print_formula(f), dialect) == f
+
+    @pytest.mark.parametrize("shape", NESTED)
+    def test_over_the_limit(self, shape):
+        make, dialect = NESTED[shape]
+        with pytest.raises(ParseError, match=f"nesting deeper than {LIMIT} levels") as e:
+            parse_formula(make(LIMIT + 1), dialect)
+        assert e.value.position is not None
+
+    def test_thousand_boxes_in_a_sequent(self):
+        with pytest.raises(ParseError):
+            parse_sequent_line("=> " + "[]" * 1000 + "A")
 
 
 class TestPrint:
