@@ -188,6 +188,27 @@ def instantiate(pattern, binding: Binding):
     raise TypeError(f"not a pattern: {pattern!r}")
 
 
+_META_KINDS = {FormulaMeta: "formula", ProofMeta: "proof", JustMeta: "just"}
+
+
+def metavariables(pattern) -> dict[str, str]:
+    """Every metavariable of ``pattern``, name to kind: "formula", "proof"
+    or "just"."""
+    out: dict[str, str] = {}
+    stack = [pattern]
+    while stack:
+        node = stack.pop()
+        kind = _META_KINDS.get(type(node))
+        if kind is not None:
+            out[node.name] = kind
+            continue
+        for attr in ("left", "right", "inner", "proof", "just", "term", "body"):
+            child = getattr(node, attr, None)
+            if child is not None and not isinstance(child, str):
+                stack.append(child)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # The catalogue
 

@@ -33,6 +33,7 @@ from .formats import (
     write_sequent_proof,
 )
 from .realization import (
+    CALCULUS_DIALECT,
     UncheckedProof,
     VerificationError,
     realize,
@@ -46,7 +47,7 @@ from .semantics import (
     model_truth,
     soundness_fuzz,
 )
-from .sequent import Sequent, SequentProofError, check_sequent_proof, prove_bounded
+from .sequent import Sequent, SequentProofError, check_sequent_proof, index_proof, prove_bounded
 from .syntax import (
     Dialect,
     DialectError,
@@ -251,7 +252,7 @@ def _cmd_prove(args) -> int:
     s = _read_sequent(args.sequent)
     proof = prove_bounded(s, args.calculus, args.depth)
     if proof is not None:
-        nodes = _count_nodes(proof)
+        nodes = len(index_proof(proof).nodes)
         if args.output:
             Path(args.output).write_text(write_sequent_proof(proof, args.calculus))
         human = f"proved: {s} ({nodes} nodes)"
@@ -291,14 +292,9 @@ def _cmd_prove(args) -> int:
     return 1
 
 
-def _count_nodes(proof) -> int:
-    return 1 + sum(_count_nodes(c) for c in proof.children)
-
-
 def _cmd_realize(args) -> int:
     calculus = args.calculus
-    dialect = Dialect.JE if calculus == "GE" else Dialect.JEM
-    cs = _load_cs(args.cs, dialect)
+    cs = _load_cs(args.cs, CALCULUS_DIALECT[calculus])
     path = Path(args.source)
     if path.exists() and path.is_file():
         proof, file_calculus = parse_sequent_proof(path.read_text())
@@ -467,9 +463,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--calculus", choices=["GE", "GM"], required=True)
     p.add_argument("--cs")
     p.add_argument("--depth", type=int, default=10)
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--strict", action="store_true", help="keep full witness sums (default)")
-    mode.add_argument("--simplify", action="store_true", help="collapse equal witness pairs")
+    p.add_argument("--simplify", action="store_true", help="collapse equal witness pairs")
     p.add_argument("-o", "--output", help="write the realized derivation here")
     p.set_defaults(func=_cmd_realize)
 

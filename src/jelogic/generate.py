@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 
-from .axioms import CATALOGUE, FormulaMeta, JustMeta, ProofMeta, instantiate
+from .axioms import CATALOGUE, instantiate, metavariables
 from .hilbert import Builder, Derivation
 from .sequent import Proof, Sequent, premises_of
 from .syntax import (
@@ -108,22 +108,7 @@ def random_formula(rng: random.Random, dialect: Dialect, depth: int) -> Formula:
 
 def _random_binding(rng: random.Random, dialect: Dialect, pattern) -> dict:
     binding: dict = {}
-    stack = [pattern]
-    metas: dict[str, str] = {}
-    while stack:
-        node = stack.pop()
-        if isinstance(node, FormulaMeta):
-            metas[node.name] = "formula"
-        elif isinstance(node, ProofMeta):
-            metas[node.name] = "proof"
-        elif isinstance(node, JustMeta):
-            metas[node.name] = "just"
-        else:
-            for attr in ("left", "right", "inner", "proof", "just", "term", "body"):
-                child = getattr(node, attr, None)
-                if child is not None and not isinstance(child, str):
-                    stack.append(child)
-    for name, kind in sorted(metas.items()):
+    for name, kind in sorted(metavariables(pattern).items()):
         if kind == "formula":
             binding[name] = random_formula(rng, dialect, rng.randint(1, 2))
         elif kind == "proof":

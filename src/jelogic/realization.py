@@ -68,7 +68,6 @@ from .syntax import (
     apply_substitution,
     apply_to_term,
     forgetful,
-    polarity_at,
     print_formula,
     subformula_at,
     subterms,
@@ -76,6 +75,8 @@ from .syntax import (
 )
 
 PROVISIONAL_BASE = 10**6
+
+CALCULUS_DIALECT = {"GE": Dialect.JE, "GM": Dialect.JEM}
 
 
 class UncheckedProof(Exception):
@@ -274,7 +275,7 @@ def _term_at(u: Term, path) -> Term:
     return u
 
 
-def _lift_sum(d: Derivation, u: Term, path, node, wrap, plus_scheme: str, keys) -> Derivation:
+def _lift_sum(d: Derivation, u: Term, path, wrap, plus_scheme: str, keys) -> Derivation:
     """Weaken ``|- w:F`` (w at ``path`` inside the sum tree ``u``) to ``|- u:F``."""
     f = step_formulas(d)[d.conclusion].body
     while path:
@@ -293,11 +294,11 @@ def _lift_sum(d: Derivation, u: Term, path, node, wrap, plus_scheme: str, keys) 
 
 
 def _lift_proof_sum(d: Derivation, u: Term, path) -> Derivation:
-    return _lift_sum(d, u, path, Sum, ProofOf, "jplus1", ("L", "K"))
+    return _lift_sum(d, u, path, ProofOf, "jplus1", ("L", "K"))
 
 
 def _lift_just_sum(d: Derivation, u: Term, path) -> Derivation:
-    return _lift_sum(d, u, path, JustSum, JustOf, "jplus2", ("T", "S"))
+    return _lift_sum(d, u, path, JustOf, "jplus2", ("T", "S"))
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +314,7 @@ def _has_provisional(t: Term) -> bool:
 class _Engine:
     def __init__(self, proof: Proof, calculus: str, cs: ConstantSpecification, mode: str):
         self.calculus = calculus
-        self.dialect = Dialect.JE if calculus == "GE" else Dialect.JEM
+        self.dialect = CALCULUS_DIALECT[calculus]
         self.cs = cs
         self.mode = mode
         self.analysis: FamilyAnalysis = compute_families(proof)
@@ -434,8 +435,7 @@ class _Engine:
         order = sorted(range(len(self.index.nodes)), key=lambda n: self.analysis.index.postorder[n])
         for nid in order:
             node = self.index.nodes[nid]
-            handler = getattr(self, "_rule_" + node.rule.lower().replace("axbot", "ax_bot").replace("axp", "ax_p"))
-            self.derivs[nid] = prune(handler(nid, node))
+            self.derivs[nid] = prune(_RULES[node.rule](self, nid, node))
             ante, succ = self._annotate(nid)
             self._require(self.derivs[nid], ante, succ, nid)
         return self.derivs[0]
@@ -452,26 +452,19 @@ class _Engine:
         b = Builder(self.dialect)
         return b.derivation(b.hyp(BOT))
 
-    def _rule_wl(self, nid: int, node: Proof) -> Derivation:
-        return self.derivs[self._child_ids(nid)[0]]
-
-    def _rule_cl(self, nid: int, node: Proof) -> Derivation:
-        return self.derivs[self._child_ids(nid)[0]]
-
-    def _rule_wr(self, nid: int, node: Proof) -> Derivation:
+    def _rule_structural(self, nid: int, node: Proof) -> Derivation:
+        """Weakening and contraction: the premise's derivation, its succedent
+        disjunction remapped when the rule acts on the right."""
         (c,) = self._child_ids(nid)
+        if node.rule in ("WL", "CL"):
+            return self.derivs[c]
         k = node.principal[0][1]
         _, src = self._annotate(c)
         _, dst = self._annotate(nid)
-        mapping = {j: (j if j < k else j + 1) for j in range(len(src))}
-        return _remap_disj(self.derivs[c], src, dst, mapping)
-
-    def _rule_cr(self, nid: int, node: Proof) -> Derivation:
-        (c,) = self._child_ids(nid)
-        k = node.principal[0][1]
-        _, src = self._annotate(c)
-        _, dst = self._annotate(nid)
-        mapping = {j: (j if j <= k else j - 1) for j in range(len(src))}
+        if node.rule == "WR":
+            mapping = {j: (j if j < k else j + 1) for j in range(len(src))}
+        else:
+            mapping = {j: (j if j <= k else j - 1) for j in range(len(src))}
         return _remap_disj(self.derivs[c], src, dst, mapping)
 
     def _rule_impl(self, nid: int, node: Proof) -> Derivation:
@@ -699,6 +692,26 @@ class _Engine:
         return _lift_just_sum(small, u, _sum_path(u, value, JustSum))
 
 
+_RULES = {
+    "AxP": _Engine._rule_ax_p,
+    "AxBot": _Engine._rule_ax_bot,
+    "WL": _Engine._rule_structural,
+    "WR": _Engine._rule_structural,
+    "CL": _Engine._rule_structural,
+    "CR": _Engine._rule_structural,
+    "ImpL": _Engine._rule_impl,
+    "ImpR": _Engine._rule_impr,
+    "AndL": _Engine._rule_andl,
+    "AndR": _Engine._rule_andr,
+    "OrL": _Engine._rule_orl,
+    "OrR": _Engine._rule_orr,
+    "NotL": _Engine._rule_notl,
+    "NotR": _Engine._rule_notr,
+    "RE": _Engine._rule_re,
+    "RM": _Engine._rule_rm,
+}
+
+
 def realize(
     proof: Proof, calculus: str, cs: ConstantSpecification, mode: str = "strict"
 ) -> RealizationResult:
@@ -713,7 +726,7 @@ def realize(
         check_sequent_proof(proof, calculus)
     except SequentProofError as e:
         raise UncheckedProof(str(e)) from e
-    dialect = Dialect.JE if calculus == "GE" else Dialect.JEM
+    dialect = CALCULUS_DIALECT[calculus]
     if cs.dialect is not dialect:
         raise DialectError(f"specification is for {cs.dialect.name}, calculus {calculus} needs {dialect.name}")
     missing = check_axiomatically_appropriate(cs)
@@ -750,13 +763,6 @@ def simplify(result: RealizationResult) -> RealizationResult:
         return out
     except (DerivationError, VerificationError):
         return result
-
-
-def _token_polarity(root_formula: Formula, side: str, path) -> str:
-    pol = polarity_at(root_formula, path)
-    if side == "L":
-        pol = "negative" if pol == "positive" else "positive"
-    return pol
 
 
 def verify_realization(
@@ -810,22 +816,14 @@ def verify_realization(
     if result.calculus == "GM":
         analysis = compute_families(proof)
         fam_terms: dict[int, Term] = {}
-        fam_negative: dict[int, bool] = {}
         realized_root = {"L": result.antecedent, "R": result.succedent}
-        source_root = {"L": root.ante, "R": root.succ}
-        for token, fid in analysis.family_of.items():
-            nid, side, fidx, path = token
-            if nid != 0:
-                continue
-            node = subformula_at(realized_root[side][fidx], path)
-            fam_terms[fid] = node.term
-            if _token_polarity(source_root[side][fidx], side, path) == "negative":
-                fam_negative[fid] = True
-        seen: dict[Term, int] = {}
-        for fid, negative in fam_negative.items():
-            term = fam_terms[fid]
+        for (nid, side, fidx, path), fid in analysis.family_of.items():
+            if nid == 0 and analysis.families[fid].polarity == "negative":
+                fam_terms[fid] = subformula_at(realized_root[side][fidx], path).term
+        seen: set[Term] = set()
+        for term in fam_terms.values():
             if not isinstance(term, JustVar):
                 raise NotNormal(f"negative box realized by a non-variable term {term!r}")
-            if term in seen and seen[term] != fid:
+            if term in seen:
                 raise NotNormal("two negative box families share one variable")
-            seen[term] = fid
+            seen.add(term)

@@ -27,8 +27,7 @@ import random
 from dataclasses import dataclass, field
 from itertools import combinations, product
 
-from .axioms import CATALOGUE, ConstantSpecification, match_axiom, instantiate
-from .axioms import FormulaMeta, ProofMeta, JustMeta
+from .axioms import CATALOGUE, ConstantSpecification, instantiate, match_axiom, metavariables
 from .syntax import (
     And,
     Apply,
@@ -114,18 +113,6 @@ def op_circle(x: frozenset, y) -> set:
 def op_prefix(lam, x) -> set:
     """{lam:F : F in x}."""
     return {ProofOf(lam, f) for f in x}
-
-
-def formula_set_op(x, y, op: str) -> frozenset:
-    if op == "dot":
-        return frozenset(op_dot(frozenset(x), frozenset(y)))
-    if op == "circle":
-        return frozenset(op_circle(frozenset(x), frozenset(y)))
-    raise ValueError(f"unknown operation {op!r}")
-
-
-def prefix_op(lam, x) -> frozenset:
-    return frozenset(op_prefix(lam, frozenset(x)))
 
 
 # ---------------------------------------------------------------------------
@@ -407,24 +394,10 @@ class QuasiModel:
 
 
 def model_truth(m: QuasiModel, w: str, f: Formula) -> bool:
+    """Truth at a world is truth under that world's basic evaluation."""
     if w not in m.worlds:
         raise UnknownWorld(w)
-    eps = m.evaluations[w]
-    if isinstance(f, Bottom):
-        return False
-    if isinstance(f, Atom):
-        return eps.atoms.get(f.name, False)
-    if isinstance(f, Implies):
-        return (not model_truth(m, w, f.left)) or model_truth(m, w, f.right)
-    if isinstance(f, And):
-        return model_truth(m, w, f.left) and model_truth(m, w, f.right)
-    if isinstance(f, Or):
-        return model_truth(m, w, f.left) or model_truth(m, w, f.right)
-    if isinstance(f, Not):
-        return not model_truth(m, w, f.inner)
-    if isinstance(f, (ProofOf, JustOf)):
-        return f.body in eps.entry(f.term)
-    raise DialectError(f"no truth clause for {print_formula(f)} in a quasi-model")
+    return eval_basic(m.evaluations[w], f)
 
 
 def truth_set(m: QuasiModel, f: Formula) -> frozenset[str]:
@@ -558,42 +531,7 @@ class FuzzReport:
         return not self.failures
 
 
-def _metas_of(pattern) -> dict[str, str]:
-    out: dict[str, str] = {}
-    stack = [pattern]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, FormulaMeta):
-            out[node.name] = "formula"
-        elif isinstance(node, ProofMeta):
-            out[node.name] = "proof"
-        elif isinstance(node, JustMeta):
-            out[node.name] = "just"
-        else:
-            for attr in ("left", "right", "inner", "proof", "just", "term", "body"):
-                child = getattr(node, attr, None)
-                if child is not None and not isinstance(child, str):
-                    stack.append(child)
-    return out
-
-
 _FUZZ_ATOMS = ("A", "B", "C")
-
-
-def _prop_truth(f: Formula, val: dict[str, bool]) -> bool:
-    if isinstance(f, Bottom):
-        return False
-    if isinstance(f, Atom):
-        return val.get(f.name, False)
-    if isinstance(f, Implies):
-        return (not _prop_truth(f.left, val)) or _prop_truth(f.right, val)
-    if isinstance(f, And):
-        return _prop_truth(f.left, val) and _prop_truth(f.right, val)
-    if isinstance(f, Or):
-        return _prop_truth(f.left, val) or _prop_truth(f.right, val)
-    if isinstance(f, Not):
-        return not _prop_truth(f.inner, val)
-    raise ValueError("not propositional")
 
 
 def _prop_candidates() -> list[Formula]:
@@ -645,8 +583,9 @@ def soundness_fuzz(dialect: Dialect, trials: int, seed: int = 0) -> FuzzReport:
         rng = random.Random(f"{seed}:{i}")
         for _attempt in range(60):
             val = {a: rng.random() < 0.5 for a in _FUZZ_ATOMS}
-            true_props = [f for f in candidates if _prop_truth(f, val)]
-            table: dict[Term, frozenset] = {}
+            eps = FiniteBasicEvaluation(dialect, val, bound=3)
+            true_props = [f for f in candidates if eval_basic(eps, f)]
+            table = eps.table
             for leaf in proof_leaves:
                 if true_props and rng.random() < 0.9:
                     table[leaf] = frozenset(rng.sample(true_props, k=min(len(true_props), rng.randint(1, 3))))
@@ -658,14 +597,13 @@ def soundness_fuzz(dialect: Dialect, trials: int, seed: int = 0) -> FuzzReport:
             for jk in jkeys:
                 if rng.random() < 0.8:
                     table[jk] = frozenset(rng.sample(candidates, k=rng.randint(1, 3)))
-            eps = FiniteBasicEvaluation(dialect, val, table, bound=3)
 
             # Cycle through the catalogue so every scheme gets exercised even
             # on short runs; the binding and the model stay random.
             scheme = schemes[i % len(schemes)]
             binding = {}
             fpool = candidates + [f for fs in table.values() for f in fs]
-            for name, kind in sorted(_metas_of(scheme.pattern).items()):
+            for name, kind in sorted(metavariables(scheme.pattern).items()):
                 if kind == "formula":
                     binding[name] = rng.choice(fpool)
                 elif kind == "proof":

@@ -805,8 +805,6 @@ class _Parser:
                 body = self.unary()
                 self.depth -= 1
                 return self.node(Box, body)
-            if self.dialect is Dialect.MODAL:
-                raise DialectError("justification terms are not available in the modal dialect")
             term = self.just_term()
             self.expect("]")
             body = self.unary()
@@ -832,8 +830,6 @@ class _Parser:
             self.depth -= 1
             return inner
         if tok == "!" or _PCONST_RE.match(tok) or _PVAR_RE.match(tok):
-            if self.dialect is Dialect.MODAL:
-                raise DialectError("proof terms are not available in the modal dialect")
             return self.proof_of()
         if tok[:1].isalpha():
             raise DialectError(f"name {tok!r} does not start a {self.dialect.value} formula")
@@ -911,6 +907,8 @@ class _Parser:
     # -- justification terms
 
     def just_term(self) -> JustTerm:
+        if self.dialect is Dialect.MODAL:
+            raise DialectError("justification terms are not available in the modal dialect")
         if self.dialect is Dialect.JE:
             tok = self.peek()
             if tok == "m" or _JVAR_RE.match(tok):

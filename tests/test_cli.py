@@ -48,6 +48,8 @@ class TestParse:
     def test_dialect_violation_is_an_input_error(self, capsys):
         code, _, _ = run(capsys, "parse", "[x0]A", "--dialect", "JE")
         assert code == 2
+        code, _, _ = run(capsys, "parse", "x0", "--dialect", "MODAL", "--kind", "just-term")
+        assert code == 2
 
     def test_nesting_at_the_limit(self, capsys):
         text = "[]" * _Parser.MAX_DEPTH + "A"
@@ -129,8 +131,11 @@ class TestRealize:
         assert code == 1 and record["ok"] is False
 
     def test_modes_are_exclusive(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["realize", "=> []A -> []A", "--calculus", "GE", "--strict", "--simplify"])
+        """``--simplify`` is the one mode switch; strict is the default and
+        has no flag of its own."""
+        with pytest.raises(SystemExit) as e:
+            main(["realize", "=> []A -> []A", "--calculus", "GE", "--strict"])
+        assert e.value.code == 2
 
 
 class TestDerivationCommands:

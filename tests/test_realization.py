@@ -35,6 +35,7 @@ from jelogic.syntax import (
     JustOf,
     JustSum,
     JustVar,
+    MApply,
     Or,
     ProofOf,
     ProofVar,
@@ -163,6 +164,14 @@ class TestVerify:
         merged = _sub_result(r, Substitution(just_vars={y.index: x}))
         with pytest.raises(NotNormal):
             verify_realization(merged)
+
+    def test_compound_term_breaks_normality(self):
+        r = realize_text("[]A | []B => [](A | B)", "GM")
+        (ante,) = r.antecedent
+        x, y = ante.left.term, ante.right.term
+        compound = _sub_result(r, Substitution(just_vars={y.index: MApply(ProofVar(0), x)}))
+        with pytest.raises(NotNormal, match="non-variable"):
+            verify_realization(compound)
 
 
 class TestSimplify:

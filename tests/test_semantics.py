@@ -17,10 +17,11 @@ from jelogic.semantics import (
     check_modular,
     eval_basic,
     find_modal_countermodel,
-    formula_set_op,
     model_truth,
     monotone_closure,
-    prefix_op,
+    op_circle,
+    op_dot,
+    op_prefix,
     saturate,
     soundness_fuzz,
     truth_set,
@@ -64,25 +65,20 @@ def _jem(atoms=None, table=None, bound=3):
 
 class TestSetOps:
     def test_application_op(self):
-        got = formula_set_op({Implies(A, B), C}, {A}, "dot")
-        assert got == frozenset({B})
+        assert op_dot({Implies(A, B), C}, {A}) == {B}
 
     def test_application_op_empty_argument(self):
-        assert formula_set_op({Implies(A, B)}, set(), "dot") == frozenset()
+        assert op_dot({Implies(A, B)}, set()) == set()
 
     def test_equivalence_op(self):
         x = {Implies(A, B), Implies(B, A)}
-        assert formula_set_op(x, {B}, "circle") == frozenset({A})
+        assert op_circle(x, {B}) == {A}
 
     def test_equivalence_op_needs_both_directions(self):
-        assert formula_set_op({Implies(A, B)}, {B}, "circle") == frozenset()
-
-    def test_unknown_op(self):
-        with pytest.raises(ValueError):
-            formula_set_op(set(), set(), "compose")
+        assert op_circle({Implies(A, B)}, {B}) == set()
 
     def test_prefix_op(self):
-        assert prefix_op(P0, {A, B}) == frozenset({ProofOf(P0, A), ProofOf(P0, B)})
+        assert op_prefix(P0, {A, B}) == {ProofOf(P0, A), ProofOf(P0, B)}
 
 
 class TestSaturate:

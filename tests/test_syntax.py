@@ -76,6 +76,11 @@ class TestParse:
         with pytest.raises(DialectError):
             parse_just_term("e(p0)", Dialect.JEM)
 
+    @pytest.mark.parametrize("text", ["x0", "x0 + x1", "e(p0)"])
+    def test_just_terms_rejected_in_modal(self, text):
+        with pytest.raises(DialectError, match="modal dialect"):
+            parse_just_term(text, Dialect.MODAL)
+
     def test_syntax_error_carries_position(self):
         with pytest.raises(ParseError) as e:
             parse_formula("A -> )", Dialect.JE)
