@@ -331,6 +331,7 @@ def _cmd_realize(args) -> int:
             "antecedent": [print_formula(f) for f in result.antecedent],
             "succedent": [print_formula(f) for f in result.succedent],
             "internalizations": len(result.log),
+            "steps": len(result.derivation),
             "output": args.output,
         },
     )

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 
-from .axioms import CATALOGUE, instantiate, metavariables
+from .axioms import CATALOGUE, metavariables
 from .hilbert import Builder, Derivation
 from .sequent import Proof, Sequent, premises_of
 from .syntax import (
@@ -122,30 +122,27 @@ def random_theorem(rng: random.Random, dialect: Dialect, steps: int = 6) -> Deri
     """A hypothesis-free derivation grown by random axiom instances and
     opportunistic applications of modus ponens."""
     b = Builder(dialect)
-    pool: list[tuple[int, Formula]] = []
+    pool: list[int] = []  # step indices, one entry per draw, repeats kept
     schemes = CATALOGUE[dialect]
 
     def add_axiom():
         scheme = schemes[rng.randrange(len(schemes))]
-        binding = _random_binding(rng, dialect, scheme.pattern)
-        f = instantiate(scheme.pattern, binding)
-        pool.append((b.axiom(scheme.id, binding), f))
+        pool.append(b.axiom(scheme.id, _random_binding(rng, dialect, scheme.pattern)))
 
     add_axiom()
     for _ in range(steps):
         if pool and rng.random() < 0.55:
             majors = [
-                (i, f) for i, f in pool if isinstance(f, Implies)
-                and any(g == f.left for _, g in pool)
+                i for i in pool if isinstance(b.formulas[i], Implies)
+                and any(b.formulas[j] == b.formulas[i].left for j in pool)
             ]
             if majors:
-                i, f = majors[rng.randrange(len(majors))]
-                j = next(j for j, g in pool if g == f.left)
-                pool.append((b.mp(i, j), f.right))
+                i = majors[rng.randrange(len(majors))]
+                j = next(j for j in pool if b.formulas[j] == b.formulas[i].left)
+                pool.append(b.mp(i, j))
                 continue
         add_axiom()
-    idx, _ = pool[-1]
-    return b.derivation(idx)
+    return b.derivation(pool[-1])
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,13 @@ A derivation is a sequence of steps, each one of
   constant specification assigns ``c`` a scheme that ``A`` instantiates;
 * ``MPStep(i, j)``        -- modus ponens from steps i (major) and j (minor).
 
-Steps may be shared (the sequence is really a DAG through MP back references),
-and the builder deduplicates identical steps, which keeps the transforms from
-blowing up on repeated subgoals.
+Steps may be shared (the sequence is really a DAG through MP back references).
+A ``Builder`` derives each formula once: any request for a formula it already
+proves returns the earlier step, whatever kind of step that is.  This keeps
+the transforms from blowing up on repeated subgoals and cuts every detour that
+re-derives a known formula.  A ``hyp(F)`` request may therefore be answered by
+an earlier derived step, so a judgment can list fewer hypotheses than were
+offered.
 
 The three transforms implement the standard metatheory constructively:
 
@@ -52,8 +56,7 @@ from .syntax import (
     ProofTerm,
     Substitution,
     Term,
-    apply_substitution,
-    apply_to_term,
+    _Substituter,
     check_formula,
     print_formula,
 )
@@ -181,34 +184,41 @@ def check_derivation(d: Derivation, cs: ConstantSpecification) -> Judgment:
 
 
 class Builder:
-    """Append-only derivation builder with step deduplication."""
+    """Append-only derivation builder that derives each formula once.
+
+    Steps are indexed by the formula they prove, whatever their kind: a
+    request for a formula some earlier step already proves returns that
+    step's index, so glue that re-derives a known formula adds nothing and
+    ``prune`` drops whatever it built towards it.  In particular ``hyp(F)``
+    may return an earlier non-hypothesis step proving F, and a judgment can
+    then list fewer hypotheses than were offered, which is still sound."""
 
     def __init__(self, dialect: Dialect):
         self.dialect = dialect
         self.steps: list[Step] = []
         self.formulas: list[Formula] = []
-        self._index: dict[tuple, int] = {}
+        self._index: dict[Formula, int] = {}
 
-    def _add(self, key: tuple, step: Step, formula: Formula) -> int:
-        idx = self._index.get(key)
+    def _add(self, step: Step, formula: Formula) -> int:
+        idx = self._index.get(formula)
         if idx is not None:
             return idx
         self.steps.append(step)
         self.formulas.append(formula)
         idx = len(self.steps) - 1
-        self._index[key] = idx
+        self._index[formula] = idx
         return idx
 
     def hyp(self, f: Formula) -> int:
-        return self._add(("hyp", f), Hyp(f), f)
+        return self._add(Hyp(f), f)
 
     def axiom(self, scheme_id: str, binding: Mapping[str, object]) -> int:
         f = instantiate(scheme_by_id(scheme_id, self.dialect).pattern, binding)
-        return self._add(("ax", scheme_id, f), AxiomStep(f, scheme_id, dict(binding)), f)
+        return self._add(AxiomStep(f, scheme_id, dict(binding)), f)
 
     def an(self, constant: str, axiom_formula: Formula) -> int:
         f = ProofOf(ProofConst(constant), axiom_formula)
-        return self._add(("an", constant, axiom_formula), ANStep(constant, axiom_formula), f)
+        return self._add(ANStep(constant, axiom_formula), f)
 
     def mp(self, major: int, minor: int) -> int:
         maj = self.formulas[major]
@@ -216,21 +226,28 @@ class Builder:
             raise ValueError(
                 f"mp mismatch: {print_formula(maj)} against {print_formula(self.formulas[minor])}"
             )
-        return self._add(("mp", major, minor), MPStep(major, minor), maj.right)
+        return self._add(MPStep(major, minor), maj.right)
+
+    def _replay(self, step: Step, remap: Mapping[int, int]) -> int:
+        """Add one step of another derivation, whose earlier steps ``remap``
+        sends to indices here.  An axiom step is copied with its stored
+        formula, not instantiated again: ``check_derivation`` vouches for it."""
+        match step:
+            case Hyp(f):
+                return self.hyp(f)
+            case AxiomStep(f, _, _):
+                return self._add(step, f)
+            case ANStep(c, a):
+                return self.an(c, a)
+            case MPStep(major, minor):
+                return self.mp(remap[major], remap[minor])
+        raise TypeError(f"not a step: {step!r}")
 
     def embed(self, d: Derivation) -> int:
         """Replay a whole derivation; returns the index of its conclusion."""
         remap: dict[int, int] = {}
         for i, step in enumerate(d.steps):
-            match step:
-                case Hyp(f):
-                    remap[i] = self.hyp(f)
-                case AxiomStep(_, scheme_id, binding):
-                    remap[i] = self.axiom(scheme_id, binding)
-                case ANStep(c, a):
-                    remap[i] = self.an(c, a)
-                case MPStep(major, minor):
-                    remap[i] = self.mp(remap[major], remap[minor])
+            remap[i] = self._replay(step, remap)
         return remap[d.conclusion]
 
     def derivation(self, conclusion: int) -> Derivation:
@@ -239,7 +256,8 @@ class Builder:
 
 def prune(d: Derivation) -> Derivation:
     """Drop steps the conclusion never uses (hypothesis steps are kept: they
-    are part of the judgment even when unused)."""
+    are part of the judgment even when unused).  On a builder's output this
+    removes the detours that ended at a formula the builder already had."""
     keep = set()
     stack = [d.conclusion]
     while stack:
@@ -318,15 +336,7 @@ def deduction_transform(d: Derivation, discharge: Formula, normalize: bool = Fal
 
     for i, step in enumerate(d.steps):
         if not depends[i]:
-            match step:
-                case Hyp(h):
-                    plain[i] = b.hyp(h)
-                case AxiomStep(_, scheme_id, binding):
-                    plain[i] = b.axiom(scheme_id, binding)
-                case ANStep(c, a):
-                    plain[i] = b.an(c, a)
-                case MPStep(major, minor):
-                    plain[i] = b.mp(plain[major], plain[minor])
+            plain[i] = b._replay(step, plain)
             continue
         match step:
             case Hyp():
@@ -378,28 +388,36 @@ def internalize(d: Derivation, cs: ConstantSpecification) -> tuple[ProofTerm, De
 # Substitution
 
 
-def _subst_value(v, s: Substitution):
-    if isinstance(v, Term):
-        return apply_to_term(v, s)
-    return apply_substitution(v, s)
-
-
 def substitute_derivation(d: Derivation, s: Substitution) -> Derivation:
     """Apply a substitution to every step.  Axiom instances stay axiom
     instances and necessitation steps stay inside the (schematic)
     specification, so the result checks whenever the input does."""
+    return _substitute_steps(d, _Substituter(s))
+
+
+def _substitute_steps(d: Derivation, sub: _Substituter) -> Derivation:
+    """``substitute_derivation`` through a given substituter, so that several
+    derivations sharing nodes are rewritten with one memo."""
     steps: list[Step] = []
-    for step in d.steps:
+    for step in d.steps:  # a step nothing changes is kept as it is
         match step:
             case Hyp(f):
-                steps.append(Hyp(apply_substitution(f, s)))
+                nf = sub.formula(f)
+                if nf is not f:
+                    step = Hyp(nf)
             case AxiomStep(f, scheme_id, binding):
-                new_binding = {k: _subst_value(v, s) for k, v in binding.items()}
-                steps.append(AxiomStep(apply_substitution(f, s), scheme_id, new_binding))
+                nf = sub.formula(f)
+                if nf is not f:
+                    new_binding = {
+                        k: sub.term(v) if isinstance(v, Term) else sub.formula(v)
+                        for k, v in binding.items()
+                    }
+                    step = AxiomStep(nf, scheme_id, new_binding)
             case ANStep(c, a):
-                steps.append(ANStep(c, apply_substitution(a, s)))
-            case MPStep():
-                steps.append(step)
+                na = sub.formula(a)
+                if na is not a:
+                    step = ANStep(c, na)
+        steps.append(step)
     return Derivation(d.dialect, tuple(steps), d.conclusion)
 
 

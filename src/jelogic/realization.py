@@ -3,8 +3,10 @@
 A checked modal sequent proof is walked bottom-up.  Box occurrences were
 grouped into families beforehand; every family gets a candidate term, and each
 node of the proof receives a Hilbert derivation of its realized reading --
-the realized antecedent formulas as hypotheses, deriving the right-nested
-disjunction of the realized succedent formulas.
+some of the realized antecedent formulas as hypotheses, deriving the
+right-nested disjunction of the realized succedent formulas.  The derivations
+are built with ``hilbert.Builder``, which derives each formula once, so a
+hypothesis whose formula the glue also derives drops out of the judgment.
 
 Families never introduced by a modal rule are realized by fresh variables.
 Families introduced by a modal rule start out as sums of provisional
@@ -36,7 +38,7 @@ from .hilbert import (
     prove_id,
     prune,
     step_formulas,
-    substitute_derivation,
+    _substitute_steps,
 )
 from .sequent import (
     FamilyAnalysis,
@@ -65,8 +67,7 @@ from .syntax import (
     Substitution,
     Sum,
     Term,
-    apply_substitution,
-    apply_to_term,
+    _Substituter,
     forgetful,
     print_formula,
     subformula_at,
@@ -397,14 +398,13 @@ class _Engine:
             s = Substitution(proof_vars={provisional.index: value})
         else:
             s = Substitution(just_vars={provisional.index: value})
-        self.cands = {fid: apply_to_term(t, s) for fid, t in self.cands.items()}
-        self.derivs = {nid: substitute_derivation(d, s) for nid, d in self.derivs.items()}
+        # One memo for the whole call: candidates, derivations and log
+        # entries share most of their nodes, so each is rewritten once.
+        sub = _Substituter(s)
+        self.cands = {fid: sub.term(t) for fid, t in self.cands.items()}
+        self.derivs = {nid: _substitute_steps(d, sub) for nid, d in self.derivs.items()}
         self.log = [
-            LogEntry(
-                apply_to_term(e.term, s),
-                apply_substitution(e.formula, s),
-                substitute_derivation(e.derivation, s),
-            )
+            LogEntry(sub.term(e.term), sub.formula(e.formula), _substitute_steps(e.derivation, sub))
             for e in self.log
         ]
         self._recheck_all()

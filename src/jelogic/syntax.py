@@ -458,64 +458,98 @@ class Substitution:
 
 
 def apply_to_term(t: Term, s: Substitution) -> Term:
-    # Returning ``t`` itself when nothing changed preserves sharing inside
-    # large term DAGs, which keeps later equality checks and hashing cheap.
-    match t:
-        case ProofConst():
-            return t
-        case ProofVar(i):
-            return s.proof_vars.get(i, t)
-        case Apply(l, r):
-            nl, nr = apply_to_term(l, s), apply_to_term(r, s)
-            return t if nl is l and nr is r else Apply(nl, nr)
-        case Sum(l, r):
-            nl, nr = apply_to_term(l, s), apply_to_term(r, s)
-            return t if nl is l and nr is r else Sum(nl, nr)
-        case Bang(inner):
-            ni = apply_to_term(inner, s)
-            return t if ni is inner else Bang(ni)
-        case Evidence(p):
-            np = apply_to_term(p, s)
-            return t if np is p else Evidence(np)
-        case JustVar(i):
-            return s.just_vars.get(i, t)
-        case JustSum(l, r):
-            nl, nr = apply_to_term(l, s), apply_to_term(r, s)
-            return t if nl is l and nr is r else JustSum(nl, nr)
-        case MApply(p, j):
-            np, nj = apply_to_term(p, s), apply_to_term(j, s)
-            return t if np is p and nj is j else MApply(np, nj)
-    raise TypeError(f"not a term: {t!r}")
+    return _Substituter(s).term(t)
 
 
 def apply_substitution(f: Formula, s: Substitution) -> Formula:
-    match f:
-        case Atom(name):
-            return s.atoms.get(name, f)
-        case Bottom():
-            return f
-        case Implies(l, r):
-            nl, nr = apply_substitution(l, s), apply_substitution(r, s)
-            return f if nl is l and nr is r else Implies(nl, nr)
-        case And(l, r):
-            nl, nr = apply_substitution(l, s), apply_substitution(r, s)
-            return f if nl is l and nr is r else And(nl, nr)
-        case Or(l, r):
-            nl, nr = apply_substitution(l, s), apply_substitution(r, s)
-            return f if nl is l and nr is r else Or(nl, nr)
-        case Not(inner):
-            ni = apply_substitution(inner, s)
-            return f if ni is inner else Not(ni)
-        case ProofOf(t, body):
-            nt, nb = apply_to_term(t, s), apply_substitution(body, s)
-            return f if nt is t and nb is body else ProofOf(nt, nb)
-        case JustOf(t, body):
-            nt, nb = apply_to_term(t, s), apply_substitution(body, s)
-            return f if nt is t and nb is body else JustOf(nt, nb)
-        case Box(body):
-            nb = apply_substitution(body, s)
-            return f if nb is body else Box(nb)
-    raise TypeError(f"not a formula: {f!r}")
+    return _Substituter(s).formula(f)
+
+
+class _Substituter:
+    """One substitution, applied to each distinct node once.
+
+    The memo is keyed by node id and holds each visited node, so no id is
+    reused by a new object while the memo lives.  Structures that share
+    nodes (a realization step rewrites every derivation, candidate and log
+    entry built so far) should go through one instance, and the instance
+    dropped afterwards."""
+
+    __slots__ = ("s", "_memo")
+
+    def __init__(self, s: Substitution):
+        self.s = s
+        self._memo: dict[int, tuple[object, object]] = {}
+
+    def term(self, t: Term) -> Term:
+        hit = self._memo.get(id(t))
+        if hit is not None:
+            return hit[1]
+        # Returning ``t`` itself when nothing changed preserves sharing inside
+        # large term DAGs, which keeps later equality checks and hashing cheap.
+        match t:
+            case ProofConst():
+                out = t
+            case ProofVar(i):
+                out = self.s.proof_vars.get(i, t)
+            case Apply(l, r):
+                nl, nr = self.term(l), self.term(r)
+                out = t if nl is l and nr is r else Apply(nl, nr)
+            case Sum(l, r):
+                nl, nr = self.term(l), self.term(r)
+                out = t if nl is l and nr is r else Sum(nl, nr)
+            case Bang(inner):
+                ni = self.term(inner)
+                out = t if ni is inner else Bang(ni)
+            case Evidence(p):
+                np = self.term(p)
+                out = t if np is p else Evidence(np)
+            case JustVar(i):
+                out = self.s.just_vars.get(i, t)
+            case JustSum(l, r):
+                nl, nr = self.term(l), self.term(r)
+                out = t if nl is l and nr is r else JustSum(nl, nr)
+            case MApply(p, j):
+                np, nj = self.term(p), self.term(j)
+                out = t if np is p and nj is j else MApply(np, nj)
+            case _:
+                raise TypeError(f"not a term: {t!r}")
+        self._memo[id(t)] = (t, out)
+        return out
+
+    def formula(self, f: Formula) -> Formula:
+        hit = self._memo.get(id(f))
+        if hit is not None:
+            return hit[1]
+        match f:
+            case Atom(name):
+                out = self.s.atoms.get(name, f)
+            case Bottom():
+                out = f
+            case Implies(l, r):
+                nl, nr = self.formula(l), self.formula(r)
+                out = f if nl is l and nr is r else Implies(nl, nr)
+            case And(l, r):
+                nl, nr = self.formula(l), self.formula(r)
+                out = f if nl is l and nr is r else And(nl, nr)
+            case Or(l, r):
+                nl, nr = self.formula(l), self.formula(r)
+                out = f if nl is l and nr is r else Or(nl, nr)
+            case Not(inner):
+                ni = self.formula(inner)
+                out = f if ni is inner else Not(ni)
+            case ProofOf(t, body):
+                nt, nb = self.term(t), self.formula(body)
+                out = f if nt is t and nb is body else ProofOf(nt, nb)
+            case JustOf(t, body):
+                nt, nb = self.term(t), self.formula(body)
+                out = f if nt is t and nb is body else JustOf(nt, nb)
+            case Box(body):
+                nb = self.formula(body)
+                out = f if nb is body else Box(nb)
+            case _:
+                raise TypeError(f"not a formula: {f!r}")
+        self._memo[id(f)] = (f, out)
+        return out
 
 
 # ---------------------------------------------------------------------------

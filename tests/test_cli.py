@@ -102,6 +102,7 @@ class TestRealize:
         code2, _, record2 = run(capsys, "check", str(out))
         assert code2 == 0
         assert record2["conclusion"] == record["realized"]
+        assert record2["steps"] == record["steps"]
 
     def test_from_proof_file_with_cs(self, capsys, tmp_path):
         proof_path = tmp_path / "dist.seq"

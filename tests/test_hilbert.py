@@ -119,6 +119,48 @@ class TestBuilder:
         i2 = b.axiom("pl_k", {"F": A, "G": B})
         assert i1 == i2 and len(b.steps) == 1
 
+    # Each builds a step of one kind proving F = A -> (B -> A) and returns
+    # its index.
+    EARLIER = {
+        "hyp": lambda b: b.hyp(Implies(A, Implies(B, A))),
+        "axiom": lambda b: b.axiom("pl_k", {"F": A, "G": B}),
+        "mp": lambda b: b.mp(b.hyp(Implies(C, Implies(A, Implies(B, A)))), b.hyp(C)),
+    }
+
+    @pytest.mark.parametrize("kind", ["hyp", "axiom", "mp"])
+    def test_mp_returns_an_earlier_step_with_its_formula(self, kind):
+        b = Builder(Dialect.JE)
+        early = self.EARLIER[kind](b)
+        imp = b.hyp(Implies(B, Implies(A, Implies(B, A))))
+        minor = b.hyp(B)
+        size = len(b.steps)
+        assert b.mp(imp, minor) == early and len(b.steps) == size
+
+    def test_mp_returns_an_earlier_necessitation(self):
+        b = Builder(Dialect.JE)
+        n = b.an("c_jt", _je("p0:A -> A"))
+        imp = b.hyp(Implies(C, ProofOf(ProofConst("c_jt"), _je("p0:A -> A"))))
+        assert b.mp(imp, b.hyp(C)) == n and len(b.steps) == 3
+
+    @pytest.mark.parametrize("kind", ["hyp", "mp"])
+    def test_axiom_returns_an_earlier_step_with_its_formula(self, kind):
+        b = Builder(Dialect.JE)
+        early = self.EARLIER[kind](b)
+        size = len(b.steps)
+        assert b.axiom("pl_k", {"F": A, "G": B}) == early and len(b.steps) == size
+
+    def test_hyp_answered_by_a_derived_step(self):
+        b = Builder(Dialect.JE)
+        k = b.axiom("pl_k", {"F": A, "G": B})
+        assert b.hyp(Implies(A, Implies(B, A))) == k
+        assert check_derivation(b.derivation(k), CS_JE).hypotheses == frozenset()
+
+    def test_embed_skips_formulas_already_derived(self):
+        b = Builder(Dialect.JE)
+        h = b.hyp(Implies(A, Implies(B, A)))
+        assert b.embed(derive_axiom(Dialect.JE, "pl_k", {"F": A, "G": B})) == h
+        assert len(b.steps) == 1
+
     def test_mp_type_check(self):
         b = Builder(Dialect.JE)
         k = b.axiom("pl_k", {"F": A, "G": B})

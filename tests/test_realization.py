@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +12,7 @@ from jelogic.hilbert import (
     NotAppropriate,
     check_derivation,
     prove_id,
+    step_formulas,
     substitute_derivation,
 )
 from jelogic.realization import (
@@ -47,7 +49,7 @@ from jelogic.syntax import (
     parse_formula,
 )
 
-from _helpers import CS_JE, CS_JEM, realize_text
+from _helpers import CS_JE, CS_JEM, proof_of, realize_text
 
 A, B, C = Atom("A"), Atom("B"), Atom("C")
 
@@ -216,3 +218,38 @@ def test_random_realizations_verify(seed, calculus):
     assert tuple(forgetful(f) for f in r.succedent) == root.succ
     slim = simplify(r)
     verify_realization(slim)
+
+
+# Acceptance goldens 1, 2, 4 and 5, then forward-built proofs of seeds 0..7.
+_SOURCES = [
+    ("=> []A -> ([]B -> []A)", "GE"),
+    ("[][]A => [][]A", "GE"),
+    ("=> [](A & B) -> ([]A & []B)", "GM"),
+    ("=> ([]A | []B) -> [](A | B)", "GM"),
+] + [(seed, calculus) for calculus in ("GE", "GM") for seed in range(8)]
+
+
+@pytest.mark.parametrize("source, calculus", _SOURCES)
+def test_each_formula_is_derived_once(source, calculus):
+    if isinstance(source, str):
+        proof = proof_of(source, calculus)
+    else:
+        proof = random_sequent_theorem(random.Random(source), calculus)
+    r = realize(proof, calculus, CS_JE if calculus == "GE" else CS_JEM)
+    for result in (r, simplify(r)):
+        formulas = step_formulas(result.derivation)
+        assert len(set(formulas)) == len(formulas)
+        verify_realization(result)
+
+
+def test_box_identity_realizes_as_its_hypothesis():
+    r = realize_text("[][]A => [][]A", "GE")
+    assert len(r.derivation) == 1
+    assert r.derivation.steps[0].formula == r.antecedent[0] == r.succedent[0]
+
+
+def test_four_nested_boxes_realize_in_seconds():
+    proof = proof_of("[][][][]A => [][][][]A", "GE")
+    t0 = time.perf_counter()
+    verify_realization(realize(proof, "GE", CS_JE))
+    assert time.perf_counter() - t0 < 10.0
