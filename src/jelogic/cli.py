@@ -37,7 +37,7 @@ from .realization import (
     UncheckedProof,
     VerificationError,
     realize,
-    simplify,
+    try_simplify,
     verify_realization,
 )
 from .semantics import (
@@ -312,12 +312,15 @@ def _cmd_realize(args) -> int:
             )
             return 1
     result = realize(proof, calculus, cs)
+    fallback = None
     if args.simplify:
-        result = simplify(result)
+        result, fallback = try_simplify(result)
     verify_realization(result)
     if args.output:
         Path(args.output).write_text(write_derivation(result.derivation))
     human = f"realized ({result.mode}): {print_formula(result.realized)}"
+    if fallback:
+        human += f"\nsimplify fell back to strict: {fallback}"
     if args.output:
         human += f"\nwrote {args.output}"
     _emit(
@@ -332,6 +335,7 @@ def _cmd_realize(args) -> int:
             "succedent": [print_formula(f) for f in result.succedent],
             "internalizations": len(result.log),
             "steps": len(result.derivation),
+            "simplify_fallback": fallback,
             "output": args.output,
         },
     )

@@ -195,14 +195,6 @@ def impr(p: Proof, k: int) -> Proof:
     return _node("ImpR", (("R", k),), s, (p,))
 
 
-def impl(p1: Proof, p2: Proof, k: int) -> Proof:
-    a = p1.sequent.succ[-1]
-    bb = p2.sequent.ante[0]
-    rest = p1.sequent.ante
-    s = Sequent(rest[:k] + (Implies(a, bb),) + rest[k:], p1.sequent.succ[:-1])
-    return _node("ImpL", (("L", k),), s, (p1, p2))
-
-
 def andl(p: Proof) -> Proof:
     a, bb = p.sequent.ante[0], p.sequent.ante[1]
     s = Sequent((And(a, bb),) + p.sequent.ante[2:], p.sequent.succ)

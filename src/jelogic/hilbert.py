@@ -23,10 +23,10 @@ The three transforms implement the standard metatheory constructively:
   constant specification.
 * ``internalize`` turns a hypothesis-free derivation of ``|- A`` into a proof
   term ``t`` and a derivation of ``|- t:A``.  Axiom steps become constants
-  (the lexicographically least constant covering the scheme), axiom
-  necessitation steps are lifted with ``!`` through the positive introspection
-  scheme, and modus ponens becomes term application through the ``j`` scheme.
-  Requires an axiomatically appropriate specification.
+  (the lexicographically least constant covering the scheme), steps proving
+  a proof assertion ``t:F`` become ``!t`` through the positive introspection
+  scheme, and any other modus ponens becomes term application through the
+  ``j`` scheme.  Requires an axiomatically appropriate specification.
 * ``substitute_derivation`` applies a substitution to every step; this is
   sound because axiom schemes and constant specifications are schematic.
 """
@@ -354,32 +354,63 @@ def deduction_transform(d: Derivation, discharge: Formula, normalize: bool = Fal
 
 
 def internalize(d: Derivation, cs: ConstantSpecification) -> tuple[ProofTerm, Derivation]:
-    """From a hypothesis-free derivation of ``|- A`` build a ground proof term
-    ``t`` and a derivation of ``|- t:A``."""
+    """From a hypothesis-free derivation of ``|- A`` build a proof term ``t``
+    and a derivation of ``|- t:A`` (the Lifting Lemma).
+
+    Each step the conclusion needs is lifted to a term for its formula:
+
+    * an axiom ``F`` becomes the least constant ``c`` covering its scheme,
+      through the necessitation step ``c:F``;
+    * a step that proves a proof assertion ``t:F`` -- a necessitation step
+      ``c:A`` or a modus ponens conclusion -- becomes ``!t`` through one
+      ``j4`` instance ``t:F -> !t:(t:F)`` applied to the step itself, so
+      only the plain steps it needs are replayed and none of them is lifted;
+    * any other modus ponens becomes ``l * k`` from the terms ``l`` and
+      ``k`` of its major and minor, through one ``j`` instance.
+
+    Which steps are lifted and which replayed is decided from the conclusion
+    down, so no unused lift is emitted.  A term ``!t`` takes ``t`` from a
+    formula of the input, so unlike constants and applications it can
+    contain proof variables.  Requires an axiomatically appropriate
+    specification."""
     missing = check_axiomatically_appropriate(cs)
     if missing:
         raise NotAppropriate(missing)
     judgment = check_derivation(d, cs)
     if judgment.hypotheses:
         raise DerivationError("has-hypotheses", detail=str(sorted(map(print_formula, judgment.hypotheses))))
-    d = prune(d)  # every surviving step contributes a subterm, so drop dead ones
     formulas = step_formulas(d)
+    lifted = [False] * len(d.steps)  # needs a derivation of term:formula
+    replayed = [False] * len(d.steps)  # needs the step itself
+    lifted[d.conclusion] = True
+    for i in reversed(range(len(d.steps))):
+        step = d.steps[i]
+        bang = lifted[i] and isinstance(formulas[i], ProofOf)
+        replayed[i] = replayed[i] or bang
+        if isinstance(step, MPStep):
+            for k in (step.major, step.minor):
+                replayed[k] = replayed[k] or replayed[i]
+                lifted[k] = lifted[k] or (lifted[i] and not bang)
     b = Builder(d.dialect)
+    plain: dict[int, int] = {}
     res: dict[int, tuple[ProofTerm, int]] = {}
     for i, step in enumerate(d.steps):
-        match step:
-            case AxiomStep(f, scheme_id, _):
-                const = cs.constants_for(scheme_id)[0]
-                res[i] = (ProofConst(const), b.an(const, f))
-            case ANStep(c, a):
-                base = b.an(c, a)
-                j4 = b.axiom("j4", {"L": ProofConst(c), "F": a})
-                res[i] = (Bang(ProofConst(c)), b.mp(j4, base))
-            case MPStep(major, minor):
-                lj, pj = res[major]
-                lk, pk = res[minor]
-                inst = b.axiom("j", {"L": lj, "K": lk, "F": formulas[minor], "G": formulas[i]})
-                res[i] = (Apply(lj, lk), b.mp(b.mp(inst, pj), pk))
+        if replayed[i]:
+            plain[i] = b._replay(step, plain)
+        if not lifted[i]:
+            continue
+        f = formulas[i]
+        if isinstance(f, ProofOf):
+            j4 = b.axiom("j4", {"L": f.term, "F": f.body})
+            res[i] = (Bang(f.term), b.mp(j4, plain[i]))
+        elif isinstance(step, AxiomStep):
+            const = cs.constants_for(step.scheme)[0]
+            res[i] = (ProofConst(const), b.an(const, f))
+        else:
+            lj, pj = res[step.major]
+            lk, pk = res[step.minor]
+            inst = b.axiom("j", {"L": lj, "K": lk, "F": formulas[step.minor], "G": f})
+            res[i] = (Apply(lj, lk), b.mp(b.mp(inst, pj), pk))
     term, idx = res[d.conclusion]
     return term, b.derivation(idx)
 
@@ -397,9 +428,13 @@ def substitute_derivation(d: Derivation, s: Substitution) -> Derivation:
 
 def _substitute_steps(d: Derivation, sub: _Substituter) -> Derivation:
     """``substitute_derivation`` through a given substituter, so that several
-    derivations sharing nodes are rewritten with one memo."""
+    derivations sharing nodes are rewritten with one memo.  A step nothing
+    changes is kept as it is, and so is a derivation none of whose steps
+    changes."""
     steps: list[Step] = []
-    for step in d.steps:  # a step nothing changes is kept as it is
+    changed = False
+    for old in d.steps:
+        step = old
         match step:
             case Hyp(f):
                 nf = sub.formula(f)
@@ -418,7 +453,8 @@ def _substitute_steps(d: Derivation, sub: _Substituter) -> Derivation:
                 if na is not a:
                     step = ANStep(c, na)
         steps.append(step)
-    return Derivation(d.dialect, tuple(steps), d.conclusion)
+        changed = changed or step is not old
+    return Derivation(d.dialect, tuple(steps), d.conclusion) if changed else d
 
 
 # ---------------------------------------------------------------------------

@@ -279,19 +279,19 @@ def _term_at(u: Term, path) -> Term:
 def _lift_sum(d: Derivation, u: Term, path, wrap, plus_scheme: str, keys) -> Derivation:
     """Weaken ``|- w:F`` (w at ``path`` inside the sum tree ``u``) to ``|- u:F``."""
     f = step_formulas(d)[d.conclusion].body
+    b = Builder(d.dialect)
+    i = b.embed(d)
     while path:
         parent = _term_at(u, path[:-1])
         pf, pg = wrap(parent.left, f), wrap(parent.right, f)
-        b = Builder(d.dialect)
-        i = b.embed(d)
         if path[-1] == 0:
             oi = b.axiom("pl_or_intro_l", {"F": pf, "G": pg})
         else:
             oi = b.axiom("pl_or_intro_r", {"F": pf, "G": pg})
         jp = b.axiom(plus_scheme, {keys[0]: parent.left, keys[1]: parent.right, "F": f})
-        d = b.derivation(b.mp(jp, b.mp(oi, i)))
+        i = b.mp(jp, b.mp(oi, i))
         path = path[:-1]
-    return d
+    return b.derivation(i)
 
 
 def _lift_proof_sum(d: Derivation, u: Term, path) -> Derivation:
@@ -399,26 +399,29 @@ class _Engine:
         else:
             s = Substitution(just_vars={provisional.index: value})
         # One memo for the whole call: candidates, derivations and log
-        # entries share most of their nodes, so each is rewritten once.
+        # entries share most of their nodes, so each is rewritten once.  Only
+        # what the substitution changed is re-checked: a derivation none of
+        # whose steps changed still proves its node's sequent, because the
+        # realized sequent changes exactly as the derivation's formulas do.
         sub = _Substituter(s)
         self.cands = {fid: sub.term(t) for fid, t in self.cands.items()}
-        self.derivs = {nid: _substitute_steps(d, sub) for nid, d in self.derivs.items()}
-        self.log = [
-            LogEntry(sub.term(e.term), sub.formula(e.formula), _substitute_steps(e.derivation, sub))
-            for e in self.log
-        ]
-        self._recheck_all()
-
-    def _recheck_all(self):
         for nid, d in self.derivs.items():
-            ante, succ = self._annotate(nid)
-            self._require(d, ante, succ, nid)
-        for e in self.log:
-            j = check_derivation(e.derivation, self.cs)
-            if j.hypotheses or j.conclusion != ProofOf(e.term, e.formula):
-                raise DerivationError(
-                    "realization-lost-internalization", detail=print_formula(j.conclusion)
-                )
+            new = _substitute_steps(d, sub)
+            if new is not d:
+                self.derivs[nid] = new
+                self._require(new, *self._annotate(nid), nid)
+        for k, e in enumerate(self.log):
+            new = LogEntry(sub.term(e.term), sub.formula(e.formula), _substitute_steps(e.derivation, sub))
+            if new.term is not e.term or new.formula is not e.formula or new.derivation is not e.derivation:
+                self.log[k] = new
+                self._require_entry(new)
+
+    def _require_entry(self, e: LogEntry):
+        j = check_derivation(e.derivation, self.cs)
+        if j.hypotheses or j.conclusion != ProofOf(e.term, e.formula):
+            raise DerivationError(
+                "realization-lost-internalization", detail=print_formula(j.conclusion)
+            )
 
     def _require(self, d: Derivation, ante, succ, nid: int):
         j = check_derivation(d, self.cs)
@@ -755,14 +758,21 @@ def realize(
 def simplify(result: RealizationResult) -> RealizationResult:
     """Re-run the realization collapsing syntactically equal witness pairs;
     falls back to the given result if the collapsed run fails to check."""
+    return try_simplify(result)[0]
+
+
+def try_simplify(result: RealizationResult) -> tuple[RealizationResult, str | None]:
+    """``simplify`` together with the reason it fell back: the given result
+    and ``"<error class>: <message>"`` when the collapsed run fails to check,
+    else the collapsed result and None."""
     if result.mode == "simplify":
-        return result
+        return result, None
     try:
         out = realize(result.source, result.calculus, result.cs, mode="simplify")
         verify_realization(out)
-        return out
-    except (DerivationError, VerificationError):
-        return result
+        return out, None
+    except (DerivationError, VerificationError) as e:
+        return result, f"{type(e).__name__}: {e}"
 
 
 def verify_realization(

@@ -39,6 +39,21 @@ CS_JE = cs_total(Dialect.JE)
 CS_JEM = cs_total(Dialect.JEM)
 
 
+def fragment_formulas() -> list[Formula]:
+    """The criterion-6 fragment: formulas over A and B built with ~, [] and
+    the binary connectives, up to three levels of construction."""
+    a, b = Atom("A"), Atom("B")
+    levels = [[a, b]]
+    for n in range(1, 4):
+        new = [Not(f) for f in levels[n - 1]] + [Box(f) for f in levels[n - 1]]
+        for i in range(n):
+            for left in levels[i]:
+                for right in levels[n - 1 - i]:
+                    new += [Implies(left, right), And(left, right), Or(left, right)]
+        levels.append(new)
+    return [f for level in levels for f in level]
+
+
 def proof_of(text: str, calculus: str, depth: int = 10):
     if "=>" in text:
         s = parse_sequent_line(text)

@@ -12,7 +12,7 @@ import itertools
 import random
 import time
 
-from _helpers import CS_JE, CS_JEM, holes_match, realize_text
+from _helpers import CS_JE, CS_JEM, fragment_formulas, holes_match, realize_text
 from jelogic import (
     Dialect,
     Sequent,
@@ -24,9 +24,7 @@ from jelogic.generate import random_formula, random_sequent_theorem, random_theo
 from jelogic.hilbert import check_derivation, internalize
 from jelogic.realization import realize, simplify, verify_realization
 from jelogic.semantics import find_modal_countermodel, monotone_closure, soundness_fuzz
-from jelogic.syntax import And, Atom, Box, Implies, Not, Or, ProofOf
-
-A, B = Atom("A"), Atom("B")
+from jelogic.syntax import ProofOf
 
 
 def criterion(number: int, label: str):
@@ -183,15 +181,7 @@ def test_criterion_5_soundness_fuzz():
 @criterion(6, "proof search never contradicts the countermodel search")
 def test_criterion_6_search_semantics_agreement():
     t0 = time.perf_counter()
-    levels = [[A, B]]
-    for n in range(1, 4):
-        new = [Not(f) for f in levels[n - 1]] + [Box(f) for f in levels[n - 1]]
-        for i in range(n):
-            for left in levels[i]:
-                for right in levels[n - 1 - i]:
-                    new += [Implies(left, right), And(left, right), Or(left, right)]
-        levels.append(new)
-    formulas = list(itertools.chain.from_iterable(levels))
+    formulas = fragment_formulas()
     assert len(formulas) == 4146
 
     for calculus, logic in (("GE", "E"), ("GM", "EM")):

@@ -2,10 +2,12 @@ import json
 
 import pytest
 
+from jelogic import realization
 from jelogic.axioms import cs_total
 from jelogic.cli import main
 from jelogic.formats import parse_derivation, write_cs, write_derivation, write_model
-from jelogic.hilbert import Derivation, Hyp, MPStep, prove_id
+from jelogic.hilbert import Derivation, DerivationError, Hyp, MPStep, prove_id
+from jelogic.realization import realize
 from jelogic.semantics import FiniteBasicEvaluation, QuasiModel, saturate
 from jelogic.syntax import Atom, Dialect, Evidence, Implies, ProofVar, _Parser
 
@@ -130,6 +132,26 @@ class TestRealize:
     def test_unprovable_source(self, capsys):
         code, _, record = run(capsys, "realize", "=> []A -> [](A | B)", "--calculus", "GE")
         assert code == 1 and record["ok"] is False
+
+    def test_simplify_fallback_is_null_without_a_fallback(self, capsys):
+        for flags in ((), ("--simplify",)):
+            code, _, record = run(capsys, "realize", "=> [](A & B) -> [](B & A)", "--calculus", "GE", *flags)
+            assert code == 0 and record["simplify_fallback"] is None
+        assert record["mode"] == "simplify"
+
+    def test_simplify_fallback_names_the_reason(self, capsys, monkeypatch):
+        def failing(proof, calculus, cs, mode="strict"):
+            if mode == "simplify":
+                raise DerivationError("realization-unstable", detail="forced")
+            return realize(proof, calculus, cs, mode)
+
+        monkeypatch.setattr(realization, "realize", failing)
+        code, out, record = run(
+            capsys, "realize", "=> [](A & B) -> [](B & A)", "--calculus", "GE", "--simplify"
+        )
+        assert code == 0 and record["ok"] is True and record["mode"] == "strict"
+        assert record["simplify_fallback"] == "DerivationError: realization-unstable: forced"
+        assert "simplify fell back to strict: DerivationError" in out
 
     def test_modes_are_exclusive(self, capsys):
         """``--simplify`` is the one mode switch; strict is the default and

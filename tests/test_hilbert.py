@@ -236,6 +236,23 @@ class TestInternalize:
         assert term == Apply(Apply(s, k), k)
         assert check_derivation(d2, CS_JE).conclusion == ProofOf(term, Implies(A, A))
 
+    def test_proved_assertion_becomes_bang(self):
+        # (c * c):(B -> P) by two modus ponens on a j instance.  Its lift is
+        # !(c * c) through one j4 instance, not a lift of the steps below it.
+        p = _je("A -> (A -> A)")
+        c = ProofConst("c_pl_k")
+        b = Builder(Dialect.JE)
+        major = b.an("c_pl_k", Implies(p, Implies(B, p)))
+        minor = b.an("c_pl_k", p)
+        inst = b.axiom("j", {"L": c, "K": c, "F": p, "G": Implies(B, p)})
+        d = b.derivation(b.mp(b.mp(inst, major), minor))
+        term, d2 = internalize(d, CS_JE)
+        assert term == Bang(Apply(c, c))
+        j = check_derivation(d2, CS_JE)
+        assert j.hypotheses == frozenset()
+        assert j.conclusion == ProofOf(term, ProofOf(Apply(c, c), Implies(B, p)))
+        assert len(d2) == len(d) + 2
+
     def test_rejects_hypotheses(self):
         with pytest.raises(DerivationError) as e:
             internalize(_mp_example(), CS_JE)

@@ -1,10 +1,12 @@
 import dataclasses
 import random
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from jelogic import realization
 from jelogic.axioms import ConstantSpecification
 from jelogic.generate import axp, random_sequent_theorem, re
 from jelogic.hilbert import (
@@ -25,11 +27,14 @@ from jelogic.realization import (
     UncheckedProof,
     realize,
     simplify,
+    try_simplify,
     verify_realization,
 )
-from jelogic.sequent import Proof, Sequent
+from jelogic.semantics import find_modal_countermodel
+from jelogic.sequent import Proof, Sequent, prove_bounded
 from jelogic.syntax import (
     Atom,
+    Bang,
     Dialect,
     DialectError,
     Evidence,
@@ -39,6 +44,7 @@ from jelogic.syntax import (
     JustVar,
     MApply,
     Or,
+    ProofConst,
     ProofOf,
     ProofVar,
     Substitution,
@@ -47,9 +53,11 @@ from jelogic.syntax import (
     apply_to_term,
     forgetful,
     parse_formula,
+    print_formula,
+    subterms,
 )
 
-from _helpers import CS_JE, CS_JEM, proof_of, realize_text
+from _helpers import CS_JE, CS_JEM, fragment_formulas, proof_of, realize_text
 
 A, B, C = Atom("A"), Atom("B"), Atom("C")
 
@@ -253,3 +261,111 @@ def test_four_nested_boxes_realize_in_seconds():
     t0 = time.perf_counter()
     verify_realization(realize(proof, "GE", CS_JE))
     assert time.perf_counter() - t0 < 10.0
+
+
+def test_monotone_ladder_grows_by_a_constant_per_level():
+    """Internalizing a proved ``t:F`` as ``!t`` keeps ``[]^n A => []^n A``
+    in GM linear in n: each level adds the same steps."""
+    sizes = []
+    for n in range(1, 9):
+        r = realize_text(f"{'[]' * n}A => {'[]' * n}A", "GM")
+        verify_realization(r)
+        sizes.append(len(r.derivation))
+    assert len({b - a for a, b in zip(sizes, sizes[1:])}) == 1, sizes
+
+
+@pytest.mark.parametrize(
+    "text, calculus",
+    [("[][](A & B) => [][](B & A)", "GE"), ("[][](A & B) => [][](B & A)", "GM"),
+     ("[]([]A & []B) => [][]A", "GM")],
+)
+def test_nested_premises_internalize_proved_assertions_as_bang(text, calculus):
+    """An outer modal rule's premise derivation proves the inner rule's
+    assertion ``t:F`` by modus ponens; internalizing it gives ``!t`` with a
+    compound ``t``, and the result verifies in both modes."""
+    r = realize_text(text, calculus)
+    assert any(
+        isinstance(t, Bang) and not isinstance(t.inner, ProofConst)
+        for e in r.log
+        for t in subterms(e.term)
+    )
+    verify_realization(r)
+    verify_realization(simplify(r))
+
+
+@pytest.mark.parametrize(
+    "text, calculus",
+    [("[][][]A => [][][]A", "GE"), ("[]A | []B => [](A | B)", "GM")],
+)
+def test_resolve_rechecks_only_what_changed(monkeypatch, text, calculus):
+    checked = []
+    check = realization.check_derivation
+    resolve = realization._Engine._resolve
+    totals = {"expected": 0, "held": 0}
+
+    def counting_check(d, cs):
+        checked.append(d)
+        return check(d, cs)
+
+    def watched_resolve(self, provisional, value):
+        if isinstance(provisional, ProofVar):
+            s = Substitution(proof_vars={provisional.index: value})
+        else:
+            s = Substitution(just_vars={provisional.index: value})
+        expected = [substitute_derivation(d, s) for d in self.derivs.values()]
+        expected = [new for new, d in zip(expected, self.derivs.values()) if new != d]
+        for e in self.log:
+            new = substitute_derivation(e.derivation, s)
+            if (new, apply_to_term(e.term, s), apply_substitution(e.formula, s)) != (e.derivation, e.term, e.formula):
+                expected.append(new)
+        totals["expected"] += len(expected)
+        totals["held"] += len(self.derivs) + len(self.log)
+        del checked[:]
+        resolve(self, provisional, value)
+        assert Counter(checked) == Counter(expected)
+
+    monkeypatch.setattr(realization, "check_derivation", counting_check)
+    monkeypatch.setattr(realization._Engine, "_resolve", watched_resolve)
+    verify_realization(realize_text(text, calculus))
+    assert 0 < totals["expected"] < totals["held"]
+
+
+def test_try_simplify_reports_why_it_fell_back(monkeypatch):
+    strict = realize_text("=> [](A & B) -> [](B & A)", "GE")
+    slim, reason = try_simplify(strict)
+    assert slim.mode == "simplify" and reason is None
+
+    def unverifiable(result, proof=None, cs=None):
+        raise DerivationFails("forced")
+
+    monkeypatch.setattr(realization, "verify_realization", unverifiable)
+    back, reason = try_simplify(strict)
+    assert back is strict and reason == "DerivationFails: forced"
+    assert simplify(strict) is strict
+
+
+def _valid_fragment_sample(logic: str, size: int = 60) -> list:
+    """A fixed-seed sample of the criterion-6 fragment formulas that have no
+    countermodel of two worlds, which in this fragment are its theorems."""
+    formulas = fragment_formulas()
+    random.Random(6).shuffle(formulas)
+    sample = []
+    for f in formulas:
+        if find_modal_countermodel(f, logic, max_worlds=2) is None:
+            sample.append(f)
+            if len(sample) == size:
+                return sample
+    raise AssertionError(f"fewer than {size} valid fragment formulas in {logic}")
+
+
+@pytest.mark.parametrize("calculus, logic", [("GE", "E"), ("GM", "EM")])
+def test_valid_fragment_formulas_prove_realize_and_verify(calculus, logic):
+    cs = CS_JE if calculus == "GE" else CS_JEM
+    for f in _valid_fragment_sample(logic):
+        proof = prove_bounded(Sequent((), (f,)), calculus, 10)
+        assert proof is not None, print_formula(f)
+        strict = realize(proof, calculus, cs)
+        verify_realization(strict)
+        slim = simplify(strict)
+        assert slim.mode == "simplify", print_formula(f)
+        verify_realization(slim)
