@@ -288,7 +288,10 @@ def derive_axiom(dialect: Dialect, scheme_id: str, binding: Mapping[str, object]
 
 
 def _emit_imp_id(b: Builder, a: Formula) -> int:
-    """Emit the classic five-step proof of ``A -> A``."""
+    """Emit the classic five-step proof of ``A -> A``, or for ``_|_ -> _|_``
+    the one ``pl_efq`` instance."""
+    if isinstance(a, Bottom):
+        return b.axiom("pl_efq", {"F": a})
     aa = Implies(a, a)
     s = b.axiom("pl_s", {"F": a, "G": aa, "H": a})
     k1 = b.axiom("pl_k", {"F": a, "G": aa})

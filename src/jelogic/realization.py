@@ -180,7 +180,7 @@ def _fold(dialect: Dialect, fs: tuple, arrows: list[Derivation], target: Formula
 def _remap_disj(d: Derivation, src: tuple, dst: tuple, mapping) -> Derivation:
     """From a derivation of d(src), one of d(dst), sending src[j] to
     dst[mapping[j]]."""
-    if src == dst:
+    if _disj(src) == _disj(dst):
         return d
     dialect = d.dialect
     target = _disj(dst)
@@ -471,19 +471,23 @@ class _Engine:
         return _remap_disj(self.derivs[c], src, dst, mapping)
 
     def _rule_impl(self, nid: int, node: Proof) -> Derivation:
+        """The second premise's hypothesis B is answered in place by modus
+        ponens on A -> B.  Without side formulas the first premise proves A
+        outright; with them, A -> d(succ) is the fold's arm for A."""
         c1, c2 = self._child_ids(nid)
         k = node.principal[0][1]
         ante, succ = self._annotate(nid)
-        a, bb = ante[k].left, ante[k].right
-        _, src1 = self._annotate(c1)
-        db = deduction_transform(self.derivs[c2], bb)
+        a = ante[k].left
         b = Builder(self.dialect)
         himp = b.hyp(ante[k])
-        d_imp = b.derivation(himp)
-        arrow_a = compose(d_imp, db)
-        target = _disj(succ)
+        if not succ:
+            b.mp(himp, b.embed(self.derivs[c1]))
+            return b.derivation(b.embed(self.derivs[c2]))
+        b.mp(himp, b.hyp(a))
+        arrow_a = deduction_transform(b.derivation(b.embed(self.derivs[c2])), a)
+        _, src1 = self._annotate(c1)
         arrows = [_inject(self.dialect, succ, j) for j in range(len(succ))] + [arrow_a]
-        fold = _fold(self.dialect, src1, arrows, target)
+        fold = _fold(self.dialect, src1, arrows, _disj(succ))
         b2 = Builder(self.dialect)
         return b2.derivation(b2.mp(b2.embed(fold), b2.embed(self.derivs[c1])))
 
@@ -492,8 +496,10 @@ class _Engine:
         k = node.principal[0][1]
         ante, succ = self._annotate(nid)
         a, bb = succ[k].left, succ[k].right
-        _, src = self._annotate(c)
         dd = deduction_transform(self.derivs[c], a)
+        if len(succ) == 1:  # A -> B alone: no classical frame
+            return dd
+        _, src = self._annotate(c)
         goal = _disj(succ)
         neg_goal = Not(goal)
         arr_contra = _contrapose(_inject(self.dialect, succ, k))
@@ -526,18 +532,23 @@ class _Engine:
         k = node.principal[0][1]
         ante, _ = self._annotate(nid)
         a, bb = ante[k].left, ante[k].right
-        dd = deduction_transform(deduction_transform(self.derivs[c], bb), a)
+        # The premise's hypotheses A and B are answered in place by the
+        # eliminations, which the builder returns when the premise asks.
         b = Builder(self.dialect)
         h = b.hyp(ante[k])
-        ea = b.mp(b.axiom("pl_and_elim_l", {"F": a, "G": bb}), h)
-        eb = b.mp(b.axiom("pl_and_elim_r", {"F": a, "G": bb}), h)
-        return b.derivation(b.mp(b.mp(b.embed(dd), ea), eb))
+        b.mp(b.axiom("pl_and_elim_l", {"F": a, "G": bb}), h)
+        b.mp(b.axiom("pl_and_elim_r", {"F": a, "G": bb}), h)
+        return b.derivation(b.embed(self.derivs[c]))
 
     def _rule_andr(self, nid: int, node: Proof) -> Derivation:
         c1, c2 = self._child_ids(nid)
         k = node.principal[0][1]
         _, succ = self._annotate(nid)
         a, bb = succ[k].left, succ[k].right
+        if len(succ) == 1:  # A & B alone: no classical frame
+            b = Builder(self.dialect)
+            ia, ib = b.embed(self.derivs[c1]), b.embed(self.derivs[c2])
+            return b.derivation(b.mp(b.mp(b.axiom("pl_and_intro", {"F": a, "G": bb}), ia), ib))
         _, src1 = self._annotate(c1)
         _, src2 = self._annotate(c2)
         target = _disj(succ)
@@ -581,6 +592,8 @@ class _Engine:
         a, bb = succ[k].left, succ[k].right
         _, src = self._annotate(c)
         target = _disj(succ)
+        if _disj(src) == target:  # the principal formula is the last one
+            return self.derivs[c]
         arrows = []
         for j in range(len(src)):
             if j == len(src) - 2:
@@ -602,12 +615,14 @@ class _Engine:
         k = node.principal[0][1]
         ante, succ = self._annotate(nid)
         a = ante[k].inner
-        _, src = self._annotate(c)
-        target = _disj(succ)
         b = Builder(self.dialect)
         hna = b.hyp(ante[k])
-        a_bot = b.derivation(b.mp(b.axiom("pl_neg_elim", {"F": a}), hna))
-        arr_a = compose(a_bot, efq_to(self.dialect, target))
+        a_bot = b.mp(b.axiom("pl_neg_elim", {"F": a}), hna)
+        if not succ:  # the premise proves A outright
+            return b.derivation(b.mp(a_bot, b.embed(self.derivs[c])))
+        _, src = self._annotate(c)
+        target = _disj(succ)
+        arr_a = compose(b.derivation(a_bot), efq_to(self.dialect, target))
         arrows = [
             arr_a if j == len(src) - 1 else _inject(self.dialect, succ, j)
             for j in range(len(src))
@@ -621,8 +636,11 @@ class _Engine:
         k = node.principal[0][1]
         _, succ = self._annotate(nid)
         a = succ[k].inner
-        _, src = self._annotate(c)
         dd = deduction_transform(self.derivs[c], a)
+        if len(succ) == 1:  # ~A alone: no classical frame
+            b = Builder(self.dialect)
+            return b.derivation(b.mp(b.axiom("pl_neg_intro", {"F": a}), b.embed(dd)))
+        _, src = self._annotate(c)
         goal = _disj(succ)
         neg_goal = Not(goal)
         goal_bot = _neg_arrow(self.dialect, goal)

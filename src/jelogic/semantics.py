@@ -572,6 +572,8 @@ def soundness_fuzz(dialect: Dialect, trials: int, seed: int = 0) -> FuzzReport:
     """Random factive saturated evaluations versus random axiom-scheme
     instances: every instance must come out true.  Any failure recorded in
     the report is an implementation bug, not a property of the logic."""
+    if trials < 0:
+        raise ValueError("trials must be non-negative")
     report = FuzzReport(dialect, trials)
     if dialect is Dialect.MODAL:
         raise DialectError("fuzzing targets the justification dialects")

@@ -274,3 +274,9 @@ class TestFuzz:
         assert code == 0 and record["failures"] == 0
         assert record["checked"] + record["rejected"] <= 10
         assert "failures" in human
+
+    def test_negative_trials_is_an_input_error(self, capsys):
+        code, human, record = run(capsys, "fuzz", "--dialect", "JE", "--trials", "-5")
+        assert code == 2 and record["ok"] is False
+        assert "trials must be non-negative" in record["error"]
+        assert "trials checked" not in human

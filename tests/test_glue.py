@@ -1,0 +1,171 @@
+"""The propositional glue of each sequent rule, on hand-built proofs.
+
+Every propositional rule is exercised over the boxed formulas ``X = []A``
+and ``Y = []B`` (closed by RE in GE and RM in GM), once with a one-formula
+succedent and once with a side formula next to it; ImpL and NotL also with
+an empty succedent, where they need no fold.  Each proof must realize in both
+modes, verify, and simplify without falling back."""
+
+import pytest
+
+from jelogic import realization
+from jelogic.generate import andl, andr, axp, impr, notl, notr, orl, orr, re, rm, wl, wr
+from jelogic.realization import realize, try_simplify, verify_realization
+from jelogic.sequent import Proof, Sequent, premises_of, prove_bounded
+from jelogic.syntax import And, Atom, BOT, Box, Implies
+
+from _helpers import CS_JE, CS_JEM
+
+X, Y, Z = Box(Atom("A")), Box(Atom("B")), Box(Atom("C"))
+
+
+def _box_id(calculus: str, atom: str) -> Proof:
+    """``[]p => []p`` by the calculus's modal rule."""
+    p = axp(atom)
+    return re(p, p) if calculus == "GE" else rm(p)
+
+
+def _impl(p1: Proof, p2: Proof, k: int) -> Proof:
+    """ImpL from ``rest => succ, A`` and ``B, rest => succ``, with ``A -> B``
+    at position ``k`` of the conclusion's antecedent."""
+    a, bb = p1.sequent.succ[-1], p2.sequent.ante[0]
+    rest = p1.sequent.ante
+    s = Sequent(rest[:k] + (Implies(a, bb),) + rest[k:], p1.sequent.succ[:-1])
+    assert premises_of("ImpL", (("L", k),), s) == (p1.sequent, p2.sequent)
+    return Proof(s, "ImpL", (("L", k),), (p1, p2))
+
+
+def _bot_left(rest) -> Proof:
+    """``_|_, rest =>`` by AxBot and weakenings."""
+    p = Proof(Sequent((BOT,), ()), "AxBot", (("L", 0),), ())
+    for k, f in enumerate(rest, 1):
+        p = wl(p, f, k)
+    return p
+
+
+# name -> (rule under test, proof from the proofs of X => X and Y => Y);
+# Z = []C only ever enters by weakening, as a side formula.
+CASES = {
+    "AndL-one": ("AndL", lambda x, y: andl(wl(x, Y, 1))),  # X & Y => X
+    "AndL-side": ("AndL", lambda x, y: andl(wr(wl(x, Y, 1), Z, 1))),  # X & Y => X, Z
+    "AndR-one": ("AndR", lambda x, y: andr(x, x, 0)),  # X => X & X
+    "AndR-side": ("AndR", lambda x, y: andr(wr(x, Z, 0), wr(x, Z, 0), 0)),  # X => X & X, Z
+    "ImpL-empty": ("ImpL", lambda x, y: _impl(x, _bot_left((X,)), 0)),  # X -> _|_, X =>
+    "ImpL-one": ("ImpL", lambda x, y: _impl(wr(x, Y, 0), wl(y, X, 1), 0)),  # X -> Y, X => Y
+    "ImpL-side": (
+        "ImpL",
+        lambda x, y: _impl(wr(wr(x, Y, 0), Z, 1), wr(wl(y, X, 1), Z, 1), 0),
+    ),  # X -> Y, X => Y, Z
+    "ImpR-one": ("ImpR", lambda x, y: impr(x, 0)),  # => X -> X
+    "ImpR-side": ("ImpR", lambda x, y: impr(wr(x, Z, 0), 0)),  # => X -> X, Z
+    "NotL-empty": ("NotL", lambda x, y: notl(x, 0)),  # ~X, X =>
+    "NotL-one": ("NotL", lambda x, y: notl(wr(x, Z, 0), 0)),  # ~X, X => Z
+    "NotL-side": ("NotL", lambda x, y: notl(wr(wr(x, Z, 0), Y, 1), 0)),  # ~X, X => Z, Y
+    "NotR-one": ("NotR", lambda x, y: notr(notl(x, 0), 0)),  # X => ~~X
+    "NotR-side": ("NotR", lambda x, y: notr(notl(wr(x, Z, 0), 0), 0)),  # X => ~~X, Z
+    "OrL-one": ("OrL", lambda x, y: orl(x, x, 0)),  # X | X => X
+    "OrL-side": ("OrL", lambda x, y: orl(wr(x, Y, 1), wr(y, X, 0), 0)),  # X | Y => X, Y
+    "OrR-one": ("OrR", lambda x, y: orr(wr(x, Y, 1), 0)),  # X => X | Y
+    "OrR-side": ("OrR", lambda x, y: orr(wr(wr(x, Z, 0), Y, 2), 0)),  # X => X | Y, Z
+}
+
+
+def _case(name: str, calculus: str) -> Proof:
+    rule, build = CASES[name]
+    p = build(_box_id(calculus, "A"), _box_id(calculus, "B"))
+    assert p.rule == rule
+    return p
+
+
+@pytest.mark.parametrize("calculus", ["GE", "GM"])
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_rule_glue_realizes_in_both_modes(name, calculus):
+    p = _case(name, calculus)
+    if name.endswith("-one"):
+        assert len(p.sequent.succ) == 1
+    cs = CS_JE if calculus == "GE" else CS_JEM
+    strict = realize(p, calculus, cs)
+    verify_realization(strict)
+    slim, reason = try_simplify(strict)
+    assert reason is None
+    verify_realization(slim)
+    verify_realization(realize(p, calculus, cs, mode="simplify"))
+
+
+@pytest.mark.parametrize("calculus", ["GE", "GM"])
+@pytest.mark.parametrize("name", ["ImpR-one", "NotR-one", "AndR-one"])
+def test_single_succedent_right_rules_build_no_classical_frame(monkeypatch, name, calculus):
+    """A right rule whose succedent is its principal formula alone derives
+    that formula directly: no proof by contradiction, no contraposition and
+    no fold over the premise's succedent."""
+    rule = CASES[name][0]
+    inside = []
+
+    def forbid(fn):
+        def wrapped(*args, **kwargs):
+            assert not inside, f"single-succedent {rule} called {fn.__name__}"
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    for helper in ("by_contradiction", "_contrapose", "_fold"):
+        monkeypatch.setattr(realization, helper, forbid(getattr(realization, helper)))
+    original = realization._RULES[rule]
+    calls = []
+
+    def traced(engine, nid, node):
+        inside.append(nid)
+        try:
+            return original(engine, nid, node)
+        finally:
+            inside.pop()
+            calls.append(nid)
+
+    monkeypatch.setitem(realization._RULES, rule, traced)
+    cs = CS_JE if calculus == "GE" else CS_JEM
+    verify_realization(realize(_case(name, calculus), calculus, cs))
+    assert calls
+
+
+def test_left_rules_answer_premise_hypotheses_without_deduction_transform(monkeypatch):
+    """AndL, and ImpL and NotL with an empty succedent, put the premise's
+    hypotheses into the builder and embed the premise as it is."""
+    calls = []
+    original = realization.deduction_transform
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(realization, "deduction_transform", counted)
+    for name in ("AndL-one", "AndL-side", "ImpL-empty", "NotL-empty"):
+        for calculus, cs in (("GE", CS_JE), ("GM", CS_JEM)):
+            # Only the modal rules at the leaves discharge: A or B.
+            calls.clear()
+            verify_realization(realize(_case(name, calculus), calculus, cs))
+            assert all(f in (Atom("A"), Atom("B")) for f in calls), (name, calls)
+
+
+def test_orr_on_the_last_position_is_the_premise_derivation():
+    p = _case("OrR-one", "GM")
+    engine = realization._Engine(p, "GM", CS_JEM, "strict")
+    engine.run()
+    (child,) = engine.index.children[0]
+    assert engine.derivs[0] == engine.derivs[child]
+
+
+def test_conjunction_ladder_grows_by_a_constant_per_level():
+    """``=> [](A1 & ... & An) -> []A1 & ... & []An`` in GM: AndR over a
+    single succedent is one ``pl_and_intro``, so each level adds the same
+    steps."""
+    sizes = []
+    for n in range(2, 7):
+        atoms = [Atom(f"A{i}") for i in range(1, n + 1)]
+        conj, boxes = atoms[0], Box(atoms[0])
+        for a in atoms[1:]:
+            conj, boxes = And(conj, a), And(boxes, Box(a))
+        p = prove_bounded(Sequent((), (Implies(Box(conj), boxes),)), "GM", 4 * n)
+        r = realize(p, "GM", CS_JEM)
+        verify_realization(r)
+        sizes.append(len(r.derivation))
+    assert len({b - a for a, b in zip(sizes, sizes[1:])}) == 1, sizes

@@ -330,6 +330,10 @@ class TestSoundnessFuzz:
         report = soundness_fuzz(Dialect.JE, 0)
         assert report.ok and report.checked == 0 and report.failures == []
 
+    def test_negative_trials_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            soundness_fuzz(Dialect.JE, -5)
+
     def test_short_runs_pass(self):
         for dialect in (Dialect.JE, Dialect.JEM):
             report = soundness_fuzz(dialect, 40, seed=7)
