@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -69,7 +70,7 @@ _LOGICAL_ERRORS = (
     UncheckedProof,
     VerificationError,
 )
-_INPUT_ERRORS = (ParseError, FormatError, DialectError, FileNotFoundError, ValueError)
+_INPUT_ERRORS = (ParseError, FormatError, DialectError, OSError, ValueError)
 
 
 def _emit(human: str, record: dict) -> None:
@@ -295,9 +296,8 @@ def _cmd_prove(args) -> int:
 def _cmd_realize(args) -> int:
     calculus = args.calculus
     cs = _load_cs(args.cs, CALCULUS_DIALECT[calculus])
-    path = Path(args.source)
-    if path.exists() and path.is_file():
-        proof, file_calculus = parse_sequent_proof(path.read_text())
+    if os.path.isfile(args.source):
+        proof, file_calculus = parse_sequent_proof(Path(args.source).read_text())
         if file_calculus != calculus:
             raise ValueError(
                 f"proof file declares calculus {file_calculus}, --calculus says {calculus}"

@@ -14,9 +14,10 @@ Four formats, each versioned by its header line:
   values and term entries, all world-tagged.
 
 Writers emit canonical order, so ``write(parse(text)) == text`` whenever
-``text`` itself was produced by a writer.  Each reader call parses through one
-``syntax.Reader``, so the trees it returns share every repeated subformula
-and subterm, and memory grows with the distinct nodes in the file.
+``text`` itself was produced by a writer.  Terms and formulas are hash-consed
+as they are built (see ``syntax``), so the trees a reader returns share every
+repeated subformula and subterm, and memory grows with the distinct nodes in
+the file.
 """
 
 from __future__ import annotations

@@ -156,9 +156,9 @@ def check_derivation(d: Derivation, cs: ConstantSpecification) -> Judgment:
         raise DerivationError("index-order", d.conclusion, "conclusion out of range")
     formulas = step_formulas(d)
     hyps = set()
-    # Ids of the nodes validated so far: steps share subformulas, so each
-    # distinct node is checked against the dialect once per derivation.
-    seen: set[int] = set()
+    # The nodes validated so far: steps share subformulas, so each distinct
+    # node is checked against the dialect once per derivation.
+    seen: set = set()
     for i, step in enumerate(d.steps):
         match step:
             case Hyp(f):

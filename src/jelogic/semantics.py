@@ -604,7 +604,9 @@ def soundness_fuzz(dialect: Dialect, trials: int, seed: int = 0) -> FuzzReport:
             # on short runs; the binding and the model stay random.
             scheme = schemes[i % len(schemes)]
             binding = {}
-            fpool = candidates + [f for fs in table.values() for f in fs]
+            # Entries are sets; draw from them in printed order, so a seed
+            # picks the same formulas whatever the hashes of the nodes.
+            fpool = candidates + [f for fs in table.values() for f in sorted(fs, key=print_formula)]
             for name, kind in sorted(metavariables(scheme.pattern).items()):
                 if kind == "formula":
                     binding[name] = rng.choice(fpool)

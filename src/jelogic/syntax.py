@@ -10,8 +10,11 @@ The toolkit works with three dialects of one formula language:
 * ``JEM``     -- proof terms lose ``+``; justification terms are variables
   ``x0``, binary sums ``t + s`` and applications ``m(proof term, just term)``.
 
-Formula trees are plain frozen dataclasses and carry no dialect tag of their
-own; ``check_formula`` validates a tree against a dialect.  Occurrences of
+Formula trees are frozen dataclasses and carry no dialect tag of their own;
+``check_formula`` validates a tree against a dialect.  Nodes are hash-consed:
+every constructor call returns the one live node with its class and fields,
+so equal terms and formulas are identical objects, ``==`` and ``hash`` are by
+identity, and a term DAG costs memory per distinct node.  Occurrences of
 subformulas are addressed by paths (tuples of child indices), which is what the
 sequent machinery uses to track box occurrences across rule applications.
 
@@ -23,14 +26,13 @@ Concrete syntax notes (the full grammar lives in docs/grammar.md):
   without parentheses.
 * ``A <-> B`` is accepted as input sugar for ``(A -> B) & (B -> A)``; the
   printer never emits it.
-* Parsed trees share structure: one parse call, or one ``Reader`` over many
-  texts, returns a single object per distinct subformula and subterm.
 * Nesting deeper than ``_Parser.MAX_DEPTH`` levels is a ``ParseError``.
 """
 
 from __future__ import annotations
 
 import re
+import weakref
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Iterator, Mapping
@@ -63,69 +65,91 @@ class ProofOfPresent(Exception):
 
 
 # ---------------------------------------------------------------------------
+# Hash-consing
+
+# The one live node per (class, *fields).  Values are weak, so the table
+# keeps no node alive: an entry goes when its node's last reference does.
+_NODES: weakref.WeakValueDictionary[tuple, _Node] = weakref.WeakValueDictionary()
+
+
+class _Interned(type):
+    """Metaclass of the node classes: a constructor call returns the live
+    node with the same class and fields if there is one.  Child nodes were
+    built the same way and hash by identity, so a key hashes in O(1)."""
+
+    def __call__(cls, *values):
+        key = (cls, *values)
+        node = _NODES.get(key)
+        if node is None:
+            node = _NODES[key] = super().__call__(*values)
+        return node
+
+
+class _Node(metaclass=_Interned):
+    """Base of the term and formula classes.  Node classes are frozen
+    dataclasses with ``eq=False``: equal fields give the identical object,
+    so ``==`` and ``hash`` are by identity and cost O(1)."""
+
+    def __reduce__(self):
+        # copy, deepcopy and pickle rebuild through the constructor.
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
+
+# ---------------------------------------------------------------------------
 # Terms
 
 
-@dataclass(frozen=True)
-class ProofConst:
+@dataclass(frozen=True, eq=False)
+class ProofConst(_Node):
     name: str
-    __match_args__ = ("name",)
 
 
-@dataclass(frozen=True)
-class ProofVar:
+@dataclass(frozen=True, eq=False)
+class ProofVar(_Node):
     index: int
-    __match_args__ = ("index",)
 
 
-@dataclass(frozen=True)
-class Apply:
+@dataclass(frozen=True, eq=False)
+class Apply(_Node):
     left: "ProofTerm"
     right: "ProofTerm"
-    __match_args__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Sum:
+@dataclass(frozen=True, eq=False)
+class Sum(_Node):
     left: "ProofTerm"
     right: "ProofTerm"
-    __match_args__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Bang:
+@dataclass(frozen=True, eq=False)
+class Bang(_Node):
     inner: "ProofTerm"
-    __match_args__ = ("inner",)
 
 
-@dataclass(frozen=True)
-class Evidence:
+@dataclass(frozen=True, eq=False)
+class Evidence(_Node):
     """JE justification term ``e(t)`` wrapping a proof term."""
 
     proof: "ProofTerm"
-    __match_args__ = ("proof",)
 
 
-@dataclass(frozen=True)
-class JustVar:
+@dataclass(frozen=True, eq=False)
+class JustVar(_Node):
     index: int
-    __match_args__ = ("index",)
 
 
-@dataclass(frozen=True)
-class JustSum:
+@dataclass(frozen=True, eq=False)
+class JustSum(_Node):
     left: "JustTerm"
     right: "JustTerm"
-    __match_args__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class MApply:
+@dataclass(frozen=True, eq=False)
+class MApply(_Node):
     """JEM justification term ``m(t, s)``: a proof term applied to evidence."""
 
     proof: "ProofTerm"
     just: "JustTerm"
-    __match_args__ = ("proof", "just")
 
 
 ProofTerm = ProofConst | ProofVar | Apply | Sum | Bang
@@ -137,101 +161,63 @@ Term = ProofTerm | JustTerm
 # Formulas
 
 
-@dataclass(frozen=True)
-class Atom:
+@dataclass(frozen=True, eq=False)
+class Atom(_Node):
     name: str
-    __match_args__ = ("name",)
 
 
-@dataclass(frozen=True)
-class Bottom:
+@dataclass(frozen=True, eq=False)
+class Bottom(_Node):
     pass
 
 
-@dataclass(frozen=True)
-class Implies:
+@dataclass(frozen=True, eq=False)
+class Implies(_Node):
     left: "Formula"
     right: "Formula"
-    __match_args__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class And:
+@dataclass(frozen=True, eq=False)
+class And(_Node):
     left: "Formula"
     right: "Formula"
-    __match_args__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Or:
+@dataclass(frozen=True, eq=False)
+class Or(_Node):
     left: "Formula"
     right: "Formula"
-    __match_args__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Not:
+@dataclass(frozen=True, eq=False)
+class Not(_Node):
     inner: "Formula"
-    __match_args__ = ("inner",)
 
 
-@dataclass(frozen=True)
-class ProofOf:
+@dataclass(frozen=True, eq=False)
+class ProofOf(_Node):
     """``t:F`` -- a proof term asserting a formula."""
 
     term: ProofTerm
     body: "Formula"
-    __match_args__ = ("term", "body")
 
 
-@dataclass(frozen=True)
-class JustOf:
+@dataclass(frozen=True, eq=False)
+class JustOf(_Node):
     """``[t]F`` -- a justification term asserting a formula."""
 
     term: JustTerm
     body: "Formula"
-    __match_args__ = ("term", "body")
 
 
-@dataclass(frozen=True)
-class Box:
+@dataclass(frozen=True, eq=False)
+class Box(_Node):
     body: "Formula"
-    __match_args__ = ("body",)
 
 
 Formula = Atom | Bottom | Implies | And | Or | Not | ProofOf | JustOf | Box
 
 BOT = Bottom()
-
-
-def _memoized_hash(cls):
-    """Hash computed once per instance and stashed on it.
-
-    Internalized proof terms are DAGs with heavy structural sharing; the
-    default dataclass hash re-walks the full unfolded tree on every call,
-    which is exponential in the worst case.  Caching makes each node cost
-    O(1) after its first hash."""
-
-    names = tuple(f.name for f in fields(cls))
-    tag = hash(cls.__qualname__)
-
-    def __hash__(self, _names=names, _tag=tag):
-        d = self.__dict__
-        h = d.get("_hash_memo")
-        if h is None:
-            h = hash((_tag,) + tuple(d[n] for n in _names))
-            object.__setattr__(self, "_hash_memo", h)
-        return h
-
-    return __hash__
-
-
-for _node_cls in (
-    ProofConst, ProofVar, Apply, Sum, Bang, Evidence, JustVar, JustSum, MApply,
-    Atom, Bottom, Implies, And, Or, Not, ProofOf, JustOf, Box,
-):
-    _node_cls.__hash__ = _memoized_hash(_node_cls)
-del _node_cls
 
 
 # ---------------------------------------------------------------------------
@@ -327,16 +313,16 @@ def terms_in(f: Formula) -> Iterator[Term]:
 # Dialect validation
 
 
-def check_proof_term(t: ProofTerm, dialect: Dialect, _seen: set[int] | None = None) -> None:
-    # ``_seen`` holds ids of nodes already validated during this call, so a
-    # term DAG with heavy sharing is walked once per node, not once per path.
-    # A caller may pass one set to several calls (``check_derivation`` does,
-    # across all steps) as long as it keeps every checked node alive.
+def check_proof_term(t: ProofTerm, dialect: Dialect, _seen: set | None = None) -> None:
+    # ``_seen`` holds the nodes already validated during this call, so a term
+    # DAG with heavy sharing is walked once per distinct node, not once per
+    # path.  A caller may pass one set to several calls (``check_derivation``
+    # does, across all steps).
     if _seen is None:
         _seen = set()
-    elif id(t) in _seen:
+    elif t in _seen:
         return
-    _seen.add(id(t))
+    _seen.add(t)
     match t:
         case ProofConst() | ProofVar():
             pass
@@ -354,12 +340,12 @@ def check_proof_term(t: ProofTerm, dialect: Dialect, _seen: set[int] | None = No
             raise DialectError(f"not a proof term: {t!r}")
 
 
-def check_just_term(t: JustTerm, dialect: Dialect, _seen: set[int] | None = None) -> None:
+def check_just_term(t: JustTerm, dialect: Dialect, _seen: set | None = None) -> None:
     if _seen is None:
         _seen = set()
-    elif id(t) in _seen:
+    elif t in _seen:
         return
-    _seen.add(id(t))
+    _seen.add(t)
     match t:
         case Evidence(p):
             if dialect is not Dialect.JE:
@@ -382,12 +368,12 @@ def check_just_term(t: JustTerm, dialect: Dialect, _seen: set[int] | None = None
             raise DialectError(f"not a justification term: {t!r}")
 
 
-def check_formula(f: Formula, dialect: Dialect, _seen: set[int] | None = None) -> None:
+def check_formula(f: Formula, dialect: Dialect, _seen: set | None = None) -> None:
     if _seen is None:
         _seen = set()
-    elif id(f) in _seen:
+    elif f in _seen:
         return
-    _seen.add(id(f))
+    _seen.add(f)
     match f:
         case Atom() | Bottom():
             pass
@@ -468,87 +454,72 @@ def apply_substitution(f: Formula, s: Substitution) -> Formula:
 class _Substituter:
     """One substitution, applied to each distinct node once.
 
-    The memo is keyed by node id and holds each visited node, so no id is
-    reused by a new object while the memo lives.  Structures that share
-    nodes (a realization step rewrites every derivation, candidate and log
-    entry built so far) should go through one instance, and the instance
-    dropped afterwards."""
+    Structures that share nodes (a realization step rewrites every
+    derivation, candidate and log entry built so far) should go through one
+    instance, and the instance dropped afterwards.  A node the substitution
+    does not touch comes back as itself, since its constructor returns the
+    live node with the same fields."""
 
     __slots__ = ("s", "_memo")
 
     def __init__(self, s: Substitution):
         self.s = s
-        self._memo: dict[int, tuple[object, object]] = {}
+        self._memo: dict[Formula | Term, Formula | Term] = {}
 
     def term(self, t: Term) -> Term:
-        hit = self._memo.get(id(t))
-        if hit is not None:
-            return hit[1]
-        # Returning ``t`` itself when nothing changed preserves sharing inside
-        # large term DAGs, which keeps later equality checks and hashing cheap.
+        out = self._memo.get(t)
+        if out is not None:
+            return out
         match t:
             case ProofConst():
                 out = t
             case ProofVar(i):
                 out = self.s.proof_vars.get(i, t)
             case Apply(l, r):
-                nl, nr = self.term(l), self.term(r)
-                out = t if nl is l and nr is r else Apply(nl, nr)
+                out = Apply(self.term(l), self.term(r))
             case Sum(l, r):
-                nl, nr = self.term(l), self.term(r)
-                out = t if nl is l and nr is r else Sum(nl, nr)
+                out = Sum(self.term(l), self.term(r))
             case Bang(inner):
-                ni = self.term(inner)
-                out = t if ni is inner else Bang(ni)
+                out = Bang(self.term(inner))
             case Evidence(p):
-                np = self.term(p)
-                out = t if np is p else Evidence(np)
+                out = Evidence(self.term(p))
             case JustVar(i):
                 out = self.s.just_vars.get(i, t)
             case JustSum(l, r):
-                nl, nr = self.term(l), self.term(r)
-                out = t if nl is l and nr is r else JustSum(nl, nr)
+                out = JustSum(self.term(l), self.term(r))
             case MApply(p, j):
-                np, nj = self.term(p), self.term(j)
-                out = t if np is p and nj is j else MApply(np, nj)
+                out = MApply(self.term(p), self.term(j))
             case _:
                 raise TypeError(f"not a term: {t!r}")
-        self._memo[id(t)] = (t, out)
+        self._memo[t] = out
         return out
 
     def formula(self, f: Formula) -> Formula:
-        hit = self._memo.get(id(f))
-        if hit is not None:
-            return hit[1]
+        out = self._memo.get(f)
+        if out is not None:
+            return out
         match f:
             case Atom(name):
                 out = self.s.atoms.get(name, f)
             case Bottom():
                 out = f
             case Implies(l, r):
-                nl, nr = self.formula(l), self.formula(r)
-                out = f if nl is l and nr is r else Implies(nl, nr)
+                out = Implies(self.formula(l), self.formula(r))
             case And(l, r):
-                nl, nr = self.formula(l), self.formula(r)
-                out = f if nl is l and nr is r else And(nl, nr)
+                out = And(self.formula(l), self.formula(r))
             case Or(l, r):
-                nl, nr = self.formula(l), self.formula(r)
-                out = f if nl is l and nr is r else Or(nl, nr)
+                out = Or(self.formula(l), self.formula(r))
             case Not(inner):
-                ni = self.formula(inner)
-                out = f if ni is inner else Not(ni)
+                out = Not(self.formula(inner))
             case ProofOf(t, body):
-                nt, nb = self.term(t), self.formula(body)
-                out = f if nt is t and nb is body else ProofOf(nt, nb)
+                out = ProofOf(self.term(t), self.formula(body))
             case JustOf(t, body):
-                nt, nb = self.term(t), self.formula(body)
-                out = f if nt is t and nb is body else JustOf(nt, nb)
+                out = JustOf(self.term(t), self.formula(body))
             case Box(body):
-                nb = self.formula(body)
-                out = f if nb is body else Box(nb)
+                out = Box(self.formula(body))
             case _:
                 raise TypeError(f"not a formula: {f!r}")
-        self._memo[id(f)] = (f, out)
+        self._memo[f] = out
         return out
 
 
@@ -664,23 +635,18 @@ _BINARY = {"->": (Implies, _PREC_IMP), "|": (Or, _PREC_OR), "&": (And, _PREC_AND
 
 
 class Reader:
-    """Parses texts of one dialect into structure-shared trees.
+    """Parses texts of one dialect, checking each node's tree depth.
 
-    Every node is built through the reader's table, keyed by its class and
-    its children, so equal subformulas and subterms, within one text and
-    across all the texts one reader parses, come back as the same object.
-    Memory then grows with the distinct nodes read, not with the printed
-    size.  The table lives as long as the reader: make one per file or per
-    call, never one per process, or it keeps every node ever read alive.
+    Nodes are hash-consed by their constructors, so equal subformulas and
+    subterms come back as the same object, whichever text or reader they
+    were read from.  The reader records the tree depth of every node it
+    builds, for ``_Parser.MAX_DEPTH``; make one per file or per call, since
+    the record keeps those nodes alive.
     """
 
     def __init__(self, dialect: Dialect):
         self.dialect = dialect
-        # (class, value) for leaves, (class, id(child), id(child or None))
-        # otherwise.  Every child was built through this table and stays
-        # alive in it, so its id names it uniquely for the reader's lifetime.
-        self.nodes: dict[tuple, Formula | Term] = {}
-        self.depths: dict[int, int] = {}  # id(node) -> tree depth; leaves are 0
+        self.depths: dict[Formula | Term, int] = {}  # tree depth; leaves are 0
 
     def formula(self, text: str) -> Formula:
         return self._read(text, _Parser.formula)
@@ -725,7 +691,6 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.dialect = reader.dialect
-        self.nodes = reader.nodes
         self.depths = reader.depths
         self.depth = 0  # parentheses, prefixes and right operands open here
 
@@ -757,26 +722,12 @@ class _Parser:
 
     # -- building
 
-    def leaf(self, cls, value):
-        key = (cls, value)
-        node = self.nodes.get(key)
-        if node is None:
-            node = self.nodes[key] = cls(value)
-        return node
-
-    def node(self, cls, a, b=None):
-        key = (cls, id(a), id(b))
-        node = self.nodes.get(key)
-        if node is None:
-            depths = self.depths
-            if b is None:
-                node, depth = cls(a), depths.get(id(a), 0) + 1
-            else:
-                node, depth = cls(a, b), max(depths.get(id(a), 0), depths.get(id(b), 0)) + 1
-            if depth > self.MAX_DEPTH:
-                raise self.error(f"nesting deeper than {self.MAX_DEPTH} levels")
-            self.nodes[key] = node
-            depths[id(node)] = depth
+    def node(self, cls, *children):
+        depth = max(self.depths.get(c, 0) for c in children) + 1
+        if depth > self.MAX_DEPTH:
+            raise self.error(f"nesting deeper than {self.MAX_DEPTH} levels")
+        node = cls(*children)
+        self.depths[node] = depth
         return node
 
     # -- formulas
@@ -849,7 +800,7 @@ class _Parser:
             return BOT
         if _ATOM_RE.match(tok):
             self.next()
-            return self.leaf(Atom, tok)
+            return Atom(tok)
         if tok == "(":
             if self.dialect is not Dialect.MODAL:
                 saved = self.pos, self.depth
@@ -880,7 +831,7 @@ class _Parser:
             body = BOT
         elif _ATOM_RE.match(tok):
             self.next()
-            body = self.leaf(Atom, tok)
+            body = Atom(tok)
         elif tok == "(":
             self.next()
             self.enter()
@@ -929,11 +880,11 @@ class _Parser:
             return inner
         if _PCONST_RE.match(tok):
             self.next()
-            return self.leaf(ProofConst, tok)
+            return ProofConst(tok)
         m = _PVAR_RE.match(tok)
         if m:
             self.next()
-            return self.leaf(ProofVar, int(m.group(1)))
+            return ProofVar(int(m.group(1)))
         if tok in ("e", "m") or _JVAR_RE.match(tok):
             raise self.error(f"justification term {tok!r} where a proof term is needed")
         raise self.error(f"expected a proof term, found {tok or 'end of input'!r}")
@@ -987,7 +938,7 @@ class _Parser:
         m = _JVAR_RE.match(tok)
         if m:
             self.next()
-            return self.leaf(JustVar, int(m.group(1)))
+            return JustVar(int(m.group(1)))
         raise self.error(f"expected a justification term, found {tok or 'end of input'!r}")
 
 

@@ -129,6 +129,14 @@ class TestRealize:
         code, _, _ = run(capsys, "realize", str(proof_path), "--calculus", "GM")
         assert code == 2
 
+    def test_sequent_longer_than_a_file_name(self, capsys):
+        # Longer than a path component may be, so the file system refuses to
+        # look the text up as a file: it must still be read as a sequent.
+        text = "A & " * 70 + "A => A"
+        assert len(text) > 255
+        code, _, record = run(capsys, "realize", text, "--calculus", "GE")
+        assert code == 0 and record["realized"] == text.replace("=>", "->")
+
     def test_unprovable_source(self, capsys):
         code, _, record = run(capsys, "realize", "=> []A -> [](A | B)", "--calculus", "GE")
         assert code == 1 and record["ok"] is False
@@ -180,6 +188,10 @@ class TestDerivationCommands:
     def test_check_missing_file(self, capsys, tmp_path):
         code, _, _ = run(capsys, "check", str(tmp_path / "absent.deriv"))
         assert code == 2
+
+    def test_check_a_directory(self, capsys, tmp_path):
+        code, _, record = run(capsys, "check", str(tmp_path))
+        assert code == 2 and record["error"]
 
     def test_deduce(self, capsys, tmp_path):
         out = tmp_path / "out.deriv"

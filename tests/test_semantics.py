@@ -3,7 +3,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jelogic.axioms import cs_total
+from jelogic import semantics
+from jelogic.axioms import cs_total, instantiate
 from jelogic.semantics import (
     BoundExhausted,
     FiniteBasicEvaluation,
@@ -48,6 +49,7 @@ from jelogic.syntax import (
     ProofOf,
     ProofVar,
     parse_formula,
+    print_formula,
 )
 
 A, B, C = Atom("A"), Atom("B"), Atom("C")
@@ -343,6 +345,29 @@ class TestSoundnessFuzz:
     def test_modal_dialect_rejected(self):
         with pytest.raises(DialectError):
             soundness_fuzz(Dialect.MODAL, 1)
+
+    def test_draws_do_not_depend_on_set_order(self, monkeypatch):
+        # Nodes hash by identity, so a set of formulas iterates in an order
+        # that changes from run to run; a seed must still draw the same
+        # instances.  Reversing the iteration of the table's entry sets
+        # stands in for another run's order.
+        class Reversed(frozenset):
+            def __iter__(self):
+                return reversed(list(super().__iter__()))
+
+        drawn = []
+
+        def spy(pattern, binding):
+            f = instantiate(pattern, binding)
+            drawn.append(print_formula(f))
+            return f
+
+        monkeypatch.setattr(semantics, "instantiate", spy)
+        soundness_fuzz(Dialect.JE, 60, seed=2)
+        first, drawn[:] = drawn[:], []
+        monkeypatch.setattr(semantics, "frozenset", Reversed, raising=False)
+        soundness_fuzz(Dialect.JE, 60, seed=2)
+        assert first and drawn == first
 
 
 def _truth_mask(cm: ModalCountermodel, f) -> int:

@@ -1,8 +1,11 @@
+import gc
 import random
+import weakref
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from jelogic import syntax
 from jelogic.generate import random_formula
 from jelogic.syntax import (
     And,
@@ -112,9 +115,20 @@ class TestSharing:
         ante, succ = r.sequent("[m(p0, x0)]A => B")
         assert ante[0] is f.left and succ[0] is f.right
 
-    def test_no_sharing_between_calls(self):
-        # The table lives for one call only, so nothing read stays alive in it.
-        assert parse_formula("A", Dialect.MODAL) is not parse_formula("A", Dialect.MODAL)
+    def test_parses_of_one_text_are_one_object(self):
+        text = "[e(p0 * c1)]A -> ~(B | c1:A)"
+        assert parse_formula(text, Dialect.JE) is parse_formula(text, Dialect.JE)
+
+    def test_a_node_dies_with_its_last_reference(self):
+        gc.collect()
+        before = len(syntax._NODES)
+        f = parse_formula("[e(c_probe * p917)]Probe -> Probe", Dialect.JE)
+        # Probe, c_probe, p917, the application, e(.), [.]Probe and the arrow.
+        assert len(syntax._NODES) == before + 7
+        ref = weakref.ref(f)
+        del f
+        assert ref() is None
+        assert len(syntax._NODES) == before
 
     def test_unexpected_character_position(self):
         with pytest.raises(ParseError) as e:
