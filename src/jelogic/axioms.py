@@ -54,19 +54,16 @@ from .syntax import (
 @dataclass(frozen=True)
 class FormulaMeta:
     name: str
-    __match_args__ = ("name",)
 
 
 @dataclass(frozen=True)
 class ProofMeta:
     name: str
-    __match_args__ = ("name",)
 
 
 @dataclass(frozen=True)
 class JustMeta:
     name: str
-    __match_args__ = ("name",)
 
 
 @dataclass(frozen=True)
@@ -331,10 +328,9 @@ class ConstantSpecification:
 
 def cs_contains(cs: ConstantSpecification, constant: str, f: Formula) -> bool:
     """True when ``f`` instantiates some scheme assigned to ``constant``."""
-    assigned = cs.schemes_of(constant)
-    if not assigned:
-        return False
-    return any(sid in assigned for sid, _ in match_axiom(f, cs.dialect))
+    return any(
+        match(scheme_by_id(sid, cs.dialect).pattern, f) is not None for sid in cs.schemes_of(constant)
+    )
 
 
 def check_axiomatically_appropriate(cs: ConstantSpecification) -> frozenset[str]:

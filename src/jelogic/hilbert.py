@@ -81,29 +81,25 @@ class NotAppropriate(Exception):
 @dataclass(frozen=True)
 class Hyp:
     formula: Formula
-    __match_args__ = ("formula",)
 
 
-@dataclass(frozen=True, eq=True)
+@dataclass(frozen=True)
 class AxiomStep:
     formula: Formula
     scheme: str
     binding: Mapping[str, object] = field(compare=False)
-    __match_args__ = ("formula", "scheme", "binding")
 
 
 @dataclass(frozen=True)
 class ANStep:
     constant: str
     axiom: Formula
-    __match_args__ = ("constant", "axiom")
 
 
 @dataclass(frozen=True)
 class MPStep:
     major: int
     minor: int
-    __match_args__ = ("major", "minor")
 
 
 Step = Hyp | AxiomStep | ANStep | MPStep

@@ -33,6 +33,7 @@ from .hilbert import (
     compose,
     by_contradiction,
     deduction_transform,
+    derive_axiom,
     efq_to,
     internalize,
     prove_id,
@@ -177,79 +178,37 @@ def _fold(dialect: Dialect, fs: tuple, arrows: list[Derivation], target: Formula
     return b.derivation(out)
 
 
-def _remap_disj(d: Derivation, src: tuple, dst: tuple, mapping) -> Derivation:
-    """From a derivation of d(src), one of d(dst), sending src[j] to
-    dst[mapping[j]]."""
-    if _disj(src) == _disj(dst):
-        return d
-    dialect = d.dialect
+def _skip(k: int, n: int) -> list[int]:
+    """The positions of an n-formula succedent with position k left out."""
+    return [j for j in range(n) if j != k]
+
+
+def _route(d: Derivation, src: tuple, dst: tuple, where, tail=()) -> Derivation:
+    """From a derivation of d(src), one of d(dst).  Each leading src[j] goes
+    to dst[where[j]] by its injection; the last ``len(tail)`` formulas of src
+    go through the given arrows, derivations of ``src[j] -> d(dst)``."""
     target = _disj(dst)
-    b = Builder(dialect)
-    i = b.embed(d)
-    if not src:
-        return b.derivation(b.mp(b.embed(efq_to(dialect, target)), i))
-    arrows = [_inject(dialect, dst, mapping[j]) for j in range(len(src))]
-    fold = _fold(dialect, src, arrows, target)
-    return b.derivation(b.mp(b.embed(fold), i))
-
-
-# ---------------------------------------------------------------------------
-# Small classical lemmas
-
-
-def _neg_arrow(dialect: Dialect, g: Formula) -> Derivation:
-    """``~g |- g -> _|_``."""
-    b = Builder(dialect)
-    h = b.hyp(Not(g))
-    return b.derivation(b.mp(b.axiom("pl_neg_elim", {"F": g}), h))
-
-
-def _contrapose(d: Derivation) -> Derivation:
-    """From ``|- X -> Y`` (hypotheses carried) build ``|- ~Y -> ~X``."""
-    f = step_formulas(d)[d.conclusion]
-    if not isinstance(f, Implies):
-        raise ValueError("contraposition expects an implication")
-    x, y = f.left, f.right
+    if _disj(src) == target:
+        return d
+    lead = where[: len(src) - len(tail)]
+    arrows = [_inject(d.dialect, dst, w) for w in lead] + list(tail)
     b = Builder(d.dialect)
-    hny = b.hyp(Not(y))
-    hx = b.hyp(x)
-    yy = b.mp(b.embed(d), hx)
-    bot = b.mp(b.mp(b.axiom("pl_neg_elim", {"F": y}), hny), yy)
-    d2 = deduction_transform(b.derivation(bot), x)
-    b2 = Builder(d.dialect)
-    nx = b2.mp(b2.axiom("pl_neg_intro", {"F": x}), b2.embed(d2))
-    return deduction_transform(b2.derivation(nx), Not(y))
+    i = b.embed(d)
+    return b.derivation(b.mp(b.embed(_fold(d.dialect, src, arrows, target)), i))
 
 
-def _neg_imp_gives_left(dialect: Dialect, a: Formula, bb: Formula) -> Derivation:
-    """``|- ~(a -> bb) -> a``."""
-    neg = Not(Implies(a, bb))
+def _cases(dialect: Dialect, a: Formula, arm_a: Derivation, arm_na: Derivation, goal: Formula) -> Derivation:
+    """``|- goal`` from a derivation of goal under the hypothesis a and one
+    under ~a, other hypotheses carried.  Under ~goal the first gives
+    a -> _|_, so ~a, which answers the second's hypothesis; its goal gives
+    _|_, and ``by_contradiction`` discharges ~goal."""
     b = Builder(dialect)
-    hna = b.hyp(Not(a))
-    ha = b.hyp(a)
-    bot = b.mp(b.mp(b.axiom("pl_neg_elim", {"F": a}), hna), ha)
-    bidx = b.mp(b.embed(efq_to(dialect, bb)), bot)
-    d_ab = deduction_transform(b.derivation(bidx), a)
-    b2 = Builder(dialect)
-    hni = b2.hyp(neg)
-    iab = b2.embed(d_ab)
-    bot2 = b2.mp(b2.mp(b2.axiom("pl_neg_elim", {"F": Implies(a, bb)}), hni), iab)
-    da = by_contradiction(b2.derivation(bot2), a)
-    return deduction_transform(da, neg)
-
-
-def _neg_imp_gives_negright(dialect: Dialect, a: Formula, bb: Formula) -> Derivation:
-    """``|- ~(a -> bb) -> ~bb``."""
-    neg = Not(Implies(a, bb))
+    g_bot = b.mp(b.axiom("pl_neg_elim", {"F": goal}), b.hyp(Not(goal)))
+    a_bot = deduction_transform(b.derivation(b.mp(g_bot, b.embed(arm_a))), a)
     b = Builder(dialect)
-    hb = b.hyp(bb)
-    iab = b.mp(b.axiom("pl_k", {"F": bb, "G": a}), hb)
-    hni = b.hyp(neg)
-    bot = b.mp(b.mp(b.axiom("pl_neg_elim", {"F": Implies(a, bb)}), hni), iab)
-    d = deduction_transform(b.derivation(bot), bb)
-    b2 = Builder(dialect)
-    nb = b2.mp(b2.axiom("pl_neg_intro", {"F": bb}), b2.embed(d))
-    return deduction_transform(b2.derivation(nb), neg)
+    b.mp(b.axiom("pl_neg_intro", {"F": a}), b.embed(a_bot))
+    g_bot = b.mp(b.axiom("pl_neg_elim", {"F": goal}), b.hyp(Not(goal)))
+    return by_contradiction(b.derivation(b.mp(g_bot, b.embed(arm_na))), goal)
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +416,7 @@ class _Engine:
 
     def _rule_structural(self, nid: int, node: Proof) -> Derivation:
         """Weakening and contraction: the premise's derivation, its succedent
-        disjunction remapped when the rule acts on the right."""
+        routed when the rule acts on the right."""
         (c,) = self._child_ids(nid)
         if node.rule in ("WL", "CL"):
             return self.derivs[c]
@@ -465,15 +424,15 @@ class _Engine:
         _, src = self._annotate(c)
         _, dst = self._annotate(nid)
         if node.rule == "WR":
-            mapping = {j: (j if j < k else j + 1) for j in range(len(src))}
+            where = _skip(k, len(dst))
         else:
-            mapping = {j: (j if j <= k else j - 1) for j in range(len(src))}
-        return _remap_disj(self.derivs[c], src, dst, mapping)
+            where = [*range(k + 1), *range(k, len(dst))]
+        return _route(self.derivs[c], src, dst, where)
 
     def _rule_impl(self, nid: int, node: Proof) -> Derivation:
         """The second premise's hypothesis B is answered in place by modus
         ponens on A -> B.  Without side formulas the first premise proves A
-        outright; with them, A -> d(succ) is the fold's arm for A."""
+        outright; with them, A -> d(succ) is the route's arrow for A."""
         c1, c2 = self._child_ids(nid)
         k = node.principal[0][1]
         ante, succ = self._annotate(nid)
@@ -486,46 +445,29 @@ class _Engine:
         b.mp(himp, b.hyp(a))
         arrow_a = deduction_transform(b.derivation(b.embed(self.derivs[c2])), a)
         _, src1 = self._annotate(c1)
-        arrows = [_inject(self.dialect, succ, j) for j in range(len(succ))] + [arrow_a]
-        fold = _fold(self.dialect, src1, arrows, _disj(succ))
-        b2 = Builder(self.dialect)
-        return b2.derivation(b2.mp(b2.embed(fold), b2.embed(self.derivs[c1])))
+        return _route(self.derivs[c1], src1, succ, range(len(succ)), (arrow_a,))
 
     def _rule_impr(self, nid: int, node: Proof) -> Derivation:
+        """A -> B alone is the premise's deduction transform.  With side
+        formulas, cases on A: under A the premise's B goes to A -> B by pl_k;
+        under ~A, A -> B holds by pl_efq."""
         (c,) = self._child_ids(nid)
         k = node.principal[0][1]
-        ante, succ = self._annotate(nid)
+        _, succ = self._annotate(nid)
         a, bb = succ[k].left, succ[k].right
-        dd = deduction_transform(self.derivs[c], a)
-        if len(succ) == 1:  # A -> B alone: no classical frame
-            return dd
+        if len(succ) == 1:
+            return deduction_transform(self.derivs[c], a)
         _, src = self._annotate(c)
-        goal = _disj(succ)
-        neg_goal = Not(goal)
-        arr_contra = _contrapose(_inject(self.dialect, succ, k))
-        arr_a = _neg_imp_gives_left(self.dialect, a, bb)
-        arr_nb = _neg_imp_gives_negright(self.dialect, a, bb)
-        goal_bot = _neg_arrow(self.dialect, goal)
-        arrows = []
-        for j, f in enumerate(src):
-            if j == len(src) - 1:
-                b = Builder(self.dialect)
-                hng = b.hyp(neg_goal)
-                nimp = b.mp(b.embed(arr_contra), hng)
-                nb = b.mp(b.embed(arr_nb), nimp)
-                arrows.append(b.derivation(b.mp(b.axiom("pl_neg_elim", {"F": bb}), nb)))
-            else:
-                parent_j = j if j < k else j + 1
-                arrows.append(compose(_inject(self.dialect, succ, parent_j), goal_bot))
-        fold = _fold(self.dialect, src, arrows, BOT)
+        inj = _inject(self.dialect, succ, k)
         b = Builder(self.dialect)
-        i_dd = b.embed(dd)
-        hng = b.hyp(neg_goal)
-        nimp = b.mp(b.embed(arr_contra), hng)
-        a_idx = b.mp(b.embed(arr_a), nimp)
-        r_idx = b.mp(i_dd, a_idx)
-        bot = b.mp(b.embed(fold), r_idx)
-        return by_contradiction(b.derivation(bot), goal)
+        arrow_b = compose(b.derivation(b.axiom("pl_k", {"F": bb, "G": a})), inj)
+        routed = _route(self.derivs[c], src, succ, _skip(k, len(succ)), (arrow_b,))
+        b = Builder(self.dialect)
+        a_bot = b.mp(b.axiom("pl_neg_elim", {"F": a}), b.hyp(Not(a)))
+        efq = compose(b.derivation(a_bot), efq_to(self.dialect, bb))
+        b = Builder(self.dialect)
+        arm_na = b.derivation(b.mp(b.embed(inj), b.embed(efq)))
+        return _cases(self.dialect, a, routed, arm_na, _disj(succ))
 
     def _rule_andl(self, nid: int, node: Proof) -> Derivation:
         (c,) = self._child_ids(nid)
@@ -541,36 +483,24 @@ class _Engine:
         return b.derivation(b.embed(self.derivs[c]))
 
     def _rule_andr(self, nid: int, node: Proof) -> Derivation:
+        """A & B alone is one pl_and_intro.  With side formulas the second
+        premise's B goes to A & B under A, and the first premise's A through
+        the deduction transform of that."""
         c1, c2 = self._child_ids(nid)
         k = node.principal[0][1]
         _, succ = self._annotate(nid)
         a, bb = succ[k].left, succ[k].right
-        if len(succ) == 1:  # A & B alone: no classical frame
-            b = Builder(self.dialect)
+        b = Builder(self.dialect)
+        if len(succ) == 1:
             ia, ib = b.embed(self.derivs[c1]), b.embed(self.derivs[c2])
             return b.derivation(b.mp(b.mp(b.axiom("pl_and_intro", {"F": a, "G": bb}), ia), ib))
+        where = _skip(k, len(succ))
         _, src1 = self._annotate(c1)
         _, src2 = self._annotate(c2)
-        target = _disj(succ)
-        b = Builder(self.dialect)
-        ha = b.hyp(a)
-        pair_arrow = b.derivation(b.mp(b.axiom("pl_and_intro", {"F": a, "G": bb}), ha))
-        arr_b = compose(pair_arrow, _inject(self.dialect, succ, k))
-        arrows2 = [
-            arr_b if j == len(src2) - 1 else _inject(self.dialect, succ, j if j < k else j + 1)
-            for j in range(len(src2))
-        ]
-        fold2 = _fold(self.dialect, src2, arrows2, target)
-        b2 = Builder(self.dialect)
-        got = b2.mp(b2.embed(fold2), b2.embed(self.derivs[c2]))
-        d_a_target = deduction_transform(b2.derivation(got), a)
-        arrows1 = [
-            d_a_target if j == len(src1) - 1 else _inject(self.dialect, succ, j if j < k else j + 1)
-            for j in range(len(src1))
-        ]
-        fold1 = _fold(self.dialect, src1, arrows1, target)
-        b3 = Builder(self.dialect)
-        return b3.derivation(b3.mp(b3.embed(fold1), b3.embed(self.derivs[c1])))
+        pair = b.mp(b.axiom("pl_and_intro", {"F": a, "G": bb}), b.hyp(a))
+        arrow_b = compose(b.derivation(pair), _inject(self.dialect, succ, k))
+        arrow_a = deduction_transform(_route(self.derivs[c2], src2, succ, where, (arrow_b,)), a)
+        return _route(self.derivs[c1], src1, succ, where, (arrow_a,))
 
     def _rule_orl(self, nid: int, node: Proof) -> Derivation:
         c1, c2 = self._child_ids(nid)
@@ -591,24 +521,12 @@ class _Engine:
         _, succ = self._annotate(nid)
         a, bb = succ[k].left, succ[k].right
         _, src = self._annotate(c)
-        target = _disj(succ)
-        if _disj(src) == target:  # the principal formula is the last one
-            return self.derivs[c]
-        arrows = []
-        for j in range(len(src)):
-            if j == len(src) - 2:
-                b = Builder(self.dialect)
-                d = b.derivation(b.axiom("pl_or_intro_l", {"F": a, "G": bb}))
-                arrows.append(compose(d, _inject(self.dialect, succ, k)))
-            elif j == len(src) - 1:
-                b = Builder(self.dialect)
-                d = b.derivation(b.axiom("pl_or_intro_r", {"F": a, "G": bb}))
-                arrows.append(compose(d, _inject(self.dialect, succ, k)))
-            else:
-                arrows.append(_inject(self.dialect, succ, j if j < k else j + 1))
-        fold = _fold(self.dialect, src, arrows, target)
-        b2 = Builder(self.dialect)
-        return b2.derivation(b2.mp(b2.embed(fold), b2.embed(self.derivs[c])))
+        inj = _inject(self.dialect, succ, k)
+        tail = tuple(
+            compose(derive_axiom(self.dialect, side, {"F": a, "G": bb}), inj)
+            for side in ("pl_or_intro_l", "pl_or_intro_r")
+        )
+        return _route(self.derivs[c], src, succ, _skip(k, len(succ)), tail)
 
     def _rule_notl(self, nid: int, node: Proof) -> Derivation:
         (c,) = self._child_ids(nid)
@@ -616,47 +534,33 @@ class _Engine:
         ante, succ = self._annotate(nid)
         a = ante[k].inner
         b = Builder(self.dialect)
-        hna = b.hyp(ante[k])
-        a_bot = b.mp(b.axiom("pl_neg_elim", {"F": a}), hna)
+        a_bot = b.mp(b.axiom("pl_neg_elim", {"F": a}), b.hyp(ante[k]))
         if not succ:  # the premise proves A outright
             return b.derivation(b.mp(a_bot, b.embed(self.derivs[c])))
         _, src = self._annotate(c)
-        target = _disj(succ)
-        arr_a = compose(b.derivation(a_bot), efq_to(self.dialect, target))
-        arrows = [
-            arr_a if j == len(src) - 1 else _inject(self.dialect, succ, j)
-            for j in range(len(src))
-        ]
-        fold = _fold(self.dialect, src, arrows, target)
-        b2 = Builder(self.dialect)
-        return b2.derivation(b2.mp(b2.embed(fold), b2.embed(self.derivs[c])))
+        arrow_a = compose(b.derivation(a_bot), efq_to(self.dialect, _disj(succ)))
+        return _route(self.derivs[c], src, succ, range(len(succ)), (arrow_a,))
 
     def _rule_notr(self, nid: int, node: Proof) -> Derivation:
+        """~A alone is pl_neg_intro over the premise's deduction transform.
+        With side formulas, cases on ~A: under ~A the injection of ~A; under
+        ~~A, A by pl_dne and then the routed premise."""
         (c,) = self._child_ids(nid)
         k = node.principal[0][1]
         _, succ = self._annotate(nid)
         a = succ[k].inner
-        dd = deduction_transform(self.derivs[c], a)
-        if len(succ) == 1:  # ~A alone: no classical frame
+        if len(succ) == 1:
             b = Builder(self.dialect)
-            return b.derivation(b.mp(b.axiom("pl_neg_intro", {"F": a}), b.embed(dd)))
+            intro = b.axiom("pl_neg_intro", {"F": a})
+            return b.derivation(b.mp(intro, b.embed(deduction_transform(self.derivs[c], a))))
         _, src = self._annotate(c)
-        goal = _disj(succ)
-        neg_goal = Not(goal)
-        goal_bot = _neg_arrow(self.dialect, goal)
-        arrows = [
-            compose(_inject(self.dialect, succ, j if j < k else j + 1), goal_bot)
-            for j in range(len(src))
-        ]
-        fold = _fold(self.dialect, src, arrows, BOT)
-        arr_nna = _contrapose(_inject(self.dialect, succ, k))
+        routed = _route(self.derivs[c], src, succ, _skip(k, len(succ)))
         b = Builder(self.dialect)
-        hng = b.hyp(neg_goal)
-        nna = b.mp(b.embed(arr_nna), hng)
-        a_idx = b.mp(b.axiom("pl_dne", {"F": a}), nna)
-        r_idx = b.mp(b.embed(dd), a_idx)
-        bot = b.mp(b.embed(fold), r_idx)
-        return by_contradiction(b.derivation(bot), goal)
+        arm_na = b.derivation(b.mp(b.embed(_inject(self.dialect, succ, k)), b.hyp(Not(a))))
+        b = Builder(self.dialect)
+        b.mp(b.axiom("pl_dne", {"F": a}), b.hyp(Not(Not(a))))
+        arm_nna = b.derivation(b.embed(routed))
+        return _cases(self.dialect, Not(a), arm_na, arm_nna, _disj(succ))
 
     def _rule_re(self, nid: int, node: Proof) -> Derivation:
         c1, c2 = self._child_ids(nid)

@@ -135,3 +135,18 @@ def test_instantiate_then_match_recovers_scheme(seed, dialect):
     assert any(sid == scheme.id for sid, _ in hits)
     for sid, b in hits:
         assert instantiate(scheme_by_id(sid, dialect).pattern, b) == f
+
+
+@given(st.integers(0, 10**9), st.sampled_from([Dialect.JE, Dialect.JEM]))
+@settings(max_examples=200, deadline=None)
+def test_cs_contains_means_a_matching_assigned_scheme(seed, dialect):
+    """A constant covers a formula exactly when one of the schemes assigned
+    to it is among those the formula instantiates."""
+    rng = random.Random(seed)
+    scheme = rng.choice(CATALOGUE[dialect])
+    f = instantiate(scheme.pattern, _random_binding(rng, dialect, scheme.pattern))
+    ids = sorted(s.id for s in CATALOGUE[dialect])
+    cs = ConstantSpecification(dialect, {"c": frozenset(rng.sample(ids, rng.randint(1, 4)))})
+    hits = {sid for sid, _ in match_axiom(f, dialect)}
+    assert cs_contains(cs, "c", f) == bool(hits & cs.schemes_of("c"))
+    assert not cs_contains(cs, "d", f)

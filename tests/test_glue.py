@@ -6,15 +6,31 @@ succedent and once with a side formula next to it; ImpL and NotL also with
 an empty succedent, where they need no fold.  Each proof must realize in both
 modes, verify, and simplify without falling back."""
 
+import random
+
 import pytest
 
 from jelogic import realization
-from jelogic.generate import andl, andr, axp, impr, notl, notr, orl, orr, re, rm, wl, wr
+from jelogic.generate import (
+    andl,
+    andr,
+    axp,
+    impr,
+    notl,
+    notr,
+    orl,
+    orr,
+    random_sequent_theorem,
+    re,
+    rm,
+    wl,
+    wr,
+)
 from jelogic.realization import realize, try_simplify, verify_realization
 from jelogic.sequent import Proof, Sequent, premises_of, prove_bounded
 from jelogic.syntax import And, Atom, BOT, Box, Implies
 
-from _helpers import CS_JE, CS_JEM
+from _helpers import CS_JE, CS_JEM, proof_of
 
 X, Y, Z = Box(Atom("A")), Box(Atom("B")), Box(Atom("C"))
 
@@ -96,8 +112,8 @@ def test_rule_glue_realizes_in_both_modes(name, calculus):
 @pytest.mark.parametrize("name", ["ImpR-one", "NotR-one", "AndR-one"])
 def test_single_succedent_right_rules_build_no_classical_frame(monkeypatch, name, calculus):
     """A right rule whose succedent is its principal formula alone derives
-    that formula directly: no proof by contradiction, no contraposition and
-    no fold over the premise's succedent."""
+    that formula directly: no proof by contradiction, no case split and no
+    fold over the premise's succedent."""
     rule = CASES[name][0]
     inside = []
 
@@ -108,7 +124,7 @@ def test_single_succedent_right_rules_build_no_classical_frame(monkeypatch, name
 
         return wrapped
 
-    for helper in ("by_contradiction", "_contrapose", "_fold"):
+    for helper in ("by_contradiction", "_cases", "_fold"):
         monkeypatch.setattr(realization, helper, forbid(getattr(realization, helper)))
     original = realization._RULES[rule]
     calls = []
@@ -125,6 +141,71 @@ def test_single_succedent_right_rules_build_no_classical_frame(monkeypatch, name
     cs = CS_JE if calculus == "GE" else CS_JEM
     verify_realization(realize(_case(name, calculus), calculus, cs))
     assert calls
+
+
+@pytest.mark.parametrize("calculus", ["GE", "GM"])
+@pytest.mark.parametrize("name", ["ImpR-side", "NotR-side"])
+def test_side_formula_right_rules_split_cases_once(monkeypatch, name, calculus):
+    """ImpR and NotR next to a side formula are one case split: one proof
+    by contradiction per rule instance, and none outside it."""
+    rule = CASES[name][0]
+    counts = []
+    original_bc = realization.by_contradiction
+
+    def counted(*args, **kwargs):
+        assert counts, "by_contradiction called outside " + rule
+        counts[-1] += 1
+        return original_bc(*args, **kwargs)
+
+    monkeypatch.setattr(realization, "by_contradiction", counted)
+    original = realization._RULES[rule]
+    done = []
+
+    def traced(engine, nid, node):
+        counts.append(0)
+        try:
+            return original(engine, nid, node)
+        finally:
+            done.append(counts.pop())
+
+    monkeypatch.setitem(realization._RULES, rule, traced)
+    cs = CS_JE if calculus == "GE" else CS_JEM
+    verify_realization(realize(_case(name, calculus), calculus, cs))
+    assert done == [1]
+
+
+@pytest.mark.parametrize("calculus", ["GE", "GM"])
+def test_double_negation_root_stays_one_step(calculus):
+    """``=> ~~A -> A`` (random proof 49) realizes as the one pl_dne
+    instance: NotR's case split on ~A keeps pl_dne on the path the root's
+    deduction transform lifts, so the builder finds the axiom."""
+    p = random_sequent_theorem(random.Random(49), calculus, depth=5)
+    assert str(p.sequent) == "=> ~~A -> A"
+    cs = CS_JE if calculus == "GE" else CS_JEM
+    r = realize(p, calculus, cs)
+    verify_realization(r)
+    assert len(r.derivation) == 1
+
+
+def test_goldens_and_random_proofs_stay_within_their_step_total():
+    """Strict steps summed over acceptance goldens 1-6 and random proofs
+    0..49 in GE and GM stay at the 2156 that the case split and the router
+    give."""
+    goldens = [
+        ("=> []A -> ([]B -> []A)", "GE"),
+        ("[][]A => [][]A", "GE"),
+        ("=> [](A -> A) -> [](B -> B)", "GE"),
+        ("=> [](A & B) -> ([]A & []B)", "GM"),
+        ("=> ([]A | []B) -> [](A | B)", "GM"),
+        ("=> []([]A & []B) -> ([][]A & [][]B)", "GM"),
+    ]
+    proofs = [(proof_of(text, calc), calc) for text, calc in goldens]
+    for calc in ("GE", "GM"):
+        proofs += [(random_sequent_theorem(random.Random(s), calc, depth=5), calc) for s in range(50)]
+    total = sum(
+        len(realize(p, calc, CS_JE if calc == "GE" else CS_JEM).derivation) for p, calc in proofs
+    )
+    assert total <= 2156, total
 
 
 def test_left_rules_answer_premise_hypotheses_without_deduction_transform(monkeypatch):
