@@ -11,16 +11,17 @@ modal rule, which carries no side context:
 * GE:  from ``A => B`` and ``B => A`` infer ``[]A => []B``;
 * GM:  from ``A => B`` infer ``[]A => []B``.
 
-Every rule has one fixed premise layout (documented in docs/formats.md), so a
-rule instance is determined by its conclusion and principal occurrence, and the
-occurrence correspondence between premises and conclusion can be derived
-mechanically.  ``compute_families`` unions corresponding box occurrences across
-the whole proof into families, marks the families the modal rules introduce,
-and (for GE) groups families introduced by a shared rule instance into
-equivalence classes.  ``prove_bounded`` is a deterministic backward search that
-decomposes propositional structure eagerly (those rules are invertible), then
-tries every antecedent/succedent box pair at the modal transition, inserting
-the weakening and contraction steps explicitly so its output always passes
+Every rule has one fixed premise layout (``premises_of``, tabled in
+docs/formats.md), so a rule instance is determined by its conclusion and
+principal occurrence, and ``correspondences`` reads the occurrence
+correspondence between premises and conclusion off it.  ``compute_families``
+unions corresponding box occurrences across the whole proof into families,
+marks the families the modal rules introduce, and (for GE) groups families
+introduced by a shared rule instance into equivalence classes.
+``prove_bounded`` is a deterministic backward search that decomposes
+propositional structure eagerly (those rules are invertible), then tries
+every antecedent/succedent box pair at the modal transition, inserting the
+weakening and contraction steps explicitly so its output always passes
 ``check_sequent_proof``.
 """
 
@@ -41,6 +42,7 @@ from .syntax import (
     Or,
     box_occurrences,
     check_formula,
+    formula_children,
     parse_sequent as _parse_sides,
     polarity_at,
     print_sequent as _print_sides,
@@ -106,10 +108,14 @@ def premises_of(rule: str, principal, s: Sequent) -> tuple[Sequent, ...]:
     ante, succ = s.ante, s.succ
     match rule:
         case "AxP":
+            if principal != (("L", 0), ("R", 0)):
+                raise SequentProofError("bad-rule", "AxP principal must be L0 R0")
             if not (len(ante) == 1 and ante == succ and isinstance(ante[0], Atom)):
                 raise SequentProofError("bad-rule", f"not an atomic axiom: {s}")
             return ()
         case "AxBot":
+            if principal != (("L", 0),):
+                raise SequentProofError("bad-rule", "AxBot principal must be L0")
             if not (ante == (BOT,) and succ == ()):
                 raise SequentProofError("bad-rule", f"not a falsum axiom: {s}")
             return ()
@@ -186,97 +192,35 @@ def premises_of(rule: str, principal, s: Sequent) -> tuple[Sequent, ...]:
 def correspondences(rule: str, principal, s: Sequent) -> tuple[dict, ...]:
     """Per premise, a total map from premise occurrences ``(side, i)`` to
     ``((side, j), path)``: the conclusion occurrence the premise formula lives
-    in and the path to it inside that formula."""
-    ante, succ = s.ante, s.succ
-    prems = premises_of(rule, principal, s)
+    in and the path to it inside that formula.
 
-    def ctx(side: str, removed: int | None, n: int, offset: int = 0):
-        out = {}
-        for i in range(n):
-            j = i if removed is None or i < removed else i + 1
-            out[(side, offset + i)] = ((side, j), ())
-        return out
-
-    match rule:
-        case "AxP" | "AxBot":
-            return ()
-        case "ImpL":
-            k = principal[0][1]
-            m1 = ctx("L", k, len(ante) - 1) | ctx("R", None, len(succ))
-            m1[("R", len(succ))] = (("L", k), (0,))
-            m2 = ctx("L", k, len(ante) - 1, offset=1) | ctx("R", None, len(succ))
-            m2[("L", 0)] = (("L", k), (1,))
-            return (m1, m2)
-        case "ImpR":
-            k = principal[0][1]
-            m = ctx("L", None, len(ante), offset=1) | ctx("R", k, len(succ) - 1)
-            m[("L", 0)] = (("R", k), (0,))
-            m[("R", len(succ) - 1)] = (("R", k), (1,))
-            return (m,)
-        case "AndL":
-            k = principal[0][1]
-            m = ctx("L", k, len(ante) - 1, offset=2) | ctx("R", None, len(succ))
-            m[("L", 0)] = (("L", k), (0,))
-            m[("L", 1)] = (("L", k), (1,))
-            return (m,)
-        case "AndR":
-            k = principal[0][1]
-            m1 = ctx("L", None, len(ante)) | ctx("R", k, len(succ) - 1)
-            m1[("R", len(succ) - 1)] = (("R", k), (0,))
-            m2 = ctx("L", None, len(ante)) | ctx("R", k, len(succ) - 1)
-            m2[("R", len(succ) - 1)] = (("R", k), (1,))
-            return (m1, m2)
-        case "OrL":
-            k = principal[0][1]
-            m1 = ctx("L", k, len(ante) - 1, offset=1) | ctx("R", None, len(succ))
-            m1[("L", 0)] = (("L", k), (0,))
-            m2 = ctx("L", k, len(ante) - 1, offset=1) | ctx("R", None, len(succ))
-            m2[("L", 0)] = (("L", k), (1,))
-            return (m1, m2)
-        case "OrR":
-            k = principal[0][1]
-            m = ctx("L", None, len(ante)) | ctx("R", k, len(succ) - 1)
-            m[("R", len(succ) - 1)] = (("R", k), (0,))
-            m[("R", len(succ))] = (("R", k), (1,))
-            return (m,)
-        case "NotL":
-            k = principal[0][1]
-            m = ctx("L", k, len(ante) - 1) | ctx("R", None, len(succ))
-            m[("R", len(succ))] = (("L", k), (0,))
-            return (m,)
-        case "NotR":
-            k = principal[0][1]
-            m = ctx("L", None, len(ante), offset=1) | ctx("R", k, len(succ) - 1)
-            m[("L", 0)] = (("R", k), (0,))
-            return (m,)
-        case "WL":
-            k = principal[0][1]
-            return (ctx("L", k, len(ante) - 1) | ctx("R", None, len(succ)),)
-        case "WR":
-            k = principal[0][1]
-            return (ctx("L", None, len(ante)) | ctx("R", k, len(succ) - 1),)
-        case "CL":
-            k = principal[0][1]
-            m = {}
-            for i in range(len(ante) + 1):
-                j = i if i <= k else (k if i == k + 1 else i - 1)
-                m[("L", i)] = (("L", j), ())
-            m |= ctx("R", None, len(succ))
-            return (m,)
-        case "CR":
-            k = principal[0][1]
-            m = ctx("L", None, len(ante))
-            for i in range(len(succ) + 1):
-                j = i if i <= k else (k if i == k + 1 else i - 1)
-                m[("R", i)] = (("R", j), ())
-            return (m,)
-        case "RE":
-            m1 = {("L", 0): (("L", 0), (0,)), ("R", 0): (("R", 0), (0,))}
-            m2 = {("L", 0): (("R", 0), (0,)), ("R", 0): (("L", 0), (0,))}
-            return (m1, m2)
-        case "RM":
-            return ({("L", 0): (("L", 0), (0,)), ("R", 0): (("R", 0), (0,))},)
-    raise SequentProofError("bad-rule", f"unknown rule {rule!r}")
+    The maps are read off ``premises_of``, applied once to a labelled copy of
+    ``s``.  In the copy, the formula at a non-principal occurrence ``(side, j)``
+    is an atom naming that occurrence, and a principal formula keeps its
+    connective over atoms naming its children (one without children stays as
+    it is).  Every premise formula then comes out as one of these names, put
+    where the rule puts the formula, and one lookup gives its ``((side, j),
+    path)``.  This relies on ``premises_of`` looking only at the principal
+    formulas and at the lengths of the two sides.  The names start with
+    ``#``, which no parsed atom does, so no atom of ``s`` passes for one."""
+    where = {}
+    sides = []
+    for side, formulas in (("L", s.ante), ("R", s.succ)):
+        labelled = []
+        for j, f in enumerate(formulas):
+            if (side, j) in principal:
+                kids = tuple(Atom(f"#{side}{j}.{c}") for c in range(len(formula_children(f))))
+                where.update((kid, ((side, j), (c,))) for c, kid in enumerate(kids))
+                f = type(f)(*kids) if kids else f
+            else:
+                f = Atom(f"#{side}{j}")
+            where[f] = ((side, j), ())
+            labelled.append(f)
+        sides.append(tuple(labelled))
+    return tuple(
+        {(side, i): where[f] for side, fs in (("L", p.ante), ("R", p.succ)) for i, f in enumerate(fs)}
+        for p in premises_of(rule, principal, Sequent(*sides))
+    )
 
 
 def check_sequent_proof(p: Proof, calculus: str) -> Sequent:

@@ -234,6 +234,13 @@ class TestDerivationCommands:
         code, _, _ = run(capsys, "seq-check", str(proof_path), "--calculus", "GM")
         assert code == 2
 
+    def test_seq_check_rejects_an_axiom_with_a_wrong_principal(self, capsys, tmp_path):
+        proof_path = tmp_path / "axiom.seq"
+        proof_path.write_text("# jelogic sequent-proof v1\ncalculus GE\nAxP R5 | A => A\n")
+        code, _, record = run(capsys, "seq-check", str(proof_path))
+        assert code == 1 and record["ok"] is False
+        assert record["error"].startswith("bad-rule")
+
 
 def _model_file(tmp_path):
     u = saturate(FiniteBasicEvaluation(

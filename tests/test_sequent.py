@@ -20,13 +20,29 @@ from jelogic.sequent import (
     SequentProofError,
     check_sequent_proof,
     compute_families,
+    correspondences,
+    index_proof,
     parse_sequent_line,
     premises_of,
     prove_bounded,
 )
-from jelogic.syntax import And, Atom, BOT, Box, ProofVar, ProofOf
+from jelogic.syntax import (
+    And,
+    Atom,
+    BOT,
+    Box,
+    Implies,
+    Or,
+    ProofOf,
+    ProofVar,
+    Substitution,
+    apply_substitution,
+    subformula_at,
+)
 
-A, B, C = Atom("A"), Atom("B"), Atom("C")
+from _helpers import fragment_formulas
+
+A, B, C, D = Atom("A"), Atom("B"), Atom("C"), Atom("D")
 
 
 def _count(p: Proof, rule: str) -> int:
@@ -95,6 +111,18 @@ class TestCheck:
     def test_weakening_proof_checks(self):
         root = check_sequent_proof(_weakening_proof(), "GE")
         assert root == parse_sequent_line("=> []A -> ([]B -> []A)")
+
+    def test_axioms_need_their_one_principal(self):
+        for rule, s, principal in (
+            ("AxP", Sequent((A,), (A,)), (("R", 5),)),
+            ("AxP", Sequent((A,), (A,)), (("L", 0),)),
+            ("AxP", Sequent((A,), (A,)), (("R", 0), ("L", 0))),
+            ("AxBot", Sequent((BOT,), ()), (("R", 0),)),
+            ("AxBot", Sequent((BOT,), ()), ()),
+        ):
+            with pytest.raises(SequentProofError) as e:
+                check_sequent_proof(Proof(s, rule, principal, ()), "GE")
+            assert e.value.kind == "bad-rule"
 
     def test_modal_rules_need_boxed_singletons(self):
         with pytest.raises(SequentProofError):
@@ -190,11 +218,84 @@ class TestFamilies:
                 check_sequent_proof(mixed, calculus)
 
 
+def _formula_at(s: Sequent, side: str, i: int):
+    return (s.ante if side == "L" else s.succ)[i]
+
+
+def _assert_maps_sound(p: Proof):
+    """Every node's maps cover exactly the positions of its premises, and each
+    points at a subformula of the conclusion equal to the premise formula."""
+    for node in index_proof(p).nodes:
+        maps = correspondences(node.rule, node.principal, node.sequent)
+        assert len(maps) == len(node.children)
+        for cmap, child in zip(maps, node.children):
+            q = child.sequent
+            assert set(cmap) == {("L", i) for i in range(len(q.ante))} | {("R", i) for i in range(len(q.succ))}
+            for (side, i), ((side2, j), path) in cmap.items():
+                assert subformula_at(_formula_at(node.sequent, side2, j), path) == _formula_at(q, side, i)
+
+
+def _over_searched_premises(rule: str, principal, s: Sequent, calculus: str) -> Proof:
+    kids = tuple(prove_bounded(q, calculus, 8) for q in premises_of(rule, principal, s))
+    assert None not in kids
+    p = Proof(s, rule, principal, kids)
+    check_sequent_proof(p, calculus)
+    return p
+
+
+def _renamed(p: Proof, sub: Substitution) -> Proof:
+    s = Sequent(
+        tuple(apply_substitution(f, sub) for f in p.sequent.ante),
+        tuple(apply_substitution(f, sub) for f in p.sequent.succ),
+    )
+    return Proof(s, p.rule, p.principal, tuple(_renamed(c, sub) for c in p.children))
+
+
+class TestCorrespondences:
+    @pytest.mark.parametrize("calculus", ["GE", "GM"])
+    def test_hand_built_nodes(self, calculus):
+        imp = Implies(Box(A), B)
+        conj = Box(And(A, B))
+        disj = Or(Box(A), C)
+        for rule, principal, s in (
+            ("ImpL", (("L", 1),), Sequent((Box(A), imp, C), (B, C))),
+            ("CL", (("L", 1),), Sequent((C, conj, A), (conj,))),
+            ("CR", (("R", 1),), Sequent((Box(A),), (B, disj, C))),
+        ):
+            _assert_maps_sound(_over_searched_premises(rule, principal, s, calculus))
+
+    @pytest.mark.parametrize("calculus", ["GE", "GM"])
+    def test_fragment_search_proofs(self, calculus):
+        proved = 0
+        for f in fragment_formulas():
+            p = prove_bounded(Sequent((), (f,)), calculus, 10)
+            if p is not None:
+                _assert_maps_sound(p)
+                proved += 1
+        assert proved > 0
+
+    def test_atom_named_like_an_occurrence(self):
+        s = Sequent((A,), (Atom("L0"), A))
+        expected = ({("L", 0): (("L", 0), ()), ("R", 0): (("R", 1), ())},)
+        assert correspondences("WR", (("R", 0),), s) == expected
+
+    @pytest.mark.parametrize("calculus", ["GE", "GM"])
+    def test_families_do_not_depend_on_atom_names(self, calculus):
+        p = prove_bounded(parse_sequent_line("[](A & B), A, B => [](B & A), C, D"), calculus, 10)
+        names = {"A": Atom("L0"), "B": Atom("L1"), "C": Atom("R0"), "D": Atom("R1")}
+        q = _renamed(p, Substitution(atoms=names))
+        check_sequent_proof(q, calculus)
+        fp, fq = compute_families(p), compute_families(q)
+        assert fp.families and fq.families == fp.families
+        assert fq.family_of == fp.family_of and fq.classes == fp.classes
+
+
 @given(st.integers(0, 10**9), st.sampled_from(["GE", "GM"]))
 @settings(max_examples=100, deadline=None)
 def test_forward_generated_proofs_check_and_analyze(seed, calculus):
     p = random_sequent_theorem(random.Random(seed), calculus, depth=5)
     check_sequent_proof(p, calculus)
+    _assert_maps_sound(p)
     fa = compute_families(p)
 
     # Families partition the box occurrences of the whole proof.
