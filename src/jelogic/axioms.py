@@ -22,7 +22,6 @@ closed under substitution.  ``cs_total`` gives every scheme its own constant
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Mapping
 
 from .syntax import (
@@ -48,28 +47,35 @@ from .syntax import (
     ProofTerm,
     ProofVar,
     Sum,
+    _FrozenRecord,
+    _HashConsed,
+    _set,
 )
 
 
-@dataclass(frozen=True)
-class FormulaMeta:
+# Metavariables are the leaves of axiom patterns.  They are hash-consed like
+# the term and formula nodes they sit among.
+
+
+class FormulaMeta(_HashConsed):
     name: str
 
 
-@dataclass(frozen=True)
-class ProofMeta:
+class ProofMeta(_HashConsed):
     name: str
 
 
-@dataclass(frozen=True)
-class JustMeta:
+class JustMeta(_HashConsed):
     name: str
 
 
-@dataclass(frozen=True)
-class AxiomScheme:
+class AxiomScheme(_FrozenRecord):
     id: str
     pattern: Formula
+
+    def __init__(self, id, pattern):
+        _set(self, "id", id)
+        _set(self, "pattern", pattern)
 
     def __repr__(self):
         return f"AxiomScheme({self.id})"
@@ -304,15 +310,16 @@ class UnknownScheme(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class ConstantSpecification:
+class ConstantSpecification(_FrozenRecord):
     """Intensional map from proof constant names to sets of scheme ids."""
 
     dialect: Dialect
-    assignment: Mapping[str, frozenset[str]] = field(default_factory=dict)
+    assignment: Mapping[str, frozenset[str]]
 
-    def __post_init__(self):
-        known = {s.id for s in CATALOGUE[self.dialect]}
+    def __init__(self, dialect, assignment=None):
+        _set(self, "dialect", dialect)
+        _set(self, "assignment", {} if assignment is None else assignment)
+        known = {s.id for s in CATALOGUE[dialect]}
         for const, ids in self.assignment.items():
             bad = set(ids) - known
             if bad:

@@ -33,7 +33,7 @@ The three transforms implement the standard metatheory constructively:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Mapping
 
 from .axioms import (
@@ -56,7 +56,9 @@ from .syntax import (
     ProofTerm,
     Substitution,
     Term,
+    _FrozenRecord,
     _Substituter,
+    _set,
     check_formula,
     print_formula,
 )
@@ -78,47 +80,66 @@ class NotAppropriate(Exception):
         self.missing = missing
 
 
-@dataclass(frozen=True)
-class Hyp:
+class Hyp(_FrozenRecord):
     formula: Formula
 
+    def __init__(self, formula):
+        _set(self, "formula", formula)
 
-@dataclass(frozen=True)
-class AxiomStep:
+
+class AxiomStep(_FrozenRecord):
     formula: Formula
     scheme: str
     binding: Mapping[str, object] = field(compare=False)
 
+    def __init__(self, formula, scheme, binding):
+        _set(self, "formula", formula)
+        _set(self, "scheme", scheme)
+        _set(self, "binding", binding)
 
-@dataclass(frozen=True)
-class ANStep:
+
+class ANStep(_FrozenRecord):
     constant: str
     axiom: Formula
 
+    def __init__(self, constant, axiom):
+        _set(self, "constant", constant)
+        _set(self, "axiom", axiom)
 
-@dataclass(frozen=True)
-class MPStep:
+
+class MPStep(_FrozenRecord):
     major: int
     minor: int
+
+    def __init__(self, major, minor):
+        _set(self, "major", major)
+        _set(self, "minor", minor)
 
 
 Step = Hyp | AxiomStep | ANStep | MPStep
 
 
-@dataclass(frozen=True)
-class Derivation:
+class Derivation(_FrozenRecord):
     dialect: Dialect
     steps: tuple[Step, ...]
     conclusion: int
+
+    def __init__(self, dialect, steps, conclusion):
+        _set(self, "dialect", dialect)
+        _set(self, "steps", steps)
+        _set(self, "conclusion", conclusion)
 
     def __len__(self):
         return len(self.steps)
 
 
-@dataclass(frozen=True)
-class Judgment:
+class Judgment(_FrozenRecord):
     hypotheses: frozenset[Formula]
     conclusion: Formula
+
+    def __init__(self, hypotheses, conclusion):
+        _set(self, "hypotheses", hypotheses)
+        _set(self, "conclusion", conclusion)
 
 
 def step_formulas(d: Derivation) -> list[Formula]:

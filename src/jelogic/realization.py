@@ -21,7 +21,7 @@ remain and the root derivation witnesses the realized sequent outright.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 
 from .axioms import ConstantSpecification, check_axiomatically_appropriate
 from .hilbert import (
@@ -68,7 +68,9 @@ from .syntax import (
     Substitution,
     Sum,
     Term,
+    _FrozenRecord,
     _Substituter,
+    _set,
     forgetful,
     print_formula,
     subformula_at,
@@ -105,8 +107,7 @@ class NotNormal(VerificationError):
     pass
 
 
-@dataclass(frozen=True)
-class LogEntry:
+class LogEntry(_FrozenRecord):
     """One internalization performed along the way: ``derivation`` concludes
     ``term : formula`` from no hypotheses."""
 
@@ -114,9 +115,13 @@ class LogEntry:
     formula: Formula
     derivation: Derivation
 
+    def __init__(self, term, formula, derivation):
+        _set(self, "term", term)
+        _set(self, "formula", formula)
+        _set(self, "derivation", derivation)
 
-@dataclass(frozen=True)
-class RealizationResult:
+
+class RealizationResult(_FrozenRecord):
     calculus: str
     dialect: Dialect
     antecedent: tuple[Formula, ...]
@@ -126,6 +131,17 @@ class RealizationResult:
     mode: str
     source: Proof = field(repr=False)
     cs: ConstantSpecification = field(repr=False)
+
+    def __init__(self, calculus, dialect, antecedent, succedent, derivation, log, mode, source, cs):
+        _set(self, "calculus", calculus)
+        _set(self, "dialect", dialect)
+        _set(self, "antecedent", antecedent)
+        _set(self, "succedent", succedent)
+        _set(self, "derivation", derivation)
+        _set(self, "log", log)
+        _set(self, "mode", mode)
+        _set(self, "source", source)
+        _set(self, "cs", cs)
 
     @property
     def realized(self) -> Formula:

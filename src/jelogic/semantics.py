@@ -24,7 +24,6 @@ sequent-calculus search.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from itertools import combinations, product
 
 from .axioms import CATALOGUE, ConstantSpecification, instantiate, match_axiom, metavariables
@@ -52,6 +51,9 @@ from .syntax import (
     JustOf,
     Sum,
     Term,
+    _FrozenRecord,
+    _Record,
+    _set,
     check_formula,
     check_just_term,
     check_proof_term,
@@ -119,17 +121,23 @@ def op_prefix(lam, x) -> set:
 # Basic evaluations
 
 
-@dataclass
-class FiniteBasicEvaluation:
+class FiniteBasicEvaluation(_Record):
     """Finitely many atom values and term entries; everything else defaults
     to false / the empty set.  ``bound`` is the term-depth radius within which
     closure conditions are materialised and checked."""
 
     dialect: Dialect
-    atoms: dict[str, bool] = field(default_factory=dict)
-    table: dict[Term, frozenset[Formula]] = field(default_factory=dict)
-    bound: int = 3
-    cs: ConstantSpecification | None = None
+    atoms: dict[str, bool]
+    table: dict[Term, frozenset[Formula]]
+    bound: int
+    cs: ConstantSpecification | None
+
+    def __init__(self, dialect, atoms=None, table=None, bound=3, cs=None):
+        self.dialect = dialect
+        self.atoms = {} if atoms is None else atoms
+        self.table = {} if table is None else table
+        self.bound = bound
+        self.cs = cs
 
     def entry(self, t: Term) -> frozenset[Formula]:
         return self.table.get(t, _EMPTY)
@@ -305,10 +313,13 @@ def eval_basic(eps: FiniteBasicEvaluation, f: Formula) -> bool:
     raise DialectError(f"no truth clause for {print_formula(f)} under a basic evaluation")
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(_FrozenRecord):
     kind: str
     message: str
+
+    def __init__(self, kind, message):
+        _set(self, "kind", kind)
+        _set(self, "message", message)
 
     def __str__(self):
         return f"[{self.kind}] {self.message}"
@@ -386,11 +397,15 @@ def check_basic_model(
 # Quasi-models and modular models
 
 
-@dataclass
-class QuasiModel:
+class QuasiModel(_Record):
     worlds: tuple[str, ...]
     neighborhoods: dict[str, frozenset[frozenset[str]]]
     evaluations: dict[str, FiniteBasicEvaluation]
+
+    def __init__(self, worlds, neighborhoods, evaluations):
+        self.worlds = worlds
+        self.neighborhoods = neighborhoods
+        self.evaluations = evaluations
 
 
 def model_truth(m: QuasiModel, w: str, f: Formula) -> bool:
@@ -510,21 +525,32 @@ def build_singleton_model(
 # Soundness fuzzing
 
 
-@dataclass(frozen=True)
-class FuzzFailure:
+class FuzzFailure(_FrozenRecord):
     trial: int
     scheme: str
     formula: str
     model: str
 
+    def __init__(self, trial, scheme, formula, model):
+        _set(self, "trial", trial)
+        _set(self, "scheme", scheme)
+        _set(self, "formula", formula)
+        _set(self, "model", model)
 
-@dataclass
-class FuzzReport:
+
+class FuzzReport(_Record):
     dialect: Dialect
     trials: int
-    checked: int = 0
-    rejected: int = 0
-    failures: list[FuzzFailure] = field(default_factory=list)
+    checked: int
+    rejected: int
+    failures: list[FuzzFailure]
+
+    def __init__(self, dialect, trials, checked=0, rejected=0, failures=None):
+        self.dialect = dialect
+        self.trials = trials
+        self.checked = checked
+        self.rejected = rejected
+        self.failures = [] if failures is None else failures
 
     @property
     def ok(self) -> bool:
@@ -645,8 +671,7 @@ def soundness_fuzz(dialect: Dialect, trials: int, seed: int = 0) -> FuzzReport:
 # Neighborhood-model oracle for the modal logics
 
 
-@dataclass(frozen=True)
-class ModalCountermodel:
+class ModalCountermodel(_FrozenRecord):
     """A pointed neighborhood model falsifying a formula.  Worlds are bit
     positions; truth sets and neighborhood members are bitmasks."""
 
@@ -654,6 +679,12 @@ class ModalCountermodel:
     atom_masks: tuple[tuple[str, int], ...]
     neighborhoods: tuple[int, ...]  # per world: membership bitmap over subset masks
     world: int
+
+    def __init__(self, world_count, atom_masks, neighborhoods, world):
+        _set(self, "world_count", world_count)
+        _set(self, "atom_masks", atom_masks)
+        _set(self, "neighborhoods", neighborhoods)
+        _set(self, "world", world)
 
     def describe(self) -> str:
         names = [f"w{i}" for i in range(self.world_count)]

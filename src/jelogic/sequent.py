@@ -27,8 +27,6 @@ weakening and contraction steps explicitly so its output always passes
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .syntax import (
     And,
     Atom,
@@ -40,6 +38,9 @@ from .syntax import (
     Implies,
     Not,
     Or,
+    _FrozenRecord,
+    _Record,
+    _set,
     box_occurrences,
     check_formula,
     formula_children,
@@ -55,10 +56,23 @@ class SequentProofError(Exception):
         self.kind = kind
 
 
-@dataclass(frozen=True)
-class Sequent:
+class Sequent(_FrozenRecord):
     ante: tuple[Formula, ...]
     succ: tuple[Formula, ...]
+
+    def __init__(self, ante, succ):
+        _set(self, "ante", ante)
+        _set(self, "succ", succ)
+
+    # ``check_sequent_proof`` compares a sequent per premise.  Spelled out,
+    # == and hash cost half of what the shared ones over ``_key`` do.
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.ante, self.succ) == (other.ante, other.succ)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.ante, self.succ))
 
     def __str__(self):
         return _print_sides(self.ante, self.succ)
@@ -69,8 +83,7 @@ def parse_sequent_line(text: str) -> Sequent:
     return Sequent(ante, succ)
 
 
-@dataclass(frozen=True)
-class Proof:
+class Proof(_FrozenRecord):
     """One node of a sequent proof: the sequent it concludes, the rule, the
     principal occurrence(s) in the conclusion, and the premise subproofs."""
 
@@ -78,6 +91,12 @@ class Proof:
     rule: str
     principal: tuple[tuple[str, int], ...]
     children: tuple["Proof", ...]
+
+    def __init__(self, sequent, rule, principal, children):
+        _set(self, "sequent", sequent)
+        _set(self, "rule", rule)
+        _set(self, "principal", principal)
+        _set(self, "children", children)
 
 
 RULES = (
@@ -373,11 +392,15 @@ def prove_bounded(s: Sequent, calculus: str, depth: int) -> Proof | None:
 Token = tuple[int, str, int, tuple[int, ...]]  # (preorder node id, side, formula index, box path)
 
 
-@dataclass
-class ProofIndex:
+class ProofIndex(_Record):
     nodes: list[Proof]                # by preorder id
     children: list[tuple[int, ...]]   # preorder ids of each node's premises
     postorder: dict[int, int]         # preorder id -> postorder position
+
+    def __init__(self, nodes, children, postorder):
+        self.nodes = nodes
+        self.children = children
+        self.postorder = postorder
 
 
 def index_proof(p: Proof) -> ProofIndex:
@@ -421,27 +444,41 @@ class _UnionFind:
             self.parent[ry] = rx
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(_FrozenRecord):
     tokens: frozenset
     essential: bool
     instances: tuple[int, ...]   # preorder ids of modal rule nodes introducing into it, postorder-sorted
     polarity: str | None         # uniform polarity of the member boxes, None if mixed
 
+    def __init__(self, tokens, essential, instances, polarity):
+        _set(self, "tokens", tokens)
+        _set(self, "essential", essential)
+        _set(self, "instances", instances)
+        _set(self, "polarity", polarity)
 
-@dataclass(frozen=True)
-class EquivClass:
+
+class EquivClass(_FrozenRecord):
     families: tuple[int, ...]    # indices into FamilyAnalysis.families
     instances: tuple[int, ...]   # preorder ids of the RE nodes of the class, postorder-sorted
 
+    def __init__(self, families, instances):
+        _set(self, "families", families)
+        _set(self, "instances", instances)
 
-@dataclass
-class FamilyAnalysis:
+
+class FamilyAnalysis(_Record):
     index: ProofIndex
     families: tuple[Family, ...]
     family_of: dict[Token, int]
     classes: tuple[EquivClass, ...]   # nonempty only when RE occurs
     modal_rule: str | None            # "RE", "RM" or None
+
+    def __init__(self, index, families, family_of, classes, modal_rule):
+        self.index = index
+        self.families = families
+        self.family_of = family_of
+        self.classes = classes
+        self.modal_rule = modal_rule
 
 
 def _token_polarity(index: ProofIndex, t: Token) -> str:

@@ -10,7 +10,8 @@ The toolkit works with three dialects of one formula language:
 * ``JEM``     -- proof terms lose ``+``; justification terms are variables
   ``x0``, binary sums ``t + s`` and applications ``m(proof term, just term)``.
 
-Formula trees are frozen dataclasses and carry no dialect tag of their own;
+Formula trees are immutable slotted classes (``dataclasses.fields`` lists
+their fields) and carry no dialect tag of their own;
 ``check_formula`` validates a tree against a dialect.  Nodes are hash-consed:
 every constructor call returns the one live node with its class and fields,
 so equal terms and formulas are identical objects, ``==`` and ``hash`` are by
@@ -33,8 +34,9 @@ from __future__ import annotations
 
 import re
 import weakref
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, Field, FrozenInstanceError, dataclass, fields
 from enum import Enum
+from operator import attrgetter
 from typing import Iterator, Mapping
 
 
@@ -65,86 +67,203 @@ class ProofOfPresent(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Hash-consing
+# Node and record classes
+#
+# The term, formula and record classes of the package are slotted classes
+# whose methods are written once, below, and shared: importing the package
+# compiles no code.  The annotated names of a class body become its
+# ``__slots__``, ``__match_args__`` and ``dataclasses`` fields, so ``match``
+# patterns, ``dataclasses.fields``, ``is_dataclass`` and ``replace`` work as
+# on a dataclass.
+
+# Sets a field of a frozen instance, past its ``__setattr__``.
+_set = object.__setattr__
+
+
+def _key(names: tuple[str, ...]):
+    """A class attribute mapping an instance to the tuple of its fields
+    ``names`` (functions are wrapped, so an instance does not bind them)."""
+    if len(names) > 1:
+        return attrgetter(*names)
+    return staticmethod(lambda obj: tuple(getattr(obj, name) for name in names))
+
+
+class _Slotted(type):
+    """Metaclass of the node and record classes.  A class body without
+    ``__slots__`` declares its fields by annotation; it may give a field
+    ``field(compare=False)`` or ``field(repr=False)``; defaults are the
+    business of the class's ``__init__``."""
+
+    def __new__(meta, name, bases, ns):
+        if "__slots__" in ns:  # a base class: shared methods, no fields
+            return super().__new__(meta, name, bases, ns)
+        names = tuple(ns.get("__annotations__", ()))
+        options = {n: ns.pop(n) for n in names if n in ns}
+        for n, opt in options.items():
+            if not isinstance(opt, Field) or opt.default is not MISSING or opt.default_factory is not MISSING:
+                raise TypeError(f"{name}.{n}: defaults belong in __init__")
+        ns["__slots__"] = ns["__match_args__"] = names
+        # With a docstring, ``dataclass`` does not compute one from
+        # ``inspect.signature``, which would cost more than the rest.
+        ns.setdefault("__doc__", f"{name}({', '.join(names)})")
+        cls = super().__new__(meta, name, bases, ns)
+        fs = fields(dataclass(init=False, repr=False, eq=False)(cls))  # metadata only
+        for f in fs:
+            if f.name in options:
+                f.compare, f.repr = options[f.name].compare, options[f.name].repr
+        cls._shown = tuple(f.name for f in fs if f.repr)
+        cls._key = _key(tuple(f.name for f in fs if f.compare))
+        return cls
+
+
+def _frozen_setattr(self, name, value):
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _frozen_delattr(self, name):
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def _repr(self) -> str:
+    shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._shown)
+    return f"{type(self).__qualname__}({shown})"
+
+
+def _reduce(self):
+    # copy, deepcopy and pickle rebuild through the constructor.
+    return type(self), tuple(getattr(self, name) for name in self.__match_args__)
+
 
 # The one live node per (class, *fields).  Values are weak, so the table
 # keeps no node alive: an entry goes when its node's last reference does.
-_NODES: weakref.WeakValueDictionary[tuple, _Node] = weakref.WeakValueDictionary()
+# Lookups read the underlying dict of weak references directly, which saves
+# ``WeakValueDictionary.get``'s Python frame; a dead reference reads as a miss.
+_NODES: weakref.WeakValueDictionary[tuple, _HashConsed] = weakref.WeakValueDictionary()
+_LIVE = _NODES.data
 
 
-class _Interned(type):
-    """Metaclass of the node classes: a constructor call returns the live
-    node with the same class and fields if there is one.  Child nodes were
-    built the same way and hash by identity, so a key hashes in O(1)."""
+class _Interned(_Slotted):
+    """Metaclass of the hash-consed classes: a constructor call returns the
+    live node with the same class and fields if there is one, and builds
+    and enters it otherwise.  Child nodes were built the same way and hash
+    by identity, so a key hashes in O(1).  Fields may be passed by keyword."""
 
-    def __call__(cls, *values):
+    def __call__(cls, *values, **named):
+        if named:
+            values = cls._positional(values, named)
         key = (cls, *values)
-        node = _NODES.get(key)
+        ref = _LIVE.get(key)
+        node = None if ref is None else ref()
         if node is None:
-            node = _NODES[key] = super().__call__(*values)
+            names = cls.__match_args__
+            if len(values) != len(names):
+                raise TypeError(f"{cls.__name__}() takes the fields {names}, got {len(values)} values")
+            node = object.__new__(cls)
+            for name, value in zip(names, values):
+                _set(node, name, value)
+            _NODES[key] = node
         return node
 
+    def _positional(cls, values, named):
+        """``values`` followed by the keyword ``named`` fields, in field order."""
+        rest = cls.__match_args__[len(values):]
+        for name in named:
+            if name not in rest:
+                taken = name in cls.__match_args__
+                problem = "multiple values for" if taken else "an unexpected keyword argument"
+                raise TypeError(f"{cls.__name__}() got {problem} {name!r}")
+        for name in rest:
+            if name not in named:
+                raise TypeError(f"{cls.__name__}() missing field {name!r}")
+        return (*values, *(named[name] for name in rest))
 
-class _Node(metaclass=_Interned):
-    """Base of the term and formula classes.  Node classes are frozen
-    dataclasses with ``eq=False``: equal fields give the identical object,
-    so ``==`` and ``hash`` are by identity and cost O(1)."""
 
-    def __reduce__(self):
-        # copy, deepcopy and pickle rebuild through the constructor.
-        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+class _HashConsed(metaclass=_Interned):
+    """Base of the hash-consed classes: the term and formula nodes and the
+    metavariables of axiom patterns.  Instances are immutable, equal fields
+    give the identical object, and ``==`` and ``hash`` are by identity."""
+
+    __slots__ = ("__weakref__",)
+    __setattr__ = _frozen_setattr
+    __delattr__ = _frozen_delattr
+    __repr__ = _repr
+    __reduce__ = _reduce
+
+
+class _Node(_HashConsed):
+    """Base of the term and formula classes."""
+
+    __slots__ = ()
+
+
+class _Record(metaclass=_Slotted):
+    """Base of the mutable records: ``==`` compares the fields, and
+    instances are unhashable.  Each record writes out its ``__init__``."""
+
+    __slots__ = ()
+    __repr__ = _repr
+    __reduce__ = _reduce
+    __hash__ = None
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+
+class _FrozenRecord(_Record):
+    """Base of the immutable records: fields are set once, through ``_set``,
+    and ``hash`` is over the compared fields."""
+
+    __slots__ = ()
+    __setattr__ = _frozen_setattr
+    __delattr__ = _frozen_delattr
+
+    def __hash__(self):
+        return hash(self._key(self))
 
 
 # ---------------------------------------------------------------------------
 # Terms
 
 
-@dataclass(frozen=True, eq=False)
 class ProofConst(_Node):
     name: str
 
 
-@dataclass(frozen=True, eq=False)
 class ProofVar(_Node):
     index: int
 
 
-@dataclass(frozen=True, eq=False)
 class Apply(_Node):
     left: "ProofTerm"
     right: "ProofTerm"
 
 
-@dataclass(frozen=True, eq=False)
 class Sum(_Node):
     left: "ProofTerm"
     right: "ProofTerm"
 
 
-@dataclass(frozen=True, eq=False)
 class Bang(_Node):
     inner: "ProofTerm"
 
 
-@dataclass(frozen=True, eq=False)
 class Evidence(_Node):
     """JE justification term ``e(t)`` wrapping a proof term."""
 
     proof: "ProofTerm"
 
 
-@dataclass(frozen=True, eq=False)
 class JustVar(_Node):
     index: int
 
 
-@dataclass(frozen=True, eq=False)
 class JustSum(_Node):
     left: "JustTerm"
     right: "JustTerm"
 
 
-@dataclass(frozen=True, eq=False)
 class MApply(_Node):
     """JEM justification term ``m(t, s)``: a proof term applied to evidence."""
 
@@ -161,40 +280,33 @@ Term = ProofTerm | JustTerm
 # Formulas
 
 
-@dataclass(frozen=True, eq=False)
 class Atom(_Node):
     name: str
 
 
-@dataclass(frozen=True, eq=False)
 class Bottom(_Node):
     pass
 
 
-@dataclass(frozen=True, eq=False)
 class Implies(_Node):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True, eq=False)
 class And(_Node):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True, eq=False)
 class Or(_Node):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True, eq=False)
 class Not(_Node):
     inner: "Formula"
 
 
-@dataclass(frozen=True, eq=False)
 class ProofOf(_Node):
     """``t:F`` -- a proof term asserting a formula."""
 
@@ -202,7 +314,6 @@ class ProofOf(_Node):
     body: "Formula"
 
 
-@dataclass(frozen=True, eq=False)
 class JustOf(_Node):
     """``[t]F`` -- a justification term asserting a formula."""
 
@@ -210,7 +321,6 @@ class JustOf(_Node):
     body: "Formula"
 
 
-@dataclass(frozen=True, eq=False)
 class Box(_Node):
     body: "Formula"
 
@@ -430,14 +540,18 @@ def forgetful(f: Formula) -> Formula:
 # Substitution
 
 
-@dataclass(frozen=True)
-class Substitution:
+class Substitution(_FrozenRecord):
     """Simultaneous replacement of atoms, proof variables and justification
     variables.  Replacement values are not themselves rescanned."""
 
-    atoms: Mapping[str, Formula] = field(default_factory=dict)
-    proof_vars: Mapping[int, ProofTerm] = field(default_factory=dict)
-    just_vars: Mapping[int, JustTerm] = field(default_factory=dict)
+    atoms: Mapping[str, Formula]
+    proof_vars: Mapping[int, ProofTerm]
+    just_vars: Mapping[int, JustTerm]
+
+    def __init__(self, atoms=None, proof_vars=None, just_vars=None):
+        _set(self, "atoms", {} if atoms is None else atoms)
+        _set(self, "proof_vars", {} if proof_vars is None else proof_vars)
+        _set(self, "just_vars", {} if just_vars is None else just_vars)
 
     def is_empty(self) -> bool:
         return not (self.atoms or self.proof_vars or self.just_vars)
