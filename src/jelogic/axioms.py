@@ -316,6 +316,10 @@ class ConstantSpecification(_FrozenRecord):
     dialect: Dialect
     assignment: Mapping[str, frozenset[str]]
 
+    # Frozen, but ``assignment`` is a dict: declared unhashable so that
+    # ``hash`` names this class rather than the dict.
+    __hash__ = None
+
     def __init__(self, dialect, assignment=None):
         _set(self, "dialect", dialect)
         _set(self, "assignment", {} if assignment is None else assignment)

@@ -10,18 +10,31 @@ hypothesis whose formula the glue also derives drops out of the judgment.
 
 Families never introduced by a modal rule are realized by fresh variables.
 Families introduced by a modal rule start out as sums of provisional
-variables, one summand per introducing rule instance.  When the walk reaches
-such an instance it internalizes the derivations built for the premises,
-resolves that instance's provisional summand to the resulting ground terms,
-and pushes the substitution through every derivation, candidate, and log
-entry produced so far; the assembled justified implication is then weakened
-into the full sum.  After the root is processed no provisional variables
-remain and the root derivation witnesses the realized sequent outright.
+variables, one summand per distinct introducing rule instance.  When the walk
+reaches such an instance it internalizes the derivations built for the
+premises, resolves that instance's provisional summand to the resulting
+ground terms, and pushes the substitution through every derivation,
+candidate, and log entry produced so far; the assembled justified implication
+is then weakened into the full sum.  After the root is processed no
+provisional variables remain and the root derivation witnesses the realized
+sequent outright.
+
+Each distinct subproof is realized once.  Before the walk every node gets a
+shape key: its sequent, rule and principal occurrences, the candidate group
+(equivalence class in GE, family otherwise) of each of its box occurrences,
+and its premises' keys.  Equal keys mean equal candidates at every
+corresponding occurrence, so instances of one class or family with equal keys
+share one provisional -- one summand of the sum -- and a node whose key was
+already realized reuses that node's derivation.  So in strict mode every
+distinct modal-rule instance contributes its full witness pair, and equal
+subproofs in one class contribute one.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import field
+from functools import reduce
 
 from .axioms import ConstantSpecification, check_axiomatically_appropriate
 from .hilbert import (
@@ -71,6 +84,7 @@ from .syntax import (
     _FrozenRecord,
     _Substituter,
     _set,
+    box_occurrences,
     forgetful,
     print_formula,
     subformula_at,
@@ -131,6 +145,10 @@ class RealizationResult(_FrozenRecord):
     mode: str
     source: Proof = field(repr=False)
     cs: ConstantSpecification = field(repr=False)
+
+    # Frozen, but ``cs`` holds a dict: declared unhashable so that ``hash``
+    # names this class rather than the dict.
+    __hash__ = None
 
     def __init__(self, calculus, dialect, antecedent, succedent, derivation, log, mode, source, cs):
         _set(self, "calculus", calculus)
@@ -297,44 +315,67 @@ class _Engine:
         self.index = self.analysis.index
         self.cands: dict[int, Term] = {}
         self.prov_of: dict[int, Term] = {}
-        self.derivs: dict[int, Derivation] = {}
+        self.derivs: dict[int, Derivation] = {}   # by the first node of each shape key
         self.log: list[LogEntry] = []
+        self._shape_keys()
         self._assign_candidates()
+
+    # -- shape keys --------------------------------------------------------
+
+    def _shape_keys(self):
+        """Key every node, in one postorder pass, by its sequent, rule,
+        principal occurrences, the candidate group of each of its box
+        occurrences, and its premises' keys; ``first`` maps each node to the
+        earliest node in postorder with its key."""
+        analysis, index = self.analysis, self.index
+        n_families = len(analysis.families)
+        group = list(range(n_families))
+        for i, cls in enumerate(analysis.classes):
+            for fid in cls.families:
+                group[fid] = n_families + i
+        table: dict[tuple, int] = {}
+        first_of_key: dict[int, int] = {}
+        self.order = sorted(range(len(index.nodes)), key=index.postorder.__getitem__)
+        key = [0] * len(index.nodes)
+        self.first = [0] * len(index.nodes)
+        for nid in self.order:
+            node = index.nodes[nid]
+            sig = []
+            for side, formulas in (("L", node.sequent.ante), ("R", node.sequent.succ)):
+                for i, f in enumerate(formulas):
+                    sig.extend(group[analysis.family_of[(nid, side, i, p)]] for p in box_occurrences(f))
+            kids = tuple(key[c] for c in index.children[nid])
+            shape = (node.sequent, node.rule, node.principal, tuple(sig), kids)
+            k = key[nid] = table.setdefault(shape, len(table))
+            self.first[nid] = first_of_key.setdefault(k, nid)
 
     # -- candidate terms -------------------------------------------------
 
     def _assign_candidates(self):
-        counter = 0
+        numbers = itertools.count(PROVISIONAL_BASE)
+
+        def summed(instances, var, plus):
+            """One provisional per distinct key among ``instances``, shared by
+            the instances with that key; their sum in first-postorder order."""
+            shared: dict[int, Term] = {}
+            for nid in instances:
+                first = self.first[nid]
+                if first not in shared:
+                    shared[first] = var(next(numbers))
+                self.prov_of[nid] = shared[first]
+            return reduce(plus, shared.values())
+
         fresh = 0
         analysis = self.analysis
         if self.calculus == "GE":
             for cls in analysis.classes:
-                provs = []
-                for nid in cls.instances:
-                    v = ProofVar(PROVISIONAL_BASE + counter)
-                    counter += 1
-                    self.prov_of[nid] = v
-                    provs.append(v)
-                summed = provs[0]
-                for v in provs[1:]:
-                    summed = Sum(summed, v)
-                cand = Evidence(summed)
+                cand = Evidence(summed(cls.instances, ProofVar, Sum))
                 for fid in cls.families:
                     self.cands[fid] = cand
         else:
             for fid, fam in enumerate(analysis.families):
-                if not fam.essential:
-                    continue
-                provs = []
-                for nid in fam.instances:
-                    v = JustVar(PROVISIONAL_BASE + counter)
-                    counter += 1
-                    self.prov_of[nid] = v
-                    provs.append(v)
-                summed = provs[0]
-                for v in provs[1:]:
-                    summed = JustSum(summed, v)
-                self.cands[fid] = summed
+                if fam.essential:
+                    self.cands[fid] = summed(fam.instances, JustVar, JustSum)
         for fid, fam in enumerate(analysis.families):
             if fid in self.cands:
                 continue
@@ -410,8 +451,16 @@ class _Engine:
     # -- per-rule constructions ------------------------------------------
 
     def run(self) -> Derivation:
-        order = sorted(range(len(self.index.nodes)), key=lambda n: self.analysis.index.postorder[n])
-        for nid in order:
+        for nid in self.order:
+            first = self.first[nid]
+            if first != nid:
+                # Equal keys give equal annotations; this only guards that.
+                if self._annotate(nid) != self._annotate(first):
+                    raise DerivationError(
+                        "realization-unstable",
+                        detail=f"node {nid} has the shape of node {first} but not its annotated sequent",
+                    )
+                continue
             node = self.index.nodes[nid]
             self.derivs[nid] = prune(_RULES[node.rule](self, nid, node))
             ante, succ = self._annotate(nid)
@@ -419,7 +468,9 @@ class _Engine:
         return self.derivs[0]
 
     def _child_ids(self, nid: int):
-        return self.index.children[nid]
+        """The premises, each as the first node with its key: the one whose
+        derivation is kept."""
+        return tuple(self.first[c] for c in self.index.children[nid])
 
     def _rule_ax_p(self, nid: int, node: Proof) -> Derivation:
         ante, _ = self._annotate(nid)
@@ -658,9 +709,10 @@ def realize(
 ) -> RealizationResult:
     """Realize a checked sequent proof into the matching justification dialect.
 
-    ``mode`` is "strict" (every modal-rule instance contributes the full sum
-    of its two internalized witnesses) or "simplify" (syntactically equal
-    witness pairs collapse to one)."""
+    ``mode`` is "strict" (every distinct modal-rule instance contributes its
+    full witness pair) or "simplify" (syntactically equal witness pairs
+    collapse to one).  Instances of one class (GE) or family (GM) that prove
+    equal subproofs are one instance here: they share one summand."""
     if mode not in ("strict", "simplify"):
         raise ValueError(f"unknown mode {mode!r}")
     try:

@@ -548,6 +548,10 @@ class Substitution(_FrozenRecord):
     proof_vars: Mapping[int, ProofTerm]
     just_vars: Mapping[int, JustTerm]
 
+    # Frozen, but the maps are dicts: declared unhashable so that ``hash``
+    # names this class rather than a dict.
+    __hash__ = None
+
     def __init__(self, atoms=None, proof_vars=None, just_vars=None):
         _set(self, "atoms", {} if atoms is None else atoms)
         _set(self, "proof_vars", {} if proof_vars is None else proof_vars)

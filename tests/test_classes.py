@@ -76,6 +76,17 @@ def test_mutable_records_take_assignments_and_are_unhashable():
             hash(record)
 
 
+def test_frozen_records_over_dicts_are_unhashable_by_name():
+    r = realize_text("=> []A -> []A", "GE")
+    subst = Substitution(proof_vars={0: r.log[0].term})
+    for record in (r, subst, r.cs):
+        with pytest.raises(TypeError, match=f"unhashable type: '{type(record).__name__}'"):
+            hash(record)
+        for twin in (pickle.loads(pickle.dumps(record)), copy.copy(record), copy.deepcopy(record)):
+            assert type(twin) is type(record) and twin == record
+    assert subst != Substitution() and r.cs != ConstantSpecification(Dialect.JE)
+
+
 def test_record_reprs_are_the_dataclass_format():
     s = Sequent((A,), (Implies(A, Bottom()),))
     assert repr(s) == "Sequent(ante=(Atom(name='A'),), succ=(Implies(left=Atom(name='A'), right=Bottom()),))"

@@ -123,6 +123,10 @@ class TestRealize:
         assert " & [m(" in record["realized"]
         assert record["internalizations"] == 2
 
+    def test_repeated_subproofs_internalize_once(self, capsys):
+        code, _, record = run(capsys, "realize", "[][][]A => [][][]A", "--calculus", "GE")
+        assert code == 0 and record["internalizations"] == 6
+
     def test_calculus_must_match_proof_file(self, capsys, tmp_path):
         proof_path = tmp_path / "ge.seq"
         run(capsys, "prove", "=> []A -> []A", "--calculus", "GE", "-o", str(proof_path))

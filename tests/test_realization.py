@@ -295,7 +295,7 @@ def test_nested_premises_internalize_proved_assertions_as_bang(text, calculus):
 
 @pytest.mark.parametrize(
     "text, calculus",
-    [("[][][]A => [][][]A", "GE"), ("[]A | []B => [](A | B)", "GM")],
+    [("[]A | [](A & A) => []A", "GE"), ("[]A | []B => [](A | B)", "GM")],
 )
 def test_resolve_rechecks_only_what_changed(monkeypatch, text, calculus):
     checked = []
@@ -328,6 +328,57 @@ def test_resolve_rechecks_only_what_changed(monkeypatch, text, calculus):
     monkeypatch.setattr(realization._Engine, "_resolve", watched_resolve)
     verify_realization(realize_text(text, calculus))
     assert 0 < totals["expected"] < totals["held"]
+
+
+def test_ladder_resolves_without_rechecking(monkeypatch):
+    """Each GE ladder class has one distinct instance, so resolving its
+    provisional rewrites nothing built so far, and nothing is re-checked."""
+    resolving = [False]
+    rechecked = []
+    resolves = []
+    check = realization.check_derivation
+    resolve = realization._Engine._resolve
+
+    def counting_check(d, cs):
+        if resolving[0]:
+            rechecked.append(d)
+        return check(d, cs)
+
+    def watched_resolve(self, provisional, value):
+        resolves.append(provisional)
+        resolving[0] = True
+        try:
+            resolve(self, provisional, value)
+        finally:
+            resolving[0] = False
+
+    monkeypatch.setattr(realization, "check_derivation", counting_check)
+    monkeypatch.setattr(realization._Engine, "_resolve", watched_resolve)
+    verify_realization(realize_text("[][][]A => [][][]A", "GE"))
+    assert len(resolves) == 3 and rechecked == []
+
+
+@pytest.mark.parametrize("mode", ["strict", "simplify"])
+def test_ge_ladder_realizes_each_level_once(mode):
+    """The GE ladder's proof is a complete binary tree with one distinct
+    subproof per level: two internalizations per level, and the realized
+    formula grows by the same number of characters at each level."""
+    sizes = []
+    for n in range(1, 9):
+        r = realize(proof_of(f"{'[]' * n}A => {'[]' * n}A", "GE"), "GE", CS_JE, mode)
+        verify_realization(r)
+        assert len(r.log) == 2 * n
+        sizes.append(len(print_formula(r.realized)))
+    assert len({b - a for a, b in zip(sizes, sizes[1:])}) == 1, sizes
+
+
+def test_equal_subproofs_in_different_classes_stay_apart():
+    """Both conjuncts have the same subproof, but their boxes fall in two
+    classes, each with its own provisional, so neither reuses the other."""
+    for mode in ("strict", "simplify"):
+        r = realize(proof_of("=> ([]A -> []A) & ([]A -> []A)", "GE"), "GE", CS_JE, mode)
+        assert len(r.log) == 4
+        verify_realization(r)
 
 
 def test_try_simplify_reports_why_it_fell_back(monkeypatch):
