@@ -192,13 +192,12 @@ _PROOF_HEADER = "# jelogic sequent-proof v1"
 def write_sequent_proof(p: Proof, calculus: str) -> str:
     out = [_PROOF_HEADER, f"calculus {calculus}"]
 
-    def emit(node: Proof, level: int):
+    stack = [(p, 0)]  # a stack, not recursion: proofs nest arbitrarily deep
+    while stack:
+        node, level = stack.pop()
         occ = " ".join(f"{side}{i}" for side, i in node.principal)
         out.append("  " * level + f"{node.rule} {occ} | {node.sequent}")
-        for child in node.children:
-            emit(child, level + 1)
-
-    emit(p, 0)
+        stack.extend((child, level + 1) for child in reversed(node.children))
     return "\n".join(out) + "\n"
 
 
@@ -237,22 +236,28 @@ def parse_sequent_proof(text: str) -> tuple[Proof, str]:
     if not entries:
         raise FormatError("empty proof")
 
-    def build(pos: int, level: int) -> tuple[Proof, int]:
-        depth, rule, principal, sequent = entries[pos]
-        if depth != level:
-            raise FormatError(f"indentation jump at line {pos}")
-        pos += 1
-        children = []
-        while pos < len(entries) and entries[pos][0] == level + 1:
-            child, pos = build(pos, level + 1)
-            children.append(child)
-        if pos < len(entries) and entries[pos][0] > level + 1:
-            raise FormatError(f"indentation jump at line {pos}")
-        return Proof(sequent, rule, principal, tuple(children)), pos
+    # Built with a stack, not recursion, so that a proof nests arbitrarily
+    # deep: ``pending`` holds one node per level whose premises are still
+    # being read, each as its entry and the premises built so far.
+    pending: list[tuple[tuple, list[Proof]]] = []
 
-    root, pos = build(0, 0)
-    if pos != len(entries):
-        raise FormatError("multiple roots in proof file")
+    def close() -> Proof:
+        (_, rule, principal, sequent), children = pending.pop()
+        node = Proof(sequent, rule, principal, tuple(children))
+        if pending:
+            pending[-1][1].append(node)
+        return node
+
+    for pos, entry in enumerate(entries):
+        if pos and entry[0] == 0:
+            raise FormatError("multiple roots in proof file")
+        if entry[0] > len(pending):
+            raise FormatError(f"indentation jump at line {pos}")
+        while len(pending) > entry[0]:
+            close()
+        pending.append((entry, []))
+    while pending:
+        root = close()
     return root, calculus
 
 

@@ -167,12 +167,19 @@ def step_formulas(d: Derivation) -> list[Formula]:
     return out
 
 
-def check_derivation(d: Derivation, cs: ConstantSpecification) -> Judgment:
-    """Validate every step and return the judgment the derivation establishes."""
+def read_judgment(d: Derivation) -> Judgment:
+    """The judgment a derivation's steps state: its hypothesis steps and the
+    formula its conclusion step proves.  Checks the modus ponens links but
+    neither axiom nor necessitation steps; ``check_derivation`` does."""
     if not d.steps or not (0 <= d.conclusion < len(d.steps)):
         raise DerivationError("index-order", d.conclusion, "conclusion out of range")
-    formulas = step_formulas(d)
-    hyps = set()
+    conclusion = step_formulas(d)[d.conclusion]
+    return Judgment(frozenset(s.formula for s in d.steps if isinstance(s, Hyp)), conclusion)
+
+
+def check_derivation(d: Derivation, cs: ConstantSpecification) -> Judgment:
+    """Validate every step and return the judgment the derivation establishes."""
+    judgment = read_judgment(d)
     # The nodes validated so far: steps share subformulas, so each distinct
     # node is checked against the dialect once per derivation.
     seen: set = set()
@@ -180,7 +187,6 @@ def check_derivation(d: Derivation, cs: ConstantSpecification) -> Judgment:
         match step:
             case Hyp(f):
                 check_formula(f, d.dialect, seen)
-                hyps.add(f)
             case AxiomStep(f, scheme_id, binding):
                 try:
                     pattern = scheme_by_id(scheme_id, d.dialect).pattern
@@ -193,7 +199,7 @@ def check_derivation(d: Derivation, cs: ConstantSpecification) -> Judgment:
                 if not cs_contains(cs, c, a):
                     raise DerivationError("bad-an", i, f"({c}, {print_formula(a)}) not in the specification")
                 check_formula(a, d.dialect, seen)
-    return Judgment(frozenset(hyps), formulas[d.conclusion])
+    return judgment
 
 
 # ---------------------------------------------------------------------------

@@ -404,24 +404,24 @@ class ProofIndex(_Record):
 
 
 def index_proof(p: Proof) -> ProofIndex:
-    nodes: list[Proof] = []
-    children: list[tuple[int, ...]] = []
+    nodes: list[Proof] = [p]
+    children: list[tuple[int, ...]] = [()]
     postorder: dict[int, int] = {}
-    counter = [0]
-
-    def walk(node: Proof) -> int:
-        nid = len(nodes)
-        nodes.append(node)
+    # A stack, not recursion, so that proofs nest arbitrarily deep: each
+    # entry is a node's preorder id and how many of its premises were entered.
+    stack = [(0, 0)]
+    while stack:
+        nid, k = stack.pop()
+        premises = nodes[nid].children
+        if k == len(premises):
+            postorder[nid] = len(postorder)
+            continue
+        stack.append((nid, k + 1))
+        cid = len(nodes)
+        nodes.append(premises[k])
         children.append(())
-        kids = []
-        for child in node.children:
-            kids.append(walk(child))
-        children[nid] = tuple(kids)
-        postorder[nid] = counter[0]
-        counter[0] += 1
-        return nid
-
-    walk(p)
+        children[nid] += (cid,)
+        stack.append((cid, 0))
     return ProofIndex(nodes, children, postorder)
 
 

@@ -69,6 +69,16 @@ def realize_text(text: str, calculus: str, depth: int = 10):
     return realize(proof_of(text, calculus, depth), calculus, cs)
 
 
+def deep_proof_text(levels: int = 1500) -> str:
+    """A GE proof file of ``B, A => A`` nested ``levels`` + 2 deep: CL and WL
+    alternate down to one WL over ``A => A``."""
+    lines = ["# jelogic sequent-proof v1", "calculus GE"]
+    for level in range(levels):
+        lines.append("  " * level + ("CL L0 | B, A => A" if level % 2 == 0 else "WL L0 | B, B, A => A"))
+    lines += ["  " * levels + "WL L0 | B, A => A", "  " * (levels + 1) + "AxP L0 R0 | A => A"]
+    return "\n".join(lines) + "\n"
+
+
 def _is_hole(t) -> bool:
     return isinstance(t, ProofConst) and t.name.startswith("c_H")
 

@@ -11,6 +11,8 @@ from jelogic.realization import realize
 from jelogic.semantics import FiniteBasicEvaluation, QuasiModel, saturate
 from jelogic.syntax import Atom, Dialect, Evidence, Implies, ProofVar, _Parser
 
+from _helpers import deep_proof_text
+
 A, B = Atom("A"), Atom("B")
 
 
@@ -260,6 +262,18 @@ def _model_file(tmp_path):
     path = tmp_path / "m.model"
     path.write_text(write_model(m))
     return path
+
+
+class TestDeepProofFile:
+    """A valid proof file nested deeper than Python's recursion limit."""
+
+    def test_seq_check_and_realize(self, capsys, tmp_path):
+        path = tmp_path / "deep.proof"
+        path.write_text(deep_proof_text())
+        code, _, record = run(capsys, "seq-check", str(path))
+        assert code == 0 and record["sequent"] == "B, A => A"
+        code, _, record = run(capsys, "realize", str(path), "--calculus", "GE")
+        assert code == 0 and record["realized"] == "B -> A -> A"
 
 
 class TestModelCheck:

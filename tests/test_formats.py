@@ -32,7 +32,7 @@ from jelogic.syntax import (
     parse_formula,
 )
 
-from _helpers import CS_JE, CS_JEM, proof_of, realize_text
+from _helpers import CS_JE, CS_JEM, deep_proof_text, proof_of, realize_text
 
 A, B = Atom("A"), Atom("B")
 
@@ -225,6 +225,13 @@ class TestSequentProofFormat:
             p = random_sequent_theorem(random.Random(seed), calculus, depth=4)
             back, got = parse_sequent_proof(write_sequent_proof(p, calculus))
             assert back == p and got == calculus
+
+    def test_nesting_deeper_than_the_recursion_limit(self):
+        # Compared as text: ``==`` on proofs recurses once per level.
+        text = deep_proof_text()
+        back, calculus = parse_sequent_proof(text)
+        assert calculus == "GE" and write_sequent_proof(back, calculus) == text
+        check_sequent_proof(back, calculus)
 
     def test_unknown_calculus(self):
         with pytest.raises(FormatError):

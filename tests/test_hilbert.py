@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jelogic.axioms import ConstantSpecification, cs_total
-from jelogic.generate import random_theorem
+from jelogic.generate import random_just_term, random_proof_term, random_theorem
 from jelogic.hilbert import (
     ANStep,
     AxiomStep,
@@ -35,12 +35,16 @@ from jelogic.syntax import (
     Box,
     Dialect,
     DialectError,
+    Evidence,
     Implies,
+    JustOf,
+    JustVar,
     Not,
     ProofConst,
     ProofOf,
     ProofVar,
     Substitution,
+    apply_substitution,
     parse_formula,
 )
 
@@ -337,3 +341,43 @@ def test_random_theorems_survive_the_pipeline(seed, dialect):
 
     lifted = deduction_transform(d, C, normalize=True)
     assert check_derivation(lifted, cs).conclusion == Implies(C, j.conclusion)
+
+
+def _with_hypotheses(dialect: Dialect) -> Derivation:
+    """``p0:(A -> B), p1:A, J |- J & !(p0 * p1):(p0 * p1):B`` through the
+    j, j4 and pl_and_intro axioms, where J is ``[e(p2)]A`` in JE and
+    ``[x0]A`` in JEM."""
+    l, k = ProofVar(0), ProofVar(1)
+    just = Evidence(ProofVar(2)) if dialect is Dialect.JE else JustVar(0)
+    b = Builder(dialect)
+    j_inst = b.axiom("j", {"L": l, "K": k, "F": A, "G": B})
+    lk = b.mp(b.mp(j_inst, b.hyp(ProofOf(l, Implies(A, B)))), b.hyp(ProofOf(k, A)))
+    bang = b.mp(b.axiom("j4", {"L": Apply(l, k), "F": B}), lk)
+    j = b.hyp(JustOf(just, A))
+    pair = b.axiom("pl_and_intro", {"F": b.formulas[j], "G": b.formulas[bang]})
+    return b.derivation(b.mp(b.mp(pair, j), bang))
+
+
+@given(st.integers(0, 10**9), st.sampled_from([Dialect.JE, Dialect.JEM]))
+@settings(max_examples=100, deadline=None)
+def test_substitution_lemma(seed, dialect):
+    """A substitution instance of a derivation checks and derives the
+    substitution instance of its judgment.  Realization relies on this to
+    substitute resolved provisionals into derivations without re-checking
+    them."""
+    rng = random.Random(seed)
+    cs = cs_total(dialect)
+    s = Substitution(
+        proof_vars={i: random_proof_term(rng, dialect, 3) for i in range(3) if rng.random() < 0.7},
+        just_vars={i: random_just_term(rng, dialect, 3) for i in range(3) if rng.random() < 0.7},
+    )
+    theorem = random_theorem(rng, dialect, steps=6)
+    _, lifted = internalize(theorem, cs)
+    _, lifted_twice = internalize(lifted, cs)  # lifts the conclusion t:A by j4
+    for d in (theorem, lifted, lifted_twice, _with_hypotheses(dialect)):
+        j = check_derivation(d, cs)
+        expected = Judgment(
+            frozenset(apply_substitution(h, s) for h in j.hypotheses),
+            apply_substitution(j.conclusion, s),
+        )
+        assert check_derivation(substitute_derivation(d, s), cs) == expected
