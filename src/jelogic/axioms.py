@@ -27,29 +27,23 @@ from typing import Mapping
 from .syntax import (
     And,
     Apply,
-    Atom,
     Bang,
     Bottom,
-    Box,
     Dialect,
     Evidence,
     Formula,
     Implies,
     JustOf,
     JustSum,
-    JustTerm,
-    JustVar,
     MApply,
     Not,
     Or,
-    ProofConst,
     ProofOf,
-    ProofTerm,
-    ProofVar,
     Sum,
     _FrozenRecord,
     _HashConsed,
     _set,
+    children,
 )
 
 
@@ -84,114 +78,39 @@ class AxiomScheme(_FrozenRecord):
 Binding = Mapping[str, object]
 
 
+_META_KINDS = {FormulaMeta: "formula", ProofMeta: "proof", JustMeta: "just"}
+
+
 def match(pattern, value, binding: dict | None = None) -> dict | None:
     """Match ``value`` against ``pattern``; return the (extended) binding or
     None.  Works uniformly on formulas and terms."""
     if binding is None:
         binding = {}
-    match pattern:
-        case FormulaMeta(name) | ProofMeta(name) | JustMeta(name):
-            if name in binding:
-                return binding if binding[name] == value else None
-            binding = dict(binding)
-            binding[name] = value
-            return binding
-        case Atom() | Bottom() | ProofConst() | ProofVar() | JustVar():
-            return binding if pattern == value else None
-        case Implies(pl, pr):
-            if not isinstance(value, Implies):
-                return None
-        case And(pl, pr):
-            if not isinstance(value, And):
-                return None
-        case Or(pl, pr):
-            if not isinstance(value, Or):
-                return None
-        case Not(pi):
-            if not isinstance(value, Not):
-                return None
-            return match(pi, value.inner, binding)
-        case Box(pi):
-            if not isinstance(value, Box):
-                return None
-            return match(pi, value.body, binding)
-        case ProofOf(pt, pb):
-            if not isinstance(value, ProofOf):
-                return None
-            b = match(pt, value.term, binding)
-            return None if b is None else match(pb, value.body, b)
-        case JustOf(pt, pb):
-            if not isinstance(value, JustOf):
-                return None
-            b = match(pt, value.term, binding)
-            return None if b is None else match(pb, value.body, b)
-        case Apply(pl, pr):
-            if not isinstance(value, Apply):
-                return None
-        case Sum(pl, pr):
-            if not isinstance(value, Sum):
-                return None
-        case JustSum(pl, pr):
-            if not isinstance(value, JustSum):
-                return None
-        case Bang(pi):
-            if not isinstance(value, Bang):
-                return None
-            return match(pi, value.inner, binding)
-        case Evidence(pi):
-            if not isinstance(value, Evidence):
-                return None
-            return match(pi, value.proof, binding)
-        case MApply(pl, pr):
-            if not isinstance(value, MApply):
-                return None
-            b = match(pl, value.proof, binding)
-            return None if b is None else match(pr, value.just, b)
-        case _:
-            raise TypeError(f"not a pattern: {pattern!r}")
-    # shared two-child fall-through for Implies/And/Or/Apply/Sum/JustSum
-    left_p, right_p = pattern.left, pattern.right
-    b = match(left_p, value.left, binding)
-    return None if b is None else match(right_p, value.right, b)
+    if type(pattern) in _META_KINDS:
+        name = pattern.name
+        if name in binding:
+            return binding if binding[name] == value else None
+        binding = dict(binding)
+        binding[name] = value
+        return binding
+    kids = children(pattern)
+    if type(value) is not type(pattern):
+        return None
+    if not kids:
+        return binding if pattern == value else None
+    for kid, value_kid in zip(kids, children(value)):
+        binding = match(kid, value_kid, binding)
+        if binding is None:
+            return None
+    return binding
 
 
 def instantiate(pattern, binding: Binding):
     """Replace every metavariable in ``pattern`` by its binding value."""
-    match pattern:
-        case FormulaMeta(name) | ProofMeta(name) | JustMeta(name):
-            return binding[name]
-        case Atom() | Bottom() | ProofConst() | ProofVar() | JustVar():
-            return pattern
-        case Implies(l, r):
-            return Implies(instantiate(l, binding), instantiate(r, binding))
-        case And(l, r):
-            return And(instantiate(l, binding), instantiate(r, binding))
-        case Or(l, r):
-            return Or(instantiate(l, binding), instantiate(r, binding))
-        case Not(i):
-            return Not(instantiate(i, binding))
-        case Box(i):
-            return Box(instantiate(i, binding))
-        case ProofOf(t, b):
-            return ProofOf(instantiate(t, binding), instantiate(b, binding))
-        case JustOf(t, b):
-            return JustOf(instantiate(t, binding), instantiate(b, binding))
-        case Apply(l, r):
-            return Apply(instantiate(l, binding), instantiate(r, binding))
-        case Sum(l, r):
-            return Sum(instantiate(l, binding), instantiate(r, binding))
-        case JustSum(l, r):
-            return JustSum(instantiate(l, binding), instantiate(r, binding))
-        case Bang(i):
-            return Bang(instantiate(i, binding))
-        case Evidence(i):
-            return Evidence(instantiate(i, binding))
-        case MApply(l, r):
-            return MApply(instantiate(l, binding), instantiate(r, binding))
-    raise TypeError(f"not a pattern: {pattern!r}")
-
-
-_META_KINDS = {FormulaMeta: "formula", ProofMeta: "proof", JustMeta: "just"}
+    if type(pattern) in _META_KINDS:
+        return binding[pattern.name]
+    kids = children(pattern)
+    return type(pattern)(*(instantiate(kid, binding) for kid in kids)) if kids else pattern
 
 
 def metavariables(pattern) -> dict[str, str]:
@@ -204,11 +123,7 @@ def metavariables(pattern) -> dict[str, str]:
         kind = _META_KINDS.get(type(node))
         if kind is not None:
             out[node.name] = kind
-            continue
-        for attr in ("left", "right", "inner", "proof", "just", "term", "body"):
-            child = getattr(node, attr, None)
-            if child is not None and not isinstance(child, str):
-                stack.append(child)
+        stack.extend(children(node))
     return out
 
 

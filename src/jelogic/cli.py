@@ -194,27 +194,24 @@ def _cmd_internalize(args) -> int:
     return 0
 
 
+def _mappings(specs, option: str, key, parse, dialect: Dialect) -> dict:
+    """The ``KEY=TEXT`` arguments of one ``subst`` option as a dict."""
+    out = {}
+    for spec in specs or ():
+        name, eq, text = spec.partition("=")
+        if not eq:
+            raise ValueError(f"bad --{option} mapping {spec!r}")
+        out[key(name)] = parse(text, dialect)
+    return out
+
+
 def _cmd_subst(args) -> int:
     d = parse_derivation(Path(args.derivation).read_text())
-    atoms: dict[str, object] = {}
-    proof_vars: dict[int, object] = {}
-    just_vars: dict[int, object] = {}
-    for spec in args.atom or ():
-        name, _, text = spec.partition("=")
-        if not _:
-            raise ValueError(f"bad --atom mapping {spec!r}")
-        atoms[name.strip()] = parse_formula(text, d.dialect)
-    for spec in args.proof_var or ():
-        idx, _, text = spec.partition("=")
-        if not _:
-            raise ValueError(f"bad --proof-var mapping {spec!r}")
-        proof_vars[int(idx)] = parse_proof_term(text, d.dialect)
-    for spec in args.just_var or ():
-        idx, _, text = spec.partition("=")
-        if not _:
-            raise ValueError(f"bad --just-var mapping {spec!r}")
-        just_vars[int(idx)] = parse_just_term(text, d.dialect)
-    s = Substitution(atoms=atoms, proof_vars=proof_vars, just_vars=just_vars)
+    s = Substitution(
+        atoms=_mappings(args.atom, "atom", str.strip, parse_formula, d.dialect),
+        proof_vars=_mappings(args.proof_var, "proof-var", int, parse_proof_term, d.dialect),
+        just_vars=_mappings(args.just_var, "just-var", int, parse_just_term, d.dialect),
+    )
     out = substitute_derivation(d, s)
     cs = _load_cs(args.cs, d.dialect)
     j = check_derivation(out, cs)

@@ -55,7 +55,6 @@ from .syntax import (
     ProofOf,
     ProofTerm,
     Substitution,
-    Term,
     _FrozenRecord,
     _Substituter,
     _set,
@@ -463,19 +462,15 @@ def _substitute_steps(d: Derivation, sub: _Substituter) -> Derivation:
         step = old
         match step:
             case Hyp(f):
-                nf = sub.formula(f)
+                nf = sub(f)
                 if nf is not f:
                     step = Hyp(nf)
             case AxiomStep(f, scheme_id, binding):
-                nf = sub.formula(f)
+                nf = sub(f)
                 if nf is not f:
-                    new_binding = {
-                        k: sub.term(v) if isinstance(v, Term) else sub.formula(v)
-                        for k, v in binding.items()
-                    }
-                    step = AxiomStep(nf, scheme_id, new_binding)
+                    step = AxiomStep(nf, scheme_id, {k: sub(v) for k, v in binding.items()})
             case ANStep(c, a):
-                na = sub.formula(a)
+                na = sub(a)
                 if na is not a:
                     step = ANStep(c, na)
         steps.append(step)

@@ -70,7 +70,6 @@ from .sequent import (
     compute_families,
 )
 from .syntax import (
-    And,
     BOT,
     Box,
     Dialect,
@@ -93,6 +92,7 @@ from .syntax import (
     _Substituter,
     _set,
     box_occurrences,
+    children,
     forgetful,
     print_formula,
     subformula_at,
@@ -257,59 +257,52 @@ def _cases(dialect: Dialect, a: Formula, arm_a: Derivation, arm_na: Derivation, 
 # Sum lifting
 
 
-def _sum_path(u: Term, target: Term, node):
-    """Leftmost path to ``target`` descending only through ``node`` sums."""
+def _sum_chain(u: Term, target: Term, node) -> tuple | None:
+    """The ``node`` sums on the leftmost path from ``u`` down to ``target``,
+    each with the side taken (0 left, 1 right); None if no path of sums
+    reaches ``target``."""
     if u == target:
         return ()
     if isinstance(u, node):
-        left = _sum_path(u.left, target, node)
-        if left is not None:
-            return (0,) + left
-        right = _sum_path(u.right, target, node)
-        if right is not None:
-            return (1,) + right
+        for side, kid in enumerate(children(u)):
+            rest = _sum_chain(kid, target, node)
+            if rest is not None:
+                return ((u, side),) + rest
     return None
 
 
-def _term_at(u: Term, path) -> Term:
-    for step in path:
-        u = u.left if step == 0 else u.right
-    return u
-
-
-def _lift_sum(d: Derivation, u: Term, path, wrap, plus_scheme: str, keys) -> Derivation:
-    """Weaken ``|- w:F`` (w at ``path`` inside the sum tree ``u``) to ``|- u:F``."""
+def _lift_sum(d: Derivation, chain, wrap, plus_scheme: str, keys) -> Derivation:
+    """Weaken ``|- w:F`` to ``|- u:F``, where ``chain`` leads from ``u``
+    down to ``w``."""
     f = step_formulas(d)[d.conclusion].body
     b = Builder(d.dialect)
     i = b.embed(d)
-    while path:
-        parent = _term_at(u, path[:-1])
-        pf, pg = wrap(parent.left, f), wrap(parent.right, f)
-        if path[-1] == 0:
-            oi = b.axiom("pl_or_intro_l", {"F": pf, "G": pg})
-        else:
-            oi = b.axiom("pl_or_intro_r", {"F": pf, "G": pg})
-        jp = b.axiom(plus_scheme, {keys[0]: parent.left, keys[1]: parent.right, "F": f})
+    for parent, side in reversed(chain):
+        left, right = children(parent)
+        intro = "pl_or_intro_r" if side else "pl_or_intro_l"
+        oi = b.axiom(intro, {"F": wrap(left, f), "G": wrap(right, f)})
+        jp = b.axiom(plus_scheme, {keys[0]: left, keys[1]: right, "F": f})
         i = b.mp(jp, b.mp(oi, i))
-        path = path[:-1]
     return b.derivation(i)
 
 
-def _lift_proof_sum(d: Derivation, u: Term, path) -> Derivation:
-    return _lift_sum(d, u, path, ProofOf, "jplus1", ("L", "K"))
+def _lift_proof_sum(d: Derivation, u: Term, target: Term) -> Derivation:
+    return _lift_sum(d, _sum_chain(u, target, Sum), ProofOf, "jplus1", ("L", "K"))
 
 
-def _lift_just_sum(d: Derivation, u: Term, path) -> Derivation:
-    return _lift_sum(d, u, path, JustOf, "jplus2", ("T", "S"))
+def _lift_just_sum(d: Derivation, u: Term, target: Term) -> Derivation:
+    return _lift_sum(d, _sum_chain(u, target, JustSum), JustOf, "jplus2", ("T", "S"))
 
 
 # ---------------------------------------------------------------------------
 # The realization engine
 
 
-def _has_provisional(t: Term) -> bool:
+def _has_provisional(f: Formula) -> bool:
     return any(
-        isinstance(s, (ProofVar, JustVar)) and s.index >= PROVISIONAL_BASE for s in subterms(t)
+        isinstance(s, (ProofVar, JustVar)) and s.index >= PROVISIONAL_BASE
+        for t in terms_in(f)
+        for s in subterms(t)
     )
 
 
@@ -394,18 +387,11 @@ class _Engine:
 
     def _annotate_formula(self, nid: int, side: str, fidx: int, f: Formula) -> Formula:
         def go(g: Formula, path):
+            kids = tuple(go(kid, path + (i,)) for i, kid in enumerate(children(g)))
             if isinstance(g, Box):
                 fam = self.analysis.family_of[(nid, side, fidx, path)]
-                return JustOf(self.cands[fam], go(g.body, path + (0,)))
-            if isinstance(g, Implies):
-                return Implies(go(g.left, path + (0,)), go(g.right, path + (1,)))
-            if isinstance(g, And):
-                return And(go(g.left, path + (0,)), go(g.right, path + (1,)))
-            if isinstance(g, Or):
-                return Or(go(g.left, path + (0,)), go(g.right, path + (1,)))
-            if isinstance(g, Not):
-                return Not(go(g.inner, path + (0,)))
-            return g
+                return JustOf(self.cands[fam], *kids)
+            return type(g)(*kids) if kids else g
 
         return go(f, ())
 
@@ -425,10 +411,10 @@ class _Engine:
         # One memo for the whole call: candidates, derivations and log
         # entries share most of their nodes, so each is rewritten once.
         sub = _Substituter(s)
-        self.cands = {fid: sub.term(t) for fid, t in self.cands.items()}
+        self.cands = {fid: sub(t) for fid, t in self.cands.items()}
         self.derivs = {nid: _substitute_steps(d, sub) for nid, d in self.derivs.items()}
         self.log = [
-            LogEntry(sub.term(e.term), sub.formula(e.formula), _substitute_steps(e.derivation, sub))
+            LogEntry(sub(e.term), sub(e.formula), _substitute_steps(e.derivation, sub))
             for e in self.log
         ]
 
@@ -643,10 +629,7 @@ class _Engine:
         t = ante[0].term
         u = t.proof
         ann_a, ann_b = ante[0].body, succ[0].body
-        entry1 = self.log[-2]
-        entry2 = self.log[-1]
-        l1 = _lift_proof_sum(entry1.derivation, u, _sum_path(u, entry1.term, Sum))
-        l2 = _lift_proof_sum(entry2.derivation, u, _sum_path(u, entry2.term, Sum))
+        l1, l2 = (_lift_proof_sum(e.derivation, u, e.term) for e in self.log[-2:])
         fwd = ProofOf(u, Implies(ann_a, ann_b))
         bwd = ProofOf(u, Implies(ann_b, ann_a))
         b = Builder(self.dialect)
@@ -675,8 +658,7 @@ class _Engine:
         arr = b.mp(jm, b.embed(entry.derivation))
         h = b.hyp(ante[0])
         small = b.derivation(b.mp(arr, h))
-        value = MApply(entry.term, t_left)
-        return _lift_just_sum(small, u, _sum_path(u, value, JustSum))
+        return _lift_just_sum(small, u, MApply(entry.term, t_left))
 
 
 _RULES = {
@@ -727,9 +709,8 @@ def realize(
     final = prune(engine.run())
     ante, succ = engine._annotate(0)
     for f in ante + succ:
-        for t in terms_in(f):
-            if _has_provisional(t):
-                raise DerivationError("realization-unresolved", detail=print_formula(f))
+        if _has_provisional(f):
+            raise DerivationError("realization-unresolved", detail=print_formula(f))
     return RealizationResult(
         calculus=calculus,
         dialect=dialect,
@@ -786,9 +767,8 @@ def verify_realization(
     ):
         raise RoundtripMismatch("realized sequent does not forget back to the source sequent")
     for f in result.antecedent + result.succedent:
-        for t in terms_in(f):
-            if _has_provisional(t):
-                raise ProvisionalLeak(print_formula(f))
+        if _has_provisional(f):
+            raise ProvisionalLeak(print_formula(f))
     try:
         j = check_derivation(result.derivation, cs)
     except DerivationError as e:

@@ -49,6 +49,8 @@ from .syntax import (
     ProofOf,
     ProofVar,
     JustOf,
+    JustTerm,
+    ProofTerm,
     Sum,
     Term,
     _FrozenRecord,
@@ -57,6 +59,7 @@ from .syntax import (
     check_formula,
     check_just_term,
     check_proof_term,
+    children,
     formula_children,
     print_formula,
     print_term,
@@ -80,15 +83,13 @@ class NotBasicModel(Exception):
         self.violations = violations
 
 
-_PROOF_NODES = (ProofConst, ProofVar, Apply, Sum, Bang)
-_JUST_NODES = (Evidence, JustVar, JustSum, MApply)
 _EMPTY: frozenset = frozenset()
 
 
 def _check_term(t: Term, dialect: Dialect) -> None:
-    if isinstance(t, _PROOF_NODES):
+    if isinstance(t, ProofTerm):
         check_proof_term(t, dialect)
-    elif isinstance(t, _JUST_NODES):
+    elif isinstance(t, JustTerm):
         check_just_term(t, dialect)
     else:
         raise DialectError(f"not a term: {t!r}")
@@ -160,9 +161,7 @@ def _pool(table: dict) -> set[Formula]:
 
 
 def _leaf_terms(t: Term):
-    for s in subterms(t):
-        if isinstance(s, (ProofConst, ProofVar, JustVar)):
-            yield s
+    return (s for s in subterms(t) if not children(s))
 
 
 def _all_terms_up_to(dialect: Dialect, leaves: set, bound: int) -> set[Term]:
@@ -344,8 +343,8 @@ def check_basic_model(
         for f in sorted(missing, key=print_formula):
             out.append(Violation(kind, f"{print_term(target)} lacks {print_formula(f)}"))
 
-    pkeys = [t for t in eps.table if isinstance(t, _PROOF_NODES) and eps.table[t]]
-    jkeys = [t for t in eps.table if isinstance(t, _JUST_NODES) and eps.table[t]]
+    pkeys = [t for t in eps.table if isinstance(t, ProofTerm) and eps.table[t]]
+    jkeys = [t for t in eps.table if isinstance(t, JustTerm) and eps.table[t]]
 
     for a in pkeys:
         for b in pkeys:
@@ -355,8 +354,7 @@ def check_basic_model(
         need(Bang(a), op_prefix(a, eps.entry(a)), "introspection-closure")
     if cs is not None:
         pool = _pool(eps.table)
-        consts = {t for t in eps.table if isinstance(t, ProofConst)}
-        consts |= {l for k in eps.table for l in _leaf_terms(k) if isinstance(l, ProofConst)}
+        consts = {l for k in eps.table for l in _leaf_terms(k) if isinstance(l, ProofConst)}
         for c in sorted(consts, key=lambda c: c.name):
             schemes = cs.schemes_of(c.name)
             if not schemes:
@@ -381,7 +379,7 @@ def check_basic_model(
             for v in jkeys:
                 need(JustSum(u, v), eps.entry(u) | eps.entry(v), "sum-closure")
     for a in eps.table:
-        if isinstance(a, _PROOF_NODES):
+        if isinstance(a, ProofTerm):
             for f in sorted(eps.table[a], key=print_formula):
                 if not eval_basic(eps, f):
                     out.append(
@@ -431,7 +429,7 @@ def check_modular(m: QuasiModel, monotonic: bool | None = None) -> list[Violatio
     for w in m.worlds:
         eps = m.evaluations[w]
         for t in eps.table:
-            if isinstance(t, _PROOF_NODES):
+            if isinstance(t, ProofTerm):
                 for f in eps.table[t]:
                     if not model_truth(m, w, f):
                         out.append(
@@ -467,16 +465,17 @@ def check_modular(m: QuasiModel, monotonic: bool | None = None) -> list[Violatio
     return out
 
 
+def _justified(eps: FiniteBasicEvaluation) -> set[Formula]:
+    """Every formula some justification term of ``eps`` justifies."""
+    return set().union(*(fs for t, fs in eps.table.items() if isinstance(t, JustTerm)))
+
+
 def check_fully_explanatory(m: QuasiModel, formula_universe) -> list[tuple[str, Formula]]:
     """Pairs (world, formula) whose truth set is a neighborhood but which no
     justification term in that world's table accounts for."""
     missing = []
     for w in m.worlds:
-        eps = m.evaluations[w]
-        justified = set()
-        for t in eps.table:
-            if isinstance(t, _JUST_NODES):
-                justified |= eps.table[t]
+        justified = _justified(m.evaluations[w])
         for f in formula_universe:
             if truth_set(m, f) in m.neighborhoods.get(w, frozenset()) and f not in justified:
                 missing.append((w, f))
@@ -508,12 +507,8 @@ def build_singleton_model(
     if violations:
         raise NotBasicModel(violations)
     w = "w0"
-    justified = set()
-    for t in eps.table:
-        if isinstance(t, _JUST_NODES):
-            justified |= eps.table[t]
     fam = frozenset(
-        frozenset({w}) if eval_basic(eps, f) else frozenset() for f in justified
+        frozenset({w}) if eval_basic(eps, f) else frozenset() for f in _justified(eps)
     )
     n = {w: fam}
     if eps.dialect is Dialect.JEM:
@@ -648,7 +643,7 @@ def soundness_fuzz(dialect: Dialect, trials: int, seed: int = 0) -> FuzzReport:
             factive = all(
                 eval_basic(sat, f)
                 for t in sat.table
-                if isinstance(t, _PROOF_NODES)
+                if isinstance(t, ProofTerm)
                 for f in sat.table[t]
             )
             if not factive:

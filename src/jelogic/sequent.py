@@ -98,6 +98,24 @@ class Proof(_FrozenRecord):
         _set(self, "principal", principal)
         _set(self, "children", children)
 
+    # Both work without recursion, so that proofs nest arbitrarily deep.
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is not b:
+                if (a.sequent, a.rule, a.principal) != (b.sequent, b.rule, b.principal):
+                    return False
+                if len(a.children) != len(b.children):
+                    return False
+                stack.extend(zip(a.children, b.children))
+        return True
+
+    def __hash__(self):
+        return hash((self.sequent, self.rule, self.principal))
+
 
 RULES = (
     "AxP", "AxBot",

@@ -15,9 +15,11 @@ their fields) and carry no dialect tag of their own;
 ``check_formula`` validates a tree against a dialect.  Nodes are hash-consed:
 every constructor call returns the one live node with its class and fields,
 so equal terms and formulas are identical objects, ``==`` and ``hash`` are by
-identity, and a term DAG costs memory per distinct node.  Occurrences of
-subformulas are addressed by paths (tuples of child indices), which is what the
-sequent machinery uses to track box occurrences across rule applications.
+identity, and a term DAG costs memory per distinct node.  ``children`` is the
+one structural walk: a node's child nodes in field order, over which
+``type(node)(*kids)`` rebuilds it.  Occurrences of subformulas are addressed
+by paths (tuples of formula-child indices), which is what the sequent
+machinery uses to track box occurrences across rule applications.
 
 Concrete syntax notes (the full grammar lives in docs/grammar.md):
 
@@ -189,6 +191,9 @@ class _HashConsed(metaclass=_Interned):
     __repr__ = _repr
     __reduce__ = _reduce
 
+    # For ``children``: no child nodes, unless the class is listed after BOT.
+    _children = staticmethod(lambda node: ())
+
 
 class _Node(_HashConsed):
     """Base of the term and formula classes."""
@@ -329,23 +334,31 @@ Formula = Atom | Bottom | Implies | And | Or | Not | ProofOf | JustOf | Box
 
 BOT = Bottom()
 
+# Every field of these classes holds a node.  The other hash-consed classes,
+# the leaves and the metavariables of axiom patterns, hold none.
+for _cls in (Apply, Sum, Bang, Evidence, JustSum, MApply, Implies, And, Or, Not, ProofOf, JustOf, Box):
+    _cls._children = _key(_cls.__match_args__)
+del _cls
+
 
 # ---------------------------------------------------------------------------
 # Structure helpers
 
 
+def children(node) -> tuple:
+    """The child nodes of a term, formula or metavariable, in field order:
+    ``()`` for a leaf.  ``type(node)(*children(node))`` rebuilds a node that
+    has children, and hash-consing makes that the node itself."""
+    try:
+        return node._children(node)
+    except AttributeError:
+        raise TypeError(f"not a node: {node!r}") from None
+
+
 def formula_children(f: Formula) -> tuple[Formula, ...]:
-    match f:
-        case Implies(l, r) | And(l, r) | Or(l, r):
-            return (l, r)
-        case Not(inner):
-            return (inner,)
-        case ProofOf(_, body) | JustOf(_, body):
-            return (body,)
-        case Box(body):
-            return (body,)
-        case _:
-            return ()
+    """The children of ``f`` that are formulas: all but an assertion's term."""
+    kids = children(f)
+    return kids[1:] if isinstance(f, (ProofOf, JustOf)) else kids
 
 
 def subformula_at(f: Formula, path: tuple[int, ...]) -> Formula:
@@ -381,35 +394,20 @@ def polarity_at(f: Formula, path: tuple[int, ...]) -> str:
         kids = formula_children(node)
         if step >= len(kids):
             raise BadPath(f"no child {step} at {path[:i]}")
-        if isinstance(node, Implies) and step == 0:
-            flips += 1
-        elif isinstance(node, Not):
+        if isinstance(node, Not) or (isinstance(node, Implies) and step == 0):
             flips += 1
         node = kids[step]
     return "positive" if flips % 2 == 0 else "negative"
 
 
 def term_depth(t: Term) -> int:
-    match t:
-        case ProofConst() | ProofVar() | JustVar():
-            return 1
-        case Apply(l, r) | Sum(l, r) | JustSum(l, r):
-            return 1 + max(term_depth(l), term_depth(r))
-        case Bang(inner) | Evidence(inner):
-            return 1 + term_depth(inner)
-        case MApply(l, r):
-            return 1 + max(term_depth(l), term_depth(r))
-    raise TypeError(f"not a term: {t!r}")
+    return 1 + max(map(term_depth, children(t)), default=0)
 
 
 def subterms(t: Term) -> Iterator[Term]:
     yield t
-    match t:
-        case Apply(l, r) | Sum(l, r) | JustSum(l, r) | MApply(l, r):
-            yield from subterms(l)
-            yield from subterms(r)
-        case Bang(inner) | Evidence(inner):
-            yield from subterms(inner)
+    for kid in children(t):
+        yield from subterms(kid)
 
 
 def terms_in(f: Formula) -> Iterator[Term]:
@@ -517,23 +515,14 @@ def forgetful(f: Formula) -> Formula:
     modal counterpart for those), in which case ProofOfPresent is raised.
     """
     match f:
-        case Atom() | Bottom():
-            return f
-        case Implies(l, r):
-            return Implies(forgetful(l), forgetful(r))
-        case And(l, r):
-            return And(forgetful(l), forgetful(r))
-        case Or(l, r):
-            return Or(forgetful(l), forgetful(r))
-        case Not(inner):
-            return Not(forgetful(inner))
         case JustOf(_, body):
             return Box(forgetful(body))
         case ProofOf(t, _):
             raise ProofOfPresent(f"cannot erase proof assertion {print_term(t)}:...")
         case Box():
             raise DialectError("input to the forgetful translation is already modal")
-    raise TypeError(f"not a formula: {f!r}")
+    kids = children(f)
+    return type(f)(*map(forgetful, kids)) if kids else f
 
 
 # ---------------------------------------------------------------------------
@@ -561,16 +550,13 @@ class Substitution(_FrozenRecord):
         return not (self.atoms or self.proof_vars or self.just_vars)
 
 
-def apply_to_term(t: Term, s: Substitution) -> Term:
-    return _Substituter(s).term(t)
-
-
-def apply_substitution(f: Formula, s: Substitution) -> Formula:
-    return _Substituter(s).formula(f)
+def apply_substitution(f: Formula | Term, s: Substitution) -> Formula | Term:
+    """``f`` with ``s`` applied; ``f`` may be a formula or a term."""
+    return _Substituter(s)(f)
 
 
 class _Substituter:
-    """One substitution, applied to each distinct node once.
+    """One substitution, applied to each distinct term and formula node once.
 
     Structures that share nodes (a realization step rewrites every
     derivation, candidate and log entry built so far) should go through one
@@ -584,60 +570,21 @@ class _Substituter:
         self.s = s
         self._memo: dict[Formula | Term, Formula | Term] = {}
 
-    def term(self, t: Term) -> Term:
-        out = self._memo.get(t)
-        if out is not None:
-            return out
-        match t:
-            case ProofConst():
-                out = t
-            case ProofVar(i):
-                out = self.s.proof_vars.get(i, t)
-            case Apply(l, r):
-                out = Apply(self.term(l), self.term(r))
-            case Sum(l, r):
-                out = Sum(self.term(l), self.term(r))
-            case Bang(inner):
-                out = Bang(self.term(inner))
-            case Evidence(p):
-                out = Evidence(self.term(p))
-            case JustVar(i):
-                out = self.s.just_vars.get(i, t)
-            case JustSum(l, r):
-                out = JustSum(self.term(l), self.term(r))
-            case MApply(p, j):
-                out = MApply(self.term(p), self.term(j))
-            case _:
-                raise TypeError(f"not a term: {t!r}")
-        self._memo[t] = out
-        return out
-
-    def formula(self, f: Formula) -> Formula:
-        out = self._memo.get(f)
-        if out is not None:
-            return out
-        match f:
-            case Atom(name):
-                out = self.s.atoms.get(name, f)
-            case Bottom():
-                out = f
-            case Implies(l, r):
-                out = Implies(self.formula(l), self.formula(r))
-            case And(l, r):
-                out = And(self.formula(l), self.formula(r))
-            case Or(l, r):
-                out = Or(self.formula(l), self.formula(r))
-            case Not(inner):
-                out = Not(self.formula(inner))
-            case ProofOf(t, body):
-                out = ProofOf(self.term(t), self.formula(body))
-            case JustOf(t, body):
-                out = JustOf(self.term(t), self.formula(body))
-            case Box(body):
-                out = Box(self.formula(body))
-            case _:
-                raise TypeError(f"not a formula: {f!r}")
-        self._memo[f] = out
+    def __call__(self, node: Formula | Term) -> Formula | Term:
+        out = self._memo.get(node)
+        if out is None:
+            kids = children(node)
+            if kids:
+                out = type(node)(*map(self, kids))
+            elif isinstance(node, Atom):
+                out = self.s.atoms.get(node.name, node)
+            elif isinstance(node, ProofVar):
+                out = self.s.proof_vars.get(node.index, node)
+            elif isinstance(node, JustVar):
+                out = self.s.just_vars.get(node.index, node)
+            else:
+                out = node
+            self._memo[node] = out
         return out
 
 
@@ -801,8 +748,8 @@ class _Parser:
     # while reading, the parentheses, prefixes and right operands open at the
     # current token.  Recursion in the parser and in every walker over its
     # output then stays far inside Python's default limit of 1000 frames.
-    # The toolkit's own files nest far less: 69 tree levels at most in the
-    # derivation of the GE realization of []^4 A => []^4 A.
+    # The toolkit's own files nest far less: 14 tree levels at most in the
+    # derivation of the GM realization of []^5 A => []^5 A.
     MAX_DEPTH = 200
 
     def __init__(self, text: str, reader: Reader):
@@ -840,11 +787,11 @@ class _Parser:
 
     # -- building
 
-    def node(self, cls, *children):
-        depth = max(self.depths.get(c, 0) for c in children) + 1
+    def node(self, cls, *kids):
+        depth = max(self.depths.get(c, 0) for c in kids) + 1
         if depth > self.MAX_DEPTH:
             raise self.error(f"nesting deeper than {self.MAX_DEPTH} levels")
-        node = cls(*children)
+        node = cls(*kids)
         self.depths[node] = depth
         return node
 

@@ -227,11 +227,14 @@ class TestSequentProofFormat:
             assert back == p and got == calculus
 
     def test_nesting_deeper_than_the_recursion_limit(self):
-        # Compared as text: ``==`` on proofs recurses once per level.
         text = deep_proof_text()
         back, calculus = parse_sequent_proof(text)
         assert calculus == "GE" and write_sequent_proof(back, calculus) == text
         check_sequent_proof(back, calculus)
+        again, _ = parse_sequent_proof(text)
+        assert again is not back and again == back and hash(again) == hash(back)
+        # A text one level deeper differs from this one only next to the leaf.
+        assert parse_sequent_proof(deep_proof_text(1501))[0] != back
 
     def test_unknown_calculus(self):
         with pytest.raises(FormatError):

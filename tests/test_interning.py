@@ -20,6 +20,7 @@ from jelogic.syntax import (
     Substitution,
     _Node,
     apply_substitution,
+    children,
     parse_formula,
     print_formula,
 )
@@ -44,14 +45,14 @@ def _children(node):
     return [v for v in (getattr(node, f.name) for f in fields(node)) if isinstance(v, _Node)]
 
 
-def _nodes(roots):
-    """Every distinct term and formula node under ``roots``."""
+def _nodes(roots, kids=_children):
+    """Every distinct node under ``roots``, walked through ``kids``."""
     seen, stack = set(), list(roots)
     while stack:
         node = stack.pop()
         if node not in seen:
             seen.add(node)
-            stack.extend(_children(node))
+            stack.extend(kids(node))
     return seen
 
 
@@ -130,6 +131,31 @@ def test_node_classes_are_dataclasses_whose_fields_match_their_patterns():
     for cls in _node_classes():
         assert is_dataclass(cls)
         assert tuple(f.name for f in fields(cls)) == cls.__match_args__
+
+
+def test_children_are_the_fields_of_a_node_or_none():
+    """The generic walks rest on this: every field of a class with children
+    holds a node, no field of a leaf does, and a node rebuilt from its
+    children is itself."""
+    samples = [
+        parse_formula(text, dialect)
+        for text, dialect in [
+            ("[e(!c0 * (p1 + p1))]A -> ~c0:(A & _|_)", Dialect.JE),
+            ("[m(p0, x0 + x1)]A | B", Dialect.JEM),
+            ("[]A", Dialect.MODAL),
+        ]
+    ] + [scheme_by_id("jm", Dialect.JEM).pattern, scheme_by_id("pl_k", Dialect.JE).pattern]
+    by_class = {type(node): node for node in _nodes(samples, children)}
+    assert set(by_class) == set(_node_classes())
+    for cls, node in by_class.items():
+        values = [getattr(node, f.name) for f in fields(node)]
+        kids = children(node)
+        if kids:
+            assert kids == tuple(values) and type(node)(*kids) is node, cls
+        else:
+            assert not any(isinstance(v, (_Node, FormulaMeta, ProofMeta, JustMeta)) for v in values), cls
+    with pytest.raises(TypeError, match="not a node"):
+        children("A")
 
 
 def test_nodes_are_immutable():

@@ -3,7 +3,7 @@ import random
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from jelogic import realization
 from jelogic.axioms import ConstantSpecification
@@ -49,7 +49,6 @@ from jelogic.syntax import (
     Substitution,
     Sum,
     apply_substitution,
-    apply_to_term,
     forgetful,
     parse_formula,
     print_formula,
@@ -69,7 +68,7 @@ def _sub_result(result, s: Substitution):
         succedent=tuple(apply_substitution(f, s) for f in result.succedent),
         derivation=substitute_derivation(result.derivation, s),
         log=tuple(
-            LogEntry(apply_to_term(e.term, s), apply_substitution(e.formula, s),
+            LogEntry(apply_substitution(e.term, s), apply_substitution(e.formula, s),
                      substitute_derivation(e.derivation, s))
             for e in result.log
         ),
@@ -293,11 +292,13 @@ def test_nested_premises_internalize_proved_assertions_as_bang(text, calculus):
 
 
 @given(st.integers(0, 10**9), st.sampled_from(["GE", "GM"]))
+@example(12299, "GM")  # the inner premise is one axiom: its term is a constant
 @settings(max_examples=20, deadline=None)
 def test_modal_rules_nested_twice_internalize_as_bang(seed, calculus):
     """The outer of two nested modal rules internalizes a premise derivation
     that proves the inner rule's ``t:F``, after the inner provisional was
-    substituted into it: it becomes ``!t`` with a compound ``t``."""
+    substituted into it: a later log entry's term has a ``!s`` whose ``s``
+    contains the term the inner rule logged."""
     rng = random.Random(seed)
     if calculus == "GM":
         theorem = random_sequent_theorem(rng, "GM")
@@ -309,9 +310,10 @@ def test_modal_rules_nested_twice_internalize_as_bang(seed, calculus):
     for mode in ("strict", "simplify"):
         r = realize(p, calculus, cs, mode)
         assert any(
-            isinstance(t, Bang) and not isinstance(t.inner, ProofConst)
-            for e in r.log
-            for t in subterms(e.term)
+            isinstance(t, Bang) and inner.term in subterms(t.inner)
+            for i, inner in enumerate(r.log)
+            for later in r.log[i + 1:]
+            for t in subterms(later.term)
         )
         verify_realization(r)
 
@@ -334,7 +336,7 @@ def test_resolve_rewrites_part_of_what_it_holds(monkeypatch, text, calculus):
         changed = [d for d in self.derivs.values() if substitute_derivation(d, s) != d]
         for e in self.log:
             new = substitute_derivation(e.derivation, s)
-            if (new, apply_to_term(e.term, s), apply_substitution(e.formula, s)) != (e.derivation, e.term, e.formula):
+            if (new, apply_substitution(e.term, s), apply_substitution(e.formula, s)) != (e.derivation, e.term, e.formula):
                 changed.append(new)
         totals["changed"] += len(changed)
         totals["held"] += len(self.derivs) + len(self.log)
