@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from functools import reduce
 from pathlib import Path
 
 from .axioms import ConstantSpecification, cs_total
@@ -50,8 +51,12 @@ from .semantics import (
 )
 from .sequent import Sequent, SequentProofError, check_sequent_proof, index_proof, prove_bounded
 from .syntax import (
+    BOT,
+    And,
     Dialect,
     DialectError,
+    Implies,
+    Or,
     ParseError,
     Substitution,
     parse_formula,
@@ -277,15 +282,29 @@ def _cmd_prove(args) -> int:
         "countermodel": None,
     }
     human = f"no proof within depth {args.depth}: {s}"
-    if not s.ante and len(s.succ) == 1:
-        logic = "E" if args.calculus == "GE" else "EM"
-        cm = find_modal_countermodel(s.succ[0], logic)
-        if cm is not None:
-            human += "\nrefuted by a countermodel:\n" + cm.describe()
-            record["countermodel"] = {
-                "worlds": cm.world_count,
-                "falsified_at": f"w{cm.world}",
-            }
+    # The sequent as one formula: /\ ante -> \/ succ, with _|_ for an empty
+    # succedent and no implication for an empty antecedent.
+    f = reduce(Or, s.succ) if s.succ else BOT
+    if s.ante:
+        f = Implies(reduce(And, s.ante), f)
+    cm = find_modal_countermodel(f, "E" if args.calculus == "GE" else "EM")
+    if cm is not None:
+        human += f"\nrefuted by a countermodel of {print_formula(f)}:\n" + cm.describe()
+        names = [f"w{i}" for i in range(cm.world_count)]
+
+        def worlds_in(mask):
+            return [names[i] for i in range(cm.world_count) if mask >> i & 1]
+
+        record["countermodel"] = {
+            "worlds": cm.world_count,
+            "falsified_at": names[cm.world],
+            "formula": print_formula(f),
+            "atoms": {a: worlds_in(mask) for a, mask in cm.atom_masks},
+            "neighborhoods": {
+                names[w]: [worlds_in(m) for m in range(1 << cm.world_count) if bits >> m & 1]
+                for w, bits in enumerate(cm.neighborhoods)
+            },
+        }
     _emit(human, record)
     return 1
 
@@ -300,7 +319,10 @@ def _cmd_realize(args) -> int:
                 f"proof file declares calculus {file_calculus}, --calculus says {calculus}"
             )
     else:
-        s = _read_sequent(args.source)
+        try:
+            s = _read_sequent(args.source)
+        except ParseError as e:
+            raise ParseError(f"{args.source} is neither an existing file nor a sequent: {e}") from e
         proof = prove_bounded(s, calculus, args.depth)
         if proof is None:
             _emit(

@@ -29,6 +29,11 @@ already realized reuses that node's derivation.  So in strict mode every
 distinct modal-rule instance contributes its full witness pair, and equal
 subproofs in one class contribute one.
 
+Weakening, contraction and disjunction on the right only move succedent
+formulas.  Such a node records a pending route from the nearest premise that
+has a derivation, and a chain of them is folded once, by the rule that first
+routes it on or needs its derivation (see ``_Engine._through``).
+
 The engine trusts its builder: at each distinct node it compares only the
 conclusion and hypotheses read off the derivation's steps with the node's
 realized sequent, and re-checks nothing after a substitution, which maps a
@@ -193,50 +198,40 @@ def _disj(fs) -> Formula:
     return out
 
 
-def _inject(dialect: Dialect, fs: tuple, j: int) -> Derivation:
-    """``|- fs[j] -> d(fs)`` for the right-nested disjunction d."""
-    if len(fs) == 1:
-        return prove_id(dialect, fs[0])
-    rest = _disj(fs[1:])
-    if j == 0:
-        b = Builder(dialect)
-        return b.derivation(b.axiom("pl_or_intro_l", {"F": fs[0], "G": rest}))
-    inner = _inject(dialect, fs[1:], j - 1)
-    b = Builder(dialect)
-    step = b.derivation(b.axiom("pl_or_intro_r", {"F": fs[0], "G": rest}))
-    return compose(inner, step)
+def _then(first: Derivation, then: Derivation) -> Derivation:
+    """From ``|- F -> G`` and ``|- G -> H``, ``|- F -> H`` by pl_k and pl_s
+    (hypotheses of either input are carried along).  Five steps over the
+    inputs, where ``compose`` deduction-transforms a modus ponens chain."""
+    fg = step_formulas(first)[first.conclusion]
+    gh = step_formulas(then)[then.conclusion]
+    b = Builder(first.dialect)
+    i1, i2 = b.embed(first), b.embed(then)
+    lifted = b.mp(b.axiom("pl_k", {"F": gh, "G": fg.left}), i2)
+    s = b.axiom("pl_s", {"F": fg.left, "G": fg.right, "H": gh.right})
+    return b.derivation(b.mp(b.mp(s, lifted), i1))
+
+
+def _chain(arrows) -> Derivation:
+    """From ``|- F0 -> F1``, ..., ``|- Fn-1 -> Fn``, ``|- F0 -> Fn``, joined
+    from the last arrow back, so chains that end alike share their tails."""
+    return reduce(lambda rest, first: _then(first, rest), reversed(arrows[:-1]), arrows[-1])
 
 
 def _fold(dialect: Dialect, fs: tuple, arrows: list[Derivation], target: Formula) -> Derivation:
     """From ``|- fs[j] -> target`` for each j, ``|- d(fs) -> target``."""
     if not fs:
         return efq_to(dialect, target)
-    if len(fs) == 1:
-        return arrows[0]
-    tail = _fold(dialect, fs[1:], arrows[1:], target)
     b = Builder(dialect)
-    oe = b.axiom("pl_or_elim", {"F": fs[0], "G": _disj(fs[1:]), "H": target})
-    out = b.mp(b.mp(oe, b.embed(arrows[0])), b.embed(tail))
+    out = b.embed(arrows[-1])
+    for j in reversed(range(len(fs) - 1)):
+        oe = b.axiom("pl_or_elim", {"F": fs[j], "G": _disj(fs[j + 1:]), "H": target})
+        out = b.mp(b.mp(oe, b.embed(arrows[j])), out)
     return b.derivation(out)
 
 
 def _skip(k: int, n: int) -> list[int]:
     """The positions of an n-formula succedent with position k left out."""
     return [j for j in range(n) if j != k]
-
-
-def _route(d: Derivation, src: tuple, dst: tuple, where, tail=()) -> Derivation:
-    """From a derivation of d(src), one of d(dst).  Each leading src[j] goes
-    to dst[where[j]] by its injection; the last ``len(tail)`` formulas of src
-    go through the given arrows, derivations of ``src[j] -> d(dst)``."""
-    target = _disj(dst)
-    if _disj(src) == target:
-        return d
-    lead = where[: len(src) - len(tail)]
-    arrows = [_inject(d.dialect, dst, w) for w in lead] + list(tail)
-    b = Builder(d.dialect)
-    i = b.embed(d)
-    return b.derivation(b.mp(b.embed(_fold(d.dialect, src, arrows, target)), i))
 
 
 def _cases(dialect: Dialect, a: Formula, arm_a: Derivation, arm_na: Derivation, goal: Formula) -> Derivation:
@@ -317,6 +312,8 @@ class _Engine:
         self.cands: dict[int, Term] = {}
         self.prov_of: dict[int, Term] = {}
         self.derivs: dict[int, Derivation] = {}   # by the first node of each shape key
+        self.routes: dict[int, tuple] = {}   # pending routes, keyed likewise
+        self.injections: dict[tuple, Derivation] = {}
         self.log: list[LogEntry] = []
         self._shape_keys()
         self._assign_candidates()
@@ -413,10 +410,88 @@ class _Engine:
         sub = _Substituter(s)
         self.cands = {fid: sub(t) for fid, t in self.cands.items()}
         self.derivs = {nid: _substitute_steps(d, sub) for nid, d in self.derivs.items()}
+        self.routes = {
+            nid: (base, tuple((to, tuple(_substitute_steps(link, sub) for link in path)) for to, path in moves))
+            for nid, (base, moves) in self.routes.items()
+        }
         self.log = [
             LogEntry(sub(e.term), sub(e.formula), _substitute_steps(e.derivation, sub))
             for e in self.log
         ]
+
+    # -- routes over succedents ------------------------------------------
+    #
+    # WR, CR and OrR build no derivation.  Each leaves a pending route
+    # ``(base, moves)``: ``base`` is the nearest premise with a derivation,
+    # and ``moves[j] = (to, path)`` takes formula j of the base's realized
+    # succedent along ``path``, a tuple of arrow derivations (the
+    # or-introductions of OrR), to position ``to`` of the node's succedent.
+    # A route through a pending premise continues that premise's moves, so a
+    # chain of such rules costs one fold: where a rule routes the chain on,
+    # or where ``_derivation`` builds it because a rule needs the derivation
+    # itself.  A rule that routes may add arrows of its own to a path, or
+    # give ``to`` as an arrow ``G -> d(dst)`` instead of a position.
+
+    def _inject(self, fs: tuple, j: int) -> Derivation:
+        """``|- fs[j] -> d(fs)``, built once per ``(fs, j)`` in a run:
+        ``pl_or_intro_l`` into ``d(fs[j:])`` unless fs[j] is last, then
+        ``pl_or_intro_r`` out to ``d(fs)``."""
+        d = self.injections.get((fs, j))
+        if d is None:
+            if len(fs) == 1:
+                d = prove_id(self.dialect, fs[0])
+            else:
+                schemes = ["pl_or_intro_r"] * j + ["pl_or_intro_l"] * (j < len(fs) - 1)
+                links = [
+                    derive_axiom(self.dialect, s, {"F": fs[i], "G": _disj(fs[i + 1:])})
+                    for i, s in enumerate(schemes)
+                ]
+                d = _chain(links[::-1])
+            self.injections[(fs, j)] = d
+        return d
+
+    def _arrow(self, to, path: tuple, dst: tuple) -> Derivation:
+        """``|- F -> d(dst)`` along one move from F: the links of ``path``,
+        then the injection of position ``to``, or ``to`` itself when it is an
+        arrow."""
+        if isinstance(to, Derivation):
+            return _chain(path + (to,))
+        if path and len(dst) == 1:
+            return _chain(path)  # the last link lands on d(dst) itself
+        return _chain(path + (self._inject(dst, to),))
+
+    def _route(self, base: int, moves: tuple, dst: tuple) -> Derivation:
+        """From the base's derivation of d(src), one of d(dst) by one
+        ``pl_or_elim`` fold: src[j] goes along ``moves[j]``."""
+        d = self.derivs[base]
+        _, src = self._annotate(base)
+        target = _disj(dst)
+        if _disj(src) == target:
+            return d
+        arrows = [self._arrow(to, path, dst) for to, path in moves]
+        b = Builder(self.dialect)
+        i = b.embed(d)
+        return b.derivation(b.mp(b.embed(_fold(self.dialect, src, arrows, target)), i))
+
+    def _through(self, c: int, step) -> tuple:
+        """The route that takes the premise c's succedent on by ``step``, a
+        move per position of it: from c itself if it has a derivation, else
+        from c's base, with c's pending moves continued by ``step``."""
+        pending = self.routes.get(c)
+        if pending is None:
+            return c, tuple(step)
+        base, moves = pending
+        return base, tuple((step[p][0], path + step[p][1]) for p, path in moves)
+
+    def _derivation(self, nid: int) -> Derivation:
+        """The node's derivation; a pending route is built on first use."""
+        d = self.derivs.get(nid)
+        if d is None:
+            base, moves = self.routes[nid]
+            _, dst = self._annotate(nid)
+            d = self.derivs[nid] = prune(self._route(base, moves, dst))
+            self._require(nid)
+        return d
 
     def _require(self, nid: int):
         """The node's derivation states its annotated sequent (its steps are
@@ -444,13 +519,17 @@ class _Engine:
                     )
                 continue
             node = self.index.nodes[nid]
-            self.derivs[nid] = prune(_RULES[node.rule](self, nid, node))
-            self._require(nid)
-        return self.derivs[0]
+            out = _RULES[node.rule](self, nid, node)
+            if isinstance(out, Derivation):
+                self.derivs[nid] = prune(out)
+                self._require(nid)
+            else:
+                self.routes[nid] = out
+        return self._derivation(0)
 
     def _child_ids(self, nid: int):
         """The premises, each as the first node with its key: the one whose
-        derivation is kept."""
+        derivation or pending route is kept."""
         return tuple(self.first[c] for c in self.index.children[nid])
 
     def _rule_ax_p(self, nid: int, node: Proof) -> Derivation:
@@ -462,20 +541,16 @@ class _Engine:
         b = Builder(self.dialect)
         return b.derivation(b.hyp(BOT))
 
-    def _rule_structural(self, nid: int, node: Proof) -> Derivation:
-        """Weakening and contraction: the premise's derivation, its succedent
-        routed when the rule acts on the right."""
+    def _rule_structural(self, nid: int, node: Proof):
+        """Weakening and contraction: on the left, the premise's derivation or
+        pending route; on the right, a pending route."""
         (c,) = self._child_ids(nid)
         if node.rule in ("WL", "CL"):
-            return self.derivs[c]
+            return self.routes.get(c) or self.derivs[c]
         k = node.principal[0][1]
-        _, src = self._annotate(c)
-        _, dst = self._annotate(nid)
-        if node.rule == "WR":
-            where = _skip(k, len(dst))
-        else:
-            where = [*range(k + 1), *range(k, len(dst))]
-        return _route(self.derivs[c], src, dst, where)
+        n = len(self.index.nodes[nid].sequent.succ)
+        where = _skip(k, n) if node.rule == "WR" else [*range(k + 1), *range(k, n)]
+        return self._through(c, [(w, ()) for w in where])
 
     def _rule_impl(self, nid: int, node: Proof) -> Derivation:
         """The second premise's hypothesis B is answered in place by modus
@@ -488,12 +563,12 @@ class _Engine:
         b = Builder(self.dialect)
         himp = b.hyp(ante[k])
         if not succ:
-            b.mp(himp, b.embed(self.derivs[c1]))
-            return b.derivation(b.embed(self.derivs[c2]))
+            b.mp(himp, b.embed(self._derivation(c1)))
+            return b.derivation(b.embed(self._derivation(c2)))
         b.mp(himp, b.hyp(a))
-        arrow_a = deduction_transform(b.derivation(b.embed(self.derivs[c2])), a)
-        _, src1 = self._annotate(c1)
-        return _route(self.derivs[c1], src1, succ, range(len(succ)), (arrow_a,))
+        arrow_a = deduction_transform(b.derivation(b.embed(self._derivation(c2))), a)
+        step = [(p, ()) for p in range(len(succ))] + [(arrow_a, ())]
+        return self._route(*self._through(c1, step), succ)
 
     def _rule_impr(self, nid: int, node: Proof) -> Derivation:
         """A -> B alone is the premise's deduction transform.  With side
@@ -504,17 +579,15 @@ class _Engine:
         _, succ = self._annotate(nid)
         a, bb = succ[k].left, succ[k].right
         if len(succ) == 1:
-            return deduction_transform(self.derivs[c], a)
-        _, src = self._annotate(c)
-        inj = _inject(self.dialect, succ, k)
-        b = Builder(self.dialect)
-        arrow_b = compose(b.derivation(b.axiom("pl_k", {"F": bb, "G": a})), inj)
-        routed = _route(self.derivs[c], src, succ, _skip(k, len(succ)), (arrow_b,))
+            return deduction_transform(self._derivation(c), a)
+        k_link = derive_axiom(self.dialect, "pl_k", {"F": bb, "G": a})
+        step = [(w, ()) for w in _skip(k, len(succ))] + [(k, (k_link,))]
+        routed = self._route(*self._through(c, step), succ)
         b = Builder(self.dialect)
         a_bot = b.mp(b.axiom("pl_neg_elim", {"F": a}), b.hyp(Not(a)))
         efq = compose(b.derivation(a_bot), efq_to(self.dialect, bb))
         b = Builder(self.dialect)
-        arm_na = b.derivation(b.mp(b.embed(inj), b.embed(efq)))
+        arm_na = b.derivation(b.mp(b.embed(self._inject(succ, k)), b.embed(efq)))
         return _cases(self.dialect, a, routed, arm_na, _disj(succ))
 
     def _rule_andl(self, nid: int, node: Proof) -> Derivation:
@@ -528,7 +601,7 @@ class _Engine:
         h = b.hyp(ante[k])
         b.mp(b.axiom("pl_and_elim_l", {"F": a, "G": bb}), h)
         b.mp(b.axiom("pl_and_elim_r", {"F": a, "G": bb}), h)
-        return b.derivation(b.embed(self.derivs[c]))
+        return b.derivation(b.embed(self._derivation(c)))
 
     def _rule_andr(self, nid: int, node: Proof) -> Derivation:
         """A & B alone is one pl_and_intro.  With side formulas the second
@@ -540,15 +613,15 @@ class _Engine:
         a, bb = succ[k].left, succ[k].right
         b = Builder(self.dialect)
         if len(succ) == 1:
-            ia, ib = b.embed(self.derivs[c1]), b.embed(self.derivs[c2])
+            ia, ib = b.embed(self._derivation(c1)), b.embed(self._derivation(c2))
             return b.derivation(b.mp(b.mp(b.axiom("pl_and_intro", {"F": a, "G": bb}), ia), ib))
-        where = _skip(k, len(succ))
-        _, src1 = self._annotate(c1)
-        _, src2 = self._annotate(c2)
-        pair = b.mp(b.axiom("pl_and_intro", {"F": a, "G": bb}), b.hyp(a))
-        arrow_b = compose(b.derivation(pair), _inject(self.dialect, succ, k))
-        arrow_a = deduction_transform(_route(self.derivs[c2], src2, succ, where, (arrow_b,)), a)
-        return _route(self.derivs[c1], src1, succ, where, (arrow_a,))
+        sides = [(w, ()) for w in _skip(k, len(succ))]
+        pair = b.derivation(b.mp(b.axiom("pl_and_intro", {"F": a, "G": bb}), b.hyp(a)))
+        # An arrow, not a link: when A is B, compose discharges the pair's
+        # hypothesis too, and the builder gets B -> B & B outright.
+        arrow_b = compose(pair, self._inject(succ, k))
+        arrow_a = deduction_transform(self._route(*self._through(c2, sides + [(arrow_b, ())]), succ), a)
+        return self._route(*self._through(c1, sides + [(arrow_a, ())]), succ)
 
     def _rule_orl(self, nid: int, node: Proof) -> Derivation:
         c1, c2 = self._child_ids(nid)
@@ -556,25 +629,22 @@ class _Engine:
         ante, succ = self._annotate(nid)
         a, bb = ante[k].left, ante[k].right
         target = _disj(succ)
-        dd1 = deduction_transform(self.derivs[c1], a)
-        dd2 = deduction_transform(self.derivs[c2], bb)
+        dd1 = deduction_transform(self._derivation(c1), a)
+        dd2 = deduction_transform(self._derivation(c2), bb)
         b = Builder(self.dialect)
         oe = b.axiom("pl_or_elim", {"F": a, "G": bb, "H": target})
         h = b.hyp(ante[k])
         return b.derivation(b.mp(b.mp(b.mp(oe, b.embed(dd1)), b.embed(dd2)), h))
 
-    def _rule_orr(self, nid: int, node: Proof) -> Derivation:
+    def _rule_orr(self, nid: int, node: Proof):
+        """A pending route: the premise's A and B go to A | B by
+        ``pl_or_intro_l`` and ``pl_or_intro_r``."""
         (c,) = self._child_ids(nid)
         k = node.principal[0][1]
         _, succ = self._annotate(nid)
         a, bb = succ[k].left, succ[k].right
-        _, src = self._annotate(c)
-        inj = _inject(self.dialect, succ, k)
-        tail = tuple(
-            compose(derive_axiom(self.dialect, side, {"F": a, "G": bb}), inj)
-            for side in ("pl_or_intro_l", "pl_or_intro_r")
-        )
-        return _route(self.derivs[c], src, succ, _skip(k, len(succ)), tail)
+        links = [derive_axiom(self.dialect, s, {"F": a, "G": bb}) for s in ("pl_or_intro_l", "pl_or_intro_r")]
+        return self._through(c, [(w, ()) for w in _skip(k, len(succ))] + [(k, (link,)) for link in links])
 
     def _rule_notl(self, nid: int, node: Proof) -> Derivation:
         (c,) = self._child_ids(nid)
@@ -584,10 +654,10 @@ class _Engine:
         b = Builder(self.dialect)
         a_bot = b.mp(b.axiom("pl_neg_elim", {"F": a}), b.hyp(ante[k]))
         if not succ:  # the premise proves A outright
-            return b.derivation(b.mp(a_bot, b.embed(self.derivs[c])))
-        _, src = self._annotate(c)
+            return b.derivation(b.mp(a_bot, b.embed(self._derivation(c))))
         arrow_a = compose(b.derivation(a_bot), efq_to(self.dialect, _disj(succ)))
-        return _route(self.derivs[c], src, succ, range(len(succ)), (arrow_a,))
+        step = [(p, ()) for p in range(len(succ))] + [(arrow_a, ())]
+        return self._route(*self._through(c, step), succ)
 
     def _rule_notr(self, nid: int, node: Proof) -> Derivation:
         """~A alone is pl_neg_intro over the premise's deduction transform.
@@ -600,11 +670,10 @@ class _Engine:
         if len(succ) == 1:
             b = Builder(self.dialect)
             intro = b.axiom("pl_neg_intro", {"F": a})
-            return b.derivation(b.mp(intro, b.embed(deduction_transform(self.derivs[c], a))))
-        _, src = self._annotate(c)
-        routed = _route(self.derivs[c], src, succ, _skip(k, len(succ)))
+            return b.derivation(b.mp(intro, b.embed(deduction_transform(self._derivation(c), a))))
+        routed = self._route(*self._through(c, [(w, ()) for w in _skip(k, len(succ))]), succ)
         b = Builder(self.dialect)
-        arm_na = b.derivation(b.mp(b.embed(_inject(self.dialect, succ, k)), b.hyp(Not(a))))
+        arm_na = b.derivation(b.mp(b.embed(self._inject(succ, k)), b.hyp(Not(a))))
         b = Builder(self.dialect)
         b.mp(b.axiom("pl_dne", {"F": a}), b.hyp(Not(Not(a))))
         arm_nna = b.derivation(b.embed(routed))
@@ -614,8 +683,8 @@ class _Engine:
         c1, c2 = self._child_ids(nid)
         ante1, succ1 = self._annotate(c1)
         ann_a, ann_b = ante1[0], succ1[0]
-        dd1 = deduction_transform(self.derivs[c1], ann_a)
-        dd2 = deduction_transform(self.derivs[c2], ann_b)
+        dd1 = deduction_transform(self._derivation(c1), ann_a)
+        dd2 = deduction_transform(self._derivation(c2), ann_b)
         lam1, p1 = internalize(dd1, self.cs)
         lam2, p2 = internalize(dd2, self.cs)
         self.log.append(LogEntry(lam1, Implies(ann_a, ann_b), p1))
@@ -642,7 +711,7 @@ class _Engine:
         (c,) = self._child_ids(nid)
         ante1, succ1 = self._annotate(c)
         ann_a, ann_b = ante1[0], succ1[0]
-        dd = deduction_transform(self.derivs[c], ann_a)
+        dd = deduction_transform(self._derivation(c), ann_a)
         lam, p = internalize(dd, self.cs)
         self.log.append(LogEntry(lam, Implies(ann_a, ann_b), p))
         ante, _ = self._annotate(nid)

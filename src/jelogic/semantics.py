@@ -343,8 +343,10 @@ def check_basic_model(
         for f in sorted(missing, key=print_formula):
             out.append(Violation(kind, f"{print_term(target)} lacks {print_formula(f)}"))
 
-    pkeys = [t for t in eps.table if isinstance(t, ProofTerm) and eps.table[t]]
-    jkeys = [t for t in eps.table if isinstance(t, JustTerm) and eps.table[t]]
+    # Terms in printed order, so that the report does not follow the table's.
+    keys = sorted((t for t in eps.table if eps.table[t]), key=print_term)
+    pkeys = [t for t in keys if isinstance(t, ProofTerm)]
+    jkeys = [t for t in keys if isinstance(t, JustTerm)]
 
     for a in pkeys:
         for b in pkeys:
@@ -378,16 +380,15 @@ def check_basic_model(
         for u in jkeys:
             for v in jkeys:
                 need(JustSum(u, v), eps.entry(u) | eps.entry(v), "sum-closure")
-    for a in eps.table:
-        if isinstance(a, ProofTerm):
-            for f in sorted(eps.table[a], key=print_formula):
-                if not eval_basic(eps, f):
-                    out.append(
-                        Violation(
-                            "factivity",
-                            f"{print_term(a)} justifies {print_formula(f)}, which is false",
-                        )
+    for a in pkeys:
+        for f in sorted(eps.table[a], key=print_formula):
+            if not eval_basic(eps, f):
+                out.append(
+                    Violation(
+                        "factivity",
+                        f"{print_term(a)} justifies {print_formula(f)}, which is false",
                     )
+                )
     return out
 
 
@@ -420,7 +421,9 @@ def truth_set(m: QuasiModel, f: Formula) -> frozenset[str]:
 def check_modular(m: QuasiModel, monotonic: bool | None = None) -> list[Violation]:
     """Factivity at every world, justification-yields-belief for every
     justification-term entry, and (for the monotonic dialect) closure of the
-    neighborhoods under supersets."""
+    neighborhoods under supersets.  Violations are listed in a fixed order:
+    worlds as the model lists them, terms and formulas by their printed
+    form, neighborhoods by their sorted members."""
     dialects = {eps.dialect for eps in m.evaluations.values()}
     if monotonic is None:
         monotonic = dialects == {Dialect.JEM}
@@ -428,9 +431,10 @@ def check_modular(m: QuasiModel, monotonic: bool | None = None) -> list[Violatio
     wset = frozenset(m.worlds)
     for w in m.worlds:
         eps = m.evaluations[w]
-        for t in eps.table:
+        for t in sorted(eps.table, key=print_term):
+            formulas = sorted(eps.table[t], key=print_formula)
             if isinstance(t, ProofTerm):
-                for f in eps.table[t]:
+                for f in formulas:
                     if not model_truth(m, w, f):
                         out.append(
                             Violation(
@@ -439,7 +443,7 @@ def check_modular(m: QuasiModel, monotonic: bool | None = None) -> list[Violatio
                             )
                         )
             else:
-                for f in eps.table[t]:
+                for f in formulas:
                     if truth_set(m, f) not in m.neighborhoods.get(w, frozenset()):
                         out.append(
                             Violation(
@@ -450,7 +454,7 @@ def check_modular(m: QuasiModel, monotonic: bool | None = None) -> list[Violatio
                         )
         if monotonic:
             fam = m.neighborhoods.get(w, frozenset())
-            for x in fam:
+            for x in sorted(fam, key=sorted):
                 rest = wset - x
                 for k in range(1, len(rest) + 1):
                     for extra in combinations(sorted(rest), k):

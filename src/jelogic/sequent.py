@@ -98,7 +98,8 @@ class Proof(_FrozenRecord):
         _set(self, "principal", principal)
         _set(self, "children", children)
 
-    # Both work without recursion, so that proofs nest arbitrarily deep.
+    # Equality, hash, copies, pickling and repr work without recursion, so
+    # that proofs nest arbitrarily deep.
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
@@ -115,6 +116,59 @@ class Proof(_FrozenRecord):
 
     def __hash__(self):
         return hash((self.sequent, self.rule, self.principal))
+
+    # Proofs are immutable, so a copy may be the proof itself.
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
+
+    def __reduce__(self):
+        """Pickle as a flat postorder list of the distinct nodes, each with
+        its children's positions in the list."""
+        position: dict[int, int] = {}
+        nodes = []
+        stack = [self]
+        while stack:
+            p = stack[-1]
+            if id(p) in position:
+                stack.pop()
+                continue
+            waiting = [c for c in p.children if id(c) not in position]
+            if waiting:
+                stack.extend(reversed(waiting))
+                continue
+            stack.pop()
+            position[id(p)] = len(nodes)
+            nodes.append((p.sequent, p.rule, p.principal, tuple(position[id(c)] for c in p.children)))
+        return _proof_from_postorder, (tuple(nodes),)
+
+    def __repr__(self):
+        pieces = []
+        stack = [self]
+        while stack:
+            p = stack.pop()
+            if isinstance(p, str):
+                pieces.append(p)
+                continue
+            pieces.append(
+                f"Proof(sequent={p.sequent!r}, rule={p.rule!r}, principal={p.principal!r}, children=("
+            )
+            stack.append(",))" if len(p.children) == 1 else "))")
+            for i in reversed(range(len(p.children))):
+                stack.append(p.children[i])
+                if i:
+                    stack.append(", ")
+        return "".join(pieces)
+
+
+def _proof_from_postorder(nodes) -> Proof:
+    """The proof ``Proof.__reduce__`` encoded: its last node."""
+    built: list[Proof] = []
+    for sequent, rule, principal, kids in nodes:
+        built.append(Proof(sequent, rule, principal, tuple(built[i] for i in kids)))
+    return built[-1]
 
 
 RULES = (

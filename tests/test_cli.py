@@ -9,7 +9,8 @@ from jelogic.formats import parse_derivation, write_cs, write_derivation, write_
 from jelogic.hilbert import Derivation, DerivationError, Hyp, MPStep, prove_id
 from jelogic.realization import realize
 from jelogic.semantics import FiniteBasicEvaluation, QuasiModel, saturate
-from jelogic.syntax import Atom, Dialect, Evidence, Implies, ProofVar, _Parser
+from jelogic.sequent import parse_sequent_line
+from jelogic.syntax import And, Atom, Bottom, Box, Dialect, Evidence, Implies, Not, Or, ProofVar, _Parser
 
 from _helpers import deep_proof_text
 
@@ -85,9 +86,46 @@ class TestProve:
         assert record["countermodel"] is not None
         assert "refuted by a countermodel" in human and "falsified at" in human
 
-    def test_unproved_sequent_with_antecedent_has_no_countermodel(self, capsys):
-        code, _, record = run(capsys, "prove", "[]A => [](A & B)", "--calculus", "GM")
-        assert code == 1 and record["countermodel"] is None
+    def test_unproved_sequent_with_antecedent_has_a_countermodel(self, capsys):
+        """The oracle is asked about /\\ ante -> \\/ succ; the reported model
+        makes every antecedent formula true and every succedent formula false
+        at its world, by an evaluator written here."""
+        for text, calculus, formula in (
+            ("[]A => [](A & B)", "GM", "[]A -> [](A & B)"),
+            ("[]A, B => []B", "GE", "[]A & B -> []B"),
+            ("[]A, B =>", "GE", "[]A & B -> _|_"),
+            ("=> []A, [](A | B)", "GE", "[]A | [](A | B)"),
+        ):
+            code, _, record = run(capsys, "prove", text, "--calculus", calculus)
+            cm = record["countermodel"]
+            assert code == 1 and cm["formula"] == formula
+            worlds = frozenset(f"w{i}" for i in range(cm["worlds"]))
+            neighborhoods = {w: {frozenset(x) for x in xs} for w, xs in cm["neighborhoods"].items()}
+            if calculus == "GM":  # supersets of neighborhoods are neighborhoods
+                assert all(x | {w} in ns for ns in neighborhoods.values() for x in ns for w in worlds)
+
+            def truth(f) -> frozenset:
+                match f:
+                    case Atom(name):
+                        return frozenset(cm["atoms"].get(name, ()))
+                    case Bottom():
+                        return frozenset()
+                    case Not(inner):
+                        return worlds - truth(inner)
+                    case Implies(left, right):
+                        return (worlds - truth(left)) | truth(right)
+                    case And(left, right):
+                        return truth(left) & truth(right)
+                    case Or(left, right):
+                        return truth(left) | truth(right)
+                    case Box(body):
+                        return frozenset(w for w in worlds if truth(body) in neighborhoods[w])
+                raise AssertionError(f)
+
+            s = parse_sequent_line(text)
+            w = cm["falsified_at"]
+            assert all(w in truth(f) for f in s.ante), text
+            assert not any(w in truth(f) for f in s.succ), text
 
     def test_bad_sequent_text(self, capsys):
         code, _, _ = run(capsys, "prove", "=> (", "--calculus", "GE")
@@ -142,6 +180,15 @@ class TestRealize:
         assert len(text) > 255
         code, _, record = run(capsys, "realize", text, "--calculus", "GE")
         assert code == 0 and record["realized"] == text.replace("=>", "->")
+
+    def test_missing_file_that_is_no_sequent(self, capsys):
+        code, human, record = run(capsys, "realize", "/no/such/file.txt", "--calculus", "GE")
+        assert code == 2
+        assert record["error"] == (
+            "/no/such/file.txt is neither an existing file nor a sequent: "
+            "unexpected character '/' (at position 0)"
+        )
+        assert "input error" in human
 
     def test_unprovable_source(self, capsys):
         code, _, record = run(capsys, "realize", "=> []A -> [](A | B)", "--calculus", "GE")
@@ -287,6 +334,36 @@ class TestModelCheck:
         assert code == 1  # A fails at v
         assert record["truth"] == {"u": True, "v": False}
         assert "v: A is false" in human
+
+    def test_violations_do_not_follow_the_table_order(self, capsys, tmp_path):
+        """Two files stating one model, with entries, formula lists and
+        neighborhoods in different orders, give the same record: terms and
+        formulas in printed order, neighborhoods by their sorted members."""
+        head = "# jelogic model v1\ndialect JEM\nbound 1\nworlds u v\natom u A true\n"
+        first = tmp_path / "first.model"
+        first.write_text(
+            head + "neighborhood u : {u}\nneighborhood v : {v} {}\n"
+            "entry u p0 : B, A & B, ~(A -> A), C\nentry u p1 : B, C\nentry u x0 : B, C\n"
+        )
+        second = tmp_path / "second.model"
+        second.write_text(
+            head + "neighborhood v : {} {v}\nneighborhood u : {u}\n"
+            "entry u x0 : C, B\nentry u p1 : C, B\nentry u p0 : C, ~(A -> A), A & B, B\n"
+        )
+        code, _, record = run(capsys, "model-check", str(first))
+        assert code == 1 and len(record["violations"]) == 18
+        assert run(capsys, "model-check", str(second))[2] == record
+        modular = [v for v in record["violations"] if v.startswith("[factivity]")]
+        assert modular == [
+            f"[factivity] at u: {t} justifies the false {f}"
+            for t, fs in (("p0", ("A & B", "B", "C", "~(A -> A)")), ("p1", ("B", "C")))
+            for f in fs
+        ]
+        assert [v for v in record["violations"] if v.startswith("[monotonicity] at v")] == [
+            "[monotonicity] at v: [] is a neighborhood but ['u'] is not",
+            "[monotonicity] at v: [] is a neighborhood but ['u', 'v'] is not",
+            "[monotonicity] at v: ['v'] is a neighborhood but ['u', 'v'] is not",
+        ]
 
     def test_violations_reported(self, capsys, tmp_path):
         path = tmp_path / "bad.model"

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from dataclasses import fields
 
@@ -16,7 +18,7 @@ from jelogic.formats import (
     write_model,
     write_sequent_proof,
 )
-from jelogic.generate import random_sequent_theorem, random_theorem
+from jelogic.generate import axp, random_sequent_theorem, random_theorem, wl
 from jelogic.hilbert import ANStep, AxiomStep, Hyp, check_derivation, prove_id
 from jelogic.semantics import FiniteBasicEvaluation, QuasiModel, saturate
 from jelogic.sequent import check_sequent_proof
@@ -235,6 +237,21 @@ class TestSequentProofFormat:
         assert again is not back and again == back and hash(again) == hash(back)
         # A text one level deeper differs from this one only next to the leaf.
         assert parse_sequent_proof(deep_proof_text(1501))[0] != back
+        # Copies are the proof itself; pickle and repr use no recursion.
+        assert copy.copy(back) is back and copy.deepcopy(back) is back
+        twin = pickle.loads(pickle.dumps(back))
+        assert twin is not back and twin == back
+        assert write_sequent_proof(twin, calculus) == text
+        shown = repr(back)
+        assert shown.count("Proof(") == 1502 and shown.endswith("children=())" + ",))" * 1501)
+
+    def test_proof_repr_is_the_dataclass_format(self):
+        leaf = "Proof(sequent=Sequent(ante=(Atom(name='A'),), succ=(Atom(name='A'),)), rule='AxP', principal=(('L', 0), ('R', 0)), children=())"
+        assert repr(axp("A")) == leaf
+        assert repr(wl(axp("A"), Atom("B"), 1)) == (
+            "Proof(sequent=Sequent(ante=(Atom(name='A'), Atom(name='B')), succ=(Atom(name='A'),)), "
+            f"rule='WL', principal=(('L', 1),), children=({leaf},))"
+        )
 
     def test_unknown_calculus(self):
         with pytest.raises(FormatError):

@@ -15,6 +15,7 @@ from jelogic.generate import (
     andl,
     andr,
     axp,
+    cr,
     impr,
     notl,
     notr,
@@ -28,7 +29,7 @@ from jelogic.generate import (
 )
 from jelogic.realization import realize, try_simplify, verify_realization
 from jelogic.sequent import Proof, Sequent, premises_of, prove_bounded
-from jelogic.syntax import And, Atom, BOT, Box, Implies
+from jelogic.syntax import And, Atom, BOT, Box, Implies, Or
 
 from _helpers import CS_JE, CS_JEM, proof_of
 
@@ -189,8 +190,8 @@ def test_double_negation_root_stays_one_step(calculus):
 
 def test_goldens_and_random_proofs_stay_within_their_step_total():
     """Strict steps summed over acceptance goldens 1-6 and random proofs
-    0..49 in GE and GM stay at the 2156 that the case split and the router
-    give."""
+    0..49 in GE and GM stay at the 2094 that the case split and the fused
+    routes give."""
     goldens = [
         ("=> []A -> ([]B -> []A)", "GE"),
         ("[][]A => [][]A", "GE"),
@@ -205,7 +206,7 @@ def test_goldens_and_random_proofs_stay_within_their_step_total():
     total = sum(
         len(realize(p, calc, CS_JE if calc == "GE" else CS_JEM).derivation) for p, calc in proofs
     )
-    assert total <= 2156, total
+    assert total <= 2094, total
 
 
 def test_left_rules_answer_premise_hypotheses_without_deduction_transform(monkeypatch):
@@ -228,11 +229,14 @@ def test_left_rules_answer_premise_hypotheses_without_deduction_transform(monkey
 
 
 def test_orr_on_the_last_position_is_the_premise_derivation():
+    """``X => X | Y`` from ``X => X, Y``: d(X, Y) is X | Y, so the root's
+    derivation is the premise's, which is pending until asked for."""
     p = _case("OrR-one", "GM")
     engine = realization._Engine(p, "GM", CS_JEM, "strict")
     engine.run()
     (child,) = engine.index.children[0]
-    assert engine.derivs[0] == engine.derivs[child]
+    assert child in engine.routes and child not in engine.derivs
+    assert engine.derivs[0] == engine._derivation(child)
 
 
 def test_conjunction_ladder_grows_by_a_constant_per_level():
@@ -250,3 +254,91 @@ def test_conjunction_ladder_grows_by_a_constant_per_level():
         verify_realization(r)
         sizes.append(len(r.derivation))
     assert len({b - a for a, b in zip(sizes, sizes[1:])}) == 1, sizes
+
+
+def _count_folds(monkeypatch) -> list:
+    calls = []
+    original = realization._fold
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(realization, "_fold", counted)
+    return calls
+
+
+@pytest.mark.parametrize("calculus", ["GE", "GM"])
+def test_route_chain_under_impr_is_one_fold(monkeypatch, calculus):
+    """``=> X -> X | Y, Z`` by ImpR over OrR over two WRs: the WRs and the
+    OrR leave pending routes, and ImpR folds the chain once."""
+    x = _box_id(calculus, "A")
+    p = impr(orr(wr(wr(x, Z, 0), Y, 2), 1), 0)
+    assert [p.rule, p.children[0].rule] == ["ImpR", "OrR"]
+    assert str(p.sequent) == "=> []A -> []A | []B, []C"
+    folds = _count_folds(monkeypatch)
+    cs = CS_JE if calculus == "GE" else CS_JEM
+    verify_realization(realize(p, calculus, cs))
+    assert len(folds) == 1, folds
+
+
+@pytest.mark.parametrize("calculus", ["GE", "GM"])
+def test_materialized_chain_is_one_fold(monkeypatch, calculus):
+    """A chain of WR, CR and OrR under the root is built once, as one fold
+    from the modal leaf, and equals the chain routed at each step."""
+    x = _box_id(calculus, "A")
+    p = orr(cr(wr(wr(wr(x, Y, 0), Y, 0), Z, 3), 0), 1)  # X => Y, X | Z
+    assert [p.rule, p.children[0].rule] == ["OrR", "CR"]
+    folds = _count_folds(monkeypatch)
+    cs = CS_JE if calculus == "GE" else CS_JEM
+    verify_realization(realize(p, calculus, cs))
+    assert len(folds) == 1, folds
+
+
+def _glue_sequent(k: int) -> Sequent:
+    atoms = [Atom(f"A{i}") for i in range(1, k + 1)]
+    left = right = None
+    for a, b in zip(atoms, reversed(atoms)):
+        left = a if left is None else Or(left, a)
+        right = b if right is None else Or(right, b)
+    return Sequent((), (Implies(left, right),))
+
+
+def test_disjunction_permutation_glue_curve():
+    """``=> (A1 | ... | Ak) -> (Ak | ... | A1)`` in GE: a chain of OrR and
+    WR under each OrL leaf is one fold, so the derivation grows by a
+    bounded number of steps per disjunct."""
+    bounds = {5: 65, 7: 130, 9: 215}
+    for k in range(3, 10):
+        p = prove_bounded(_glue_sequent(k), "GE", 20)
+        r = realize(p, "GE", CS_JE)
+        verify_realization(r)
+        assert len(r.derivation) <= bounds.get(k, len(r.derivation)), (k, len(r.derivation))
+
+
+@pytest.mark.parametrize("mode", ["strict", "simplify"])
+def test_pending_route_survives_a_later_resolution(monkeypatch, mode):
+    """AndR over two premises whose side formula ``[]A | C`` comes from OrR
+    chains over two different RM instances of one family.  The first chain
+    is still pending, its or-introduction holding the second instance's
+    provisional, when the second RM resolves it."""
+    a, c, d, e = (Atom(n) for n in "ACDE")
+    x1 = wl(rm(axp("A")), Box(And(a, a)), 1)  # []A, [](A & A) => []A
+    x2 = wl(rm(andl(wl(axp("A"), a, 1))), Box(a), 0)  # []A, [](A & A) => []A
+
+    def side(q, last):
+        return orr(wr(wr(q, last, 0), c, 2), 0)  # ... => []A | C, last
+
+    p = andr(side(x1, d), side(x2, e), 1)
+    assert str(p.sequent) == "[]A, [](A & A) => []A | C, D & E"
+    rewritten = []
+    original = realization._Engine._resolve
+
+    def traced(engine, provisional, value):
+        before = dict(engine.routes)
+        original(engine, provisional, value)
+        rewritten.extend(nid for nid, route in before.items() if engine.routes[nid] != route)
+
+    monkeypatch.setattr(realization._Engine, "_resolve", traced)
+    verify_realization(realize(p, "GM", CS_JEM, mode=mode))
+    assert rewritten
