@@ -49,7 +49,7 @@ from .semantics import (
     model_truth,
     soundness_fuzz,
 )
-from .sequent import Sequent, SequentProofError, check_sequent_proof, index_proof, prove_bounded
+from .sequent import Sequent, SequentProofError, check_sequent_proof, proof_size, prove_bounded
 from .syntax import (
     BOT,
     And,
@@ -255,10 +255,10 @@ def _cmd_prove(args) -> int:
     s = _read_sequent(args.sequent)
     proof = prove_bounded(s, args.calculus, args.depth)
     if proof is not None:
-        nodes = len(index_proof(proof).nodes)
+        nodes, distinct = proof_size(proof)
         if args.output:
             Path(args.output).write_text(write_sequent_proof(proof, args.calculus))
-        human = f"proved: {s} ({nodes} nodes)"
+        human = f"proved: {s} ({nodes} nodes, {distinct} distinct)"
         if args.output:
             human += f"\nwrote {args.output}"
         _emit(
@@ -269,6 +269,7 @@ def _cmd_prove(args) -> int:
                 "calculus": args.calculus,
                 "sequent": str(s),
                 "nodes": nodes,
+                "distinct_nodes": distinct,
                 "output": args.output,
             },
         )

@@ -22,7 +22,8 @@ introduced by a shared rule instance into equivalence classes.
 propositional structure eagerly (those rules are invertible), then tries
 every antecedent/succedent box pair at the modal transition, inserting the
 weakening and contraction steps explicitly so its output always passes
-``check_sequent_proof``.
+``check_sequent_proof``.  It searches a repeated subgoal once, so its proofs
+share subproofs.
 """
 
 from __future__ import annotations
@@ -83,9 +84,18 @@ def parse_sequent_line(text: str) -> Sequent:
     return Sequent(ante, succ)
 
 
-class Proof(_FrozenRecord):
+class _WeaklyReferenced(_FrozenRecord):
+    """A frozen record that ``weakref`` can watch, so that a test can see a
+    proof freed once its caller drops it."""
+
+    __slots__ = ("__weakref__",)
+
+
+class Proof(_WeaklyReferenced):
     """One node of a sequent proof: the sequent it concludes, the rule, the
-    principal occurrence(s) in the conclusion, and the premise subproofs."""
+    principal occurrence(s) in the conclusion, and the premise subproofs.
+    A subproof may be shared by several parents, so a proof is a DAG; as a
+    tree it repeats each shared subproof once per parent."""
 
     sequent: Sequent
     rule: str
@@ -127,22 +137,10 @@ class Proof(_FrozenRecord):
     def __reduce__(self):
         """Pickle as a flat postorder list of the distinct nodes, each with
         its children's positions in the list."""
-        position: dict[int, int] = {}
-        nodes = []
-        stack = [self]
-        while stack:
-            p = stack[-1]
-            if id(p) in position:
-                stack.pop()
-                continue
-            waiting = [c for c in p.children if id(c) not in position]
-            if waiting:
-                stack.extend(reversed(waiting))
-                continue
-            stack.pop()
-            position[id(p)] = len(nodes)
-            nodes.append((p.sequent, p.rule, p.principal, tuple(position[id(c)] for c in p.children)))
-        return _proof_from_postorder, (tuple(nodes),)
+        nodes = _distinct_postorder(self)
+        position = {id(p): i for i, p in enumerate(nodes)}
+        flat = tuple((p.sequent, p.rule, p.principal, tuple(position[id(c)] for c in p.children)) for p in nodes)
+        return _proof_from_postorder, (flat,)
 
     def __repr__(self):
         pieces = []
@@ -161,6 +159,35 @@ class Proof(_FrozenRecord):
                 if i:
                     stack.append(", ")
         return "".join(pieces)
+
+
+def _distinct_postorder(p: Proof) -> list[Proof]:
+    """The distinct ``Proof`` objects of ``p``, each after its premises."""
+    done: set[int] = set()
+    nodes = []
+    stack = [p]
+    while stack:
+        q = stack[-1]
+        if id(q) in done:
+            stack.pop()
+            continue
+        waiting = [c for c in q.children if id(c) not in done]
+        if waiting:
+            stack.extend(reversed(waiting))
+            continue
+        stack.pop()
+        done.add(id(q))
+        nodes.append(q)
+    return nodes
+
+
+def proof_size(p: Proof) -> tuple[int, int]:
+    """The number of nodes of ``p`` as a tree, and the number of distinct
+    ``Proof`` objects in it, counted without expanding shared subproofs."""
+    size: dict[int, int] = {}
+    for q in _distinct_postorder(p):
+        size[id(q)] = 1 + sum(size[id(c)] for c in q.children)
+    return size[id(p)], len(size)
 
 
 def _proof_from_postorder(nodes) -> Proof:
@@ -315,19 +342,28 @@ def correspondences(rule: str, principal, s: Sequent) -> tuple[dict, ...]:
 
 
 def check_sequent_proof(p: Proof, calculus: str) -> Sequent:
-    """Validate the whole tree against the stated calculus; returns the root
-    sequent (the proved one)."""
+    """Validate the whole proof against the stated calculus; returns the root
+    sequent (the proved one).  A subproof shared by several parents is one
+    object, and it is checked once.  Only the root's formulas are checked
+    against the modal dialect: every other node's sequent must equal a
+    premise that ``premises_of`` built from its parent's, so its formulas
+    are subformulas of the root's."""
     if calculus not in _CALCULUS_RULES:
         raise SequentProofError("bad-rule", f"unknown calculus {calculus!r}")
     allowed = _CALCULUS_RULES[calculus]
+    seen = set()
     stack = [p]
     while stack:
         node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
         if node.rule not in allowed:
             kind = "wrong-calculus" if node.rule in RULES else "bad-rule"
             raise SequentProofError(kind, f"rule {node.rule} not part of {calculus}")
-        for f in node.sequent.ante + node.sequent.succ:
-            check_formula(f, Dialect.MODAL)
+        if node is p:
+            for f in node.sequent.ante + node.sequent.succ:
+                check_formula(f, Dialect.MODAL)
         prems = premises_of(node.rule, node.principal, node.sequent)
         if len(prems) != len(node.children):
             raise SequentProofError("premise-mismatch", f"{node.rule} expects {len(prems)} premises")
@@ -354,6 +390,10 @@ def _dedup(fs: tuple[Formula, ...]) -> tuple[Formula, ...]:
 
 
 def _canonical(s: Sequent) -> Sequent:
+    """``s`` with repeated formulas dropped, first occurrences kept in order;
+    ``s`` itself when it repeats none, the usual case."""
+    if len(set(s.ante)) == len(s.ante) and len(set(s.succ)) == len(s.succ):
+        return s
     return Sequent(_dedup(s.ante), _dedup(s.succ))
 
 
@@ -384,52 +424,92 @@ def _bridge(proof: Proof, target: Sequent) -> Proof:
 
 
 _DECOMP = {
-    ("L", Implies): "ImpL",
-    ("L", And): "AndL",
-    ("L", Or): "OrL",
-    ("L", Not): "NotL",
-    ("R", Implies): "ImpR",
-    ("R", And): "AndR",
-    ("R", Or): "OrR",
-    ("R", Not): "NotR",
+    "L": {Implies: "ImpL", And: "AndL", Or: "OrL", Not: "NotL"},
+    "R": {Implies: "ImpR", And: "AndR", Or: "OrR", Not: "NotR"},
 }
 
 
-def _search(c: Sequent, calculus: str, depth: int) -> Proof | None:
+# The propositional rules with one premise: the search looks one step ahead
+# through them for a premise that an axiom closes.
+_SINGLE_PREMISE = frozenset({"ImpR", "AndL", "OrR", "NotL", "NotR"})
+
+
+def _axiom_leaf(c: Sequent) -> Proof | None:
+    """The axiom that closes ``c`` under weakenings, if one does: ``_|_ =>``
+    for a falsum in the antecedent, else ``P => P`` for the first
+    antecedent atom that is also a succedent formula."""
     for f in c.ante:
         if isinstance(f, Bottom):
-            return _bridge(Proof(Sequent((BOT,), ()), "AxBot", (("L", 0),), ()), c)
+            return Proof(Sequent((BOT,), ()), "AxBot", (("L", 0),), ())
         if isinstance(f, Atom) and f in c.succ:
-            leaf = Proof(Sequent((f,), (f,)), "AxP", (("L", 0), ("R", 0)), ())
-            return _bridge(leaf, c)
+            return Proof(Sequent((f,), (f,)), "AxP", (("L", 0), ("R", 0)), ())
+    return None
+
+
+def _search(c: Sequent, calculus: str, depth: int, memo: dict) -> Proof | None:
+    """A proof of the canonical sequent ``c`` within ``depth``, or None.
+    ``memo`` maps the sides of a canonical sequent to ``(depth, proof)``: a
+    proof serves any remaining depth at least the one it was found at, a
+    failure (proof None) only a depth at most the one it was found at."""
+    leaf = _axiom_leaf(c)
+    if leaf is not None:
+        return _bridge(leaf, c)
     if depth <= 0:
         return None
+    key = c.ante, c.succ
+    known = memo.get(key)
+    if known is not None:
+        found_at, proof = known
+        if depth >= found_at if proof is not None else depth <= found_at:
+            return proof
+    proof = _expand(c, calculus, depth, memo)
+    if proof is not None or known is None or known[1] is None:
+        memo[key] = depth, proof
+    return proof
+
+
+def _expand(c: Sequent, calculus: str, depth: int, memo: dict) -> Proof | None:
+    """One rule application below ``c``, which no axiom closes, and the
+    search of its premises."""
+    chosen = None
     for side, formulas in (("L", c.ante), ("R", c.succ)):
+        rules = _DECOMP[side]
         for k, f in enumerate(formulas):
-            rule = _DECOMP.get((side, type(f)))
-            if rule is None:
+            rule = rules.get(type(f))
+            if rule is None or (chosen is not None and rule not in _SINGLE_PREMISE):
                 continue
             principal = ((side, k),)
-            children = []
-            for premise in premises_of(rule, principal, c):
-                sub = _search(_canonical(premise), calculus, depth - 1)
-                if sub is None:
-                    return None  # propositional rules are invertible: no backtracking
-                children.append(_bridge(sub, premise))
-            return Proof(c, rule, principal, tuple(children))
+            premises = premises_of(rule, principal, c)
+            if chosen is None:
+                chosen = rule, principal, premises
+            if rule in _SINGLE_PREMISE:
+                (premise,) = premises
+                leaf = _axiom_leaf(premise)
+                if leaf is not None:
+                    closed = _bridge(_bridge(leaf, _canonical(premise)), premise)
+                    return Proof(c, rule, principal, (closed,))
+    if chosen is not None:
+        rule, principal, premises = chosen
+        children = []
+        for premise in premises:
+            sub = _search(_canonical(premise), calculus, depth - 1, memo)
+            if sub is None:
+                return None  # propositional rules are invertible: no backtracking
+            children.append(_bridge(sub, premise))
+        return Proof(c, rule, principal, tuple(children))
     for fa in c.ante:
         if not isinstance(fa, Box):
             continue
         for fb in c.succ:
             if not isinstance(fb, Box):
                 continue
-            first = _search(_canonical(Sequent((fa.body,), (fb.body,))), calculus, depth - 1)
+            first = _search(_canonical(Sequent((fa.body,), (fb.body,))), calculus, depth - 1, memo)
             if first is None:
                 continue
             concl = Sequent((fa,), (fb,))
             principal = (("L", 0), ("R", 0))
             if calculus == "GE":
-                second = _search(_canonical(Sequent((fb.body,), (fa.body,))), calculus, depth - 1)
+                second = _search(_canonical(Sequent((fb.body,), (fa.body,))), calculus, depth - 1, memo)
                 if second is None:
                     continue
                 p1, p2 = premises_of("RE", principal, concl)
@@ -442,17 +522,33 @@ def _search(c: Sequent, calculus: str, depth: int) -> Proof | None:
 
 
 def prove_bounded(s: Sequent, calculus: str, depth: int) -> Proof | None:
-    """Deterministic backward proof search, exhaustive up to ``depth`` nested
-    rule applications (weakening/contraction bookkeeping is not counted).
-    Returns a proof that passes ``check_sequent_proof`` or None."""
+    """Deterministic backward proof search up to ``depth`` nested rule
+    applications (weakening and contraction bookkeeping is not counted).
+    Returns a proof that passes ``check_sequent_proof`` or None.
+
+    Each step closes the sequent by an axiom if one applies.  Otherwise it
+    decomposes one propositional formula: a one-premise rule (ImpR, AndL,
+    OrR, NotL, NotR) whose premise an axiom closes at once, else the first
+    decomposable formula, antecedent before succedent, left to right.  The
+    propositional rules are invertible, so the choice decides only the
+    proof's size, and the search never backtracks over it.  A sequent with
+    nothing to decompose tries the modal rule on each antecedent/succedent
+    box pair in turn.  No proof is sought beyond this order: it is not the
+    smallest proof, and since the order sets the proof's height, None means
+    only that this order found no proof within ``depth``.
+
+    Within one call, a canonical subgoal is searched once: a repeated one
+    shares the first proof found, so the result is a DAG whose shared
+    subproofs are one ``Proof`` object.  The GE ladder ``[]^n A => []^n A``
+    has 2^(n+1) - 1 tree nodes but n + 2 distinct ones.  The memo is
+    dropped when the call returns."""
     if calculus not in _CALCULUS_RULES:
         raise SequentProofError("bad-rule", f"unknown calculus {calculus!r}")
     if depth <= 0:
         raise ValueError("depth must be positive")
     for f in s.ante + s.succ:
         check_formula(f, Dialect.MODAL)
-    c = _canonical(s)
-    sub = _search(c, calculus, depth)
+    sub = _search(_canonical(s), calculus, depth, {})
     if sub is None:
         return None
     return _bridge(sub, s)

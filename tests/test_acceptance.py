@@ -24,6 +24,7 @@ from jelogic.generate import random_formula, random_sequent_theorem, random_theo
 from jelogic.hilbert import check_derivation, internalize
 from jelogic.realization import realize, simplify, verify_realization
 from jelogic.semantics import find_modal_countermodel, monotone_closure, soundness_fuzz
+from jelogic.sequent import proof_size
 from jelogic.syntax import ProofOf
 
 
@@ -179,6 +180,7 @@ def test_criterion_6_search_semantics_agreement():
     formulas = fragment_formulas()
     assert len(formulas) == 4146
 
+    proof_nodes = 0
     for calculus, logic in (("GE", "E"), ("GM", "EM")):
         undecided = 0
         for f in formulas:
@@ -186,9 +188,14 @@ def test_criterion_6_search_semantics_agreement():
             countermodel = find_modal_countermodel(f, logic, max_worlds=2)
             assert not (proof and countermodel), print_formula(f)
             undecided += proof is None and countermodel is None
+            if proof is not None:
+                proof_nodes += proof_size(proof)[0]
         # Observed strengthening: within this fragment the two searches
         # partition the formulas exactly.
         assert undecided == 0
+    # Closing a branch by a one-premise rule whose premise is an axiom, when
+    # there is one, takes the proofs from 8398 tree nodes to 8110.
+    assert proof_nodes <= 8110
 
     monotone_only = parse_formula("([]A | []B) -> [](A | B)", Dialect.MODAL)
     assert prove_bounded(Sequent((), (monotone_only,)), "GM", 10) is not None

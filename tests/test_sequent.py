@@ -1,4 +1,7 @@
+import gc
 import random
+import time
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,7 +27,10 @@ from jelogic.sequent import (
     index_proof,
     parse_sequent_line,
     premises_of,
+    proof_size,
     prove_bounded,
+    _canonical,
+    _search,
 )
 from jelogic.syntax import (
     And,
@@ -108,6 +114,19 @@ class TestCheck:
         with pytest.raises(Exception):
             check_sequent_proof(bogus, "GE")
 
+    def test_non_modal_formula_below_the_root_is_rejected(self):
+        """Only the root's formulas are dialect-checked; a node below it must
+        equal its parent's premise, so an alien formula cannot pass there."""
+        alien = ProofOf(ProofVar(0), A)
+        leaf = Proof(Sequent((alien,), (alien,)), "AxP", (("L", 0), ("R", 0)), ())
+        root = Proof(Sequent((B, alien), (alien,)), "WL", (("L", 0),), (leaf,))
+        with pytest.raises(Exception):
+            check_sequent_proof(root, "GE")
+        root = Proof(Sequent((B, A), (A,)), "WL", (("L", 0),), (leaf,))
+        with pytest.raises(SequentProofError) as e:
+            check_sequent_proof(root, "GE")
+        assert e.value.kind == "premise-mismatch"
+
     def test_weakening_proof_checks(self):
         root = check_sequent_proof(_weakening_proof(), "GE")
         assert root == parse_sequent_line("=> []A -> ([]B -> []A)")
@@ -173,6 +192,71 @@ class TestSearch:
     def test_unknown_calculus(self):
         with pytest.raises(SequentProofError):
             prove_bounded(parse_sequent_line("A => A"), "K", 5)
+
+    @pytest.mark.parametrize("text, calculus, nodes", [
+        ("C & D => A -> A", "GE", 3),          # ImpR, WL, AxP: not AndL first
+        ("C & D => A -> A", "GM", 3),
+        ("=> A & A | (B -> B)", "GE", 4),      # OrR, ImpR, WR, AxP: not AndR
+    ])
+    def test_a_premise_an_axiom_closes_goes_first(self, text, calculus, nodes):
+        p = prove_bounded(parse_sequent_line(text), calculus, 10)
+        check_sequent_proof(p, calculus)
+        assert proof_size(p) == (nodes, nodes)
+
+    def test_without_a_closing_premise_the_first_formula_goes_first(self):
+        # ImpR's premise C, A | B => B | A is no axiom, so OrL stays first.
+        p = prove_bounded(parse_sequent_line("A | B => C -> B | A"), "GE", 10)
+        assert (p.rule, p.principal) == ("OrL", (("L", 0),))
+
+    def test_ge_ladder_is_one_subproof_per_level(self):
+        n = 20
+        s = parse_sequent_line(f"{'[]' * n}A => {'[]' * n}A")
+        t0 = time.perf_counter()
+        p = prove_bounded(s, "GE", n + 2)
+        check_sequent_proof(p, "GE")
+        assert time.perf_counter() - t0 < 1.0
+        tree, distinct = proof_size(p)
+        assert tree == 2 ** (n + 1) - 1
+        assert distinct <= n + 2
+        assert p.children[0] is p.children[1]
+
+    def test_check_visits_a_shared_subproof_once(self, monkeypatch):
+        n = 20
+        p = prove_bounded(parse_sequent_line(f"{'[]' * n}A => {'[]' * n}A"), "GE", n + 2)
+        calls = []
+        monkeypatch.setattr("jelogic.sequent.premises_of", lambda *a: calls.append(a) or premises_of(*a))
+        check_sequent_proof(p, "GE")
+        assert len(calls) == proof_size(p)[1]
+
+    def test_memo_lives_for_one_call(self):
+        s = parse_sequent_line("[][][]A => [][][]A")
+        p = prove_bounded(s, "GE", 5)
+        q = prove_bounded(s, "GE", 5)
+        assert p == q and p is not q
+        ref = weakref.ref(p)
+        del p, q
+        gc.collect()
+        assert ref() is None
+
+    def test_memo_keeps_depths_apart(self):
+        c = _canonical(parse_sequent_line("[][]A => [][]A"))  # needs depth 2
+        memo = {}
+        assert _search(c, "GE", 1, memo) is None
+        p = _search(c, "GE", 2, memo)          # a failure at 1 says nothing at 2
+        assert p is not None
+        assert _search(c, "GE", 5, memo) is p  # a proof at 2 serves 5
+        assert _search(c, "GE", 1, memo) is None
+        assert _search(c, "GE", 2, memo) is p
+
+
+def test_proof_size_counts_a_dag_as_its_tree():
+    leaf = axp("A")
+    inner = re(leaf, leaf)              # []A => []A, leaf shared
+    outer = re(inner, inner)            # [][]A => [][]A, inner shared
+    assert proof_size(leaf) == (1, 1)
+    assert proof_size(inner) == (3, 2)
+    assert proof_size(outer) == (7, 3)
+    assert proof_size(outer) == (len(index_proof(outer).nodes), 3)
 
 
 class TestFamilies:
