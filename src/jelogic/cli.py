@@ -39,7 +39,7 @@ from .realization import (
     UncheckedProof,
     VerificationError,
     realize,
-    try_simplify,
+    realize_simplified,
     verify_realization,
 )
 from .semantics import (
@@ -331,11 +331,10 @@ def _cmd_realize(args) -> int:
                 {"command": "realize", "ok": False, "sequent": str(s), "depth": args.depth},
             )
             return 1
-    result = realize(proof, calculus, cs)
-    fallback = None
-    if args.simplify:
-        result, fallback = try_simplify(result)
-    verify_realization(result)
+    result, fallback = realize_simplified(proof, calculus, cs) if args.simplify else (None, None)
+    if result is None:
+        result = realize(proof, calculus, cs)
+        verify_realization(result)
     if args.output:
         Path(args.output).write_text(write_derivation(result.derivation))
     human = f"realized ({result.mode}): {print_formula(result.realized)}"

@@ -26,12 +26,14 @@ from .syntax import (
     Implies,
     JustOf,
     JustSum,
+    JustTerm,
     JustVar,
     MApply,
     Not,
     Or,
     ProofConst,
     ProofOf,
+    ProofTerm,
     ProofVar,
     Sum,
     box_occurrences,
@@ -44,33 +46,43 @@ _ATOMS = ("A", "B", "C")
 # Random terms and formulas
 
 
-def random_proof_term(rng: random.Random, dialect: Dialect, depth: int):
+def random_proof_term(rng: random.Random, dialect: Dialect, depth: int, leaves=None):
+    """A proof term of ``dialect`` at most ``depth`` deep.  Its leaves are the
+    proof terms of ``leaves`` if given, else p0..p2 and c0..c2."""
     if depth <= 1 or rng.random() < 0.35:
+        if leaves is not None:
+            return rng.choice([t for t in leaves if isinstance(t, ProofTerm)])
         if rng.random() < 0.5:
             return ProofVar(rng.randrange(3))
         return ProofConst(f"c{rng.randrange(3)}")
     kinds = ["apply", "bang"] + (["sum"] if dialect is Dialect.JE else [])
     kind = rng.choice(kinds)
     if kind == "bang":
-        return Bang(random_proof_term(rng, dialect, depth - 1))
-    left = random_proof_term(rng, dialect, depth - 1)
-    right = random_proof_term(rng, dialect, depth - 1)
+        return Bang(random_proof_term(rng, dialect, depth - 1, leaves))
+    left = random_proof_term(rng, dialect, depth - 1, leaves)
+    right = random_proof_term(rng, dialect, depth - 1, leaves)
     return Apply(left, right) if kind == "apply" else Sum(left, right)
 
 
-def random_just_term(rng: random.Random, dialect: Dialect, depth: int):
+def random_just_term(rng: random.Random, dialect: Dialect, depth: int, leaves=None):
+    """A justification term of ``dialect`` at most ``depth`` deep.  With
+    ``leaves`` given, its leaves of both sorts are drawn from it; else a JEM
+    leaf is one of x0..x2, and proof-term leaves are as in
+    ``random_proof_term``."""
     if dialect is Dialect.JE:
-        return Evidence(random_proof_term(rng, dialect, max(1, depth - 1)))
+        return Evidence(random_proof_term(rng, dialect, max(1, depth - 1), leaves))
     if depth <= 1 or rng.random() < 0.4:
+        if leaves is not None:
+            return rng.choice([t for t in leaves if isinstance(t, JustTerm)])
         return JustVar(rng.randrange(3))
     if rng.random() < 0.5:
         return MApply(
-            random_proof_term(rng, dialect, depth - 1),
-            random_just_term(rng, dialect, depth - 1),
+            random_proof_term(rng, dialect, depth - 1, leaves),
+            random_just_term(rng, dialect, depth - 1, leaves),
         )
     return JustSum(
-        random_just_term(rng, dialect, depth - 1),
-        random_just_term(rng, dialect, depth - 1),
+        random_just_term(rng, dialect, depth - 1, leaves),
+        random_just_term(rng, dialect, depth - 1, leaves),
     )
 
 

@@ -58,7 +58,7 @@ from .syntax import (
     _FrozenRecord,
     _Substituter,
     _set,
-    check_formula,
+    check_dialect,
     print_formula,
 )
 
@@ -185,7 +185,7 @@ def check_derivation(d: Derivation, cs: ConstantSpecification) -> Judgment:
     for i, step in enumerate(d.steps):
         match step:
             case Hyp(f):
-                check_formula(f, d.dialect, seen)
+                check_dialect(f, d.dialect, Formula, seen)
             case AxiomStep(f, scheme_id, binding):
                 try:
                     pattern = scheme_by_id(scheme_id, d.dialect).pattern
@@ -193,11 +193,11 @@ def check_derivation(d: Derivation, cs: ConstantSpecification) -> Judgment:
                     raise DerivationError("bad-axiom", i, f"unknown scheme {scheme_id}")
                 if instantiate(pattern, binding) != f:
                     raise DerivationError("bad-axiom", i, f"not an instance of {scheme_id}")
-                check_formula(f, d.dialect, seen)
+                check_dialect(f, d.dialect, Formula, seen)
             case ANStep(c, a):
                 if not cs_contains(cs, c, a):
                     raise DerivationError("bad-an", i, f"({c}, {print_formula(a)}) not in the specification")
-                check_formula(a, d.dialect, seen)
+                check_dialect(a, d.dialect, Formula, seen)
     return judgment
 
 

@@ -38,8 +38,8 @@ The engine trusts its builder: at each distinct node it compares only the
 conclusion and hypotheses read off the derivation's steps with the node's
 realized sequent, and re-checks nothing after a substitution, which maps a
 derivation to one of the substituted judgment.  ``verify_realization`` is the
-full check; every caller in the package runs it: the CLI, ``try_simplify``
-and the benchmark.
+full check; every caller in the package runs it: the CLI,
+``realize_simplified`` and the benchmark.
 """
 
 from __future__ import annotations
@@ -805,12 +805,21 @@ def try_simplify(result: RealizationResult) -> tuple[RealizationResult, str | No
     else the collapsed result and None."""
     if result.mode == "simplify":
         return result, None
+    out, reason = realize_simplified(result.source, result.calculus, result.cs)
+    return (result, reason) if out is None else (out, None)
+
+
+def realize_simplified(
+    proof: Proof, calculus: str, cs: ConstantSpecification
+) -> tuple[RealizationResult | None, str | None]:
+    """The simplify-mode realization of ``proof``, verified, and None; or
+    None and ``"<error class>: <message>"`` when that run fails to check."""
     try:
-        out = realize(result.source, result.calculus, result.cs, mode="simplify")
+        out = realize(proof, calculus, cs, mode="simplify")
         verify_realization(out)
         return out, None
     except (DerivationError, VerificationError) as e:
-        return result, f"{type(e).__name__}: {e}"
+        return None, f"{type(e).__name__}: {e}"
 
 
 def verify_realization(

@@ -27,6 +27,7 @@ import random
 from itertools import combinations, product
 
 from .axioms import CATALOGUE, ConstantSpecification, instantiate, match_axiom, metavariables
+from .generate import random_just_term, random_proof_term
 from .syntax import (
     And,
     Apply,
@@ -56,9 +57,7 @@ from .syntax import (
     _FrozenRecord,
     _Record,
     _set,
-    check_formula,
-    check_just_term,
-    check_proof_term,
+    check_dialect,
     children,
     formula_children,
     print_formula,
@@ -84,15 +83,6 @@ class NotBasicModel(Exception):
 
 
 _EMPTY: frozenset = frozenset()
-
-
-def _check_term(t: Term, dialect: Dialect) -> None:
-    if isinstance(t, ProofTerm):
-        check_proof_term(t, dialect)
-    elif isinstance(t, JustTerm):
-        check_just_term(t, dialect)
-    else:
-        raise DialectError(f"not a term: {t!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +217,7 @@ def saturate(
     if cs is None:
         cs = eps.cs
     for t in eps.table:
-        _check_term(t, dialect)
+        check_dialect(t, dialect, Term)
         if term_depth(t) > bound:
             raise BoundExhausted(f"declared entry for {print_term(t)} lies beyond depth {bound}")
     base = {t: frozenset(fs) for t, fs in eps.table.items()}
@@ -276,7 +266,7 @@ def saturate(
     if terms is not None:
         want: set[Term] = set(base)
         for t in terms:
-            _check_term(t, dialect)
+            check_dialect(t, dialect, Term)
             if term_depth(t) > bound:
                 raise BoundExhausted(f"requested term {print_term(t)} lies beyond depth {bound}")
             want.update(subterms(t))
@@ -568,31 +558,6 @@ def _prop_candidates() -> list[Formula]:
     return out
 
 
-def _rand_proof_term(rng: random.Random, dialect: Dialect, leaves, depth: int):
-    if depth <= 1 or rng.random() < 0.4:
-        return rng.choice(leaves)
-    kinds = ["apply", "bang"] + (["sum"] if dialect is Dialect.JE else [])
-    k = rng.choice(kinds)
-    if k == "bang":
-        return Bang(_rand_proof_term(rng, dialect, leaves, depth - 1))
-    a = _rand_proof_term(rng, dialect, leaves, depth - 1)
-    b = _rand_proof_term(rng, dialect, leaves, depth - 1)
-    return Apply(a, b) if k == "apply" else Sum(a, b)
-
-
-def _rand_just_term(rng: random.Random, dialect: Dialect, leaves, jleaves, depth: int):
-    if dialect is Dialect.JE:
-        return Evidence(_rand_proof_term(rng, dialect, leaves, depth - 1))
-    if depth <= 1 or rng.random() < 0.5:
-        return rng.choice(jleaves)
-    if rng.random() < 0.5:
-        return MApply(rng.choice(leaves), _rand_just_term(rng, dialect, leaves, jleaves, depth - 1))
-    return JustSum(
-        _rand_just_term(rng, dialect, leaves, jleaves, depth - 1),
-        _rand_just_term(rng, dialect, leaves, jleaves, depth - 1),
-    )
-
-
 def soundness_fuzz(dialect: Dialect, trials: int, seed: int = 0) -> FuzzReport:
     """Random factive saturated evaluations versus random axiom-scheme
     instances: every instance must come out true.  Any failure recorded in
@@ -606,6 +571,7 @@ def soundness_fuzz(dialect: Dialect, trials: int, seed: int = 0) -> FuzzReport:
     candidates = _prop_candidates()
     proof_leaves = [ProofVar(0), ProofVar(1)]
     just_leaves = [JustVar(0), JustVar(1)]
+    leaves = proof_leaves + just_leaves
     for i in range(trials):
         rng = random.Random(f"{seed}:{i}")
         for _attempt in range(60):
@@ -636,9 +602,9 @@ def soundness_fuzz(dialect: Dialect, trials: int, seed: int = 0) -> FuzzReport:
                 if kind == "formula":
                     binding[name] = rng.choice(fpool)
                 elif kind == "proof":
-                    binding[name] = _rand_proof_term(rng, dialect, proof_leaves, 2)
+                    binding[name] = random_proof_term(rng, dialect, 2, leaves)
                 else:
-                    binding[name] = _rand_just_term(rng, dialect, proof_leaves, just_leaves, 2)
+                    binding[name] = random_just_term(rng, dialect, 2, leaves)
             instance = instantiate(scheme.pattern, binding)
             try:
                 sat = saturate(eps, terms=tuple(terms_in(instance)))
@@ -757,7 +723,7 @@ def find_modal_countermodel(
     superset-closed ones.  None means no countermodel of that size exists."""
     if logic not in ("E", "EM"):
         raise ValueError(f"unknown modal logic {logic!r}")
-    check_formula(f, Dialect.MODAL)
+    check_dialect(f, Dialect.MODAL)
     instrs = _compile_modal(f)
     atoms = sorted({op[1] for op in instrs if op[0] == "atom"})
     for nw in range(1, max_worlds + 1):

@@ -43,7 +43,7 @@ from .syntax import (
     _Record,
     _set,
     box_occurrences,
-    check_formula,
+    check_dialect,
     formula_children,
     parse_sequent as _parse_sides,
     polarity_at,
@@ -362,8 +362,9 @@ def check_sequent_proof(p: Proof, calculus: str) -> Sequent:
             kind = "wrong-calculus" if node.rule in RULES else "bad-rule"
             raise SequentProofError(kind, f"rule {node.rule} not part of {calculus}")
         if node is p:
+            dialect_seen: set = set()
             for f in node.sequent.ante + node.sequent.succ:
-                check_formula(f, Dialect.MODAL)
+                check_dialect(f, Dialect.MODAL, Formula, dialect_seen)
         prems = premises_of(node.rule, node.principal, node.sequent)
         if len(prems) != len(node.children):
             raise SequentProofError("premise-mismatch", f"{node.rule} expects {len(prems)} premises")
@@ -546,8 +547,9 @@ def prove_bounded(s: Sequent, calculus: str, depth: int) -> Proof | None:
         raise SequentProofError("bad-rule", f"unknown calculus {calculus!r}")
     if depth <= 0:
         raise ValueError("depth must be positive")
+    seen: set = set()
     for f in s.ante + s.succ:
-        check_formula(f, Dialect.MODAL)
+        check_dialect(f, Dialect.MODAL, Formula, seen)
     sub = _search(_canonical(s), calculus, depth, {})
     if sub is None:
         return None

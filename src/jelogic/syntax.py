@@ -11,11 +11,12 @@ The toolkit works with three dialects of one formula language:
   ``x0``, binary sums ``t + s`` and applications ``m(proof term, just term)``.
 
 Formula trees are immutable slotted classes (``dataclasses.fields`` lists
-their fields) and carry no dialect tag of their own;
-``check_formula`` validates a tree against a dialect.  Nodes are hash-consed:
-every constructor call returns the one live node with its class and fields,
-so equal terms and formulas are identical objects, ``==`` and ``hash`` are by
-identity, and a term DAG costs memory per distinct node.  ``children`` is the
+their fields) and carry no dialect tag of their own; ``check_dialect``
+validates a term or formula against a dialect, from one table of the classes
+that not every dialect has.  Nodes are hash-consed: every constructor call
+returns the one live node with its class and fields, so equal terms and
+formulas are identical objects, ``==`` and ``hash`` are by identity, and a
+term DAG costs memory per distinct node.  ``children`` is the
 one structural walk: a node's child nodes in field order, over which
 ``type(node)(*kids)`` rebuilds it.  Occurrences of subformulas are addressed
 by paths (tuples of formula-child indices), which is what the sequent
@@ -191,8 +192,10 @@ class _HashConsed(metaclass=_Interned):
     __repr__ = _repr
     __reduce__ = _reduce
 
-    # For ``children``: no child nodes, unless the class is listed after BOT.
+    # For ``children`` and ``check_dialect``: no child nodes, unless the
+    # class is listed after BOT.
     _children = staticmethod(lambda node: ())
+    _sorts = ()
 
 
 class _Node(_HashConsed):
@@ -241,23 +244,23 @@ class ProofVar(_Node):
 
 
 class Apply(_Node):
-    left: "ProofTerm"
-    right: "ProofTerm"
+    left: ProofTerm
+    right: ProofTerm
 
 
 class Sum(_Node):
-    left: "ProofTerm"
-    right: "ProofTerm"
+    left: ProofTerm
+    right: ProofTerm
 
 
 class Bang(_Node):
-    inner: "ProofTerm"
+    inner: ProofTerm
 
 
 class Evidence(_Node):
     """JE justification term ``e(t)`` wrapping a proof term."""
 
-    proof: "ProofTerm"
+    proof: ProofTerm
 
 
 class JustVar(_Node):
@@ -265,15 +268,15 @@ class JustVar(_Node):
 
 
 class JustSum(_Node):
-    left: "JustTerm"
-    right: "JustTerm"
+    left: JustTerm
+    right: JustTerm
 
 
 class MApply(_Node):
     """JEM justification term ``m(t, s)``: a proof term applied to evidence."""
 
-    proof: "ProofTerm"
-    just: "JustTerm"
+    proof: ProofTerm
+    just: JustTerm
 
 
 ProofTerm = ProofConst | ProofVar | Apply | Sum | Bang
@@ -294,50 +297,52 @@ class Bottom(_Node):
 
 
 class Implies(_Node):
-    left: "Formula"
-    right: "Formula"
+    left: Formula
+    right: Formula
 
 
 class And(_Node):
-    left: "Formula"
-    right: "Formula"
+    left: Formula
+    right: Formula
 
 
 class Or(_Node):
-    left: "Formula"
-    right: "Formula"
+    left: Formula
+    right: Formula
 
 
 class Not(_Node):
-    inner: "Formula"
+    inner: Formula
 
 
 class ProofOf(_Node):
     """``t:F`` -- a proof term asserting a formula."""
 
     term: ProofTerm
-    body: "Formula"
+    body: Formula
 
 
 class JustOf(_Node):
     """``[t]F`` -- a justification term asserting a formula."""
 
     term: JustTerm
-    body: "Formula"
+    body: Formula
 
 
 class Box(_Node):
-    body: "Formula"
+    body: Formula
 
 
 Formula = Atom | Bottom | Implies | And | Or | Not | ProofOf | JustOf | Box
 
 BOT = Bottom()
 
-# Every field of these classes holds a node.  The other hash-consed classes,
-# the leaves and the metavariables of axiom patterns, hold none.
+# Every field of these classes holds a node, of the sort its annotation
+# names.  The other hash-consed classes, the leaves and the metavariables of
+# axiom patterns, hold none.
 for _cls in (Apply, Sum, Bang, Evidence, JustSum, MApply, Implies, And, Or, Not, ProofOf, JustOf, Box):
     _cls._children = _key(_cls.__match_args__)
+    _cls._sorts = tuple(globals()[sort] for sort in _cls.__annotations__.values())
 del _cls
 
 
@@ -421,91 +426,45 @@ def terms_in(f: Formula) -> Iterator[Term]:
 # Dialect validation
 
 
-def check_proof_term(t: ProofTerm, dialect: Dialect, _seen: set | None = None) -> None:
-    # ``_seen`` holds the nodes already validated during this call, so a term
-    # DAG with heavy sharing is walked once per distinct node, not once per
-    # path.  A caller may pass one set to several calls (``check_derivation``
-    # does, across all steps).
+# The classes that not every dialect has: the dialects that have each, and
+# the message that rejects it in the others.
+_RESTRICTED = {
+    Sum: ((Dialect.JE, Dialect.MODAL), "proof-term sum is not available in JEM"),
+    Evidence: ((Dialect.JE,), "e(.) terms belong to JE only"),
+    JustVar: ((Dialect.JEM,), "justification variables belong to JEM only"),
+    JustSum: ((Dialect.JEM,), "justification-term sum belongs to JEM only"),
+    MApply: ((Dialect.JEM,), "m(.,.) terms belong to JEM only"),
+    Box: ((Dialect.MODAL,), "[] belongs to the modal dialect only"),
+    ProofOf: ((Dialect.JE, Dialect.JEM), "proof assertions do not exist in the modal dialect"),
+    JustOf: ((Dialect.JE, Dialect.JEM), "justification assertions do not exist in the modal dialect"),
+}
+
+_SORT_NAMES = {Formula: "formula", ProofTerm: "proof term", JustTerm: "justification term", Term: "term"}
+
+
+def check_dialect(node, dialect: Dialect, sort=Formula, _seen: set | None = None) -> None:
+    """Raise DialectError unless ``node`` is a ``sort`` (``Formula``,
+    ``ProofTerm``, ``JustTerm`` or ``Term``) of ``dialect``.
+
+    ``_seen`` holds the nodes that passed during this call, so a DAG with
+    heavy sharing is walked once per distinct node, not once per path.  A
+    caller may pass one set to several calls (``check_derivation`` does,
+    across all steps): a node's sort is checked wherever it occurs, and a
+    node enters the set only once it and everything below it passed."""
+    cls = type(node)
+    if cls not in sort.__args__:
+        raise DialectError(f"not a {_SORT_NAMES[sort]}: {node!r}")
     if _seen is None:
         _seen = set()
-    elif t in _seen:
+    elif node in _seen:
         return
-    _seen.add(t)
-    match t:
-        case ProofConst() | ProofVar():
-            pass
-        case Apply(l, r):
-            check_proof_term(l, dialect, _seen)
-            check_proof_term(r, dialect, _seen)
-        case Sum(l, r):
-            if dialect is Dialect.JEM:
-                raise DialectError("proof-term sum is not available in JEM")
-            check_proof_term(l, dialect, _seen)
-            check_proof_term(r, dialect, _seen)
-        case Bang(inner):
-            check_proof_term(inner, dialect, _seen)
-        case _:
-            raise DialectError(f"not a proof term: {t!r}")
-
-
-def check_just_term(t: JustTerm, dialect: Dialect, _seen: set | None = None) -> None:
-    if _seen is None:
-        _seen = set()
-    elif t in _seen:
-        return
-    _seen.add(t)
-    match t:
-        case Evidence(p):
-            if dialect is not Dialect.JE:
-                raise DialectError("e(.) terms belong to JE only")
-            check_proof_term(p, dialect, _seen)
-        case JustVar():
-            if dialect is not Dialect.JEM:
-                raise DialectError("justification variables belong to JEM only")
-        case JustSum(l, r):
-            if dialect is not Dialect.JEM:
-                raise DialectError("justification-term sum belongs to JEM only")
-            check_just_term(l, dialect, _seen)
-            check_just_term(r, dialect, _seen)
-        case MApply(p, j):
-            if dialect is not Dialect.JEM:
-                raise DialectError("m(.,.) terms belong to JEM only")
-            check_proof_term(p, dialect, _seen)
-            check_just_term(j, dialect, _seen)
-        case _:
-            raise DialectError(f"not a justification term: {t!r}")
-
-
-def check_formula(f: Formula, dialect: Dialect, _seen: set | None = None) -> None:
-    if _seen is None:
-        _seen = set()
-    elif f in _seen:
-        return
-    _seen.add(f)
-    match f:
-        case Atom() | Bottom():
-            pass
-        case Implies(l, r) | And(l, r) | Or(l, r):
-            check_formula(l, dialect, _seen)
-            check_formula(r, dialect, _seen)
-        case Not(inner):
-            check_formula(inner, dialect, _seen)
-        case Box(body):
-            if dialect is not Dialect.MODAL:
-                raise DialectError("[] belongs to the modal dialect only")
-            check_formula(body, dialect, _seen)
-        case ProofOf(t, body):
-            if dialect is Dialect.MODAL:
-                raise DialectError("proof assertions do not exist in the modal dialect")
-            check_proof_term(t, dialect, _seen)
-            check_formula(body, dialect, _seen)
-        case JustOf(t, body):
-            if dialect is Dialect.MODAL:
-                raise DialectError("justification assertions do not exist in the modal dialect")
-            check_just_term(t, dialect, _seen)
-            check_formula(body, dialect, _seen)
-        case _:
-            raise DialectError(f"not a formula: {f!r}")
+    allowed = _RESTRICTED.get(cls)
+    if allowed is not None and dialect not in allowed[0]:
+        raise DialectError(allowed[1])
+    if cls._sorts:
+        for kid, kid_sort in zip(cls._children(node), cls._sorts):
+            check_dialect(kid, dialect, kid_sort, _seen)
+    _seen.add(node)
 
 
 def forgetful(f: Formula) -> Formula:

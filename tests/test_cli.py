@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from jelogic import realization
+from jelogic import cli, realization
 from jelogic.axioms import cs_total
 from jelogic.cli import main
 from jelogic.formats import parse_derivation, write_cs, write_derivation, write_model
@@ -225,6 +225,24 @@ class TestRealize:
         assert code == 0 and record["ok"] is True and record["mode"] == "strict"
         assert record["simplify_fallback"] == "DerivationError: realization-unstable: forced"
         assert "simplify fell back to strict: DerivationError" in out
+
+    def test_simplify_realizes_and_verifies_once(self, capsys, monkeypatch):
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for module in (cli, realization):
+            monkeypatch.setattr(module, "realize", counted("realize", realization.realize))
+            monkeypatch.setattr(module, "verify_realization", counted("verify", realization.verify_realization))
+        code, _, record = run(
+            capsys, "realize", "=> [](A & B) -> [](B & A)", "--calculus", "GE", "--simplify"
+        )
+        assert code == 0 and record["mode"] == "simplify" and record["simplify_fallback"] is None
+        assert calls == ["realize", "verify"]
 
     def test_modes_are_exclusive(self, capsys):
         """``--simplify`` is the one mode switch; strict is the default and

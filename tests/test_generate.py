@@ -16,10 +16,10 @@ from jelogic.sequent import check_sequent_proof
 from jelogic.syntax import (
     Dialect,
     JustOf,
+    JustTerm,
     ProofOf,
-    check_formula,
-    check_just_term,
-    check_proof_term,
+    ProofTerm,
+    check_dialect,
 )
 
 DIALECTS = [Dialect.JE, Dialect.JEM]
@@ -50,14 +50,14 @@ class TestWellFormedness:
     @pytest.mark.parametrize("dialect", DIALECTS + [Dialect.MODAL])
     def test_formulas_fit_their_dialect(self, dialect):
         for seed in range(80):
-            check_formula(random_formula(random.Random(seed), dialect, depth=4), dialect)
+            check_dialect(random_formula(random.Random(seed), dialect, depth=4), dialect)
 
     @pytest.mark.parametrize("dialect", DIALECTS)
     def test_terms_fit_their_dialect(self, dialect):
         for seed in range(60):
             rng = random.Random(seed)
-            check_proof_term(random_proof_term(rng, dialect, 3), dialect)
-            check_just_term(random_just_term(rng, dialect, 3), dialect)
+            check_dialect(random_proof_term(rng, dialect, 3), dialect, ProofTerm)
+            check_dialect(random_just_term(rng, dialect, 3), dialect, JustTerm)
 
     def test_depth_one_is_flat(self):
         f = random_formula(random.Random(0), Dialect.JE, depth=1)

@@ -107,6 +107,14 @@ class TestChecker:
         with pytest.raises(DialectError):
             check_derivation(d, CS_JEM)
 
+    def test_sort_enforced_on_a_node_an_earlier_step_shares(self):
+        # A is first checked as a formula, then stands where a proof term
+        # must; checked alone, the second hypothesis is rejected too.
+        bad = ProofOf(Apply(A, ProofVar(0)), B)
+        for steps in ((Hyp(bad),), (Hyp(A), Hyp(bad))):
+            with pytest.raises(DialectError, match="not a proof term: Atom"):
+                check_derivation(Derivation(Dialect.JE, steps, len(steps) - 1), CS_JE)
+
     def test_dialect_enforced_below_a_shared_node(self):
         # The checker validates each node once across steps; a node first
         # met inside a later step is still validated.

@@ -17,8 +17,11 @@ from jelogic.syntax import (
     Dialect,
     DialectError,
     Evidence,
+    Formula,
     Implies,
     JustOf,
+    JustSum,
+    JustTerm,
     JustVar,
     MApply,
     Not,
@@ -26,12 +29,15 @@ from jelogic.syntax import (
     ProofConst,
     ProofOf,
     ProofOfPresent,
+    ProofTerm,
     ProofVar,
     Reader,
     Substitution,
     Sum,
+    Term,
     apply_substitution,
     box_occurrences,
+    check_dialect,
     forgetful,
     parse_formula,
     parse_just_term,
@@ -208,6 +214,76 @@ class TestPrint:
     def test_sequent_printing(self):
         assert print_sequent((A, B), (C,)) == "A, B => C"
         assert print_sequent((), ()) == "=>"
+
+
+P0, P1, X0, X1 = ProofVar(0), ProofVar(1), JustVar(0), JustVar(1)
+
+# Each class some dialect lacks, checked alone in each dialect: None for
+# accepted, else the message.  JustOf's term, e(p0), is JE's.
+RESTRICTED = [
+    (Sum(P0, P1), ProofTerm, {
+        "JE": None, "JEM": "proof-term sum is not available in JEM", "MODAL": None}),
+    (Evidence(P0), JustTerm, {
+        "JE": None, "JEM": "e(.) terms belong to JE only", "MODAL": "e(.) terms belong to JE only"}),
+    (X0, JustTerm, {
+        "JE": "justification variables belong to JEM only", "JEM": None,
+        "MODAL": "justification variables belong to JEM only"}),
+    (JustSum(X0, X1), JustTerm, {
+        "JE": "justification-term sum belongs to JEM only", "JEM": None,
+        "MODAL": "justification-term sum belongs to JEM only"}),
+    (MApply(P0, X0), JustTerm, {
+        "JE": "m(.,.) terms belong to JEM only", "JEM": None, "MODAL": "m(.,.) terms belong to JEM only"}),
+    (Box(A), Formula, {
+        "JE": "[] belongs to the modal dialect only", "JEM": "[] belongs to the modal dialect only",
+        "MODAL": None}),
+    (ProofOf(P0, A), Formula, {
+        "JE": None, "JEM": None, "MODAL": "proof assertions do not exist in the modal dialect"}),
+    (JustOf(Evidence(P0), A), Formula, {
+        "JE": None, "JEM": "e(.) terms belong to JE only",
+        "MODAL": "justification assertions do not exist in the modal dialect"}),
+]
+
+
+class TestDialectCheck:
+    @pytest.mark.parametrize("dialect", DIALECTS, ids=lambda d: d.name)
+    @pytest.mark.parametrize("node, sort, verdicts", RESTRICTED, ids=[type(n).__name__ for n, _, _ in RESTRICTED])
+    def test_restricted_classes(self, node, sort, verdicts, dialect):
+        message = verdicts[dialect.name]
+        if message is None:
+            check_dialect(node, dialect, sort)
+        else:
+            with pytest.raises(DialectError) as e:
+                check_dialect(node, dialect, sort)
+            assert str(e.value) == message
+
+    @pytest.mark.parametrize("node, sort, message", [
+        (A, ProofTerm, "not a proof term: Atom(name='A')"),
+        (P0, JustTerm, "not a justification term: ProofVar(index=0)"),
+        (X0, Formula, "not a formula: JustVar(index=0)"),
+        (A, Term, "not a term: Atom(name='A')"),
+    ])
+    def test_wrong_sort(self, node, sort, message):
+        for dialect in DIALECTS:
+            with pytest.raises(DialectError) as e:
+                check_dialect(node, dialect, sort)
+            assert str(e.value) == message
+
+    def test_sort_is_checked_where_a_seen_node_recurs(self):
+        # A is first met as a formula, then stands where a proof term must.
+        with pytest.raises(DialectError, match="not a proof term: Atom"):
+            check_dialect(And(A, ProofOf(Apply(A, P0), B)), Dialect.JE)
+        seen: set = set()
+        check_dialect(A, Dialect.JE, Formula, seen)
+        with pytest.raises(DialectError, match="not a proof term: Atom"):
+            check_dialect(ProofOf(Apply(A, P0), B), Dialect.JE, Formula, seen)
+
+    def test_a_rejected_node_is_not_remembered(self):
+        seen: set = set()
+        f = Not(Box(A))
+        for _ in range(2):
+            with pytest.raises(DialectError, match=r"\[\] belongs"):
+                check_dialect(f, Dialect.JE, Formula, seen)
+        assert f not in seen and Box(A) not in seen
 
 
 class TestForgetful:
