@@ -19,13 +19,15 @@ is then weakened into the full sum.  After the root is processed no
 provisional variables remain and the root derivation witnesses the realized
 sequent outright.
 
-Each distinct subproof is realized once.  Before the walk every node gets a
-shape key: its sequent, rule and principal occurrences, the candidate group
-(equivalence class in GE, family otherwise) of each of its box occurrences,
-and its premises' keys.  Equal keys mean equal candidates at every
-corresponding occurrence, so instances of one class or family with equal keys
-share one provisional -- one summand of the sum -- and a node whose key was
-already realized reuses that node's derivation.  So in strict mode every
+Each distinct subproof is realized once.  Proofs are hash-consed, so equal
+subproofs are one ``Proof`` object.  Before the walk every node of the tree
+gets a shape key: that object and the candidate group (equivalence class in
+GE, family otherwise) of each of its box occurrences.  Every box occurrence
+below a node corresponds to one of its own, so equal keys mean equal
+candidates at every corresponding occurrence of the two subproofs.
+Instances of one class or family with equal keys share one provisional --
+one summand of the sum -- and a node whose key was already realized reuses
+that node's derivation.  So in strict mode every
 distinct modal-rule instance contributes its full witness pair, and equal
 subproofs in one class contribute one.
 
@@ -321,20 +323,19 @@ class _Engine:
     # -- shape keys --------------------------------------------------------
 
     def _shape_keys(self):
-        """Key every node, in one postorder pass, by its sequent, rule,
-        principal occurrences, the candidate group of each of its box
-        occurrences, and its premises' keys; ``first`` maps each node to the
-        earliest node in postorder with its key."""
+        """Key every node, in one postorder pass, by its ``Proof`` object
+        and the candidate group of each of its box occurrences; ``first``
+        maps each node to the earliest node in postorder with its key.
+        Every box occurrence below a node corresponds to one of the node's
+        own, so the key fixes the groups all through the subproof."""
         analysis, index = self.analysis, self.index
         n_families = len(analysis.families)
         group = list(range(n_families))
         for i, cls in enumerate(analysis.classes):
             for fid in cls.families:
                 group[fid] = n_families + i
-        table: dict[tuple, int] = {}
-        first_of_key: dict[int, int] = {}
+        first_of_key: dict[tuple, int] = {}
         self.order = sorted(range(len(index.nodes)), key=index.postorder.__getitem__)
-        key = [0] * len(index.nodes)
         self.first = [0] * len(index.nodes)
         for nid in self.order:
             node = index.nodes[nid]
@@ -342,10 +343,7 @@ class _Engine:
             for side, formulas in (("L", node.sequent.ante), ("R", node.sequent.succ)):
                 for i, f in enumerate(formulas):
                     sig.extend(group[analysis.family_of[(nid, side, i, p)]] for p in box_occurrences(f))
-            kids = tuple(key[c] for c in index.children[nid])
-            shape = (node.sequent, node.rule, node.principal, tuple(sig), kids)
-            k = key[nid] = table.setdefault(shape, len(table))
-            self.first[nid] = first_of_key.setdefault(k, nid)
+            self.first[nid] = first_of_key.setdefault((node, tuple(sig)), nid)
 
     # -- candidate terms -------------------------------------------------
 

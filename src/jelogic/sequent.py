@@ -22,8 +22,9 @@ introduced by a shared rule instance into equivalence classes.
 propositional structure eagerly (those rules are invertible), then tries
 every antecedent/succedent box pair at the modal transition, inserting the
 weakening and contraction steps explicitly so its output always passes
-``check_sequent_proof``.  It searches a repeated subgoal once, so its proofs
-share subproofs.
+``check_sequent_proof``.  It searches a repeated subgoal once.  Proofs are
+hash-consed like terms and formulas, so equal subproofs are one object,
+whoever built them.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .syntax import (
     Not,
     Or,
     _FrozenRecord,
+    _HashConsed,
     _Record,
     _set,
     box_occurrences,
@@ -84,56 +86,21 @@ def parse_sequent_line(text: str) -> Sequent:
     return Sequent(ante, succ)
 
 
-class _WeaklyReferenced(_FrozenRecord):
-    """A frozen record that ``weakref`` can watch, so that a test can see a
-    proof freed once its caller drops it."""
-
-    __slots__ = ("__weakref__",)
-
-
-class Proof(_WeaklyReferenced):
+class Proof(_HashConsed):
     """One node of a sequent proof: the sequent it concludes, the rule, the
     principal occurrence(s) in the conclusion, and the premise subproofs.
-    A subproof may be shared by several parents, so a proof is a DAG; as a
-    tree it repeats each shared subproof once per parent."""
+    Proofs are hash-consed like terms and formulas: equal subproofs are one
+    object, however they were built, so a proof is a DAG, and ``==`` and
+    ``hash`` are by identity.  As a tree it repeats each shared subproof
+    once per parent."""
 
     sequent: Sequent
     rule: str
     principal: tuple[tuple[str, int], ...]
     children: tuple["Proof", ...]
 
-    def __init__(self, sequent, rule, principal, children):
-        _set(self, "sequent", sequent)
-        _set(self, "rule", rule)
-        _set(self, "principal", principal)
-        _set(self, "children", children)
-
-    # Equality, hash, copies, pickling and repr work without recursion, so
-    # that proofs nest arbitrarily deep.
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        stack = [(self, other)]
-        while stack:
-            a, b = stack.pop()
-            if a is not b:
-                if (a.sequent, a.rule, a.principal) != (b.sequent, b.rule, b.principal):
-                    return False
-                if len(a.children) != len(b.children):
-                    return False
-                stack.extend(zip(a.children, b.children))
-        return True
-
-    def __hash__(self):
-        return hash((self.sequent, self.rule, self.principal))
-
-    # Proofs are immutable, so a copy may be the proof itself.
-    def __copy__(self):
-        return self
-
-    def __deepcopy__(self, memo):
-        return self
-
+    # Pickling and repr work without recursion, so that proofs nest
+    # arbitrarily deep.
     def __reduce__(self):
         """Pickle as a flat postorder list of the distinct nodes, each with
         its children's positions in the list."""
@@ -539,10 +506,10 @@ def prove_bounded(s: Sequent, calculus: str, depth: int) -> Proof | None:
     only that this order found no proof within ``depth``.
 
     Within one call, a canonical subgoal is searched once: a repeated one
-    shares the first proof found, so the result is a DAG whose shared
-    subproofs are one ``Proof`` object.  The GE ladder ``[]^n A => []^n A``
-    has 2^(n+1) - 1 tree nodes but n + 2 distinct ones.  The memo is
-    dropped when the call returns."""
+    reuses the first proof found, and the memo is dropped when the call
+    returns.  Proofs are hash-consed, so the result is a DAG whose equal
+    subproofs are one ``Proof`` object: the GE ladder ``[]^n A => []^n A``
+    has 2^(n+1) - 1 tree nodes but n + 1 distinct ones."""
     if calculus not in _CALCULUS_RULES:
         raise SequentProofError("bad-rule", f"unknown calculus {calculus!r}")
     if depth <= 0:

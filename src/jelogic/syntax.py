@@ -133,7 +133,7 @@ def _repr(self) -> str:
 
 
 def _reduce(self):
-    # copy, deepcopy and pickle rebuild through the constructor.
+    # Pickle rebuilds through the constructor, and so do a record's copies.
     return type(self), tuple(getattr(self, name) for name in self.__match_args__)
 
 
@@ -182,15 +182,23 @@ class _Interned(_Slotted):
 
 
 class _HashConsed(metaclass=_Interned):
-    """Base of the hash-consed classes: the term and formula nodes and the
-    metavariables of axiom patterns.  Instances are immutable, equal fields
-    give the identical object, and ``==`` and ``hash`` are by identity."""
+    """Base of the hash-consed classes: the term and formula nodes, the
+    metavariables of axiom patterns and sequent proofs.  Instances are
+    immutable, equal fields give the identical object, and ``==`` and
+    ``hash`` are by identity."""
 
     __slots__ = ("__weakref__",)
     __setattr__ = _frozen_setattr
     __delattr__ = _frozen_delattr
     __repr__ = _repr
     __reduce__ = _reduce
+
+    # A copy is the node itself, at any depth.
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
 
     # For ``children`` and ``check_dialect``: no child nodes, unless the
     # class is listed after BOT.
@@ -429,7 +437,7 @@ def terms_in(f: Formula) -> Iterator[Term]:
 # The classes that not every dialect has: the dialects that have each, and
 # the message that rejects it in the others.
 _RESTRICTED = {
-    Sum: ((Dialect.JE, Dialect.MODAL), "proof-term sum is not available in JEM"),
+    Sum: ((Dialect.JE,), "proof-term sum is not available in JEM"),
     Evidence: ((Dialect.JE,), "e(.) terms belong to JE only"),
     JustVar: ((Dialect.JEM,), "justification variables belong to JEM only"),
     JustSum: ((Dialect.JEM,), "justification-term sum belongs to JEM only"),
@@ -438,6 +446,14 @@ _RESTRICTED = {
     ProofOf: ((Dialect.JE, Dialect.JEM), "proof assertions do not exist in the modal dialect"),
     JustOf: ((Dialect.JE, Dialect.JEM), "justification assertions do not exist in the modal dialect"),
 }
+
+# Per dialect, the message rejecting each class it lacks.  The modal dialect
+# has no terms, and rejects one with the parser's message for its sort.
+_REJECTED = {d: {cls: msg for cls, (has, msg) in _RESTRICTED.items() if d not in has} for d in Dialect}
+_REJECTED[Dialect.MODAL].update(
+    {cls: "proof terms are not available in the modal dialect" for cls in ProofTerm.__args__}
+    | {cls: "justification terms are not available in the modal dialect" for cls in JustTerm.__args__}
+)
 
 _SORT_NAMES = {Formula: "formula", ProofTerm: "proof term", JustTerm: "justification term", Term: "term"}
 
@@ -451,20 +467,24 @@ def check_dialect(node, dialect: Dialect, sort=Formula, _seen: set | None = None
     caller may pass one set to several calls (``check_derivation`` does,
     across all steps): a node's sort is checked wherever it occurs, and a
     node enters the set only once it and everything below it passed."""
+    _check(node, _REJECTED[dialect], sort, set() if _seen is None else _seen)
+
+
+def _check(node, rejected: dict, sort, seen: set) -> None:
+    """``check_dialect`` below its entry: ``rejected`` is the dialect's
+    table, looked up once per call, since an ``Enum`` hashes in Python."""
     cls = type(node)
     if cls not in sort.__args__:
         raise DialectError(f"not a {_SORT_NAMES[sort]}: {node!r}")
-    if _seen is None:
-        _seen = set()
-    elif node in _seen:
+    if node in seen:
         return
-    allowed = _RESTRICTED.get(cls)
-    if allowed is not None and dialect not in allowed[0]:
-        raise DialectError(allowed[1])
+    message = rejected.get(cls)
+    if message is not None:
+        raise DialectError(message)
     if cls._sorts:
         for kid, kid_sort in zip(cls._children(node), cls._sorts):
-            check_dialect(kid, dialect, kid_sort, _seen)
-    _seen.add(node)
+            _check(kid, rejected, kid_sort, seen)
+    seen.add(node)
 
 
 def forgetful(f: Formula) -> Formula:

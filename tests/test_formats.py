@@ -1,6 +1,8 @@
 import copy
+import gc
 import pickle
 import random
+import weakref
 from dataclasses import fields
 
 import pytest
@@ -234,16 +236,21 @@ class TestSequentProofFormat:
         assert calculus == "GE" and write_sequent_proof(back, calculus) == text
         check_sequent_proof(back, calculus)
         again, _ = parse_sequent_proof(text)
-        assert again is not back and again == back and hash(again) == hash(back)
+        assert again is back
         # A text one level deeper differs from this one only next to the leaf.
         assert parse_sequent_proof(deep_proof_text(1501))[0] != back
         # Copies are the proof itself; pickle and repr use no recursion.
         assert copy.copy(back) is back and copy.deepcopy(back) is back
-        twin = pickle.loads(pickle.dumps(back))
-        assert twin is not back and twin == back
-        assert write_sequent_proof(twin, calculus) == text
+        data = pickle.dumps(back)
+        assert pickle.loads(data) is back
         shown = repr(back)
         assert shown.count("Proof(") == 1502 and shown.endswith("children=())" + ",))" * 1501)
+        # Once the proof is gone, unpickling builds it again.
+        ref = weakref.ref(back)
+        del back, again
+        gc.collect()
+        assert ref() is None
+        assert write_sequent_proof(pickle.loads(data), calculus) == text
 
     def test_proof_repr_is_the_dataclass_format(self):
         leaf = "Proof(sequent=Sequent(ante=(Atom(name='A'),), succ=(Atom(name='A'),)), rule='AxP', principal=(('L', 0), ('R', 0)), children=())"

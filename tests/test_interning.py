@@ -17,6 +17,7 @@ from jelogic.syntax import (
     Atom,
     Dialect,
     Implies,
+    Not,
     Substitution,
     _Node,
     apply_substitution,
@@ -89,6 +90,15 @@ def test_copies_are_the_node_itself():
     assert copy.copy(f) is f
     assert copy.deepcopy(f) is f
     assert pickle.loads(pickle.dumps(f)) is f
+
+
+def test_copies_of_a_node_deeper_than_the_recursion_limit():
+    f = Atom("A")
+    for _ in range(1500):
+        f = Not(f)
+    assert copy.copy(f) is f
+    assert copy.deepcopy(f) is f
+    assert copy.deepcopy([f, (f,)])[1][0] is f
 
 
 def test_equality_and_hash_are_identity():

@@ -6,6 +6,7 @@ import weakref
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from jelogic.formats import parse_sequent_proof, write_sequent_proof
 from jelogic.generate import (
     axp,
     axbot,
@@ -221,18 +222,29 @@ class TestSearch:
         assert p.children[0] is p.children[1]
 
     def test_check_visits_a_shared_subproof_once(self, monkeypatch):
-        n = 20
-        p = prove_bounded(parse_sequent_line(f"{'[]' * n}A => {'[]' * n}A"), "GE", n + 2)
-        calls = []
-        monkeypatch.setattr("jelogic.sequent.premises_of", lambda *a: calls.append(a) or premises_of(*a))
-        check_sequent_proof(p, "GE")
-        assert len(calls) == proof_size(p)[1]
+        def ladder(n):
+            return prove_bounded(parse_sequent_line(f"{'[]' * n}A => {'[]' * n}A"), "GE", n + 2)
+
+        # The v1 file is a tree, and the parser's proof shares its equal
+        # subproofs as the search's does.  The searched proof is gone before
+        # the parse, so the sharing comes from how the parser builds.
+        searched = ladder(10)
+        size, text = proof_size(searched), write_sequent_proof(searched, "GE")
+        del searched
+        gc.collect()
+        parsed, _ = parse_sequent_proof(text)
+        assert proof_size(parsed) == size == (2047, 11)
+        for p in (ladder(20), parsed):
+            calls = []
+            monkeypatch.setattr("jelogic.sequent.premises_of", lambda *a: calls.append(a) or premises_of(*a))
+            check_sequent_proof(p, "GE")
+            assert len(calls) == proof_size(p)[1]
 
     def test_memo_lives_for_one_call(self):
         s = parse_sequent_line("[][][]A => [][][]A")
         p = prove_bounded(s, "GE", 5)
         q = prove_bounded(s, "GE", 5)
-        assert p == q and p is not q
+        assert p is q  # hash-consed: the same proof is the same object
         ref = weakref.ref(p)
         del p, q
         gc.collect()

@@ -219,20 +219,23 @@ class TestPrint:
 P0, P1, X0, X1 = ProofVar(0), ProofVar(1), JustVar(0), JustVar(1)
 
 # Each class some dialect lacks, checked alone in each dialect: None for
-# accepted, else the message.  JustOf's term, e(p0), is JE's.
+# accepted, else the message.  The modal dialect has no terms, and its
+# messages for them are the parser's.  JustOf's term, e(p0), is JE's.
+NO_MODAL_PROOF_TERMS = "proof terms are not available in the modal dialect"
+NO_MODAL_JUST_TERMS = "justification terms are not available in the modal dialect"
 RESTRICTED = [
+    *[(t, ProofTerm, {"JE": None, "JEM": None, "MODAL": NO_MODAL_PROOF_TERMS})
+      for t in (ProofConst("c0"), P0, Apply(P0, P1), Bang(P0))],
     (Sum(P0, P1), ProofTerm, {
-        "JE": None, "JEM": "proof-term sum is not available in JEM", "MODAL": None}),
+        "JE": None, "JEM": "proof-term sum is not available in JEM", "MODAL": NO_MODAL_PROOF_TERMS}),
     (Evidence(P0), JustTerm, {
-        "JE": None, "JEM": "e(.) terms belong to JE only", "MODAL": "e(.) terms belong to JE only"}),
+        "JE": None, "JEM": "e(.) terms belong to JE only", "MODAL": NO_MODAL_JUST_TERMS}),
     (X0, JustTerm, {
-        "JE": "justification variables belong to JEM only", "JEM": None,
-        "MODAL": "justification variables belong to JEM only"}),
+        "JE": "justification variables belong to JEM only", "JEM": None, "MODAL": NO_MODAL_JUST_TERMS}),
     (JustSum(X0, X1), JustTerm, {
-        "JE": "justification-term sum belongs to JEM only", "JEM": None,
-        "MODAL": "justification-term sum belongs to JEM only"}),
+        "JE": "justification-term sum belongs to JEM only", "JEM": None, "MODAL": NO_MODAL_JUST_TERMS}),
     (MApply(P0, X0), JustTerm, {
-        "JE": "m(.,.) terms belong to JEM only", "JEM": None, "MODAL": "m(.,.) terms belong to JEM only"}),
+        "JE": "m(.,.) terms belong to JEM only", "JEM": None, "MODAL": NO_MODAL_JUST_TERMS}),
     (Box(A), Formula, {
         "JE": "[] belongs to the modal dialect only", "JEM": "[] belongs to the modal dialect only",
         "MODAL": None}),
