@@ -19,17 +19,16 @@ is then weakened into the full sum.  After the root is processed no
 provisional variables remain and the root derivation witnesses the realized
 sequent outright.
 
-Each distinct subproof is realized once.  Proofs are hash-consed, so equal
-subproofs are one ``Proof`` object.  Before the walk every node of the tree
-gets a shape key: that object and the candidate group (equivalence class in
-GE, family otherwise) of each of its box occurrences.  Every box occurrence
-below a node corresponds to one of its own, so equal keys mean equal
-candidates at every corresponding occurrence of the two subproofs.
-Instances of one class or family with equal keys share one provisional --
-one summand of the sum -- and a node whose key was already realized reuses
-that node's derivation.  So in strict mode every
-distinct modal-rule instance contributes its full witness pair, and equal
-subproofs in one class contribute one.
+The walk goes over shapes, not tree nodes.  Proofs are hash-consed, so
+equal subproofs are one ``Proof`` object, and ``compute_families`` reads the
+proof as shapes: a ``Proof`` object with the candidate group (equivalence
+class in GE, family otherwise) of each of its box occurrences.  Every box
+occurrence below a node corresponds to one of its own, so tree nodes of one
+shape have equal candidates at every corresponding occurrence of their
+subproofs.  Each shape is realized once, and each modal-rule shape is one
+provisional -- one summand of the sum.  So in strict mode every distinct
+modal-rule instance contributes its full witness pair, and equal subproofs
+in one class contribute one.
 
 Weakening, contraction and disjunction on the right only move succedent
 formulas.  Such a node records a pending route from the nearest premise that
@@ -101,6 +100,7 @@ from .syntax import (
     box_occurrences,
     children,
     forgetful,
+    polarity_at,
     print_formula,
     subformula_at,
     subterms,
@@ -310,40 +310,14 @@ class _Engine:
         self.cs = cs
         self.mode = mode
         self.analysis: FamilyAnalysis = compute_families(proof)
-        self.index = self.analysis.index
-        self.cands: dict[int, Term] = {}
-        self.prov_of: dict[int, Term] = {}
-        self.derivs: dict[int, Derivation] = {}   # by the first node of each shape key
-        self.routes: dict[int, tuple] = {}   # pending routes, keyed likewise
+        self.shapes = self.analysis.shapes
+        self.cands: dict[int, Term] = {}     # by label
+        self.prov_of: dict[int, Term] = {}   # by shape position, like derivs and routes
+        self.derivs: dict[int, Derivation] = {}
+        self.routes: dict[int, tuple] = {}   # pending routes
         self.injections: dict[tuple, Derivation] = {}
         self.log: list[LogEntry] = []
-        self._shape_keys()
         self._assign_candidates()
-
-    # -- shape keys --------------------------------------------------------
-
-    def _shape_keys(self):
-        """Key every node, in one postorder pass, by its ``Proof`` object
-        and the candidate group of each of its box occurrences; ``first``
-        maps each node to the earliest node in postorder with its key.
-        Every box occurrence below a node corresponds to one of the node's
-        own, so the key fixes the groups all through the subproof."""
-        analysis, index = self.analysis, self.index
-        n_families = len(analysis.families)
-        group = list(range(n_families))
-        for i, cls in enumerate(analysis.classes):
-            for fid in cls.families:
-                group[fid] = n_families + i
-        first_of_key: dict[tuple, int] = {}
-        self.order = sorted(range(len(index.nodes)), key=index.postorder.__getitem__)
-        self.first = [0] * len(index.nodes)
-        for nid in self.order:
-            node = index.nodes[nid]
-            sig = []
-            for side, formulas in (("L", node.sequent.ante), ("R", node.sequent.succ)):
-                for i, f in enumerate(formulas):
-                    sig.extend(group[analysis.family_of[(nid, side, i, p)]] for p in box_occurrences(f))
-            self.first[nid] = first_of_key.setdefault((node, tuple(sig)), nid)
 
     # -- candidate terms -------------------------------------------------
 
@@ -351,50 +325,40 @@ class _Engine:
         numbers = itertools.count(PROVISIONAL_BASE)
 
         def summed(instances, var, plus):
-            """One provisional per distinct key among ``instances``, shared by
-            the instances with that key; their sum in first-postorder order."""
-            shared: dict[int, Term] = {}
-            for nid in instances:
-                first = self.first[nid]
-                if first not in shared:
-                    shared[first] = var(next(numbers))
-                self.prov_of[nid] = shared[first]
-            return reduce(plus, shared.values())
+            """A provisional per shape of ``instances``; their sum."""
+            for k in instances:
+                self.prov_of[k] = var(next(numbers))
+            return reduce(plus, (self.prov_of[k] for k in instances))
 
-        fresh = 0
         analysis = self.analysis
-        if self.calculus == "GE":
-            for cls in analysis.classes:
-                cand = Evidence(summed(cls.instances, ProofVar, Sum))
-                for fid in cls.families:
-                    self.cands[fid] = cand
-        else:
-            for fid, fam in enumerate(analysis.families):
-                if fam.essential:
-                    self.cands[fid] = summed(fam.instances, JustVar, JustSum)
+        # A class's shapes label its families with its first.
+        for cls in analysis.classes:
+            self.cands[cls.families[0]] = Evidence(summed(cls.instances, ProofVar, Sum))
+        fresh = 0
         for fid, fam in enumerate(analysis.families):
-            if fid in self.cands:
-                continue
-            self.cands[fid] = Evidence(ProofVar(fresh)) if self.calculus == "GE" else JustVar(fresh)
-            fresh += 1
+            if not fam.essential:
+                self.cands[fid] = Evidence(ProofVar(fresh)) if self.calculus == "GE" else JustVar(fresh)
+                fresh += 1
+            elif self.calculus == "GM":
+                self.cands[fid] = summed(fam.instances, JustVar, JustSum)
 
     # -- annotation ------------------------------------------------------
 
-    def _annotate_formula(self, nid: int, side: str, fidx: int, f: Formula) -> Formula:
-        def go(g: Formula, path):
-            kids = tuple(go(kid, path + (i,)) for i, kid in enumerate(children(g)))
-            if isinstance(g, Box):
-                fam = self.analysis.family_of[(nid, side, fidx, path)]
-                return JustOf(self.cands[fam], *kids)
-            return type(g)(*kids) if kids else g
+    def _annotate(self, k: int):
+        """The shape's sequent with each box annotated by its label's
+        candidate; the labels come in the preorder of the boxes."""
+        shape = self.shapes[k]
+        labels = iter(shape.labels)
 
-        return go(f, ())
+        def go(f: Formula) -> Formula:
+            if isinstance(f, Box):
+                term = self.cands[next(labels)]
+                return JustOf(term, go(f.body))
+            kids = children(f)
+            return type(f)(*map(go, kids)) if kids else f
 
-    def _annotate(self, nid: int):
-        s = self.index.nodes[nid].sequent
-        ante = tuple(self._annotate_formula(nid, "L", i, f) for i, f in enumerate(s.ante))
-        succ = tuple(self._annotate_formula(nid, "R", i, f) for i, f in enumerate(s.succ))
-        return ante, succ
+        s = shape.proof.sequent
+        return tuple(map(go, s.ante)), tuple(map(go, s.succ))
 
     # -- substitution of resolved provisionals ---------------------------
 
@@ -482,7 +446,7 @@ class _Engine:
         return base, tuple((step[p][0], path + step[p][1]) for p, path in moves)
 
     def _derivation(self, nid: int) -> Derivation:
-        """The node's derivation; a pending route is built on first use."""
+        """The shape's derivation; a pending route is built on first use."""
         d = self.derivs.get(nid)
         if d is None:
             base, moves = self.routes[nid]
@@ -492,43 +456,34 @@ class _Engine:
         return d
 
     def _require(self, nid: int):
-        """The node's derivation states its annotated sequent (its steps are
+        """The shape's derivation states its annotated sequent (its steps are
         not checked)."""
         ante, succ = self._annotate(nid)
         j = read_judgment(self.derivs[nid])
         if j.conclusion != _disj(succ) or not j.hypotheses <= set(ante):
             raise DerivationError(
                 "realization-unstable",
-                detail=f"node {nid} expected {print_formula(_disj(succ))}, "
+                detail=f"shape {nid} expected {print_formula(_disj(succ))}, "
                 f"got {print_formula(j.conclusion)}",
             )
 
     # -- per-rule constructions ------------------------------------------
 
     def run(self) -> Derivation:
-        for nid in self.order:
-            first = self.first[nid]
-            if first != nid:
-                # Equal keys give equal annotations; this only guards that.
-                if self._annotate(nid) != self._annotate(first):
-                    raise DerivationError(
-                        "realization-unstable",
-                        detail=f"node {nid} has the shape of node {first} but not its annotated sequent",
-                    )
-                continue
-            node = self.index.nodes[nid]
+        """The root's derivation: the last shape's."""
+        for nid, shape in enumerate(self.shapes):
+            node = shape.proof
             out = _RULES[node.rule](self, nid, node)
             if isinstance(out, Derivation):
                 self.derivs[nid] = prune(out)
                 self._require(nid)
             else:
                 self.routes[nid] = out
-        return self._derivation(0)
+        return self._derivation(len(self.shapes) - 1)
 
     def _child_ids(self, nid: int):
-        """The premises, each as the first node with its key: the one whose
-        derivation or pending route is kept."""
-        return tuple(self.first[c] for c in self.index.children[nid])
+        """The shapes of the premises."""
+        return self.shapes[nid].children
 
     def _rule_ax_p(self, nid: int, node: Proof) -> Derivation:
         ante, _ = self._annotate(nid)
@@ -546,7 +501,7 @@ class _Engine:
         if node.rule in ("WL", "CL"):
             return self.routes.get(c) or self.derivs[c]
         k = node.principal[0][1]
-        n = len(self.index.nodes[nid].sequent.succ)
+        n = len(node.sequent.succ)
         where = _skip(k, n) if node.rule == "WR" else [*range(k + 1), *range(k, n)]
         return self._through(c, [(w, ()) for w in where])
 
@@ -774,7 +729,7 @@ def realize(
         raise NotAppropriate(missing)
     engine = _Engine(proof, calculus, cs, mode)
     final = prune(engine.run())
-    ante, succ = engine._annotate(0)
+    ante, succ = engine._annotate(len(engine.shapes) - 1)
     for f in ante + succ:
         if _has_provisional(f):
             raise DerivationError("realization-unresolved", detail=print_formula(f))
@@ -868,16 +823,17 @@ def verify_realization(
         if je.hypotheses or je.conclusion != ProofOf(entry.term, entry.formula):
             raise DerivationFails("logged internalization does not conclude its recorded judgment")
     if result.calculus == "GM":
-        analysis = compute_families(proof)
-        fam_terms: dict[int, Term] = {}
-        realized_root = {"L": result.antecedent, "R": result.succedent}
-        for (nid, side, fidx, path), fid in analysis.family_of.items():
-            if nid == 0 and analysis.families[fid].polarity == "negative":
-                fam_terms[fid] = subformula_at(realized_root[side][fidx], path).term
+        # Each negative box of the realized sequent, on its own, not by
+        # family: ``realized`` puts the antecedent left of implications, so
+        # polarities in it are those in the sequent.
+        realized = result.realized
         seen: set[Term] = set()
-        for term in fam_terms.values():
+        for path in box_occurrences(forgetful(realized)):
+            if polarity_at(realized, path) != "negative":
+                continue
+            term = subformula_at(realized, path).term
             if not isinstance(term, JustVar):
                 raise NotNormal(f"negative box realized by a non-variable term {term!r}")
             if term in seen:
-                raise NotNormal("two negative box families share one variable")
+                raise NotNormal("two negative boxes share one variable")
             seen.add(term)

@@ -14,10 +14,13 @@ modal rule, which carries no side context:
 Every rule has one fixed premise layout (``premises_of``, tabled in
 docs/formats.md), so a rule instance is determined by its conclusion and
 principal occurrence, and ``correspondences`` reads the occurrence
-correspondence between premises and conclusion off it.  ``compute_families``
-unions corresponding box occurrences across the whole proof into families,
-marks the families the modal rules introduce, and (for GE) groups families
-introduced by a shared rule instance into equivalence classes.
+correspondence between premises and conclusion off it.  Each box occurrence
+of a proof, read as a tree, corresponds through it to exactly one of the
+root sequent's, so ``compute_families`` takes those as the families.  It
+reads the proof as shapes, each distinct subproof with the families of its
+box occurrences, marks the families the modal rules introduce, and (for GE)
+groups families introduced by a shared rule instance into equivalence
+classes.
 ``prove_bounded`` is a deterministic backward search that decomposes
 propositional structure eagerly (those rules are invertible), then tries
 every antecedent/succedent box pair at the modal transition, inserting the
@@ -525,51 +528,95 @@ def prove_bounded(s: Sequent, calculus: str, depth: int) -> Proof | None:
 
 # ---------------------------------------------------------------------------
 # Families of box occurrences
-
-Token = tuple[int, str, int, tuple[int, ...]]  # (preorder node id, side, formula index, box path)
-
-
-class ProofIndex(_Record):
-    nodes: list[Proof]                # by preorder id
-    children: list[tuple[int, ...]]   # preorder ids of each node's premises
-    postorder: dict[int, int]         # preorder id -> postorder position
-
-    def __init__(self, nodes, children, postorder):
-        self.nodes = nodes
-        self.children = children
-        self.postorder = postorder
+#
+# Every box occurrence of a premise corresponds to exactly one box occurrence
+# of its conclusion (``correspondences`` is total), so, read as a tree, a
+# proof joins each box occurrence to exactly one box occurrence of the root
+# sequent.  The families are the root's box occurrences.  A walk from the
+# root labels each occurrence with its family and reads the labels of a
+# premise's occurrences off its parent's; a node seen again with the same
+# labels is a subtree seen before, so the walk goes over each such pair once.
 
 
-def index_proof(p: Proof) -> ProofIndex:
-    nodes: list[Proof] = [p]
-    children: list[tuple[int, ...]] = [()]
-    postorder: dict[int, int] = {}
+def _boxes(s: Sequent) -> list[tuple[str, int, tuple[int, ...]]]:
+    """The box occurrences ``(side, index, path)`` of ``s``: the antecedent
+    before the succedent, each formula's boxes in preorder."""
+    return [
+        (side, i, path)
+        for side, formulas in (("L", s.ante), ("R", s.succ))
+        for i, f in enumerate(formulas)
+        for path in box_occurrences(f)
+    ]
+
+
+def _label_maps(node: Proof) -> tuple[tuple[int, ...], ...]:
+    """Per premise, for each of its box occurrences, the position among the
+    node's own of the occurrence it corresponds to."""
+    try:
+        corr = correspondences(node.rule, node.principal, node.sequent)
+        if len(corr) != len(node.children):
+            raise SequentProofError("premise-mismatch")
+        at = {occurrence: k for k, occurrence in enumerate(_boxes(node.sequent))}
+        maps = []
+        for cmap, child in zip(corr, node.children):
+            m = []
+            for side, i, path in _boxes(child.sequent):
+                (side2, j), prefix = cmap[side, i]
+                m.append(at[side2, j, prefix + path])
+            maps.append(tuple(m))
+        return tuple(maps)
+    except (SequentProofError, KeyError):
+        raise SequentProofError("unchecked", f"{node.rule} at {node.sequent} is not a valid instance") from None
+
+
+class Shape(_FrozenRecord):
+    """A proof node read with labels on its box occurrences: the ``Proof``
+    object and a label per occurrence, in ``_boxes`` order.  Tree nodes with
+    one shape have equally labelled subtrees."""
+
+    proof: Proof
+    labels: tuple[int, ...]
+    children: tuple[int, ...]    # positions of the premises' shapes
+
+    def __init__(self, proof, labels, children):
+        _set(self, "proof", proof)
+        _set(self, "labels", labels)
+        _set(self, "children", children)
+
+
+def _shapes(p: Proof, labels: tuple[int, ...]) -> tuple[list[Shape], dict[tuple, int]]:
+    """The shapes of ``p`` with ``labels`` on the root's box occurrences, in
+    the order a postorder walk of the tree first reaches them, and the
+    position of each ``(proof, labels)`` pair among them."""
+    maps: dict[Proof, tuple] = {}
+    position: dict[tuple, int] = {}
+    shapes: list[Shape] = []
     # A stack, not recursion, so that proofs nest arbitrarily deep: each
-    # entry is a node's preorder id and how many of its premises were entered.
-    stack = [(0, 0)]
+    # entry is a pair and, once its premises' pairs are pushed, those pairs.
+    stack: list = [((p, labels), None)]
     while stack:
-        nid, k = stack.pop()
-        premises = nodes[nid].children
-        if k == len(premises):
-            postorder[nid] = len(postorder)
+        key, kids = stack.pop()
+        if key in position:
             continue
-        stack.append((nid, k + 1))
-        cid = len(nodes)
-        nodes.append(premises[k])
-        children.append(())
-        children[nid] += (cid,)
-        stack.append((cid, 0))
-    return ProofIndex(nodes, children, postorder)
+        node, labels = key
+        if kids is None:
+            if node not in maps:
+                maps[node] = _label_maps(node)
+            kids = tuple((c, tuple(labels[k] for k in m)) for c, m in zip(node.children, maps[node]))
+            stack.append((key, kids))
+            stack.extend((kid, None) for kid in reversed(kids))
+            continue
+        position[key] = len(shapes)
+        shapes.append(Shape(node, labels, tuple(position[kid] for kid in kids)))
+    return shapes, position
 
 
 class _UnionFind:
     def __init__(self):
         self.parent: dict = {}
 
-    def add(self, x):
-        self.parent.setdefault(x, x)
-
     def find(self, x):
+        self.parent.setdefault(x, x)
         while self.parent[x] != x:
             self.parent[x] = self.parent[self.parent[x]]
             x = self.parent[x]
@@ -582,13 +629,13 @@ class _UnionFind:
 
 
 class Family(_FrozenRecord):
-    tokens: frozenset
+    occurrence: tuple[str, int, tuple[int, ...]]   # the root's box occurrence (side, index, path)
     essential: bool
-    instances: tuple[int, ...]   # preorder ids of modal rule nodes introducing into it, postorder-sorted
-    polarity: str | None         # uniform polarity of the member boxes, None if mixed
+    instances: tuple[int, ...]   # positions in FamilyAnalysis.shapes of the modal rules introducing into it
+    polarity: str                # "positive" or "negative"
 
-    def __init__(self, tokens, essential, instances, polarity):
-        _set(self, "tokens", tokens)
+    def __init__(self, occurrence, essential, instances, polarity):
+        _set(self, "occurrence", occurrence)
         _set(self, "essential", essential)
         _set(self, "instances", instances)
         _set(self, "polarity", polarity)
@@ -596,7 +643,7 @@ class Family(_FrozenRecord):
 
 class EquivClass(_FrozenRecord):
     families: tuple[int, ...]    # indices into FamilyAnalysis.families
-    instances: tuple[int, ...]   # preorder ids of the RE nodes of the class, postorder-sorted
+    instances: tuple[int, ...]   # positions in FamilyAnalysis.shapes of the RE rules of the class
 
     def __init__(self, families, instances):
         _set(self, "families", families)
@@ -604,119 +651,70 @@ class EquivClass(_FrozenRecord):
 
 
 class FamilyAnalysis(_Record):
-    index: ProofIndex
+    shapes: list[Shape]               # each after its premises; the root's is last
     families: tuple[Family, ...]
-    family_of: dict[Token, int]
     classes: tuple[EquivClass, ...]   # nonempty only when RE occurs
     modal_rule: str | None            # "RE", "RM" or None
 
-    def __init__(self, index, families, family_of, classes, modal_rule):
-        self.index = index
+    def __init__(self, shapes, families, classes, modal_rule):
+        self.shapes = shapes
         self.families = families
-        self.family_of = family_of
         self.classes = classes
         self.modal_rule = modal_rule
 
 
-def _token_polarity(index: ProofIndex, t: Token) -> str:
-    nid, side, idx, path = t
-    seq = index.nodes[nid].sequent
-    f = (seq.ante if side == "L" else seq.succ)[idx]
-    pol = polarity_at(f, path)
-    if side == "L":
-        pol = "negative" if pol == "positive" else "positive"
-    return pol
-
-
 def compute_families(p: Proof) -> FamilyAnalysis:
-    """Union corresponding box occurrences across the proof into families and
-    classify them for realization.  The proof must be structurally valid (the
-    same premise layouts ``check_sequent_proof`` enforces)."""
-    index = index_proof(p)
-    rules_used = {n.rule for n in index.nodes}
+    """The families of the proof's box occurrences, one per box occurrence
+    of the root sequent in ``_boxes`` order, classified for realization,
+    and the proof's shapes.  A shape labels each box occurrence with its
+    family; in GE, a family of an equivalence class is labelled with the
+    class's first family instead, so that the instances of a class that
+    prove one subproof are one shape.  The proof must be structurally valid
+    (the same premise layouts ``check_sequent_proof`` enforces)."""
+    root = _boxes(p.sequent)
+    shapes, position = _shapes(p, tuple(range(len(root))))
+    rules_used = {s.proof.rule for s in shapes}
     if "RE" in rules_used and "RM" in rules_used:
         raise SequentProofError("wrong-calculus", "proof mixes RE and RM")
     modal_rule = "RE" if "RE" in rules_used else ("RM" if "RM" in rules_used else None)
 
-    uf = _UnionFind()
-    tokens: list[Token] = []
-    for nid, node in enumerate(index.nodes):
-        for side, formulas in (("L", node.sequent.ante), ("R", node.sequent.succ)):
-            for idx, f in enumerate(formulas):
-                for bp in box_occurrences(f):
-                    t = (nid, side, idx, bp)
-                    uf.add(t)
-                    tokens.append(t)
-    for nid, node in enumerate(index.nodes):
-        try:
-            corr = correspondences(node.rule, node.principal, node.sequent)
-        except SequentProofError:
-            raise SequentProofError("unchecked", f"node {nid} is not a valid {node.rule} instance")
-        if len(corr) != len(node.children):
-            raise SequentProofError("unchecked", f"node {nid} has the wrong premise count")
-        for child_pos, cmap in enumerate(corr):
-            cid = index.children[nid][child_pos]
-            child_seq = index.nodes[cid].sequent
-            for (side, idx), ((side2, idx2), prefix) in cmap.items():
-                f = (child_seq.ante if side == "L" else child_seq.succ)[idx]
-                for bp in box_occurrences(f):
-                    uf.union((nid, side2, idx2, prefix + bp), (cid, side, idx, bp))
+    # The shapes of the modal rules introducing into each family: in GM
+    # those of its right box, in GE those of either box.
+    intro: list[list[Shape]] = [[] for _ in root]
+    pairs = []   # the families of the two boxes of each RE shape
+    for s in shapes:
+        if s.proof.rule in ("RE", "RM"):
+            left, right = s.labels[0], s.labels[len(box_occurrences(s.proof.sequent.ante[0]))]
+            intro[right].append(s)
+            if s.proof.rule == "RE":
+                intro[left].append(s)
+                pairs.append((left, right))
 
-    groups: dict[Token, list[Token]] = {}
-    for t in tokens:
-        groups.setdefault(uf.find(t), []).append(t)
-
-    # deterministic family order: by least member token
-    ordered = sorted(groups.values(), key=lambda ts: min(ts))
-    family_of: dict[Token, int] = {}
-    for i, ts in enumerate(ordered):
-        for t in ts:
-            family_of[t] = i
-
-    def post_sorted(nids):
-        return tuple(sorted(set(nids), key=lambda n: index.postorder[n]))
-
-    families: list[Family] = []
-    intro_left: dict[int, list[int]] = {}
-    intro_right: dict[int, list[int]] = {}
-    for nid, node in enumerate(index.nodes):
-        if node.rule in ("RE", "RM"):
-            intro_left.setdefault(family_of[(nid, "L", 0, ())], []).append(nid)
-            intro_right.setdefault(family_of[(nid, "R", 0, ())], []).append(nid)
-
-    for i, ts in enumerate(ordered):
-        pols = {_token_polarity(index, t) for t in ts}
-        polarity = pols.pop() if len(pols) == 1 else None
-        if modal_rule == "RM":
-            instances = post_sorted(intro_right.get(i, []))
-            essential = bool(instances)
-        else:
-            instances = post_sorted(intro_left.get(i, []) + intro_right.get(i, []))
-            essential = bool(instances)
-        families.append(Family(frozenset(ts), essential, instances, polarity))
-
-    if modal_rule == "RM":
-        for fam in families:
-            if fam.polarity is None:
-                raise SequentProofError("polarity-mixed", "a GM family mixes polarities")
-
-    classes: tuple[EquivClass, ...] = ()
+    label = list(range(len(root)))
+    classes: list[list[int]] = []
     if modal_rule == "RE":
-        cls_uf = _UnionFind()
-        for i, fam in enumerate(families):
-            if fam.essential:
-                cls_uf.add(i)
-        for nid, node in enumerate(index.nodes):
-            if node.rule == "RE":
-                cls_uf.union(family_of[(nid, "L", 0, ())], family_of[(nid, "R", 0, ())])
-        cgroups: dict[int, list[int]] = {}
-        for i, fam in enumerate(families):
-            if fam.essential:
-                cgroups.setdefault(cls_uf.find(i), []).append(i)
-        out = []
-        for fams in sorted(cgroups.values(), key=min):
-            inst = post_sorted([n for i in fams for n in families[i].instances])
-            out.append(EquivClass(tuple(sorted(fams)), inst))
-        classes = tuple(out)
+        uf = _UnionFind()
+        for left, right in pairs:
+            uf.union(left, right)
+        groups: dict[int, list[int]] = {}
+        for f in sorted(uf.parent):
+            groups.setdefault(uf.find(f), []).append(f)
+        classes = sorted(groups.values())
+        for fams in classes:
+            for f in fams:
+                label[f] = fams[0]
+        shapes, position = _shapes(p, tuple(label))
 
-    return FamilyAnalysis(index, tuple(families), family_of, classes, modal_rule)
+    families = []
+    for f, (side, i, path) in enumerate(root):
+        polarity = polarity_at((p.sequent.ante if side == "L" else p.sequent.succ)[i], path)
+        if side == "L":
+            polarity = "negative" if polarity == "positive" else "positive"
+        instances = sorted({position[s.proof, tuple(label[k] for k in s.labels)] for s in intro[f]})
+        families.append(Family((side, i, path), bool(instances), tuple(instances), polarity))
+    return FamilyAnalysis(
+        shapes,
+        tuple(families),
+        tuple(EquivClass(tuple(fams), tuple(sorted({k for f in fams for k in families[f].instances}))) for fams in classes),
+        modal_rule,
+    )

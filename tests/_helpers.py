@@ -1,5 +1,6 @@
-"""Shared test utilities: proof search shortcuts and shape matching with
-named holes for internalized witness terms."""
+"""Shared test utilities: proof search shortcuts, a tree-expanding family
+analysis to test ``compute_families`` against, and shape matching with named
+holes for internalized witness terms."""
 
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ from jelogic import (
     prove_bounded,
     realize,
 )
+from jelogic.sequent import correspondences
 from jelogic.syntax import (
     Apply,
     And,
@@ -33,6 +35,7 @@ from jelogic.syntax import (
     ProofVar,
     Sum,
     Term,
+    box_occurrences,
 )
 
 CS_JE = cs_total(Dialect.JE)
@@ -77,6 +80,54 @@ def deep_proof_text(levels: int = 1500) -> str:
         lines.append("  " * level + ("CL L0 | B, A => A" if level % 2 == 0 else "WL L0 | B, B, A => A"))
     lines += ["  " * levels + "WL L0 | B, A => A", "  " * (levels + 1) + "AxP L0 R0 | A => A"]
     return "\n".join(lines) + "\n"
+
+
+def sequent_boxes(s: Sequent) -> list[tuple]:
+    """The box occurrences ``(side, index, path)`` of ``s``: the antecedent
+    before the succedent, each formula's boxes in preorder."""
+    return [
+        (side, i, path)
+        for side, formulas in (("L", s.ante), ("R", s.succ))
+        for i, f in enumerate(formulas)
+        for path in box_occurrences(f)
+    ]
+
+
+def tree_families(p) -> tuple[list, list, dict]:
+    """The family analysis of ``p`` expanded into its tree, as a reference:
+    a union-find over every box occurrence of every tree node, each joined to
+    the conclusion occurrence it corresponds to.  Returns the tree's nodes in
+    preorder, each ``(proof, preorder ids of its premises)``; the families,
+    each the list of its tokens ``(node id, side, index, path)``, ordered by
+    their least token; and the family of each token."""
+    nodes: list = []
+
+    def expand(q) -> int:
+        nid = len(nodes)
+        nodes.append(None)
+        nodes[nid] = (q, tuple(expand(c) for c in q.children))
+        return nid
+
+    expand(p)
+    parent: dict = {}
+
+    def find(t):
+        while parent.setdefault(t, t) != t:
+            t = parent[t]
+        return t
+
+    for nid, (q, kids) in enumerate(nodes):
+        for cmap, cid in zip(correspondences(q.rule, q.principal, q.sequent), kids):
+            for side, i, path in sequent_boxes(nodes[cid][0].sequent):
+                (side2, j), prefix = cmap[side, i]
+                parent[find((cid, side, i, path))] = find((nid, side2, j, prefix + path))
+    groups: dict = {}
+    for nid, (q, _) in enumerate(nodes):
+        for occurrence in sequent_boxes(q.sequent):
+            token = (nid, *occurrence)
+            groups.setdefault(find(token), []).append(token)
+    families = sorted(groups.values(), key=min)
+    return nodes, families, {t: f for f, tokens in enumerate(families) for t in tokens}
 
 
 def _is_hole(t) -> bool:

@@ -17,7 +17,6 @@ from jelogic import Dialect, Sequent, compute_families, cs_total
 from jelogic.axioms import ConstantSpecification, UnknownScheme
 from jelogic.hilbert import AxiomStep, MPStep
 from jelogic.semantics import FiniteBasicEvaluation, FuzzReport, QuasiModel
-from jelogic.sequent import index_proof
 from jelogic.syntax import Atom, Bottom, Implies, Substitution
 
 from _helpers import proof_of, realize_text
@@ -70,7 +69,7 @@ def test_mutable_records_take_assignments_and_are_unhashable():
     assert report == FuzzReport(Dialect.JE, 10, checked=1)
     p = proof_of("=> [](A & B) -> []A", "GM")
     eps = FiniteBasicEvaluation(Dialect.JE)
-    records = [report, eps, QuasiModel(("w",), {}, {"w": eps}), index_proof(p), compute_families(p)]
+    records = [report, eps, QuasiModel(("w",), {}, {"w": eps}), compute_families(p)]
     for record in records:
         with pytest.raises(TypeError):
             hash(record)

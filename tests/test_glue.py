@@ -234,9 +234,10 @@ def test_orr_on_the_last_position_is_the_premise_derivation():
     p = _case("OrR-one", "GM")
     engine = realization._Engine(p, "GM", CS_JEM, "strict")
     engine.run()
-    (child,) = engine.index.children[0]
+    root = len(engine.shapes) - 1
+    (child,) = engine.shapes[root].children
     assert child in engine.routes and child not in engine.derivs
-    assert engine.derivs[0] == engine._derivation(child)
+    assert engine.derivs[root] == engine._derivation(child)
 
 
 def test_conjunction_ladder_grows_by_a_constant_per_level():

@@ -173,6 +173,18 @@ class TestVerify:
         with pytest.raises(NotNormal):
             verify_realization(merged)
 
+    def test_merged_nested_variables_break_normality(self):
+        """Golden 6's ``[x0]([x1]A & [x2]B)``: x1 and x2 are two negative
+        boxes nested in one, and merging them breaks normality."""
+        r = realize_text("=> []([]A & []B) -> ([][]A & [][]B)", "GM")
+        (f,) = r.succedent
+        x1, x2 = f.left.body.left.term, f.left.body.right.term
+        assert isinstance(x1, JustVar) and isinstance(x2, JustVar) and x1 != x2
+        verify_realization(r)
+        merged = _sub_result(r, Substitution(just_vars={x2.index: x1}))
+        with pytest.raises(NotNormal, match="share one variable"):
+            verify_realization(merged)
+
     def test_compound_term_breaks_normality(self):
         r = realize_text("[]A | []B => [](A | B)", "GM")
         (ante,) = r.antecedent
@@ -259,6 +271,32 @@ def test_four_nested_boxes_realize_in_seconds():
     t0 = time.perf_counter()
     verify_realization(realize(proof, "GE", CS_JE))
     assert time.perf_counter() - t0 < 10.0
+
+
+def test_ge_ladder_of_sixteen_proves_realizes_and_verifies_within_a_second():
+    """The tree has 2^17 - 1 nodes, but 17 shapes: realization works per
+    shape, and no step of it expands the tree."""
+    n = 16
+    t0 = time.perf_counter()
+    proof = proof_of(f"{'[]' * n}A => {'[]' * n}A", "GE", n + 2)
+    verify_realization(realize(proof, "GE", CS_JE))
+    assert time.perf_counter() - t0 < 1.0
+
+
+@pytest.mark.parametrize("text, printed", [
+    ("[]A => []A & []A",
+     "[x0]A -> [m(c_pl_s * c_pl_k * c_pl_k, x0)]A & [m(c_pl_s * c_pl_k * c_pl_k, x0)]A"),
+    ("[]A | []B => [](A | B) & [](A | B)",
+     "[x0]A | [x1]B -> [m(c_pl_or_intro_l, x0) + m(c_pl_or_intro_r, x1)](A | B)"
+     " & [m(c_pl_or_intro_l, x0) + m(c_pl_or_intro_r, x1)](A | B)"),
+])
+def test_shared_subproofs_under_two_families_realize_per_family(text, printed):
+    """One subproof sits under both conjuncts, its boxes in different
+    families there: it is realized once per family, in both modes."""
+    for mode in ("strict", "simplify"):
+        r = realize(proof_of(text, "GM"), "GM", CS_JEM, mode)
+        verify_realization(r)
+        assert print_formula(r.realized) == printed
 
 
 def test_monotone_ladder_grows_by_a_constant_per_level():

@@ -25,12 +25,12 @@ from jelogic.sequent import (
     check_sequent_proof,
     compute_families,
     correspondences,
-    index_proof,
     parse_sequent_line,
     premises_of,
     proof_size,
     prove_bounded,
     _canonical,
+    _distinct_postorder,
     _search,
 )
 from jelogic.syntax import (
@@ -47,7 +47,7 @@ from jelogic.syntax import (
     subformula_at,
 )
 
-from _helpers import fragment_formulas
+from _helpers import fragment_formulas, sequent_boxes, tree_families
 
 A, B, C, D = Atom("A"), Atom("B"), Atom("C"), Atom("D")
 
@@ -268,7 +268,7 @@ def test_proof_size_counts_a_dag_as_its_tree():
     assert proof_size(leaf) == (1, 1)
     assert proof_size(inner) == (3, 2)
     assert proof_size(outer) == (7, 3)
-    assert proof_size(outer) == (len(index_proof(outer).nodes), 3)
+    assert proof_size(outer) == (len(tree_families(outer)[0]), 3)
 
 
 class TestFamilies:
@@ -288,7 +288,9 @@ class TestFamilies:
         assert fa.modal_rule == "RE"
         assert len(fa.families) == 4
         assert all(f.essential for f in fa.families)
-        assert sorted(len(c.instances) for c in fa.classes) == [1, 2]
+        # The inner class's two RE nodes are one subproof with one labelling:
+        # one shape, one instance.
+        assert sorted(len(c.instances) for c in fa.classes) == [1, 1]
 
     def test_propositional_proof_has_no_families(self):
         fa = compute_families(axp("A"))
@@ -321,7 +323,7 @@ def _formula_at(s: Sequent, side: str, i: int):
 def _assert_maps_sound(p: Proof):
     """Every node's maps cover exactly the positions of its premises, and each
     points at a subformula of the conclusion equal to the premise formula."""
-    for node in index_proof(p).nodes:
+    for node in _distinct_postorder(p):
         maps = correspondences(node.rule, node.principal, node.sequent)
         assert len(maps) == len(node.children)
         for cmap, child in zip(maps, node.children):
@@ -382,8 +384,8 @@ class TestCorrespondences:
         q = _renamed(p, Substitution(atoms=names))
         check_sequent_proof(q, calculus)
         fp, fq = compute_families(p), compute_families(q)
-        assert fp.families and fq.families == fp.families
-        assert fq.family_of == fp.family_of and fq.classes == fp.classes
+        assert fp.families and fq.families == fp.families and fq.classes == fp.classes
+        assert [s.labels for s in fq.shapes] == [s.labels for s in fp.shapes]
 
 
 @given(st.integers(0, 10**9), st.sampled_from(["GE", "GM"]))
@@ -394,10 +396,11 @@ def test_forward_generated_proofs_check_and_analyze(seed, calculus):
     _assert_maps_sound(p)
     fa = compute_families(p)
 
-    # Families partition the box occurrences of the whole proof.
-    all_tokens = set(fa.family_of)
-    assert set().union(*(f.tokens for f in fa.families)) == all_tokens if fa.families else not all_tokens
-    assert sum(len(f.tokens) for f in fa.families) == len(all_tokens)
+    # A family per box occurrence of the root sequent, and a label per box
+    # occurrence of every shape.
+    assert [f.occurrence for f in fa.families] == sequent_boxes(p.sequent)
+    for shape in fa.shapes:
+        assert len(shape.labels) == len(sequent_boxes(shape.proof.sequent))
 
     for f in fa.families:
         assert f.essential == bool(f.instances)
@@ -407,6 +410,79 @@ def test_forward_generated_proofs_check_and_analyze(seed, calculus):
     if fa.modal_rule == "RE":
         covered = [i for c in fa.classes for i in c.families]
         assert sorted(covered) == [i for i, f in enumerate(fa.families) if f.essential]
+
+
+def _assert_shapes_are_the_tree(p: Proof):
+    """``compute_families`` against the tree-expanding reference: each tree
+    family holds exactly one of the root's box occurrences; essential
+    families and classes agree; and the shapes are the tree's ``(proof,
+    labels)`` pairs, in the order a postorder walk first reaches them, with
+    every tree node reached through the shapes' children having its
+    shape's proof and labels."""
+    fa = compute_families(p)
+    nodes, families, family = tree_families(p)
+    assert [[t[1:] for t in tokens if t[0] == 0] for tokens in families] == [[f.occurrence] for f in fa.families]
+
+    introduced, joined = set(), []
+    for nid, (q, _) in enumerate(nodes):
+        if q.rule in ("RE", "RM"):
+            left, right = family[nid, "L", 0, ()], family[nid, "R", 0, ()]
+            introduced |= {left, right} if q.rule == "RE" else {right}
+            joined += [(left, right)] if q.rule == "RE" else []
+    assert [f.essential for f in fa.families] == [i in introduced for i in range(len(families))]
+    classes = [{i} for i in sorted(introduced)] if joined else []
+    for left, right in joined:
+        a, b = (next(c for c in classes if i in c) for i in (left, right))
+        if a is not b:
+            classes.remove(b)
+            a |= b
+    assert [c.families for c in fa.classes] == sorted(tuple(sorted(c)) for c in classes)
+
+    group = list(range(len(families)))
+    for c in fa.classes:
+        for i in c.families:
+            group[i] = c.families[0]
+
+    def key(nid):
+        q = nodes[nid][0]
+        return q, tuple(group[family[(nid, *occurrence)]] for occurrence in sequent_boxes(q.sequent))
+
+    postorder = []
+
+    def walk(nid):
+        for c in nodes[nid][1]:
+            walk(c)
+        postorder.append(nid)
+
+    walk(0)
+    assert [(s.proof, s.labels) for s in fa.shapes] == list(dict.fromkeys(map(key, postorder)))
+    stack = [(0, len(fa.shapes) - 1)]
+    while stack:
+        nid, k = stack.pop()
+        assert (fa.shapes[k].proof, fa.shapes[k].labels) == key(nid)
+        stack.extend(zip(nodes[nid][1], fa.shapes[k].children))
+
+
+@given(st.integers(0, 10**9), st.sampled_from(["GE", "GM"]))
+@settings(max_examples=60, deadline=None)
+def test_shapes_of_random_proofs_are_the_tree(seed, calculus):
+    _assert_shapes_are_the_tree(random_sequent_theorem(random.Random(seed), calculus, depth=5))
+
+
+@pytest.mark.parametrize("text, calculus", [
+    # One subproof under both conjuncts, its boxes in different families.
+    ("[]A => []A & []A", "GM"),
+    ("[]A | []B => [](A | B) & [](A | B)", "GM"),
+    # ... and in GE in different families of one class: one shape.
+    ("[]A, []A => []A & []A", "GE"),
+    ("=> ([]A -> []A) & ([]A -> []A)", "GE"),
+    ("=> []([]A & []B) -> ([][]A & [][]B)", "GM"),
+    ("[][][][]A => [][][][]A", "GE"),
+    ("[][][][]A => [][][][]A", "GM"),
+])
+def test_shapes_of_shared_subproofs_are_the_tree(text, calculus):
+    s = parse_sequent_line(text)
+    _assert_shapes_are_the_tree(prove_bounded(s, calculus, 10))
 
 
 @given(st.integers(0, 10**9))
