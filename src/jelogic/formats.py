@@ -108,6 +108,8 @@ def parse_derivation(text: str) -> Derivation:
     for _, ln in lines:
         parts = ln.split(None, 1)
         if parts[0] == "conclusion":
+            if conclusion is not None:
+                raise FormatError("a second conclusion line")
             conclusion = _int(parts[1] if len(parts) == 2 else "", "conclusion")
             continue
         if conclusion is not None:

@@ -447,15 +447,10 @@ def internalize(d: Derivation, cs: ConstantSpecification) -> tuple[ProofTerm, De
 def substitute_derivation(d: Derivation, s: Substitution) -> Derivation:
     """Apply a substitution to every step.  Axiom instances stay axiom
     instances and necessitation steps stay inside the (schematic)
-    specification, so the result checks whenever the input does."""
-    return _substitute_steps(d, _Substituter(s))
-
-
-def _substitute_steps(d: Derivation, sub: _Substituter) -> Derivation:
-    """``substitute_derivation`` through a given substituter, so that several
-    derivations sharing nodes are rewritten with one memo.  A step nothing
-    changes is kept as it is, and so is a derivation none of whose steps
-    changes."""
+    specification, so the result checks whenever the input does.  A step
+    nothing changes is kept as it is, and so is a derivation none of whose
+    steps changes."""
+    sub = _Substituter(s)
     steps: list[Step] = []
     changed = False
     for old in d.steps:

@@ -8,44 +8,49 @@ right-nested disjunction of the realized succedent formulas.  The derivations
 are built with ``hilbert.Builder``, which derives each formula once, so a
 hypothesis whose formula the glue also derives drops out of the judgment.
 
-Families never introduced by a modal rule are realized by fresh variables.
-Families introduced by a modal rule start out as sums of provisional
-variables, one summand per distinct introducing rule instance.  When the walk
-reaches such an instance it internalizes the derivations built for the
-premises, resolves that instance's provisional summand to the resulting
-ground terms, and pushes the substitution through every derivation,
-candidate, and log entry produced so far; the assembled justified implication
-is then weakened into the full sum.  After the root is processed no
-provisional variables remain and the root derivation witnesses the realized
-sequent outright.
-
 The walk goes over shapes, not tree nodes.  Proofs are hash-consed, so
 equal subproofs are one ``Proof`` object, and ``compute_families`` reads the
-proof as shapes: a ``Proof`` object with the candidate group (equivalence
-class in GE, family otherwise) of each of its box occurrences.  Every box
-occurrence below a node corresponds to one of its own, so tree nodes of one
-shape have equal candidates at every corresponding occurrence of their
-subproofs.  Each shape is realized once, and each modal-rule shape is one
-provisional -- one summand of the sum.  So in strict mode every distinct
-modal-rule instance contributes its full witness pair, and equal subproofs
-in one class contribute one.
+proof as shapes: a ``Proof`` object with the group (equivalence class in GE,
+family otherwise) of each of its box occurrences.  Every box occurrence
+below a node corresponds to one of its own, so tree nodes of one shape have
+equal candidates at every corresponding occurrence of their subproofs, and
+each shape is realized once.
+
+Families never introduced by a modal rule are realized by fresh variables.
+A group introduced by modal rules is realized by the sum, in shape order, of
+one value per introducing shape (an instance): ``l1 + l2`` for an RE
+instance (``l1`` alone in simplify mode when the two are equal) and
+``m(l, t)`` for an RM instance, from the terms that internalize the
+instance's premise derivations.  So in strict mode every distinct modal-rule
+instance contributes its full witness pair, and equal subproofs in one class
+contribute one.
+
+Each group's term is built once, already final, when a shape first mentions
+it.  Its instances' premises are realized by then because of box depth.  A
+modal rule's premises are the bodies of its two boxes, and no other rule
+moves a formula into or out of a box, so every box occurrence at a node lies
+under exactly the modal rules between that node and the root.  Hence an
+instance's two boxes, and in GE every family of its class, lie as many boxes
+deep as the instance lies modal rules deep, and every box in the instance's
+premises lies deeper.  Shapes are realized deepest first, by the most modal
+rules above them: a shape that mentions a group d boxes deep lies at most d
+modal rules deep, and every shape in the premises of the group's instances
+lies at least d + 1 deep, so it is realized already.  Nothing built is ever
+rewritten.
 
 Weakening, contraction and disjunction on the right only move succedent
 formulas.  Such a node records a pending route from the nearest premise that
 has a derivation, and a chain of them is folded once, by the rule that first
 routes it on or needs its derivation (see ``_Engine._through``).
 
-The engine trusts its builder: at each distinct node it compares only the
-conclusion and hypotheses read off the derivation's steps with the node's
-realized sequent, and re-checks nothing after a substitution, which maps a
-derivation to one of the substituted judgment.  ``verify_realization`` is the
-full check; every caller in the package runs it: the CLI,
-``realize_simplified`` and the benchmark.
+The engine trusts its builder: at each shape it compares only the conclusion
+and hypotheses read off the derivation's steps with the shape's realized
+sequent.  ``verify_realization`` is the full check; every caller in the
+package runs it: the CLI, ``realize_simplified`` and the benchmark.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import field
 from functools import reduce
 
@@ -66,7 +71,6 @@ from .hilbert import (
     prune,
     read_judgment,
     step_formulas,
-    _substitute_steps,
 )
 from .sequent import (
     FamilyAnalysis,
@@ -91,11 +95,9 @@ from .syntax import (
     Or,
     ProofOf,
     ProofVar,
-    Substitution,
     Sum,
     Term,
     _FrozenRecord,
-    _Substituter,
     _set,
     box_occurrences,
     children,
@@ -103,11 +105,7 @@ from .syntax import (
     polarity_at,
     print_formula,
     subformula_at,
-    subterms,
-    terms_in,
 )
-
-PROVISIONAL_BASE = 10**6
 
 CALCULUS_DIALECT = {"GE": Dialect.JE, "GM": Dialect.JEM}
 
@@ -125,10 +123,6 @@ class RoundtripMismatch(VerificationError):
 
 
 class DerivationFails(VerificationError):
-    pass
-
-
-class ProvisionalLeak(VerificationError):
     pass
 
 
@@ -295,14 +289,6 @@ def _lift_just_sum(d: Derivation, u: Term, target: Term) -> Derivation:
 # The realization engine
 
 
-def _has_provisional(f: Formula) -> bool:
-    return any(
-        isinstance(s, (ProofVar, JustVar)) and s.index >= PROVISIONAL_BASE
-        for t in terms_in(f)
-        for s in subterms(t)
-    )
-
-
 class _Engine:
     def __init__(self, proof: Proof, calculus: str, cs: ConstantSpecification, mode: str):
         self.calculus = calculus
@@ -311,36 +297,59 @@ class _Engine:
         self.mode = mode
         self.analysis: FamilyAnalysis = compute_families(proof)
         self.shapes = self.analysis.shapes
-        self.cands: dict[int, Term] = {}     # by label
-        self.prov_of: dict[int, Term] = {}   # by shape position, like derivs and routes
+        self.cands: dict[int, Term] = {}     # by label, a group's on first use
+        self.groups: dict[int, tuple[int, ...]] = {}   # a group's instances, by label
+        self.entries: dict[int, tuple[LogEntry, ...]] = {}   # by shape position, like derivs and routes
         self.derivs: dict[int, Derivation] = {}
         self.routes: dict[int, tuple] = {}   # pending routes
         self.injections: dict[tuple, Derivation] = {}
-        self.log: list[LogEntry] = []
         self._assign_candidates()
 
     # -- candidate terms -------------------------------------------------
 
     def _assign_candidates(self):
-        numbers = itertools.count(PROVISIONAL_BASE)
-
-        def summed(instances, var, plus):
-            """A provisional per shape of ``instances``; their sum."""
-            for k in instances:
-                self.prov_of[k] = var(next(numbers))
-            return reduce(plus, (self.prov_of[k] for k in instances))
-
+        """Fresh variables for the families no modal rule introduces into,
+        and the instances of each group under the label its shapes carry: a
+        class's shapes label its families with its first."""
         analysis = self.analysis
-        # A class's shapes label its families with its first.
         for cls in analysis.classes:
-            self.cands[cls.families[0]] = Evidence(summed(cls.instances, ProofVar, Sum))
+            self.groups[cls.families[0]] = cls.instances
         fresh = 0
         for fid, fam in enumerate(analysis.families):
             if not fam.essential:
                 self.cands[fid] = Evidence(ProofVar(fresh)) if self.calculus == "GE" else JustVar(fresh)
                 fresh += 1
             elif self.calculus == "GM":
-                self.cands[fid] = summed(fam.instances, JustVar, JustSum)
+                self.groups[fid] = fam.instances
+
+    def _cand(self, label: int) -> Term:
+        """The label's candidate; a group's is the sum of its instances'
+        values, in shape order, built the first time it is asked for."""
+        t = self.cands.get(label)
+        if t is None:
+            values = [self._value(k) for k in self.groups[label]]
+            t = Evidence(reduce(Sum, values)) if self.calculus == "GE" else reduce(JustSum, values)
+            self.cands[label] = t
+        return t
+
+    def _value(self, k: int) -> Term:
+        """The summand of the modal-rule shape k.  Its premises' derivations
+        are deduction-transformed and internalized, and logged; their terms
+        make ``l1 + l2`` (RE; ``l1`` alone in simplify mode when the two
+        are equal) or ``m(l, t)``, t the left box's candidate (RM)."""
+        shape = self.shapes[k]
+        ante1, succ1 = self._annotate(shape.children[0])
+        a, b = ante1[0], succ1[0]
+        entries = []
+        # RE's premises are A => B and B => A; RM's is A => B.
+        for c, (f, g) in zip(shape.children, ((a, b), (b, a))):
+            lam, p = internalize(deduction_transform(self._derivation(c), f), self.cs)
+            entries.append(LogEntry(lam, Implies(f, g), p))
+        self.entries[k] = tuple(entries)
+        if shape.proof.rule == "RM":
+            return MApply(entries[0].term, self._cand(shape.labels[0]))
+        lam1, lam2 = (e.term for e in entries)
+        return lam1 if self.mode == "simplify" and lam1 == lam2 else Sum(lam1, lam2)
 
     # -- annotation ------------------------------------------------------
 
@@ -352,34 +361,13 @@ class _Engine:
 
         def go(f: Formula) -> Formula:
             if isinstance(f, Box):
-                term = self.cands[next(labels)]
+                term = self._cand(next(labels))
                 return JustOf(term, go(f.body))
             kids = children(f)
             return type(f)(*map(go, kids)) if kids else f
 
         s = shape.proof.sequent
         return tuple(map(go, s.ante)), tuple(map(go, s.succ))
-
-    # -- substitution of resolved provisionals ---------------------------
-
-    def _resolve(self, provisional: Term, value: Term):
-        if isinstance(provisional, ProofVar):
-            s = Substitution(proof_vars={provisional.index: value})
-        else:
-            s = Substitution(just_vars={provisional.index: value})
-        # One memo for the whole call: candidates, derivations and log
-        # entries share most of their nodes, so each is rewritten once.
-        sub = _Substituter(s)
-        self.cands = {fid: sub(t) for fid, t in self.cands.items()}
-        self.derivs = {nid: _substitute_steps(d, sub) for nid, d in self.derivs.items()}
-        self.routes = {
-            nid: (base, tuple((to, tuple(_substitute_steps(link, sub) for link in path)) for to, path in moves))
-            for nid, (base, moves) in self.routes.items()
-        }
-        self.log = [
-            LogEntry(sub(e.term), sub(e.formula), _substitute_steps(e.derivation, sub))
-            for e in self.log
-        ]
 
     # -- routes over succedents ------------------------------------------
     #
@@ -470,9 +458,17 @@ class _Engine:
     # -- per-rule constructions ------------------------------------------
 
     def run(self) -> Derivation:
-        """The root's derivation: the last shape's."""
-        for nid, shape in enumerate(self.shapes):
-            node = shape.proof
+        """The root's derivation: the last shape's.  Shapes are realized
+        deepest first, by the most modal rules above them, and in shape
+        order within one depth, so each comes after its premises and every
+        group's instances find their premises realized."""
+        depth = [0] * len(self.shapes)
+        for k in reversed(range(len(self.shapes))):   # parents first
+            below = depth[k] + (self.shapes[k].proof.rule in ("RE", "RM"))
+            for c in self.shapes[k].children:
+                depth[c] = max(depth[c], below)
+        for nid in sorted(range(len(self.shapes)), key=lambda k: (-depth[k], k)):
+            node = self.shapes[nid].proof
             out = _RULES[node.rule](self, nid, node)
             if isinstance(out, Derivation):
                 self.derivs[nid] = prune(out)
@@ -633,25 +629,11 @@ class _Engine:
         return _cases(self.dialect, Not(a), arm_na, arm_nna, _disj(succ))
 
     def _rule_re(self, nid: int, node: Proof) -> Derivation:
-        c1, c2 = self._child_ids(nid)
-        ante1, succ1 = self._annotate(c1)
-        ann_a, ann_b = ante1[0], succ1[0]
-        dd1 = deduction_transform(self._derivation(c1), ann_a)
-        dd2 = deduction_transform(self._derivation(c2), ann_b)
-        lam1, p1 = internalize(dd1, self.cs)
-        lam2, p2 = internalize(dd2, self.cs)
-        self.log.append(LogEntry(lam1, Implies(ann_a, ann_b), p1))
-        self.log.append(LogEntry(lam2, Implies(ann_b, ann_a), p2))
-        if self.mode == "simplify" and lam1 == lam2:
-            value = lam1
-        else:
-            value = Sum(lam1, lam2)
-        self._resolve(self.prov_of[nid], value)
+        """Both witnesses, lifted into the class's sum, by je."""
         ante, succ = self._annotate(nid)
-        t = ante[0].term
-        u = t.proof
+        u = ante[0].term.proof
         ann_a, ann_b = ante[0].body, succ[0].body
-        l1, l2 = (_lift_proof_sum(e.derivation, u, e.term) for e in self.log[-2:])
+        l1, l2 = (_lift_proof_sum(e.derivation, u, e.term) for e in self.entries[nid])
         fwd = ProofOf(u, Implies(ann_a, ann_b))
         bwd = ProofOf(u, Implies(ann_b, ann_a))
         b = Builder(self.dialect)
@@ -661,20 +643,11 @@ class _Engine:
         return b.derivation(b.mp(arrow, h))
 
     def _rule_rm(self, nid: int, node: Proof) -> Derivation:
-        (c,) = self._child_ids(nid)
-        ante1, succ1 = self._annotate(c)
-        ann_a, ann_b = ante1[0], succ1[0]
-        dd = deduction_transform(self._derivation(c), ann_a)
-        lam, p = internalize(dd, self.cs)
-        self.log.append(LogEntry(lam, Implies(ann_a, ann_b), p))
-        ante, _ = self._annotate(nid)
-        t_left = ante[0].term
-        self._resolve(self.prov_of[nid], MApply(lam, t_left))
+        """The witness by jm, lifted into the family's sum."""
         ante, succ = self._annotate(nid)
-        t_left = ante[0].term
-        u = succ[0].term
+        t_left, u = ante[0].term, succ[0].term
         ann_a, ann_b = ante[0].body, succ[0].body
-        entry = self.log[-1]
+        (entry,) = self.entries[nid]
         b = Builder(self.dialect)
         jm = b.axiom("jm", {"L": entry.term, "T": t_left, "F": ann_a, "G": ann_b})
         arr = b.mp(jm, b.embed(entry.derivation))
@@ -730,16 +703,13 @@ def realize(
     engine = _Engine(proof, calculus, cs, mode)
     final = prune(engine.run())
     ante, succ = engine._annotate(len(engine.shapes) - 1)
-    for f in ante + succ:
-        if _has_provisional(f):
-            raise DerivationError("realization-unresolved", detail=print_formula(f))
     return RealizationResult(
         calculus=calculus,
         dialect=dialect,
         antecedent=ante,
         succedent=succ,
         derivation=final,
-        log=tuple(engine.log),
+        log=tuple(e for k in sorted(engine.entries) for e in engine.entries[k]),
         mode=mode,
         source=proof,
         cs=cs,
@@ -781,9 +751,9 @@ def verify_realization(
     cs: ConstantSpecification | None = None,
 ) -> None:
     """Independently re-check a realization: the realized sequent forgets back
-    to the source, the derivation and every logged internalization check, no
-    provisional variable survived, and (for the monotonic calculus) negative
-    boxes are realized by pairwise distinct variables."""
+    to the source, the derivation and every logged internalization check,
+    and (for the monotonic calculus) negative boxes are realized by pairwise
+    distinct variables."""
     if proof is None:
         proof = result.source
     if cs is None:
@@ -797,9 +767,6 @@ def verify_realization(
         or tuple(forgetful(f) for f in result.succedent) != root.succ
     ):
         raise RoundtripMismatch("realized sequent does not forget back to the source sequent")
-    for f in result.antecedent + result.succedent:
-        if _has_provisional(f):
-            raise ProvisionalLeak(print_formula(f))
     try:
         j = check_derivation(result.derivation, cs)
     except DerivationError as e:

@@ -268,6 +268,16 @@ class TestDerivationCommands:
         code, _, _ = run(capsys, "check", str(path))
         assert code == 1
 
+    def test_check_rejects_a_second_conclusion_line(self, capsys, tmp_path):
+        """The last of two conclusion lines names a step that checks, but a
+        derivation file has one conclusion: an input error."""
+        d = prove_id(Dialect.JE, A)
+        path = tmp_path / "two.deriv"
+        path.write_text(write_derivation(d) + "conclusion 0\n")
+        assert write_derivation(d).endswith(f"conclusion {d.conclusion}\n") and d.conclusion != 0
+        code, _, record = run(capsys, "check", str(path))
+        assert code == 2 and "second conclusion" in record["error"]
+
     def test_check_missing_file(self, capsys, tmp_path):
         code, _, _ = run(capsys, "check", str(tmp_path / "absent.deriv"))
         assert code == 2

@@ -82,6 +82,11 @@ class TestDerivationFormat:
         with pytest.raises(FormatError):
             parse_derivation(text)
 
+    def test_one_conclusion_line(self):
+        text = "# jelogic derivation v1\ndialect JE\n0 hyp A\nconclusion 0\nconclusion 0\n"
+        with pytest.raises(FormatError, match="second conclusion"):
+            parse_derivation(text)
+
     def test_conclusion_required(self):
         with pytest.raises(FormatError):
             parse_derivation("# jelogic derivation v1\ndialect JE\n0 hyp A\n")

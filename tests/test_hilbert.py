@@ -370,9 +370,8 @@ def _with_hypotheses(dialect: Dialect) -> Derivation:
 @settings(max_examples=100, deadline=None)
 def test_substitution_lemma(seed, dialect):
     """A substitution instance of a derivation checks and derives the
-    substitution instance of its judgment.  Realization relies on this to
-    substitute resolved provisionals into derivations without re-checking
-    them."""
+    substitution instance of its judgment, which is what makes
+    ``jelogic subst`` sound on every derivation that checks."""
     rng = random.Random(seed)
     cs = cs_total(dialect)
     s = Substitution(

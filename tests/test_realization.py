@@ -20,8 +20,6 @@ from jelogic.realization import (
     DerivationFails,
     LogEntry,
     NotNormal,
-    PROVISIONAL_BASE,
-    ProvisionalLeak,
     RoundtripMismatch,
     UncheckedProof,
     realize,
@@ -30,10 +28,11 @@ from jelogic.realization import (
     verify_realization,
 )
 from jelogic.semantics import find_modal_countermodel
-from jelogic.sequent import Proof, Sequent, prove_bounded
+from jelogic.sequent import Proof, Sequent, compute_families, prove_bounded
 from jelogic.syntax import (
     Atom,
     Bang,
+    Box,
     Dialect,
     DialectError,
     Evidence,
@@ -51,7 +50,9 @@ from jelogic.syntax import (
     apply_substitution,
     forgetful,
     parse_formula,
+    box_occurrences,
     print_formula,
+    subformula_at,
     subterms,
 )
 
@@ -137,10 +138,13 @@ class TestVerify:
             verify_realization(tampered)
 
     def test_provisional_leak(self):
+        """A succedent box realized by a variable the derivation never
+        mentions forgets back to the source, but the derivation does not
+        conclude it."""
         r = realize(re(axp("A"), axp("A")), "GE", CS_JE)
-        ghost = JustOf(Evidence(ProofVar(PROVISIONAL_BASE)), A)
+        ghost = JustOf(Evidence(ProofVar(10**6)), A)
         tampered = dataclasses.replace(r, succedent=(ghost,))
-        with pytest.raises(ProvisionalLeak):
+        with pytest.raises(DerivationFails):
             verify_realization(tampered)
 
     def test_derivation_wrong_conclusion(self):
@@ -334,9 +338,9 @@ def test_nested_premises_internalize_proved_assertions_as_bang(text, calculus):
 @settings(max_examples=20, deadline=None)
 def test_modal_rules_nested_twice_internalize_as_bang(seed, calculus):
     """The outer of two nested modal rules internalizes a premise derivation
-    that proves the inner rule's ``t:F``, after the inner provisional was
-    substituted into it: a later log entry's term has a ``!s`` whose ``s``
-    contains the term the inner rule logged."""
+    that proves the inner rule's ``t:F``, with t the inner group's finished
+    candidate: a later log entry's term has a ``!s`` whose ``s`` contains
+    the term the inner rule logged."""
     rng = random.Random(seed)
     if calculus == "GM":
         theorem = random_sequent_theorem(rng, "GM")
@@ -356,61 +360,148 @@ def test_modal_rules_nested_twice_internalize_as_bang(seed, calculus):
         verify_realization(r)
 
 
+_SUMMED = {
+    # The first RE's witnesses, both in strict mode and one in simplify mode,
+    # then the second's.
+    "strict": "e(c_pl_s * c_pl_k * c_pl_k + c_pl_s * c_pl_k * c_pl_k"
+    " + (c_pl_and_elim_l + c_pl_s * c_pl_and_intro * (c_pl_s * c_pl_k * c_pl_k)))",
+    "simplify": "e(c_pl_s * c_pl_k * c_pl_k"
+    " + (c_pl_and_elim_l + c_pl_s * c_pl_and_intro * (c_pl_s * c_pl_k * c_pl_k)))",
+}
+
+
 @pytest.mark.parametrize(
     "text, calculus",
     [("[]A | [](A & A) => []A", "GE"), ("[]A | []B => [](A | B)", "GM")],
 )
-def test_resolve_rewrites_part_of_what_it_holds(monkeypatch, text, calculus):
-    """On these inputs resolving a provisional changes some but not all of
-    the derivations and log entries built so far, and the result verifies."""
-    resolve = realization._Engine._resolve
-    totals = {"changed": 0, "held": 0}
-
-    def watched_resolve(self, provisional, value):
-        if isinstance(provisional, ProofVar):
-            s = Substitution(proof_vars={provisional.index: value})
-        else:
-            s = Substitution(just_vars={provisional.index: value})
-        changed = [d for d in self.derivs.values() if substitute_derivation(d, s) != d]
-        for e in self.log:
-            new = substitute_derivation(e.derivation, s)
-            if (new, apply_substitution(e.term, s), apply_substitution(e.formula, s)) != (e.derivation, e.term, e.formula):
-                changed.append(new)
-        totals["changed"] += len(changed)
-        totals["held"] += len(self.derivs) + len(self.log)
-        resolve(self, provisional, value)
-
-    monkeypatch.setattr(realization._Engine, "_resolve", watched_resolve)
-    verify_realization(realize_text(text, calculus))
-    assert 0 < totals["changed"] < totals["held"]
+def test_resolve_rewrites_part_of_what_it_holds(text, calculus):
+    """Two modal-rule instances of one group, each over a premise of its
+    own: the group's sum holds the witnesses of both, in both modes, and
+    each realization verifies."""
+    if calculus == "GE":
+        expected = {mode: f"[{t}]A | [{t}](A & A) -> [{t}]A" for mode, t in _SUMMED.items()}
+    else:
+        printed = "[x0]A | [x1]B -> [m(c_pl_or_intro_l, x0) + m(c_pl_or_intro_r, x1)](A | B)"
+        expected = {"strict": printed, "simplify": printed}
+    cs = CS_JE if calculus == "GE" else CS_JEM
+    for mode, printed in expected.items():
+        r = realize(proof_of(text, calculus), calculus, cs, mode)
+        verify_realization(r)
+        assert print_formula(r.realized) == printed
 
 
 def test_ladder_resolves_without_rechecking(monkeypatch):
-    """Each GE ladder class has one distinct instance, so resolving its
-    provisional rewrites nothing built so far, and nothing is re-checked."""
-    resolving = [False]
-    rechecked = []
-    resolves = []
-    check = realization.check_derivation
-    resolve = realization._Engine._resolve
+    """Realizing the GE ladder at n = 3 checks each premise derivation once,
+    when ``internalize`` lifts it: two per level, and no finished
+    derivation is checked again."""
+    import jelogic.hilbert
+
+    checked = []
+    check = jelogic.hilbert.check_derivation
 
     def counting_check(d, cs):
-        if resolving[0]:
-            rechecked.append(d)
+        checked.append(d)
         return check(d, cs)
 
-    def watched_resolve(self, provisional, value):
-        resolves.append(provisional)
-        resolving[0] = True
-        try:
-            resolve(self, provisional, value)
-        finally:
-            resolving[0] = False
+    monkeypatch.setattr(realization, "check_derivation", lambda d, cs: pytest.fail("realize re-checked"))
+    monkeypatch.setattr(jelogic.hilbert, "check_derivation", counting_check)
+    r = realize_text("[][][]A => [][][]A", "GE")
+    assert len(checked) == len(r.log) == 6
+    monkeypatch.undo()
+    verify_realization(r)
 
-    monkeypatch.setattr(realization, "check_derivation", counting_check)
-    monkeypatch.setattr(realization._Engine, "_resolve", watched_resolve)
-    verify_realization(realize_text("[][][]A => [][][]A", "GE"))
-    assert len(resolves) == 3 and rechecked == []
+
+def _ladder(n: int, calculus: str) -> Proof:
+    boxed = "[]" * n + "A"
+    return proof_of(f"{boxed} => {boxed}", calculus, n + 2)
+
+
+# The shared-copy sequents of ``test_sequent``'s shape tests.
+_SHARED = [
+    ("[]A => []A & []A", "GM"),
+    ("[]A | []B => [](A | B) & [](A | B)", "GM"),
+    ("[]A, []A => []A & []A", "GE"),
+    ("=> ([]A -> []A) & ([]A -> []A)", "GE"),
+    ("=> []([]A & []B) -> ([][]A & [][]B)", "GM"),
+    ("[][][][]A => [][][][]A", "GE"),
+    ("[][][][]A => [][][][]A", "GM"),
+]
+
+
+def _assert_groups_are_deeper_below_their_rules(p: Proof):
+    """The order the engine realizes in rests on this: the two boxes of a
+    modal-rule shape have one modal depth d (``Box`` nodes above their root
+    occurrence), for every family of a GE class, and every box in the
+    rule's premises belongs to families deeper than d."""
+    fa = compute_families(p)
+    members = {cls.families[0]: cls.families for cls in fa.classes}
+
+    def depths(label: int) -> set[int]:
+        out = set()
+        for fid in members.get(label, (label,)):
+            side, i, path = fa.families[fid].occurrence
+            f = (p.sequent.ante if side == "L" else p.sequent.succ)[i]
+            out.add(sum(isinstance(subformula_at(f, path[:j]), Box) for j in range(len(path))))
+        return out
+
+    for shape in fa.shapes:
+        if shape.proof.rule not in ("RE", "RM"):
+            continue
+        right = len(box_occurrences(shape.proof.sequent.ante[0]))
+        here = depths(shape.labels[0]) | depths(shape.labels[right])
+        assert len(here) == 1, (shape.proof.sequent, here)
+        below, stack = set(), list(shape.children)
+        while stack:
+            k = stack.pop()
+            if k not in below:
+                below.add(k)
+                stack.extend(fa.shapes[k].children)
+        for k in below:
+            for label in fa.shapes[k].labels:
+                assert min(depths(label)) > max(here), (shape.proof.sequent, fa.shapes[k].proof.sequent)
+
+
+@given(st.integers(0, 10**9), st.sampled_from(["GE", "GM"]))
+@settings(max_examples=60, deadline=None)
+def test_random_modal_rules_sit_above_deeper_groups(seed, calculus):
+    _assert_groups_are_deeper_below_their_rules(random_sequent_theorem(random.Random(seed), calculus, depth=5))
+
+
+def test_ladder_and_shared_modal_rules_sit_above_deeper_groups():
+    for calculus in ("GE", "GM"):
+        for n in range(1, 7):
+            _assert_groups_are_deeper_below_their_rules(_ladder(n, calculus))
+    for text, calculus in _SHARED:
+        _assert_groups_are_deeper_below_their_rules(proof_of(text, calculus))
+
+
+_GOLDENS = [
+    ("=> []A -> ([]B -> []A)", "GE"),
+    ("[][]A => [][]A", "GE"),
+    ("=> [](A -> A) -> [](B -> B)", "GE"),
+    ("=> [](A & B) -> ([]A & []B)", "GM"),
+    ("=> ([]A | []B) -> [](A | B)", "GM"),
+    ("=> []([]A & []B) -> ([][]A & [][]B)", "GM"),
+]
+
+
+def test_realization_revises_no_term(monkeypatch):
+    """Every group's term is final when first built: realizing substitutes
+    into nothing, in either mode, and every result verifies."""
+    import jelogic.syntax
+
+    def refuse(self, x):
+        raise AssertionError("a term was substituted into")
+
+    monkeypatch.setattr(jelogic.syntax._Substituter, "__call__", refuse)
+    proofs = [(proof_of(text, calculus), calculus) for text, calculus in _GOLDENS]
+    proofs += [(random_sequent_theorem(random.Random(seed), calculus), calculus)
+               for seed in range(20) for calculus in ("GE", "GM")]
+    proofs += [(_ladder(n, calculus), calculus) for n in range(1, 7) for calculus in ("GE", "GM")]
+    for p, calculus in proofs:
+        cs = CS_JE if calculus == "GE" else CS_JEM
+        for mode in ("strict", "simplify"):
+            verify_realization(realize(p, calculus, cs, mode))
 
 
 @pytest.mark.parametrize("mode", ["strict", "simplify"])
@@ -429,7 +520,7 @@ def test_ge_ladder_realizes_each_level_once(mode):
 
 def test_equal_subproofs_in_different_classes_stay_apart():
     """Both conjuncts have the same subproof, but their boxes fall in two
-    classes, each with its own provisional, so neither reuses the other."""
+    classes, each with its own sum, so neither reuses the other."""
     for mode in ("strict", "simplify"):
         r = realize(proof_of("=> ([]A -> []A) & ([]A -> []A)", "GE"), "GE", CS_JE, mode)
         assert len(r.log) == 4
