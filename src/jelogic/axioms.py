@@ -44,6 +44,7 @@ from .syntax import (
     _HashConsed,
     _set,
     children,
+    postorder,
 )
 
 
@@ -116,15 +117,7 @@ def instantiate(pattern, binding: Binding):
 def metavariables(pattern) -> dict[str, str]:
     """Every metavariable of ``pattern``, name to kind: "formula", "proof"
     or "just"."""
-    out: dict[str, str] = {}
-    stack = [pattern]
-    while stack:
-        node = stack.pop()
-        kind = _META_KINDS.get(type(node))
-        if kind is not None:
-            out[node.name] = kind
-        stack.extend(children(node))
-    return out
+    return {node.name: _META_KINDS[type(node)] for node in postorder(pattern) if type(node) in _META_KINDS}
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from .axioms import ConstantSpecification, match, scheme_by_id
 from .hilbert import ANStep, AxiomStep, Derivation, Hyp, MPStep
 from .semantics import FiniteBasicEvaluation, QuasiModel
 from .sequent import Proof, Sequent
-from .syntax import Dialect, DialectError, ParseError, Reader, print_formula, print_term
+from .syntax import Dialect, DialectError, ParseError, Reader, _printed, print_formula, print_term
 
 
 class FormatError(Exception):
@@ -84,13 +84,16 @@ _DERIVATION_HEADER = "# jelogic derivation v1"
 
 def write_derivation(d: Derivation) -> str:
     out = [_DERIVATION_HEADER, f"dialect {d.dialect.name}"]
+    # Steps share subformulas: each is printed once per file.
+    written = (Hyp, AxiomStep, ANStep)
+    texts = _printed([s.axiom if isinstance(s, ANStep) else s.formula for s in d.steps if isinstance(s, written)])
     for i, step in enumerate(d.steps):
         if isinstance(step, Hyp):
-            out.append(f"{i} hyp {print_formula(step.formula)}")
+            out.append(f"{i} hyp {next(texts)}")
         elif isinstance(step, AxiomStep):
-            out.append(f"{i} axiom {step.scheme} {print_formula(step.formula)}")
+            out.append(f"{i} axiom {step.scheme} {next(texts)}")
         elif isinstance(step, ANStep):
-            out.append(f"{i} an {step.constant} {print_formula(step.axiom)}")
+            out.append(f"{i} an {step.constant} {next(texts)}")
         elif isinstance(step, MPStep):
             out.append(f"{i} mp {step.major} {step.minor}")
         else:

@@ -59,6 +59,7 @@ from .syntax import (
     _Substituter,
     _set,
     check_dialect,
+    postorder,
     print_formula,
 )
 
@@ -280,16 +281,12 @@ def prune(d: Derivation) -> Derivation:
     """Drop steps the conclusion never uses (hypothesis steps are kept: they
     are part of the judgment even when unused).  On a builder's output this
     removes the detours that ended at a formula the builder already had."""
-    keep = set()
-    stack = [d.conclusion]
-    while stack:
-        i = stack.pop()
-        if i in keep:
-            continue
-        keep.add(i)
+
+    def premises(i: int) -> tuple[int, ...]:
         step = d.steps[i]
-        if isinstance(step, MPStep):
-            stack.extend((step.major, step.minor))
+        return (step.major, step.minor) if isinstance(step, MPStep) else ()
+
+    keep = set(postorder(d.conclusion, kids=premises))
     keep.update(i for i, s in enumerate(d.steps) if isinstance(s, Hyp))
     order = sorted(keep)
     remap = {old: new for new, old in enumerate(order)}

@@ -60,6 +60,7 @@ from .syntax import (
     check_dialect,
     children,
     formula_children,
+    postorder,
     print_formula,
     print_term,
     subterms,
@@ -140,58 +141,40 @@ class FiniteBasicEvaluation(_Record):
 def _pool(table: dict) -> set[Formula]:
     """All formulas in the entries, closed under subformulas."""
     out: set[Formula] = set()
-    stack = [f for fs in table.values() for f in fs]
-    while stack:
-        f = stack.pop()
-        if f in out:
-            continue
-        out.add(f)
-        stack.extend(formula_children(f))
+    for f in set().union(*table.values()):
+        out.update(postorder(f, out, formula_children))
     return out
-
-
-def _leaf_terms(t: Term):
-    return (s for s in subterms(t) if not children(s))
 
 
 def _all_terms_up_to(dialect: Dialect, leaves: set, bound: int) -> set[Term]:
-    proof_by_depth: dict[int, set] = {1: {l for l in leaves if isinstance(l, (ProofConst, ProofVar))}}
-    just_by_depth: dict[int, set] = {1: set()}
-    if dialect is Dialect.JEM:
-        just_by_depth[1] = {l for l in leaves if isinstance(l, JustVar)}
+    # Each term with its depth: a term d deep has children at most d - 1 deep.
+    proofs = {l: 1 for l in leaves if isinstance(l, (ProofConst, ProofVar))}
+    justs = {l: 1 for l in leaves if isinstance(l, JustVar)} if dialect is Dialect.JEM else {}
     for d in range(2, bound + 1):
-        proof_below = [t for k in range(1, d) for t in proof_by_depth[k]]
-        just_below = [t for k in range(1, d) for t in just_by_depth[k]]
-        newp: set = set()
-        newj: set = set()
-        for a in proof_below:
-            da = term_depth(a)
-            for b in proof_below:
-                if max(da, term_depth(b)) == d - 1:
-                    newp.add(Apply(a, b))
+        newp: dict = {}
+        newj: dict = {}
+        for a, da in proofs.items():
+            for b, db in proofs.items():
+                if max(da, db) == d - 1:
+                    newp[Apply(a, b)] = d
                     if dialect is Dialect.JE:
-                        newp.add(Sum(a, b))
+                        newp[Sum(a, b)] = d
             if da == d - 1:
-                newp.add(Bang(a))
-            if dialect is Dialect.JE and da == d - 1:
-                newj.add(Evidence(a))
+                newp[Bang(a)] = d
+                if dialect is Dialect.JE:
+                    newj[Evidence(a)] = d
             if dialect is Dialect.JEM:
-                for u in just_below:
-                    if max(da, term_depth(u)) == d - 1:
-                        newj.add(MApply(a, u))
+                for u, du in justs.items():
+                    if max(da, du) == d - 1:
+                        newj[MApply(a, u)] = d
         if dialect is Dialect.JEM:
-            for u in just_below:
-                du = term_depth(u)
-                for v in just_below:
-                    if max(du, term_depth(v)) == d - 1:
-                        newj.add(JustSum(u, v))
-        proof_by_depth[d] = newp
-        just_by_depth[d] = newj
-    out: set[Term] = set()
-    for d in proof_by_depth:
-        out |= proof_by_depth[d]
-        out |= just_by_depth[d]
-    return out
+            for u, du in justs.items():
+                for v, dv in justs.items():
+                    if max(du, dv) == d - 1:
+                        newj[JustSum(u, v)] = d
+        proofs.update(newp)
+        justs.update(newj)
+    return set(proofs) | set(justs)
 
 
 def saturate(
@@ -264,17 +247,18 @@ def saturate(
         return got
 
     if terms is not None:
-        want: set[Term] = set(base)
+        want = list(base)
         for t in terms:
             check_dialect(t, dialect, Term)
             if term_depth(t) > bound:
                 raise BoundExhausted(f"requested term {print_term(t)} lies beyond depth {bound}")
-            want.update(subterms(t))
+            want.append(t)
     else:
-        leaves = {l for k in base for l in _leaf_terms(k)}
-        want = _all_terms_up_to(dialect, leaves, bound) | set(base)
-    for t in sorted(want, key=term_depth):
-        star(t)
+        leaves = {l for k in base for l in subterms(k) if not children(l)}
+        want = [*_all_terms_up_to(dialect, leaves, bound), *base]
+    for t in want:
+        for s in postorder(t, memo):  # each subterm before the terms over it
+            star(s)
     table = {t: fs for t, fs in memo.items() if fs}
     for t, fs in base.items():
         table.setdefault(t, fs)
@@ -346,7 +330,7 @@ def check_basic_model(
         need(Bang(a), op_prefix(a, eps.entry(a)), "introspection-closure")
     if cs is not None:
         pool = _pool(eps.table)
-        consts = {l for k in eps.table for l in _leaf_terms(k) if isinstance(l, ProofConst)}
+        consts = {l for k in eps.table for l in subterms(k) if isinstance(l, ProofConst)}
         for c in sorted(consts, key=lambda c: c.name):
             schemes = cs.schemes_of(c.name)
             if not schemes:
@@ -667,34 +651,21 @@ class ModalCountermodel(_FrozenRecord):
         return "\n".join(lines)
 
 
+_MODAL_OPS = {Atom: "atom", Bottom: "bot", Implies: "imp", And: "and", Or: "or", Not: "not", Box: "box"}
+
+
 def _compile_modal(f: Formula):
+    """The distinct subformulas of ``f`` as instructions, each after the
+    instructions of its operands, which it names by position; ``f``'s last."""
     instrs: list[tuple] = []
     index: dict[Formula, int] = {}
-
-    def go(g: Formula) -> int:
-        got = index.get(g)
-        if got is not None:
-            return got
-        if isinstance(g, Atom):
-            instrs.append(("atom", g.name, None))
-        elif isinstance(g, Bottom):
-            instrs.append(("bot", None, None))
-        elif isinstance(g, Implies):
-            instrs.append(("imp", go(g.left), go(g.right)))
-        elif isinstance(g, And):
-            instrs.append(("and", go(g.left), go(g.right)))
-        elif isinstance(g, Or):
-            instrs.append(("or", go(g.left), go(g.right)))
-        elif isinstance(g, Not):
-            instrs.append(("not", go(g.inner), None))
-        elif isinstance(g, Box):
-            instrs.append(("box", go(g.body), None))
-        else:
+    for g in postorder(f):
+        op = _MODAL_OPS.get(type(g))
+        if op is None:
             raise DialectError(f"{print_formula(g)} is not a modal formula")
-        index[g] = len(instrs) - 1
-        return index[g]
-
-    go(f)
+        operands = [index[kid] for kid in children(g)] + [None, None]
+        index[g] = len(instrs)
+        instrs.append((op, g.name if op == "atom" else operands[0], operands[1]))
     return instrs
 
 

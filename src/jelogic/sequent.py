@@ -52,6 +52,7 @@ from .syntax import (
     formula_children,
     parse_sequent as _parse_sides,
     polarity_at,
+    postorder,
     print_sequent as _print_sides,
 )
 
@@ -102,70 +103,14 @@ class Proof(_HashConsed):
     principal: tuple[tuple[str, int], ...]
     children: tuple["Proof", ...]
 
-    # Pickling and repr work without recursion, so that proofs nest
-    # arbitrarily deep.
-    def __reduce__(self):
-        """Pickle as a flat postorder list of the distinct nodes, each with
-        its children's positions in the list."""
-        nodes = _distinct_postorder(self)
-        position = {id(p): i for i, p in enumerate(nodes)}
-        flat = tuple((p.sequent, p.rule, p.principal, tuple(position[id(c)] for c in p.children)) for p in nodes)
-        return _proof_from_postorder, (flat,)
-
-    def __repr__(self):
-        pieces = []
-        stack = [self]
-        while stack:
-            p = stack.pop()
-            if isinstance(p, str):
-                pieces.append(p)
-                continue
-            pieces.append(
-                f"Proof(sequent={p.sequent!r}, rule={p.rule!r}, principal={p.principal!r}, children=("
-            )
-            stack.append(",))" if len(p.children) == 1 else "))")
-            for i in reversed(range(len(p.children))):
-                stack.append(p.children[i])
-                if i:
-                    stack.append(", ")
-        return "".join(pieces)
-
-
-def _distinct_postorder(p: Proof) -> list[Proof]:
-    """The distinct ``Proof`` objects of ``p``, each after its premises."""
-    done: set[int] = set()
-    nodes = []
-    stack = [p]
-    while stack:
-        q = stack[-1]
-        if id(q) in done:
-            stack.pop()
-            continue
-        waiting = [c for c in q.children if id(c) not in done]
-        if waiting:
-            stack.extend(reversed(waiting))
-            continue
-        stack.pop()
-        done.add(id(q))
-        nodes.append(q)
-    return nodes
-
 
 def proof_size(p: Proof) -> tuple[int, int]:
     """The number of nodes of ``p`` as a tree, and the number of distinct
     ``Proof`` objects in it, counted without expanding shared subproofs."""
-    size: dict[int, int] = {}
-    for q in _distinct_postorder(p):
-        size[id(q)] = 1 + sum(size[id(c)] for c in q.children)
-    return size[id(p)], len(size)
-
-
-def _proof_from_postorder(nodes) -> Proof:
-    """The proof ``Proof.__reduce__`` encoded: its last node."""
-    built: list[Proof] = []
-    for sequent, rule, principal, kids in nodes:
-        built.append(Proof(sequent, rule, principal, tuple(built[i] for i in kids)))
-    return built[-1]
+    size: dict[Proof, int] = {}
+    for q in postorder(p, kids=lambda q: q.children):
+        size[q] = 1 + sum(size[c] for c in q.children)
+    return size[p], len(size)
 
 
 RULES = (
@@ -321,13 +266,8 @@ def check_sequent_proof(p: Proof, calculus: str) -> Sequent:
     if calculus not in _CALCULUS_RULES:
         raise SequentProofError("bad-rule", f"unknown calculus {calculus!r}")
     allowed = _CALCULUS_RULES[calculus]
-    seen = set()
-    stack = [p]
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
+
+    def checked_premises(node: Proof) -> tuple[Proof, ...]:
         if node.rule not in allowed:
             kind = "wrong-calculus" if node.rule in RULES else "bad-rule"
             raise SequentProofError(kind, f"rule {node.rule} not part of {calculus}")
@@ -344,7 +284,9 @@ def check_sequent_proof(p: Proof, calculus: str) -> Sequent:
                     "premise-mismatch",
                     f"{node.rule} premise should be {expected}, found {child.sequent}",
                 )
-        stack.extend(node.children)
+        return node.children
+
+    postorder(p, kids=checked_premises)
     return p.sequent
 
 
@@ -589,43 +531,21 @@ def _shapes(p: Proof, labels: tuple[int, ...]) -> tuple[list[Shape], dict[tuple,
     the order a postorder walk of the tree first reaches them, and the
     position of each ``(proof, labels)`` pair among them."""
     maps: dict[Proof, tuple] = {}
+    premises: dict[tuple, tuple] = {}  # each pair's labelled premises, built once
+
+    def labelled_premises(key):
+        node, labels = key
+        if node not in maps:
+            maps[node] = _label_maps(node)
+        premises[key] = tuple((c, tuple(labels[k] for k in m)) for c, m in zip(node.children, maps[node]))
+        return premises[key]
+
     position: dict[tuple, int] = {}
     shapes: list[Shape] = []
-    # A stack, not recursion, so that proofs nest arbitrarily deep: each
-    # entry is a pair and, once its premises' pairs are pushed, those pairs.
-    stack: list = [((p, labels), None)]
-    while stack:
-        key, kids = stack.pop()
-        if key in position:
-            continue
-        node, labels = key
-        if kids is None:
-            if node not in maps:
-                maps[node] = _label_maps(node)
-            kids = tuple((c, tuple(labels[k] for k in m)) for c, m in zip(node.children, maps[node]))
-            stack.append((key, kids))
-            stack.extend((kid, None) for kid in reversed(kids))
-            continue
+    for key in postorder((p, labels), kids=labelled_premises):
         position[key] = len(shapes)
-        shapes.append(Shape(node, labels, tuple(position[kid] for kid in kids)))
+        shapes.append(Shape(*key, tuple(position[kid] for kid in premises[key])))
     return shapes, position
-
-
-class _UnionFind:
-    def __init__(self):
-        self.parent: dict = {}
-
-    def find(self, x):
-        self.parent.setdefault(x, x)
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, x, y):
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[ry] = rx
 
 
 class Family(_FrozenRecord):
@@ -693,16 +613,16 @@ def compute_families(p: Proof) -> FamilyAnalysis:
     label = list(range(len(root)))
     classes: list[list[int]] = []
     if modal_rule == "RE":
-        uf = _UnionFind()
+        # The classes: the families the pairs link, directly or not.
+        linked: dict[int, list[int]] = {}
         for left, right in pairs:
-            uf.union(left, right)
-        groups: dict[int, list[int]] = {}
-        for f in sorted(uf.parent):
-            groups.setdefault(uf.find(f), []).append(f)
-        classes = sorted(groups.values())
-        for fams in classes:
-            for f in fams:
-                label[f] = fams[0]
+            linked.setdefault(left, []).append(right)
+            linked.setdefault(right, []).append(left)
+        for f in sorted(linked):
+            if label[f] == f:  # not in a class yet, so the least of its own
+                classes.append(sorted(postorder(f, kids=linked.__getitem__)))
+                for g in classes[-1]:
+                    label[g] = f
         shapes, position = _shapes(p, tuple(label))
 
     families = []

@@ -16,11 +16,12 @@ validates a term or formula against a dialect, from one table of the classes
 that not every dialect has.  Nodes are hash-consed: every constructor call
 returns the one live node with its class and fields, so equal terms and
 formulas are identical objects, ``==`` and ``hash`` are by identity, and a
-term DAG costs memory per distinct node.  ``children`` is the
-one structural walk: a node's child nodes in field order, over which
-``type(node)(*kids)`` rebuilds it.  Occurrences of subformulas are addressed
-by paths (tuples of formula-child indices), which is what the sequent
-machinery uses to track box occurrences across rule applications.
+term DAG costs memory per distinct node.  ``children`` gives a node's child
+nodes in field order, over which ``type(node)(*kids)`` rebuilds it, and
+``postorder`` is the one walk over terms, formulas and proofs: their
+distinct nodes, each after its children, without recursion.  Occurrences of
+subformulas are addressed by paths (tuples of formula-child indices), which
+the sequent machinery uses to track box occurrences across rule applications.
 
 Concrete syntax notes (the full grammar lives in docs/grammar.md):
 
@@ -37,10 +38,11 @@ from __future__ import annotations
 
 import re
 import weakref
+from collections import defaultdict
 from dataclasses import MISSING, Field, FrozenInstanceError, dataclass, fields
 from enum import Enum
 from operator import attrgetter
-from typing import Iterator, Mapping
+from typing import Mapping
 
 
 class Dialect(Enum):
@@ -88,7 +90,10 @@ def _key(names: tuple[str, ...]):
     ``names`` (functions are wrapped, so an instance does not bind them)."""
     if len(names) > 1:
         return attrgetter(*names)
-    return staticmethod(lambda obj: tuple(getattr(obj, name) for name in names))
+    if names:
+        get = attrgetter(*names)
+        return staticmethod(lambda obj: (get(obj),))
+    return staticmethod(lambda obj: ())
 
 
 class _Slotted(type):
@@ -135,6 +140,75 @@ def _repr(self) -> str:
 def _reduce(self):
     # Pickle rebuilds through the constructor, and so do a record's copies.
     return type(self), tuple(getattr(self, name) for name in self.__match_args__)
+
+
+# ---------------------------------------------------------------------------
+# Repr and pickling of hash-consed nodes: over the distinct nodes that a
+# node's fields hold, directly or in tuples and records (a proof holds its
+# sequent's formulas and its premises), so that nodes nest arbitrarily deep.
+
+
+def _mapped(value, fn, kind):
+    """``value`` with ``fn`` applied to each ``kind`` instance in it,
+    looking into tuples and records."""
+    if isinstance(value, kind):
+        return fn(value)
+    if type(value) is tuple:
+        return tuple([_mapped(v, fn, kind) for v in value])
+    if isinstance(value, _Record):
+        return type(value)(*[_mapped(getattr(value, name), fn, kind) for name in value.__match_args__])
+    return value
+
+
+def _field_values(node, fn) -> tuple:
+    """``node``'s field values, ``fn`` applied to the nodes they hold."""
+    return _mapped(tuple(getattr(node, name) for name in node.__match_args__), fn, _HashConsed)
+
+
+def _parts(node) -> list:
+    """The hash-consed nodes that ``node``'s fields hold, in field order."""
+    out: list = []
+    _field_values(node, out.append)
+    return out
+
+
+class _Shown(str):
+    """A text that is its own repr."""
+
+    __slots__ = ()
+    __repr__ = str.__str__
+
+
+def _node_text(node, shown) -> _Shown:
+    values = zip(node.__match_args__, _field_values(node, shown))
+    return _Shown(f"{type(node).__qualname__}({', '.join(f'{name}={v!r}' for name, v in values)})")
+
+
+def _node_repr(self) -> str:
+    """The dataclass format, which ``_node_text`` makes for every class."""
+    return str(next(_bottom_up((self,), _parts, defaultdict(lambda: _node_text))))
+
+
+class _At(int):
+    """A node's position in the table that ``_node_reduce`` pickles."""
+
+    __slots__ = ()
+
+
+def _node_reduce(self):
+    """Pickle as a table of the distinct nodes under this one, each after
+    the nodes its fields hold, which it names by position."""
+    nodes = postorder(self, kids=_parts)
+    at = {node: _At(i) for i, node in enumerate(nodes)}
+    return _unpickle, (tuple((type(node), _field_values(node, at.__getitem__)) for node in nodes),)
+
+
+def _unpickle(table):
+    """The node ``_node_reduce`` pickled: its table's last."""
+    built: list = []
+    for cls, values in table:
+        built.append(cls(*_mapped(values, built.__getitem__, _At)))
+    return built[-1]
 
 
 # The one live node per (class, *fields).  Values are weak, so the table
@@ -190,8 +264,8 @@ class _HashConsed(metaclass=_Interned):
     __slots__ = ("__weakref__",)
     __setattr__ = _frozen_setattr
     __delattr__ = _frozen_delattr
-    __repr__ = _repr
-    __reduce__ = _reduce
+    __repr__ = _node_repr
+    __reduce__ = _node_reduce
 
     # A copy is the node itself, at any depth.
     def __copy__(self):
@@ -374,6 +448,64 @@ def formula_children(f: Formula) -> tuple[Formula, ...]:
     return kids[1:] if isinstance(f, (ProofOf, JustOf)) else kids
 
 
+def postorder(root, done=(), kids=children) -> list:
+    """The distinct nodes under ``root``, ``root`` included, each after its
+    children, in the order a left-to-right postorder walk of the tree first
+    reaches them, without recursion.  What ``done`` (a caller's memo) holds
+    is left out, and so is what only it leads to.  ``kids(node)`` is called
+    once per node returned, in preorder, so a fault it raises is the first
+    a recursive preorder walk would meet."""
+    if root in done:
+        return []
+    top = kids(root)
+    if not top:
+        return [root]
+    order: list = []
+    pushed = {root}
+    stack = [(root, iter(top))]
+    while stack:
+        node, rest = stack[-1]
+        for kid in rest:
+            if kid not in done and kid not in pushed:
+                pushed.add(kid)
+                below = kids(kid)
+                if below:
+                    stack.append((kid, iter(below)))
+                    break
+                order.append(kid)
+        else:
+            stack.pop()
+            order.append(node)
+    return order
+
+
+def _bottom_up(roots, kids, make):
+    """The values of ``roots``, one by one: ``make[type(node)](node, value)``
+    is a node's, where ``value`` reads a child's.  Each distinct node's value
+    is made once and dropped after its last read, so deep texts are not all
+    alive at once."""
+    uses: dict = {}  # the reads of each node's value still to come
+    below = []  # the nodes each root is the first to reach
+    for root in roots:
+        nodes = postorder(root, uses, kids)
+        below.append(nodes)
+        uses |= dict.fromkeys(nodes, 0)
+        for node in nodes:
+            for kid in kids(node):
+                uses[kid] += 1
+        uses[root] += 1
+    values: dict = {}
+
+    def value(node):
+        uses[node] -= 1
+        return values[node] if uses[node] else values.pop(node)
+
+    for root, nodes in zip(roots, below):
+        for node in nodes:
+            values[node] = make[type(node)](node, value)
+        yield value(root)
+
+
 def subformula_at(f: Formula, path: tuple[int, ...]) -> Formula:
     node = f
     for i, step in enumerate(path):
@@ -384,18 +516,17 @@ def subformula_at(f: Formula, path: tuple[int, ...]) -> Formula:
     return node
 
 
-def subformulas(f: Formula) -> Iterator[tuple[tuple[int, ...], Formula]]:
-    """Preorder walk yielding (path, subformula) pairs."""
+def box_occurrences(f: Formula) -> tuple[tuple[int, ...], ...]:
+    """Paths to every ``Box`` node of ``f`` read as a tree, in preorder."""
+    out = []
     stack = [((), f)]
     while stack:
-        path, node = stack.pop(0)
-        yield path, node
-        stack[0:0] = [(path + (i,), kid) for i, kid in enumerate(formula_children(node))]
-
-
-def box_occurrences(f: Formula) -> tuple[tuple[int, ...], ...]:
-    """Paths to every ``Box`` node, in preorder."""
-    return tuple(path for path, node in subformulas(f) if isinstance(node, Box))
+        path, node = stack.pop()
+        if isinstance(node, Box):
+            out.append(path)
+        kids = formula_children(node)
+        stack.extend((path + (i,), kids[i]) for i in reversed(range(len(kids))))
+    return tuple(out)
 
 
 def polarity_at(f: Formula, path: tuple[int, ...]) -> str:
@@ -414,20 +545,20 @@ def polarity_at(f: Formula, path: tuple[int, ...]) -> str:
 
 
 def term_depth(t: Term) -> int:
-    return 1 + max(map(term_depth, children(t)), default=0)
+    depth: dict = {}
+    for node in postorder(t):
+        depth[node] = 1 + max([depth[kid] for kid in children(node)], default=0)
+    return depth[t]
 
 
-def subterms(t: Term) -> Iterator[Term]:
-    yield t
-    for kid in children(t):
-        yield from subterms(kid)
+def subterms(t: Term) -> list[Term]:
+    """The distinct subterms of ``t``, ``t`` included, each after its own."""
+    return postorder(t)
 
 
-def terms_in(f: Formula) -> Iterator[Term]:
-    """All terms asserting something in ``f``, outermost first."""
-    for _, node in subformulas(f):
-        if isinstance(node, (ProofOf, JustOf)):
-            yield node.term
+def terms_in(f: Formula) -> list[Term]:
+    """The terms of the distinct assertions in ``f``."""
+    return [node.term for node in postorder(f, kids=formula_children) if isinstance(node, (ProofOf, JustOf))]
 
 
 # ---------------------------------------------------------------------------
@@ -465,26 +596,26 @@ def check_dialect(node, dialect: Dialect, sort=Formula, _seen: set | None = None
     ``_seen`` holds the nodes that passed during this call, so a DAG with
     heavy sharing is walked once per distinct node, not once per path.  A
     caller may pass one set to several calls (``check_derivation`` does,
-    across all steps): a node's sort is checked wherever it occurs, and a
-    node enters the set only once it and everything below it passed."""
-    _check(node, _REJECTED[dialect], sort, set() if _seen is None else _seen)
-
-
-def _check(node, rejected: dict, sort, seen: set) -> None:
-    """``check_dialect`` below its entry: ``rejected`` is the dialect's
-    table, looked up once per call, since an ``Enum`` hashes in Python."""
-    cls = type(node)
-    if cls not in sort.__args__:
+    across all steps).  A node's sort is checked by its parent, wherever it
+    occurs, since one node may stand where two sorts are needed; a node
+    enters the set only once everything below it passed."""
+    if type(node) not in sort.__args__:
         raise DialectError(f"not a {_SORT_NAMES[sort]}: {node!r}")
-    if node in seen:
-        return
-    message = rejected.get(cls)
-    if message is not None:
-        raise DialectError(message)
-    if cls._sorts:
-        for kid, kid_sort in zip(cls._children(node), cls._sorts):
-            _check(kid, rejected, kid_sort, seen)
-    seen.add(node)
+    seen = set() if _seen is None else _seen
+    rejected = _REJECTED[dialect]
+
+    def checked_children(n):
+        cls = type(n)
+        message = rejected.get(cls)
+        if message is not None:
+            raise DialectError(message)
+        kids = cls._children(n)
+        for kid, kid_sort in zip(kids, cls._sorts):
+            if type(kid) not in kid_sort.__args__:
+                raise DialectError(f"not a {_SORT_NAMES[kid_sort]}: {kid!r}")
+        return kids
+
+    seen.update(postorder(node, seen, checked_children))
 
 
 def forgetful(f: Formula) -> Formula:
@@ -493,15 +624,20 @@ def forgetful(f: Formula) -> Formula:
     Undefined on formulas containing a proof assertion ``t:F`` (there is no
     modal counterpart for those), in which case ProofOfPresent is raised.
     """
-    match f:
-        case JustOf(_, body):
-            return Box(forgetful(body))
-        case ProofOf(t, _):
-            raise ProofOfPresent(f"cannot erase proof assertion {print_term(t)}:...")
-        case Box():
+
+    def erasable_children(node):
+        if isinstance(node, ProofOf):
+            raise ProofOfPresent(f"cannot erase proof assertion {print_term(node.term)}:...")
+        if isinstance(node, Box):
             raise DialectError("input to the forgetful translation is already modal")
-    kids = children(f)
-    return type(f)(*map(forgetful, kids)) if kids else f
+        return formula_children(node)
+
+    out: dict = {}
+    for node in postorder(f, kids=erasable_children):
+        kids = [out[kid] for kid in formula_children(node)]
+        cls = Box if isinstance(node, JustOf) else type(node)
+        out[node] = cls(*kids) if kids else node
+    return out[f]
 
 
 # ---------------------------------------------------------------------------
@@ -537,9 +673,9 @@ def apply_substitution(f: Formula | Term, s: Substitution) -> Formula | Term:
 class _Substituter:
     """One substitution, applied to each distinct term and formula node once.
 
-    Structures that share nodes (a realization step rewrites every
-    derivation, candidate and log entry built so far) should go through one
-    instance, and the instance dropped afterwards.  A node the substitution
+    Structures that share nodes (``substitute_derivation`` rewrites every
+    step of a derivation) should go through one instance, and the instance
+    dropped afterwards.  A node the substitution
     does not touch comes back as itself, since its constructor returns the
     live node with the same fields."""
 
@@ -550,21 +686,21 @@ class _Substituter:
         self._memo: dict[Formula | Term, Formula | Term] = {}
 
     def __call__(self, node: Formula | Term) -> Formula | Term:
-        out = self._memo.get(node)
-        if out is None:
-            kids = children(node)
+        memo, s = self._memo, self.s
+        for n in postorder(node, memo):
+            kids = children(n)
             if kids:
-                out = type(node)(*map(self, kids))
-            elif isinstance(node, Atom):
-                out = self.s.atoms.get(node.name, node)
-            elif isinstance(node, ProofVar):
-                out = self.s.proof_vars.get(node.index, node)
-            elif isinstance(node, JustVar):
-                out = self.s.just_vars.get(node.index, node)
+                out = type(n)(*[memo[kid] for kid in kids])
+            elif isinstance(n, Atom):
+                out = s.atoms.get(n.name, n)
+            elif isinstance(n, ProofVar):
+                out = s.proof_vars.get(n.index, n)
+            elif isinstance(n, JustVar):
+                out = s.just_vars.get(n.index, n)
             else:
-                out = node
-            self._memo[node] = out
-        return out
+                out = n
+            memo[n] = out
+        return memo[node]
 
 
 # ---------------------------------------------------------------------------
@@ -573,69 +709,61 @@ class _Substituter:
 _PREC_IMP, _PREC_OR, _PREC_AND, _PREC_UNARY, _PREC_ATOM = 1, 2, 3, 4, 5
 
 
+# How tightly the classes bind that do not bind tightest: a child that binds
+# more loosely than its place in the parent needs is parenthesised.  Terms
+# and formulas never stand in each other's places, so they share the levels.
+_BINDS = {Implies: _PREC_IMP, Or: _PREC_OR, And: _PREC_AND, Sum: 1, JustSum: 1, Apply: 2}
+_BINDS.update(dict.fromkeys((Not, Box, JustOf, ProofOf), _PREC_UNARY))
+
+
+def _at(shown, kid, need: int) -> str:
+    return shown(kid) if _BINDS.get(type(kid), _PREC_ATOM) >= need else f"({shown(kid)})"
+
+
+class _Texts(dict):
+    def __missing__(self, cls):
+        raise TypeError(f"not a term or formula: {cls.__qualname__}")
+
+
+# Each class's text, from the node and ``t``, which gives a child's text.
+_TEXTS = _Texts({
+    **dict.fromkeys((Atom, ProofConst), lambda n, t: n.name),
+    Bottom: lambda n, t: "_|_",
+    Implies: lambda n, t: f"{_at(t, n.left, _PREC_IMP + 1)} -> {_at(t, n.right, _PREC_IMP)}",
+    Or: lambda n, t: f"{_at(t, n.left, _PREC_OR)} | {_at(t, n.right, _PREC_OR + 1)}",
+    And: lambda n, t: f"{_at(t, n.left, _PREC_AND)} & {_at(t, n.right, _PREC_AND + 1)}",
+    Not: lambda n, t: f"~{_at(t, n.inner, _PREC_UNARY)}",
+    Box: lambda n, t: f"[]{_at(t, n.body, _PREC_UNARY)}",
+    JustOf: lambda n, t: f"[{t(n.term)}]{_at(t, n.body, _PREC_UNARY)}",
+    ProofOf: lambda n, t: f"{t(n.term)}:{_at(t, n.body, _PREC_ATOM)}",  # t:A, t:_|_, else t:(F)
+    ProofVar: lambda n, t: f"p{n.index}",
+    JustVar: lambda n, t: f"x{n.index}",
+    **dict.fromkeys((Sum, JustSum), lambda n, t: f"{_at(t, n.left, 1)} + {_at(t, n.right, 2)}"),
+    Apply: lambda n, t: f"{_at(t, n.left, 2)} * {_at(t, n.right, 3)}",
+    Bang: lambda n, t: f"!{_at(t, n.inner, 3)}",
+    Evidence: lambda n, t: f"e({t(n.proof)})",
+    MApply: lambda n, t: f"m({t(n.proof)}, {t(n.just)})",
+})
+
+
 def print_term(t: Term) -> str:
-    return _pt(t, 0)
-
-
-def _pt(t: Term, prec: int) -> str:
-    match t:
-        case ProofConst(name):
-            return name
-        case ProofVar(i):
-            return f"p{i}"
-        case JustVar(i):
-            return f"x{i}"
-        case Sum(l, r) | JustSum(l, r):
-            s = f"{_pt(l, 1)} + {_pt(r, 2)}"
-            return f"({s})" if prec > 1 else s
-        case Apply(l, r):
-            s = f"{_pt(l, 2)} * {_pt(r, 3)}"
-            return f"({s})" if prec > 2 else s
-        case Bang(inner):
-            return f"!{_pt(inner, 3)}"
-        case Evidence(p):
-            return f"e({_pt(p, 0)})"
-        case MApply(p, j):
-            return f"m({_pt(p, 0)}, {_pt(j, 0)})"
-    raise TypeError(f"not a term: {t!r}")
+    return next(_printed((t,)))
 
 
 def print_formula(f: Formula) -> str:
-    return _pf(f, 0)
-
-
-def _pf(f: Formula, prec: int) -> str:
-    match f:
-        case Atom(name):
-            return name
-        case Bottom():
-            return "_|_"
-        case Implies(l, r):
-            s = f"{_pf(l, _PREC_IMP + 1)} -> {_pf(r, _PREC_IMP)}"
-            return f"({s})" if prec > _PREC_IMP else s
-        case Or(l, r):
-            s = f"{_pf(l, _PREC_OR)} | {_pf(r, _PREC_OR + 1)}"
-            return f"({s})" if prec > _PREC_OR else s
-        case And(l, r):
-            s = f"{_pf(l, _PREC_AND)} & {_pf(r, _PREC_AND + 1)}"
-            return f"({s})" if prec > _PREC_AND else s
-        case Not(inner):
-            return f"~{_pf(inner, _PREC_UNARY)}"
-        case Box(body):
-            return f"[]{_pf(body, _PREC_UNARY)}"
-        case JustOf(t, body):
-            return f"[{print_term(t)}]{_pf(body, _PREC_UNARY)}"
-        case ProofOf(t, body):
-            if isinstance(body, (Atom, Bottom)):
-                return f"{print_term(t)}:{_pf(body, _PREC_ATOM)}"
-            return f"{print_term(t)}:({_pf(body, 0)})"
-    raise TypeError(f"not a formula: {f!r}")
+    return next(_printed((f,)))
 
 
 def print_sequent(antecedent: tuple[Formula, ...], succedent: tuple[Formula, ...]) -> str:
-    left = ", ".join(print_formula(f) for f in antecedent)
-    right = ", ".join(print_formula(f) for f in succedent)
+    texts = _printed((*antecedent, *succedent))
+    left = ", ".join(next(texts) for _ in antecedent)
+    right = ", ".join(texts)
     return f"{left} => {right}".strip()
+
+
+def _printed(roots):
+    """The texts of the terms and formulas ``roots``, one by one."""
+    return _bottom_up(roots, children, _TEXTS)
 
 
 # ---------------------------------------------------------------------------
@@ -725,10 +853,11 @@ class _Parser:
     # The deepest nesting accepted, counted two ways: the depth of the syntax
     # tree (a level per connective, box, assertion and term constructor), and
     # while reading, the parentheses, prefixes and right operands open at the
-    # current token.  Recursion in the parser and in every walker over its
-    # output then stays far inside Python's default limit of 1000 frames.
-    # The toolkit's own files nest far less: 14 tree levels at most in the
-    # derivation of the GM realization of []^5 A => []^5 A.
+    # current token.  The parser, the semantic evaluators and realization's
+    # annotation of a sequent recurse once per level, and the limit keeps
+    # them far inside Python's default limit of 1000 frames; the other walks
+    # use ``postorder``.  Files the toolkit writes can pass the limit: see
+    # docs/grammar.md.
     MAX_DEPTH = 200
 
     def __init__(self, text: str, reader: Reader):

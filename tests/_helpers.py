@@ -1,5 +1,6 @@
 """Shared test utilities: proof search shortcuts, a tree-expanding family
-analysis to test ``compute_families`` against, and shape matching with named
+analysis to test ``compute_families`` against, a recursive printer to test
+``print_formula`` and ``print_term`` against, and shape matching with named
 holes for internalized witness terms."""
 
 from __future__ import annotations
@@ -128,6 +129,53 @@ def tree_families(p) -> tuple[list, list, dict]:
             groups.setdefault(find(token), []).append(token)
     families = sorted(groups.values(), key=min)
     return nodes, families, {t: f for f, tokens in enumerate(families) for t in tokens}
+
+
+def reference_print(node, prec: int = 0) -> str:
+    """The text of a term or formula, printed recursively down the tree: a
+    shared node is printed again at every occurrence.  ``prec`` is how
+    tightly the place of ``node`` needs it to bind."""
+    match node:
+        case Atom(name) | ProofConst(name):
+            return name
+        case Bottom():
+            return "_|_"
+        case ProofVar(i):
+            return f"p{i}"
+        case JustVar(i):
+            return f"x{i}"
+        case Implies(l, r):
+            s = f"{reference_print(l, 2)} -> {reference_print(r, 1)}"
+            return f"({s})" if prec > 1 else s
+        case Or(l, r):
+            s = f"{reference_print(l, 2)} | {reference_print(r, 3)}"
+            return f"({s})" if prec > 2 else s
+        case And(l, r):
+            s = f"{reference_print(l, 3)} & {reference_print(r, 4)}"
+            return f"({s})" if prec > 3 else s
+        case Not(inner):
+            return f"~{reference_print(inner, 4)}"
+        case Box(body):
+            return f"[]{reference_print(body, 4)}"
+        case JustOf(t, body):
+            return f"[{reference_print(t)}]{reference_print(body, 4)}"
+        case ProofOf(t, body):
+            if isinstance(body, (Atom, Bottom)):
+                return f"{reference_print(t)}:{reference_print(body)}"
+            return f"{reference_print(t)}:({reference_print(body)})"
+        case Sum(l, r) | JustSum(l, r):
+            s = f"{reference_print(l, 1)} + {reference_print(r, 2)}"
+            return f"({s})" if prec > 1 else s
+        case Apply(l, r):
+            s = f"{reference_print(l, 2)} * {reference_print(r, 3)}"
+            return f"({s})" if prec > 2 else s
+        case Bang(inner):
+            return f"!{reference_print(inner, 3)}"
+        case Evidence(p):
+            return f"e({reference_print(p)})"
+        case MApply(p, j):
+            return f"m({reference_print(p)}, {reference_print(j)})"
+    raise TypeError(f"not a term or formula: {node!r}")
 
 
 def _is_hole(t) -> bool:

@@ -15,15 +15,28 @@ from jelogic.generate import random_theorem
 from jelogic.hilbert import AxiomStep, step_formulas
 from jelogic.syntax import (
     Atom,
+    Bang,
+    Box,
     Dialect,
+    DialectError,
     Implies,
+    JustOf,
+    JustVar,
     Not,
+    ProofConst,
+    ProofTerm,
+    ProofVar,
     Substitution,
     _Node,
     apply_substitution,
+    check_dialect,
     children,
+    forgetful,
     parse_formula,
     print_formula,
+    print_term,
+    subterms,
+    term_depth,
 )
 
 from _helpers import fragment_formulas
@@ -92,13 +105,46 @@ def test_copies_are_the_node_itself():
     assert pickle.loads(pickle.dumps(f)) is f
 
 
+def _chain(cls, leaf, levels, *before):
+    """``levels`` nested ``cls`` nodes over ``leaf``, each with the fields
+    ``before`` ahead of its child."""
+    node = leaf
+    for _ in range(levels):
+        node = cls(*before, node)
+    return node
+
+
 def test_copies_of_a_node_deeper_than_the_recursion_limit():
-    f = Atom("A")
-    for _ in range(1500):
-        f = Not(f)
-    assert copy.copy(f) is f
-    assert copy.deepcopy(f) is f
-    assert copy.deepcopy([f, (f,)])[1][0] is f
+    n = 5000
+    a, x0 = Atom("A"), JustVar(0)
+    nots = _chain(Not, a, n)
+    bangs = _chain(Bang, ProofVar(0), n)
+    justs = _chain(JustOf, a, n, x0)
+    for node in (nots, bangs, justs):
+        assert copy.copy(node) is node
+        assert copy.deepcopy(node) is node
+        assert copy.deepcopy([node, (node,)])[1][0] is node
+        assert pickle.loads(pickle.dumps(node)) is node
+    assert repr(nots) == "Not(inner=" * n + "Atom(name='A')" + ")" * n
+    assert repr(bangs) == "Bang(inner=" * n + "ProofVar(index=0)" + ")" * n
+    assert repr(justs) == "JustOf(term=JustVar(index=0), body=" * n + "Atom(name='A')" + ")" * n
+    assert print_formula(nots) == "~" * n + "A"
+    assert print_term(bangs) == "!" * n + "p0"
+    assert print_formula(justs) == "[x0]" * n + "A"
+    assert forgetful(nots) is nots
+    assert forgetful(justs) is _chain(Box, a, n)
+    b = Atom("B")
+    s = Substitution(atoms={"A": b}, proof_vars={0: ProofConst("c0")}, just_vars={0: JustVar(1)})
+    assert apply_substitution(nots, s) is _chain(Not, b, n)
+    assert apply_substitution(bangs, s) is _chain(Bang, ProofConst("c0"), n)
+    assert apply_substitution(justs, s) is _chain(JustOf, b, n, JustVar(1))
+    check_dialect(nots, Dialect.MODAL)
+    check_dialect(bangs, Dialect.JE, ProofTerm)
+    check_dialect(justs, Dialect.JEM)
+    with pytest.raises(DialectError, match="justification variables belong to JEM only"):
+        check_dialect(justs, Dialect.JE)
+    assert term_depth(bangs) == n + 1
+    assert subterms(bangs)[::n] == [ProofVar(0), bangs]
 
 
 def test_equality_and_hash_are_identity():

@@ -30,7 +30,6 @@ from jelogic.sequent import (
     proof_size,
     prove_bounded,
     _canonical,
-    _distinct_postorder,
     _search,
 )
 from jelogic.syntax import (
@@ -44,6 +43,7 @@ from jelogic.syntax import (
     ProofVar,
     Substitution,
     apply_substitution,
+    postorder,
     subformula_at,
 )
 
@@ -323,7 +323,7 @@ def _formula_at(s: Sequent, side: str, i: int):
 def _assert_maps_sound(p: Proof):
     """Every node's maps cover exactly the positions of its premises, and each
     points at a subformula of the conclusion equal to the premise formula."""
-    for node in _distinct_postorder(p):
+    for node in postorder(p, kids=lambda q: q.children):
         maps = correspondences(node.rule, node.principal, node.sequent)
         assert len(maps) == len(node.children)
         for cmap, child in zip(maps, node.children):

@@ -1,12 +1,13 @@
 import gc
 import random
+import tracemalloc
 import weakref
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from jelogic import syntax
-from jelogic.generate import random_formula
+from jelogic.generate import random_formula, random_just_term, random_proof_term
 from jelogic.syntax import (
     And,
     Apply,
@@ -25,6 +26,7 @@ from jelogic.syntax import (
     JustVar,
     MApply,
     Not,
+    Or,
     ParseError,
     ProofConst,
     ProofOf,
@@ -51,6 +53,8 @@ from jelogic.syntax import (
     _Parser,
 )
 from jelogic.sequent import parse_sequent_line
+
+from _helpers import reference_print
 
 A, B, C = Atom("A"), Atom("B"), Atom("C")
 DIALECTS = [Dialect.JE, Dialect.JEM, Dialect.MODAL]
@@ -215,6 +219,41 @@ class TestPrint:
         assert print_sequent((A, B), (C,)) == "A, B => C"
         assert print_sequent((), ()) == "=>"
 
+    def test_a_shared_node_is_parenthesised_per_place(self):
+        # Each node's text is printed once per call; its parentheses depend
+        # on where it stands.
+        x = Implies(A, B)
+        assert print_formula(Implies(x, x)) == "(A -> B) -> A -> B"
+        assert print_formula(And(x, Or(x, x))) == "(A -> B) & ((A -> B) | (A -> B))"
+        assert print_formula(Implies(ProofOf(ProofConst("c0"), x), x)) == "c0:(A -> B) -> A -> B"
+        assert print_sequent((x, Not(x)), (Or(x, A),)) == "A -> B, ~(A -> B) => (A -> B) | A"
+        s = Sum(ProofVar(0), ProofConst("c1"))
+        assert print_term(Apply(s, Sum(s, s))) == "(p0 + c1) * (p0 + c1 + (p0 + c1))"
+
+    def test_a_text_is_dropped_after_its_last_use(self):
+        # Each level of the chain embeds the text below it: kept to the end,
+        # the 5000 texts would take about 50 MB.  The sequent reads the
+        # chain's text twice, so it is kept until its second use.
+        n = 5000
+        f = A
+        for _ in range(n):
+            f = JustOf(JustVar(0), f)
+        tracemalloc.start()
+        try:
+            assert print_sequent((f, A), (f,)) == f"{'[x0]' * n}A, A => {'[x0]' * n}A"
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8_000_000
+
+    def test_proof_of_body_is_parenthesised_unless_atomic(self):
+        c0 = ProofConst("c0")
+        assert print_formula(ProofOf(c0, A)) == "c0:A"
+        assert print_formula(ProofOf(c0, BOT)) == "c0:_|_"
+        assert print_formula(ProofOf(c0, Not(A))) == "c0:(~A)"
+        assert print_formula(ProofOf(c0, ProofOf(c0, A))) == "c0:(c0:A)"
+        assert print_formula(Not(ProofOf(c0, And(A, B)))) == "~c0:(A & B)"
+
 
 P0, P1, X0, X1 = ProofVar(0), ProofVar(1), JustVar(0), JustVar(1)
 
@@ -365,6 +404,17 @@ def _rand_formula(seed: int, dialect: Dialect):
 def test_parse_print_roundtrip(seed, dialect):
     f = _rand_formula(seed, dialect)
     assert parse_formula(print_formula(f), dialect) == f
+
+
+@given(st.integers(0, 10**9), st.sampled_from(DIALECTS))
+@settings(max_examples=150, deadline=None)
+def test_printing_agrees_with_the_recursive_printer(seed, dialect):
+    rng = random.Random(seed)
+    f = random_formula(rng, dialect, depth=5)
+    assert print_formula(f) == reference_print(f)
+    if dialect is not Dialect.MODAL:
+        for t in (random_proof_term(rng, dialect, 4), random_just_term(rng, dialect, 4)):
+            assert print_term(t) == reference_print(t)
 
 
 @given(st.integers(0, 10**9))
