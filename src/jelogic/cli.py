@@ -4,6 +4,9 @@ Every subcommand prints a short human-readable report followed by one JSON
 line (the structured record).  Exit status: 0 on success, 1 when the input is
 well-formed but the logical claim fails (a derivation that does not check, an
 unprovable sequent, a model violation, fuzz failures), 2 on malformed input.
+The derivation commands (``check``, ``deduce``, ``internalize``, ``subst``)
+check the derivation they read, and a command that builds a derivation checks
+that too before it reports success.
 Artifacts written with ``-o`` use the formats module and can be fed straight
 back into the matching subcommand.
 """
@@ -19,11 +22,14 @@ from pathlib import Path
 
 from .axioms import ConstantSpecification, cs_total
 from .hilbert import (
+    Derivation,
     DerivationError,
+    Judgment,
     NotAppropriate,
     check_derivation,
     deduction_transform,
     internalize,
+    substitute_derivation,
 )
 from .formats import (
     FormatError,
@@ -66,7 +72,6 @@ from .syntax import (
     print_term,
     print_sequent,
 )
-from .hilbert import substitute_derivation
 
 _LOGICAL_ERRORS = (
     DerivationError,
@@ -99,6 +104,15 @@ def _load_cs(path: str | None, dialect: Dialect) -> ConstantSpecification:
     return cs
 
 
+def _load_derivation(args) -> tuple[Derivation, ConstantSpecification, Judgment]:
+    """The derivation file of a derivation command, its specification
+    (``--cs``, total by default) and the judgment it checks to.  Each of
+    these commands reads its input here, so each checks it once."""
+    d = parse_derivation(Path(args.derivation).read_text())
+    cs = _load_cs(args.cs, d.dialect)
+    return d, cs, check_derivation(d, cs)
+
+
 def _read_sequent(text: str) -> Sequent:
     if "=>" in text:
         from .sequent import parse_sequent_line
@@ -129,9 +143,7 @@ def _cmd_parse(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    d = parse_derivation(Path(args.derivation).read_text())
-    cs = _load_cs(args.cs, d.dialect)
-    j = check_derivation(d, cs)
+    d, _, j = _load_derivation(args)
     hyps = sorted(print_formula(f) for f in j.hypotheses)
     human = (
         f"derivation checks ({len(d.steps)} steps)\n"
@@ -151,52 +163,33 @@ def _cmd_check(args) -> int:
     return 0
 
 
-def _cmd_deduce(args) -> int:
-    d = parse_derivation(Path(args.derivation).read_text())
-    f = parse_formula(args.discharge, d.dialect)
-    out = deduction_transform(d, f, normalize=True)
-    cs = _load_cs(args.cs, d.dialect)
-    j = check_derivation(out, cs)
+def _emit_derivation(args, out: Derivation, cs: ConstantSpecification, lead: str, record: dict) -> int:
+    """Report a command's output derivation once it checks, which is the
+    command's gate: written to ``-o`` and named by ``lead`` and its
+    conclusion, or else printed."""
+    conclusion = print_formula(check_derivation(out, cs).conclusion)
     text = write_derivation(out)
     if args.output:
         Path(args.output).write_text(text)
-        human = f"discharged {print_formula(f)}\nconclusion: {print_formula(j.conclusion)}\nwrote {args.output}"
+        human = f"{lead}{conclusion}\nwrote {args.output}"
     else:
         human = text.rstrip("\n")
-    _emit(
-        human,
-        {
-            "command": "deduce",
-            "ok": True,
-            "discharged": print_formula(f),
-            "conclusion": print_formula(j.conclusion),
-            "output": args.output,
-        },
-    )
+    _emit(human, {"command": args.command, "ok": True, **record, "conclusion": conclusion, "output": args.output})
     return 0
+
+
+def _cmd_deduce(args) -> int:
+    d, cs, _ = _load_derivation(args)
+    f = parse_formula(args.discharge, d.dialect)
+    out = deduction_transform(d, f, normalize=True)
+    shown = print_formula(f)
+    return _emit_derivation(args, out, cs, f"discharged {shown}\nconclusion: ", {"discharged": shown})
 
 
 def _cmd_internalize(args) -> int:
-    d = parse_derivation(Path(args.derivation).read_text())
-    cs = _load_cs(args.cs, d.dialect)
+    d, cs, _ = _load_derivation(args)
     term, proof = internalize(d, cs)
-    j = check_derivation(proof, cs)
-    if args.output:
-        Path(args.output).write_text(write_derivation(proof))
-    human = f"internalized: {print_formula(j.conclusion)}"
-    if args.output:
-        human += f"\nwrote {args.output}"
-    _emit(
-        human,
-        {
-            "command": "internalize",
-            "ok": True,
-            "term": print_term(term),
-            "conclusion": print_formula(j.conclusion),
-            "output": args.output,
-        },
-    )
-    return 0
+    return _emit_derivation(args, proof, cs, "internalized: ", {"term": print_term(term)})
 
 
 def _mappings(specs, option: str, key, parse, dialect: Dialect) -> dict:
@@ -211,31 +204,13 @@ def _mappings(specs, option: str, key, parse, dialect: Dialect) -> dict:
 
 
 def _cmd_subst(args) -> int:
-    d = parse_derivation(Path(args.derivation).read_text())
+    d, cs, _ = _load_derivation(args)
     s = Substitution(
         atoms=_mappings(args.atom, "atom", str.strip, parse_formula, d.dialect),
         proof_vars=_mappings(args.proof_var, "proof-var", int, parse_proof_term, d.dialect),
         just_vars=_mappings(args.just_var, "just-var", int, parse_just_term, d.dialect),
     )
-    out = substitute_derivation(d, s)
-    cs = _load_cs(args.cs, d.dialect)
-    j = check_derivation(out, cs)
-    text = write_derivation(out)
-    if args.output:
-        Path(args.output).write_text(text)
-        human = f"substituted; conclusion: {print_formula(j.conclusion)}\nwrote {args.output}"
-    else:
-        human = text.rstrip("\n")
-    _emit(
-        human,
-        {
-            "command": "subst",
-            "ok": True,
-            "conclusion": print_formula(j.conclusion),
-            "output": args.output,
-        },
-    )
-    return 0
+    return _emit_derivation(args, substitute_derivation(d, s), cs, "substituted; conclusion: ", {})
 
 
 def _cmd_seq_check(args) -> int:

@@ -4,8 +4,8 @@ Four formats, each versioned by its header line:
 
 * ``# jelogic derivation v1``   -- Hilbert derivations, one numbered step per
   line (``hyp``/``axiom``/``an``/``mp``) and a final ``conclusion`` line.
-  Axiom instances carry the scheme id and the instance formula; the binding
-  is reconstructed by matching, which is unambiguous for every scheme.
+  Axiom instances carry the scheme id and the instance formula; the reader
+  rejects a formula that does not match its scheme.
 * ``# jelogic cs v1``           -- constant specifications, one constant and
   its scheme ids per line.
 * ``# jelogic sequent-proof v1`` -- proof trees, one node per line, children
@@ -14,10 +14,11 @@ Four formats, each versioned by its header line:
   values and term entries, all world-tagged.
 
 Writers emit canonical order, so ``write(parse(text)) == text`` whenever
-``text`` itself was produced by a writer.  Terms and formulas are hash-consed
-as they are built (see ``syntax``), so the trees a reader returns share every
-repeated subformula and subterm, and memory grows with the distinct nodes in
-the file.
+``text`` itself was produced by a writer.  A reader's ``FormatError`` starts
+``line N: ``, N the 1-based file line it read last (blank lines count).  Terms
+and formulas are hash-consed as they are built (see ``syntax``), so the trees a
+reader returns share every repeated subformula and subterm, and memory grows
+with the distinct nodes in the file.
 """
 
 from __future__ import annotations
@@ -40,24 +41,39 @@ def _parse_any_term(text: str, reader: Reader):
         return reader.just_term(text)
 
 
-def _lines(text: str, header: str) -> list[tuple[int, str]]:
-    """The nonblank lines after the header, right-stripped, each with its
-    1-based line number in ``text``."""
-    body = [(n, ln.rstrip()) for n, ln in enumerate(text.splitlines(), 1) if ln.strip()]
-    if not body or body[0][1].strip() != header:
-        raise FormatError(f"expected header {header!r}")
-    return body[1:]
+def _read(text: str, header: str, parse):
+    """``parse`` of the nonblank lines after ``header``, right-stripped, as
+    an iterator.  A ``FormatError`` is prefixed with the line read last."""
+    numbered = [(n, ln.rstrip()) for n, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    at = numbered[0][0] if numbered else 1
 
+    def lines():
+        nonlocal at
+        for at, ln in numbered[1:]:
+            yield ln
 
-def _dialect_line(lines: list[tuple[int, str]]) -> tuple[Dialect, list[tuple[int, str]]]:
-    if not lines or not lines[0][1].startswith("dialect "):
-        raise FormatError("expected a 'dialect' line")
-    name = lines[0][1].split(None, 1)[1].strip()
     try:
-        dialect = Dialect[name]
+        if not numbered or numbered[0][1].strip() != header:
+            raise FormatError(f"expected header {header!r}")
+        return parse(lines())
+    except FormatError as e:
+        raise FormatError(f"line {at}: {e}") from e
+
+
+def _keyword_line(lines, keyword: str) -> str:
+    """The rest of the next line, which must start with ``keyword``."""
+    ln = next(lines, "")
+    if not ln.startswith(keyword + " "):
+        raise FormatError(f"expected a {keyword!r} line")
+    return ln.split(None, 1)[1].strip()
+
+
+def _dialect_line(lines) -> Dialect:
+    name = _keyword_line(lines, "dialect")
+    try:
+        return Dialect[name]
     except KeyError:
         raise FormatError(f"unknown dialect {name!r}") from None
-    return dialect, lines[1:]
 
 
 def _int(text: str, what: str) -> int:
@@ -103,12 +119,15 @@ def write_derivation(d: Derivation) -> str:
 
 
 def parse_derivation(text: str) -> Derivation:
-    lines = _lines(text, _DERIVATION_HEADER)
-    dialect, lines = _dialect_line(lines)
+    return _read(text, _DERIVATION_HEADER, _read_derivation)
+
+
+def _read_derivation(lines) -> Derivation:
+    dialect = _dialect_line(lines)
     reader = Reader(dialect)
     steps = []
     conclusion = None
-    for _, ln in lines:
+    for ln in lines:
         parts = ln.split(None, 1)
         if parts[0] == "conclusion":
             if conclusion is not None:
@@ -129,11 +148,9 @@ def parse_derivation(text: str) -> Derivation:
             elif kind == "axiom":
                 scheme_id, ftext = _fields(rest, 2)
                 f = reader.formula(ftext)
-                scheme = scheme_by_id(scheme_id, dialect)
-                binding = match(scheme.pattern, f)
-                if binding is None:
+                if match(scheme_by_id(scheme_id, dialect).pattern, f) is None:
                     raise FormatError(f"{print_formula(f)} is not a {scheme_id} instance")
-                steps.append(AxiomStep(f, scheme_id, binding))
+                steps.append(AxiomStep(f, scheme_id))
             elif kind == "an":
                 constant, ftext = _fields(rest, 2)
                 steps.append(ANStep(constant, reader.formula(ftext)))
@@ -168,10 +185,13 @@ def write_cs(cs: ConstantSpecification) -> str:
 
 
 def parse_cs(text: str) -> ConstantSpecification:
-    lines = _lines(text, _CS_HEADER)
-    dialect, lines = _dialect_line(lines)
+    return _read(text, _CS_HEADER, _read_cs)
+
+
+def _read_cs(lines) -> ConstantSpecification:
+    dialect = _dialect_line(lines)
     assignment: dict[str, frozenset[str]] = {}
-    for _, ln in lines:
+    for ln in lines:
         if ":" not in ln:
             raise FormatError(f"malformed constant line {ln!r}")
         name, rest = ln.split(":", 1)
@@ -207,15 +227,27 @@ def write_sequent_proof(p: Proof, calculus: str) -> str:
 
 
 def parse_sequent_proof(text: str) -> tuple[Proof, str]:
-    lines = _lines(text, _PROOF_HEADER)
-    if not lines or not lines[0][1].startswith("calculus "):
-        raise FormatError("expected a 'calculus' line")
-    calculus = lines[0][1].split(None, 1)[1].strip()
+    return _read(text, _PROOF_HEADER, _read_sequent_proof)
+
+
+def _read_sequent_proof(lines) -> tuple[Proof, str]:
+    calculus = _keyword_line(lines, "calculus")
     if calculus not in ("GE", "GM"):
         raise FormatError(f"unknown calculus {calculus!r}")
     reader = Reader(Dialect.MODAL)
-    entries = []
-    for _, ln in lines[1:]:
+    # Built with a stack, not recursion, so that a proof nests arbitrarily
+    # deep: ``pending`` holds one node per level whose premises are still
+    # being read, each as its line's fields and the premises built so far.
+    pending: list[tuple[tuple, list[Proof]]] = []
+
+    def close() -> Proof:
+        (rule, principal, sequent), children = pending.pop()
+        node = Proof(sequent, rule, principal, tuple(children))
+        if pending:
+            pending[-1][1].append(node)
+        return node
+
+    for ln in lines:
         stripped = ln.lstrip(" ")
         indent = len(ln) - len(stripped)
         if indent % 2:
@@ -237,30 +269,16 @@ def parse_sequent_proof(text: str) -> tuple[Proof, str]:
             sequent = Sequent(*reader.sequent(seq_text.strip()))
         except (ParseError, DialectError) as e:
             raise FormatError(f"bad sequent in {ln!r}: {e}") from e
-        entries.append((indent // 2, rule, tuple(principal), sequent))
-    if not entries:
-        raise FormatError("empty proof")
-
-    # Built with a stack, not recursion, so that a proof nests arbitrarily
-    # deep: ``pending`` holds one node per level whose premises are still
-    # being read, each as its entry and the premises built so far.
-    pending: list[tuple[tuple, list[Proof]]] = []
-
-    def close() -> Proof:
-        (_, rule, principal, sequent), children = pending.pop()
-        node = Proof(sequent, rule, principal, tuple(children))
-        if pending:
-            pending[-1][1].append(node)
-        return node
-
-    for pos, entry in enumerate(entries):
-        if pos and entry[0] == 0:
+        level = indent // 2
+        if pending and level == 0:
             raise FormatError("multiple roots in proof file")
-        if entry[0] > len(pending):
-            raise FormatError(f"indentation jump at line {pos}")
-        while len(pending) > entry[0]:
+        if level > len(pending):
+            raise FormatError("indentation jump")
+        while len(pending) > level:
             close()
-        pending.append((entry, []))
+        pending.append(((rule, tuple(principal), sequent), []))
+    if not pending:
+        raise FormatError("empty proof")
     while pending:
         root = close()
     return root, calculus
@@ -337,58 +355,52 @@ def _split_outside_brackets(text: str) -> list[str]:
 
 
 def parse_model(text: str) -> QuasiModel:
-    lines = _lines(text, _MODEL_HEADER)
-    dialect, lines = _dialect_line(lines)
-    if not lines or not lines[0][1].startswith("bound "):
-        raise FormatError("expected a 'bound' line")
-    if not lines[1:] or not lines[1][1].startswith("worlds "):
-        raise FormatError("expected a 'worlds' line")
+    return _read(text, _MODEL_HEADER, _read_model)
+
+
+def _read_model(lines) -> QuasiModel:
+    dialect = _dialect_line(lines)
+    bound = _int(_keyword_line(lines, "bound"), "bound")
+    worlds = tuple(_keyword_line(lines, "worlds").split())
+    if len(set(worlds)) != len(worlds):
+        raise FormatError("world list must be nonempty and duplicate-free")
     reader = Reader(dialect)
-    lineno, ln = lines[0]
-    try:
-        bound = _int(_fields(ln, 2)[1], "bound")
-        lineno, ln = lines[1]
-        worlds = tuple(ln.split()[1:])
-        if not worlds or len(set(worlds)) != len(worlds):
-            raise FormatError("world list must be nonempty and duplicate-free")
-        wset = frozenset(worlds)
-        neighborhoods: dict[str, frozenset[frozenset[str]]] = {w: frozenset() for w in worlds}
-        atoms: dict[str, dict[str, bool]] = {w: {} for w in worlds}
-        tables: dict[str, dict] = {w: {} for w in worlds}
-        for lineno, ln in lines[2:]:
-            kind, rest = _fields(ln, 2)
-            if kind == "neighborhood":
-                w, sets_text = _fields(rest, 2, ":")
-                w = w.strip()
-                if w not in wset:
-                    raise FormatError(f"unknown world {w!r}")
-                neighborhoods[w] = frozenset(_parse_world_set(s, wset) for s in sets_text.split())
-            elif kind == "atom":
-                w, a, value = _fields(rest, 3)
-                if w not in wset:
-                    raise FormatError(f"unknown world {w!r}")
-                if value not in ("true", "false"):
-                    raise FormatError(f"bad atom value {value!r}")
-                atoms[w][a] = value == "true"
-            elif kind == "entry":
-                w, tail = _fields(rest, 2)
-                if w not in wset:
-                    raise FormatError(f"unknown world {w!r}")
-                term_text, fs_text = _fields(tail, 2, ":")
-                try:
-                    t = _parse_any_term(term_text.strip(), reader)
-                    fs = frozenset(
-                        reader.formula(s.strip())
-                        for s in _split_outside_brackets(fs_text)
-                        if s.strip()
-                    )
-                except (ParseError, DialectError) as e:
-                    raise FormatError(f"bad entry line {ln!r}: {e}") from e
-                tables[w][t] = fs
-            else:
-                raise FormatError(f"unknown model line {ln!r}")
-    except FormatError as e:
-        raise FormatError(f"line {lineno}: {e}") from e
+    wset = frozenset(worlds)
+    neighborhoods: dict[str, frozenset[frozenset[str]]] = {w: frozenset() for w in worlds}
+    atoms: dict[str, dict[str, bool]] = {w: {} for w in worlds}
+    tables: dict[str, dict] = {w: {} for w in worlds}
+    for ln in lines:
+        kind, rest = _fields(ln, 2)
+        if kind == "neighborhood":
+            w, sets_text = _fields(rest, 2, ":")
+            w = w.strip()
+            if w not in wset:
+                raise FormatError(f"unknown world {w!r}")
+            neighborhoods[w] = frozenset(_parse_world_set(s, wset) for s in sets_text.split())
+        elif kind == "atom":
+            w, a, value = _fields(rest, 3)
+            if w not in wset:
+                raise FormatError(f"unknown world {w!r}")
+            if value not in ("true", "false"):
+                raise FormatError(f"bad atom value {value!r}")
+            atoms[w][a] = value == "true"
+        elif kind == "entry":
+            w, tail = _fields(rest, 2)
+            if w not in wset:
+                raise FormatError(f"unknown world {w!r}")
+            term_text, fs_text = _fields(tail, 2, ":")
+            try:
+                t = _parse_any_term(term_text.strip(), reader)
+                fs = frozenset(
+                    reader.formula(s.strip())
+                    for s in _split_outside_brackets(fs_text)
+                    if s.strip()
+                )
+            except (ParseError, DialectError) as e:
+                raise FormatError(f"bad entry line {ln!r}: {e}") from e
+            tables[w][t] = fs
+        else:
+            raise FormatError(f"unknown model line {ln!r}")
     evaluations = {
         w: FiniteBasicEvaluation(dialect, atoms[w], tables[w], bound) for w in worlds
     }

@@ -3,7 +3,7 @@
 A derivation is a sequence of steps, each one of
 
 * ``Hyp(F)``             -- assume F;
-* ``AxiomStep(F, id, b)`` -- F is the instance of scheme ``id`` under binding ``b``;
+* ``AxiomStep(F, id)``    -- F is an instance of scheme ``id``;
 * ``ANStep(c, A)``        -- axiom necessitation: conclude ``c:A`` provided the
   constant specification assigns ``c`` a scheme that ``A`` instantiates;
 * ``MPStep(i, j)``        -- modus ponens from steps i (major) and j (minor).
@@ -15,6 +15,11 @@ the transforms from blowing up on repeated subgoals and cuts every detour that
 re-derives a known formula.  A ``hyp(F)`` request may therefore be answered by
 an earlier derived step, so a judgment can list fewer hypotheses than were
 offered.
+
+``check_derivation`` validates every step.  It runs where a derivation enters
+from outside (each file the command line reads) and at the gates
+(``verify_realization``, the command line's outputs); the transforms trust
+their input, which inside the library is what a ``Builder`` made.
 
 The three transforms implement the standard metatheory constructively:
 
@@ -33,7 +38,6 @@ The three transforms implement the standard metatheory constructively:
 
 from __future__ import annotations
 
-from dataclasses import field
 from typing import Mapping
 
 from .axioms import (
@@ -41,6 +45,7 @@ from .axioms import (
     check_axiomatically_appropriate,
     cs_contains,
     instantiate,
+    match,
     scheme_by_id,
 )
 from .syntax import (
@@ -90,12 +95,10 @@ class Hyp(_FrozenRecord):
 class AxiomStep(_FrozenRecord):
     formula: Formula
     scheme: str
-    binding: Mapping[str, object] = field(compare=False)
 
-    def __init__(self, formula, scheme, binding):
+    def __init__(self, formula, scheme):
         _set(self, "formula", formula)
         _set(self, "scheme", scheme)
-        _set(self, "binding", binding)
 
 
 class ANStep(_FrozenRecord):
@@ -149,7 +152,7 @@ def step_formulas(d: Derivation) -> list[Formula]:
         match step:
             case Hyp(f):
                 out.append(f)
-            case AxiomStep(f, _, _):
+            case AxiomStep(f, _):
                 out.append(f)
             case ANStep(c, a):
                 out.append(ProofOf(ProofConst(c), a))
@@ -171,10 +174,14 @@ def read_judgment(d: Derivation) -> Judgment:
     """The judgment a derivation's steps state: its hypothesis steps and the
     formula its conclusion step proves.  Checks the modus ponens links but
     neither axiom nor necessitation steps; ``check_derivation`` does."""
-    if not d.steps or not (0 <= d.conclusion < len(d.steps)):
+    return _judgment(d, step_formulas(d))
+
+
+def _judgment(d: Derivation, formulas: list[Formula]) -> Judgment:
+    """``read_judgment`` from the derivation's ``step_formulas``."""
+    if not 0 <= d.conclusion < len(formulas):
         raise DerivationError("index-order", d.conclusion, "conclusion out of range")
-    conclusion = step_formulas(d)[d.conclusion]
-    return Judgment(frozenset(s.formula for s in d.steps if isinstance(s, Hyp)), conclusion)
+    return Judgment(frozenset(s.formula for s in d.steps if isinstance(s, Hyp)), formulas[d.conclusion])
 
 
 def check_derivation(d: Derivation, cs: ConstantSpecification) -> Judgment:
@@ -187,12 +194,12 @@ def check_derivation(d: Derivation, cs: ConstantSpecification) -> Judgment:
         match step:
             case Hyp(f):
                 check_dialect(f, d.dialect, Formula, seen)
-            case AxiomStep(f, scheme_id, binding):
+            case AxiomStep(f, scheme_id):
                 try:
                     pattern = scheme_by_id(scheme_id, d.dialect).pattern
                 except KeyError:
                     raise DerivationError("bad-axiom", i, f"unknown scheme {scheme_id}")
-                if instantiate(pattern, binding) != f:
+                if match(pattern, f) is None:
                     raise DerivationError("bad-axiom", i, f"not an instance of {scheme_id}")
                 check_dialect(f, d.dialect, Formula, seen)
             case ANStep(c, a):
@@ -237,7 +244,7 @@ class Builder:
 
     def axiom(self, scheme_id: str, binding: Mapping[str, object]) -> int:
         f = instantiate(scheme_by_id(scheme_id, self.dialect).pattern, binding)
-        return self._add(AxiomStep(f, scheme_id, dict(binding)), f)
+        return self._add(AxiomStep(f, scheme_id), f)
 
     def an(self, constant: str, axiom_formula: Formula) -> int:
         f = ProofOf(ProofConst(constant), axiom_formula)
@@ -253,12 +260,11 @@ class Builder:
 
     def _replay(self, step: Step, remap: Mapping[int, int]) -> int:
         """Add one step of another derivation, whose earlier steps ``remap``
-        sends to indices here.  An axiom step is copied with its stored
-        formula, not instantiated again: ``check_derivation`` vouches for it."""
+        sends to indices here.  An axiom step is copied as it is."""
         match step:
             case Hyp(f):
                 return self.hyp(f)
-            case AxiomStep(f, _, _):
+            case AxiomStep(f, _):
                 return self._add(step, f)
             case ANStep(c, a):
                 return self.an(c, a)
@@ -394,14 +400,19 @@ def internalize(d: Derivation, cs: ConstantSpecification) -> tuple[ProofTerm, De
     down, so no unused lift is emitted.  A term ``!t`` takes ``t`` from a
     formula of the input, so unlike constants and applications it can
     contain proof variables.  Requires an axiomatically appropriate
-    specification."""
+    specification.
+
+    The input is not checked again: the output checks if the steps the
+    conclusion uses do.  A faulty axiom or necessitation step is carried
+    into the output, or raises ``DerivationError`` ("bad-axiom" when no
+    constant covers its scheme), as hypotheses and broken links do."""
     missing = check_axiomatically_appropriate(cs)
     if missing:
         raise NotAppropriate(missing)
-    judgment = check_derivation(d, cs)
+    formulas = step_formulas(d)
+    judgment = _judgment(d, formulas)
     if judgment.hypotheses:
         raise DerivationError("has-hypotheses", detail=str(sorted(map(print_formula, judgment.hypotheses))))
-    formulas = step_formulas(d)
     lifted = [False] * len(d.steps)  # needs a derivation of term:formula
     replayed = [False] * len(d.steps)  # needs the step itself
     lifted[d.conclusion] = True
@@ -426,7 +437,9 @@ def internalize(d: Derivation, cs: ConstantSpecification) -> tuple[ProofTerm, De
             j4 = b.axiom("j4", {"L": f.term, "F": f.body})
             res[i] = (Bang(f.term), b.mp(j4, plain[i]))
         elif isinstance(step, AxiomStep):
-            const = cs.constants_for(step.scheme)[0]
+            const = next(iter(cs.constants_for(step.scheme)), None)
+            if const is None:
+                raise DerivationError("bad-axiom", i, f"no constant covers scheme {step.scheme}")
             res[i] = (ProofConst(const), b.an(const, f))
         else:
             lj, pj = res[step.major]
@@ -457,10 +470,10 @@ def substitute_derivation(d: Derivation, s: Substitution) -> Derivation:
                 nf = sub(f)
                 if nf is not f:
                     step = Hyp(nf)
-            case AxiomStep(f, scheme_id, binding):
+            case AxiomStep(f, scheme_id):
                 nf = sub(f)
                 if nf is not f:
-                    step = AxiomStep(nf, scheme_id, {k: sub(v) for k, v in binding.items()})
+                    step = AxiomStep(nf, scheme_id)
             case ANStep(c, a):
                 na = sub(a)
                 if na is not a:

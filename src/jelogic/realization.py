@@ -45,8 +45,10 @@ routes it on or needs its derivation (see ``_Engine._through``).
 
 The engine trusts its builder: at each shape it compares only the conclusion
 and hypotheses read off the derivation's steps with the shape's realized
-sequent.  ``verify_realization`` is the full check; every caller in the
-package runs it: the CLI, ``realize_simplified`` and the benchmark.
+sequent, and ``internalize`` lifts a premise derivation without checking it
+again, so ``realize`` checks no derivation.  ``verify_realization`` is the
+full check, of the root's derivation and of every logged one; every caller
+in the package runs it: the CLI, ``realize_simplified`` and the benchmark.
 """
 
 from __future__ import annotations
@@ -686,7 +688,8 @@ def realize(
     collapse to one).  Instances of one class (GE) or family (GM) that prove
     equal subproofs are one instance here: they share one summand.
 
-    Only each node's conclusion and hypotheses are checked here;
+    Only each node's conclusion and hypotheses are compared here, and no
+    derivation is checked, the internalized ones included;
     ``verify_realization`` is the full check."""
     if mode not in ("strict", "simplify"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -701,7 +704,7 @@ def realize(
     if missing:
         raise NotAppropriate(missing)
     engine = _Engine(proof, calculus, cs, mode)
-    final = prune(engine.run())
+    final = engine.run()
     ante, succ = engine._annotate(len(engine.shapes) - 1)
     return RealizationResult(
         calculus=calculus,
@@ -718,18 +721,12 @@ def realize(
 
 def simplify(result: RealizationResult) -> RealizationResult:
     """Re-run the realization collapsing syntactically equal witness pairs;
-    falls back to the given result if the collapsed run fails to check."""
-    return try_simplify(result)[0]
-
-
-def try_simplify(result: RealizationResult) -> tuple[RealizationResult, str | None]:
-    """``simplify`` together with the reason it fell back: the given result
-    and ``"<error class>: <message>"`` when the collapsed run fails to check,
-    else the collapsed result and None."""
+    falls back to the given result itself if the collapsed run fails to
+    check (``realize_simplified`` gives the reason)."""
     if result.mode == "simplify":
-        return result, None
-    out, reason = realize_simplified(result.source, result.calculus, result.cs)
-    return (result, reason) if out is None else (out, None)
+        return result
+    out, _ = realize_simplified(result.source, result.calculus, result.cs)
+    return result if out is None else out
 
 
 def realize_simplified(

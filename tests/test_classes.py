@@ -15,7 +15,7 @@ import pytest
 import jelogic
 from jelogic import Dialect, Sequent, compute_families, cs_total
 from jelogic.axioms import ConstantSpecification, UnknownScheme
-from jelogic.hilbert import AxiomStep, MPStep
+from jelogic.hilbert import MPStep
 from jelogic.semantics import FiniteBasicEvaluation, FuzzReport, QuasiModel
 from jelogic.syntax import Atom, Bottom, Implies, Substitution
 
@@ -110,13 +110,6 @@ def test_replace_builds_an_updated_record():
     r = realize_text("=> []A -> []A", "GE")
     twin = dataclasses.replace(r, mode="simplified")
     assert twin.mode == "simplified" and twin.derivation is r.derivation and twin.source is r.source
-
-
-def test_axiom_step_bindings_stay_out_of_equality():
-    f = Implies(A, Implies(A, A))
-    one, other = AxiomStep(f, "pl_k", {"F": A, "G": A}), AxiomStep(f, "pl_k", {})
-    assert one == other and hash(one) == hash(other)
-    assert [fl.name for fl in dataclasses.fields(AxiomStep) if not fl.compare] == ["binding"]
 
 
 def test_defaults_are_fresh_per_instance():

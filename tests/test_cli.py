@@ -321,6 +321,23 @@ class TestDerivationCommands:
         code, _, _ = run(capsys, "subst", str(path), "--atom", "A")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [("check",), ("deduce", "--discharge", "A"), ("internalize",), ("subst", "--atom", "A=C")],
+    )
+    def test_input_is_checked_even_where_its_conclusion_is_not(self, capsys, tmp_path, argv):
+        """Step 1 is a necessitation outside the specification that the
+        conclusion does not use: every derivation command rejects the file,
+        with the same error, about the file as written."""
+        path = tmp_path / "unused.deriv"
+        path.write_text(
+            "# jelogic derivation v1\ndialect JE\n0 axiom pl_k A -> (B -> A)\n"
+            "1 an c_jt A -> (B -> A)\nconclusion 0\n"
+        )
+        code, _, record = run(capsys, argv[0], str(path), *argv[1:])
+        assert code == 1
+        assert record["error"] == "bad-an at step 1: (c_jt, A -> B -> A) not in the specification"
+
     def test_seq_check_calculus_mismatch(self, capsys, tmp_path):
         proof_path = tmp_path / "ge.seq"
         run(capsys, "prove", "=> []A -> []A", "--calculus", "GE", "-o", str(proof_path))

@@ -402,6 +402,28 @@ class TestModelFormat:
             write_model(m)
 
 
+@pytest.mark.parametrize(
+    "reader, text, message",
+    [
+        (parse_sequent_proof, "# jelogic sequent-proof v1\n\ncalculus GE\nWL L0 | B, A => A\n    AxP L0 R0 | A => A\n", "indentation jump$"),
+        (parse_sequent_proof, "# jelogic sequent-proof v1\ncalculus GE\nWL L0 | B, A => A\n  AxP L0 R0 | A => A\nAxP L0 R0 | A => A\n", "multiple roots"),
+        (parse_sequent_proof, "\n# jelogic sequent-proof v1\n\n\ncalculus GE\n", "empty proof"),
+        (parse_derivation, "# jelogic derivation v1\ndialect JE\n0 hyp A\n\n1 mp 0 x\nconclusion 0\n", "malformed step 1"),
+        (parse_derivation, "# jelogic derivation v1\ndialect JE\n\n0 hyp A\n1 hyp B\n", "missing conclusion line"),
+        (parse_derivation, "\n\n\n\n# jelogic derivation v2\n", "expected header"),
+        (parse_cs, "# jelogic cs v1\ndialect JE\nc0: jt\n\nc1: zz\n", "unknown scheme for 'c1'"),
+        (parse_cs, "# jelogic cs v1\n\n\n\ndialect JX\n", "unknown dialect 'JX'"),
+        (parse_model, "# jelogic model v1\ndialect JE\nbound 3\n\nworld u\n", "expected a 'worlds' line"),
+    ],
+    ids=["jump", "roots", "empty", "step", "conclusion", "header", "scheme", "dialect", "worlds"],
+)
+def test_errors_name_their_file_line(reader, text, message):
+    """Every reader names the 1-based file line of a fault, blank lines
+    counted: line 5 in each case."""
+    with pytest.raises(FormatError, match=f"^line 5: {message}"):
+        reader(text)
+
+
 _MUTATION_PIECES = [" ", ":", "(", ")", "[", "]", "|", "{", "}", ",", "x", "0", "-1", "\n", "  ", "conclusion", "mp", "hyp", "A"]
 
 

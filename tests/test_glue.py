@@ -27,7 +27,7 @@ from jelogic.generate import (
     wl,
     wr,
 )
-from jelogic.realization import realize, try_simplify, verify_realization
+from jelogic.realization import realize, realize_simplified, verify_realization
 from jelogic.sequent import Proof, Sequent, premises_of, prove_bounded
 from jelogic.syntax import And, Atom, BOT, Box, Implies, Or, print_formula
 
@@ -103,10 +103,9 @@ def test_rule_glue_realizes_in_both_modes(name, calculus):
     cs = CS_JE if calculus == "GE" else CS_JEM
     strict = realize(p, calculus, cs)
     verify_realization(strict)
-    slim, reason = try_simplify(strict)
-    assert reason is None
+    slim, reason = realize_simplified(p, calculus, cs)
+    assert reason is None and slim.mode == "simplify"
     verify_realization(slim)
-    verify_realization(realize(p, calculus, cs, mode="simplify"))
 
 
 @pytest.mark.parametrize("calculus", ["GE", "GM"])

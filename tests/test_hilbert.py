@@ -1,10 +1,19 @@
+import dataclasses
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jelogic.axioms import ConstantSpecification, cs_total
-from jelogic.generate import random_just_term, random_proof_term, random_theorem
+from jelogic.axioms import CATALOGUE, ConstantSpecification, cs_total, instantiate, match
+from jelogic.formats import FormatError, parse_derivation, write_derivation
+from jelogic.generate import (
+    _random_binding,
+    random_formula,
+    random_just_term,
+    random_proof_term,
+    random_sequent_theorem,
+    random_theorem,
+)
 from jelogic.hilbert import (
     ANStep,
     AxiomStep,
@@ -24,8 +33,10 @@ from jelogic.hilbert import (
     internalize,
     prove_id,
     prune,
+    step_formulas,
     substitute_derivation,
 )
+from jelogic.realization import CALCULUS_DIALECT, realize
 from jelogic.syntax import (
     Apply,
     Atom,
@@ -90,9 +101,30 @@ class TestChecker:
             check_derivation(Derivation(Dialect.JE, (Hyp(A),), 3), CS_JE)
 
     def test_axiom_step_must_be_instance(self):
-        bogus = AxiomStep(Implies(A, B), "pl_k", {"F": A, "G": B})
+        bogus = AxiomStep(Implies(A, B), "pl_k")
         with pytest.raises(DerivationError) as e:
             check_derivation(Derivation(Dialect.JE, (bogus,), 0), CS_JE)
+        assert e.value.kind == "bad-axiom"
+
+    def test_axiom_step_is_its_formula_and_scheme(self):
+        assert [f.name for f in dataclasses.fields(AxiomStep)] == ["formula", "scheme"]
+
+    @pytest.mark.parametrize("dialect", [Dialect.JE, Dialect.JEM])
+    def test_non_instances_are_bad_axioms(self, dialect):
+        """Every scheme against an atom, against an instance of each other
+        scheme and under an unknown id: ``bad-axiom``, never a ``KeyError``
+        for a metavariable the formula does not bind."""
+        rng = random.Random(0)
+        cs = cs_total(dialect)
+        schemes = CATALOGUE[dialect]
+        instances = [instantiate(s.pattern, _random_binding(rng, dialect, s.pattern)) for s in schemes]
+        for s in schemes:
+            for f in [A] + [g for g in instances if match(s.pattern, g) is None]:
+                with pytest.raises(DerivationError) as e:
+                    check_derivation(Derivation(dialect, (AxiomStep(f, s.id),), 0), cs)
+                assert (e.value.kind, e.value.step) == ("bad-axiom", 0)
+        with pytest.raises(DerivationError) as e:
+            check_derivation(Derivation(dialect, (AxiomStep(instances[0], "zz"),), 0), cs)
         assert e.value.kind == "bad-axiom"
 
     def test_necessitation_outside_specification(self):
@@ -270,6 +302,13 @@ class TestInternalize:
             internalize(_mp_example(), CS_JE)
         assert e.value.kind == "has-hypotheses"
 
+    @pytest.mark.parametrize("scheme", ["jm", "zz"])
+    def test_axiom_outside_the_dialect(self, scheme):
+        d = Derivation(Dialect.JE, (AxiomStep(_je("A -> (B -> A)"), scheme),), 0)
+        with pytest.raises(DerivationError) as e:
+            internalize(d, CS_JE)
+        assert (e.value.kind, e.value.step) == ("bad-axiom", 0)
+
     def test_rejects_inappropriate_specification(self):
         skimpy = ConstantSpecification(Dialect.JE, {"c0": frozenset({"jt"})})
         with pytest.raises(NotAppropriate) as e:
@@ -388,3 +427,84 @@ def test_substitution_lemma(seed, dialect):
             apply_substitution(j.conclusion, s),
         )
         assert check_derivation(substitute_derivation(d, s), cs) == expected
+
+
+def _verdicts(d: Derivation, cs) -> tuple:
+    """What ``check_derivation`` says of ``d`` and of ``d`` read back from
+    its file: the judgment, or None when it rejects (a file's reader
+    rejects an axiom line that does not match its scheme)."""
+
+    def verdict(d):
+        try:
+            return check_derivation(d, cs)
+        except DerivationError:
+            return None
+
+    try:
+        back = verdict(parse_derivation(write_derivation(d)))
+    except FormatError:
+        back = None
+    return verdict(d), back
+
+
+def _relabelled(rng: random.Random, d: Derivation) -> Derivation:
+    """``d`` with one axiom step put under another scheme id."""
+    axioms = [i for i, s in enumerate(d.steps) if isinstance(s, AxiomStep)]
+    if not axioms:
+        return d
+    i = rng.choice(axioms)
+    scheme = rng.choice(CATALOGUE[d.dialect]).id
+    steps = d.steps[:i] + (AxiomStep(d.steps[i].formula, scheme),) + d.steps[i + 1:]
+    return Derivation(d.dialect, steps, d.conclusion)
+
+
+@given(st.integers(0, 10**9), st.sampled_from(["GE", "GM"]))
+@settings(max_examples=40, deadline=None)
+def test_a_derivation_checks_as_its_file_does(seed, calculus):
+    """A random theorem, a realization's derivations, and each with one axiom
+    step relabelled: ``check_derivation`` gives one verdict on the
+    derivation and on its file read back."""
+    rng = random.Random(seed)
+    dialect = CALCULUS_DIALECT[calculus]
+    cs = cs_total(dialect)
+    r = realize(random_sequent_theorem(rng, calculus, depth=4), calculus, cs)
+    for d in [random_theorem(rng, dialect, steps=6), r.derivation] + [e.derivation for e in r.log]:
+        for case in (d, _relabelled(rng, d)):
+            api, file = _verdicts(case, cs)
+            assert api == file
+        assert _verdicts(d, cs)[0] is not None
+
+
+def _mutant(rng: random.Random, d: Derivation) -> Derivation:
+    """``d`` with the formula of one axiom or necessitation step replaced by
+    the formula of another step or by a random formula."""
+    i = rng.choice([i for i, s in enumerate(d.steps) if not isinstance(s, MPStep)])
+    f = rng.choice(step_formulas(d) + [random_formula(rng, d.dialect, 2)])
+    step = d.steps[i]
+    step = AxiomStep(f, step.scheme) if isinstance(step, AxiomStep) else ANStep(step.constant, f)
+    return Derivation(d.dialect, d.steps[:i] + (step,) + d.steps[i + 1:], d.conclusion)
+
+
+@given(st.integers(0, 10**9), st.sampled_from([Dialect.JE, Dialect.JEM]))
+@settings(max_examples=300, deadline=None)
+def test_internalize_carries_a_faulty_step_into_its_output(seed, dialect):
+    """``internalize`` does not check its input: on a theorem or a lifted
+    theorem with one step's formula replaced it raises ``DerivationError``
+    or returns an output that does not check, unless the steps the
+    conclusion uses still check."""
+    rng = random.Random(seed)
+    cs = cs_total(dialect)
+    theorem = prune(random_theorem(rng, dialect, steps=6))
+    d = rng.choice([theorem, internalize(theorem, cs)[1]])
+    mutant = _mutant(rng, d)
+    try:
+        check_derivation(prune(mutant), cs)
+        return
+    except DerivationError:
+        pass
+    try:
+        _, out = internalize(mutant, cs)
+    except DerivationError:
+        return
+    with pytest.raises(DerivationError):
+        check_derivation(out, cs)

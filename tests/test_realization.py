@@ -23,8 +23,8 @@ from jelogic.realization import (
     RoundtripMismatch,
     UncheckedProof,
     realize,
+    realize_simplified,
     simplify,
-    try_simplify,
     verify_realization,
 )
 from jelogic.semantics import find_modal_countermodel
@@ -390,10 +390,11 @@ def test_resolve_rewrites_part_of_what_it_holds(text, calculus):
         assert print_formula(r.realized) == printed
 
 
-def test_ladder_resolves_without_rechecking(monkeypatch):
-    """Realizing the GE ladder at n = 3 checks each premise derivation once,
-    when ``internalize`` lifts it: two per level, and no finished
-    derivation is checked again."""
+def test_realize_checks_no_derivation(monkeypatch):
+    """Realizing the GE ladder at n = 3 checks no derivation, not even the
+    premise derivations ``internalize`` lifts: the engine built them.
+    ``verify_realization`` checks the root's derivation and each of the six
+    logged ones, once each."""
     import jelogic.hilbert
 
     checked = []
@@ -403,12 +404,13 @@ def test_ladder_resolves_without_rechecking(monkeypatch):
         checked.append(d)
         return check(d, cs)
 
-    monkeypatch.setattr(realization, "check_derivation", lambda d, cs: pytest.fail("realize re-checked"))
+    monkeypatch.setattr(realization, "check_derivation", counting_check)
     monkeypatch.setattr(jelogic.hilbert, "check_derivation", counting_check)
     r = realize_text("[][][]A => [][][]A", "GE")
-    assert len(checked) == len(r.log) == 6
-    monkeypatch.undo()
+    assert checked == []
     verify_realization(r)
+    assert len(checked) == 1 + len(r.log) == 7
+    assert checked == [r.derivation] + [e.derivation for e in r.log]
 
 
 def _ladder(n: int, calculus: str) -> Proof:
@@ -527,17 +529,19 @@ def test_equal_subproofs_in_different_classes_stay_apart():
         verify_realization(r)
 
 
-def test_try_simplify_reports_why_it_fell_back(monkeypatch):
+def test_simplify_falls_back_to_the_given_result(monkeypatch):
+    """``realize_simplified`` names why the collapsed run failed, and
+    ``simplify`` then returns the strict result itself."""
     strict = realize_text("=> [](A & B) -> [](B & A)", "GE")
-    slim, reason = try_simplify(strict)
+    slim, reason = realize_simplified(strict.source, "GE", strict.cs)
     assert slim.mode == "simplify" and reason is None
+    assert simplify(strict).realized == slim.realized
 
     def unverifiable(result, proof=None, cs=None):
         raise DerivationFails("forced")
 
     monkeypatch.setattr(realization, "verify_realization", unverifiable)
-    back, reason = try_simplify(strict)
-    assert back is strict and reason == "DerivationFails: forced"
+    assert realize_simplified(strict.source, "GE", strict.cs) == (None, "DerivationFails: forced")
     assert simplify(strict) is strict
 
 
