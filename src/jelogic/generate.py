@@ -3,7 +3,8 @@
 Everything here drives tests and the fuzzing entry points: printable formulas
 for the parser roundtrip, forward-built Hilbert theorems for internalization,
 and forward-built sequent proofs of theorems for the realization pipeline.
-All generators take an explicit ``random.Random`` so runs are reproducible.
+Sequent proofs grow through ``sequent.conclude``.  All generators take an
+explicit ``random.Random`` so runs are reproducible.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import random
 
 from .axioms import CATALOGUE, metavariables
 from .hilbert import Builder, Derivation
-from .sequent import Proof, Sequent, premises_of
+from .sequent import Proof, conclude
 from .syntax import (
     And,
     Apply,
@@ -161,112 +162,12 @@ def random_theorem(rng: random.Random, dialect: Dialect, steps: int = 6) -> Deri
 # Random sequent proofs of theorems (forward rule application)
 
 
-def _node(rule: str, principal, sequent: Sequent, children: tuple[Proof, ...]) -> Proof:
-    assert premises_of(rule, principal, sequent) == tuple(c.sequent for c in children)
-    return Proof(sequent, rule, principal, children)
-
-
-def axp(p: str) -> Proof:
-    a = Atom(p)
-    return _node("AxP", (("L", 0), ("R", 0)), Sequent((a,), (a,)), ())
-
-
-def axbot() -> Proof:
-    return _node("AxBot", (("L", 0),), Sequent((BOT,), ()), ())
-
-
-def wl(p: Proof, f: Formula, k: int) -> Proof:
-    ante = p.sequent.ante
-    s = Sequent(ante[:k] + (f,) + ante[k:], p.sequent.succ)
-    return _node("WL", (("L", k),), s, (p,))
-
-
-def wr(p: Proof, f: Formula, k: int) -> Proof:
-    succ = p.sequent.succ
-    s = Sequent(p.sequent.ante, succ[:k] + (f,) + succ[k:])
-    return _node("WR", (("R", k),), s, (p,))
-
-
-def cl(p: Proof, k: int) -> Proof:
-    ante = p.sequent.ante
-    s = Sequent(ante[:k + 1] + ante[k + 2:], p.sequent.succ)
-    return _node("CL", (("L", k),), s, (p,))
-
-
-def cr(p: Proof, k: int) -> Proof:
-    succ = p.sequent.succ
-    s = Sequent(p.sequent.ante, succ[:k + 1] + succ[k + 2:])
-    return _node("CR", (("R", k),), s, (p,))
-
-
-def impr(p: Proof, k: int) -> Proof:
-    a = p.sequent.ante[0]
-    bb = p.sequent.succ[-1]
-    rest = p.sequent.succ[:-1]
-    s = Sequent(p.sequent.ante[1:], rest[:k] + (Implies(a, bb),) + rest[k:])
-    return _node("ImpR", (("R", k),), s, (p,))
-
-
-def andl(p: Proof) -> Proof:
-    a, bb = p.sequent.ante[0], p.sequent.ante[1]
-    s = Sequent((And(a, bb),) + p.sequent.ante[2:], p.sequent.succ)
-    return _node("AndL", (("L", 0),), s, (p,))
-
-
-def andr(p1: Proof, p2: Proof, k: int) -> Proof:
-    a, bb = p1.sequent.succ[-1], p2.sequent.succ[-1]
-    rest = p1.sequent.succ[:-1]
-    s = Sequent(p1.sequent.ante, rest[:k] + (And(a, bb),) + rest[k:])
-    return _node("AndR", (("R", k),), s, (p1, p2))
-
-
-def orl(p1: Proof, p2: Proof, k: int) -> Proof:
-    a, bb = p1.sequent.ante[0], p2.sequent.ante[0]
-    rest = p1.sequent.ante[1:]
-    s = Sequent(rest[:k] + (Or(a, bb),) + rest[k:], p1.sequent.succ)
-    return _node("OrL", (("L", k),), s, (p1, p2))
-
-
-def orr(p: Proof, k: int) -> Proof:
-    a, bb = p.sequent.succ[-2], p.sequent.succ[-1]
-    rest = p.sequent.succ[:-2]
-    s = Sequent(p.sequent.ante, rest[:k] + (Or(a, bb),) + rest[k:])
-    return _node("OrR", (("R", k),), s, (p,))
-
-
-def notl(p: Proof, k: int) -> Proof:
-    a = p.sequent.succ[-1]
-    ante = p.sequent.ante
-    s = Sequent(ante[:k] + (Not(a),) + ante[k:], p.sequent.succ[:-1])
-    return _node("NotL", (("L", k),), s, (p,))
-
-
-def notr(p: Proof, k: int) -> Proof:
-    a = p.sequent.ante[0]
-    succ = p.sequent.succ
-    s = Sequent(p.sequent.ante[1:], succ[:k] + (Not(a),) + succ[k:])
-    return _node("NotR", (("R", k),), s, (p,))
-
-
-def re(p1: Proof, p2: Proof) -> Proof:
-    a = p1.sequent.ante[0]
-    bb = p1.sequent.succ[0]
-    s = Sequent((Box(a),), (Box(bb),))
-    return _node("RE", (("L", 0), ("R", 0)), s, (p1, p2))
-
-
-def rm(p: Proof) -> Proof:
-    a = p.sequent.ante[0]
-    bb = p.sequent.succ[0]
-    s = Sequent((Box(a),), (Box(bb),))
-    return _node("RM", (("L", 0), ("R", 0)), s, (p,))
-
-
 def _equivalence_pair(atom: str) -> tuple[Proof, Proof]:
     """Proofs of A => A & A and A & A => A, a seed for equivalence rules."""
-    base = axp(atom)
-    fwd = andr(base, base, 0)
-    back = andl(wl(base, Atom(atom), 1))
+    a = Atom(atom)
+    base = conclude("AxP", (), formula=a)
+    fwd = conclude("AndR", (base, base))
+    back = conclude("AndL", (conclude("WL", (base,), 1, a),))
     return fwd, back
 
 
@@ -281,7 +182,7 @@ def random_sequent_theorem(
     into a single succedent formula, yielding a proof of a theorem sequent."""
     if calculus not in ("GE", "GM"):
         raise ValueError(f"unknown calculus {calculus!r}")
-    pool: list[Proof] = [axp("A"), axp("B"), axbot()]
+    pool: list[Proof] = [conclude("AxP", (), formula=Atom(a)) for a in "AB"] + [conclude("AxBot", ())]
     fwd, back = _equivalence_pair("A")
     pool += [fwd, back]
 
@@ -291,28 +192,28 @@ def random_sequent_theorem(
     for _ in range(depth):
         p = pool[rng.randrange(len(pool))]
         s = p.sequent
-        moves = ["wl", "wr"]
+        moves = ["WL", "WR"]
         if s.ante and s.succ:
-            moves += ["impr", "impr"]
+            moves += ["ImpR", "ImpR"]
         if len(s.ante) >= 2:
-            moves.append("andl")
+            moves.append("AndL")
         if len(s.succ) >= 2:
-            moves.append("orr")
+            moves.append("OrR")
         if s.succ:
-            moves.append("notl")
+            moves.append("NotL")
         if s.ante:
-            moves.append("notr")
+            moves.append("NotR")
         if s.ante and len(s.ante) >= 2 and s.ante[0] == s.ante[1] and _boxfree(s.ante[0]):
-            moves.append("cl")
+            moves.append("CL")
         if len(s.succ) >= 2 and s.succ[-2] == s.succ[-1] and _boxfree(s.succ[-1]):
-            moves.append("cr")
+            moves.append("CR")
         if s.ante:
-            moves.append("orl_self")
+            moves.append("OrL")  # over p twice
         if s.succ:
-            moves.append("andr_self")
+            moves.append("AndR")  # over p twice
         if len(s.ante) == 1 and len(s.succ) == 1:
             if calculus == "GM":
-                moves += ["rm", "rm"]
+                moves += ["RM", "RM"]
             else:
                 q = next(
                     (
@@ -324,47 +225,27 @@ def random_sequent_theorem(
                     None,
                 )
                 if q is not None:
-                    moves += ["re", "re"]
-        move = rng.choice(moves)
-        try:
-            if move == "wl":
-                pool.append(wl(p, rand_wff(), rng.randint(0, len(s.ante))))
-            elif move == "wr":
-                pool.append(wr(p, rand_wff(), rng.randint(0, len(s.succ))))
-            elif move == "impr":
-                pool.append(impr(p, rng.randint(0, len(s.succ) - 1)))
-            elif move == "andl":
-                pool.append(andl(p))
-            elif move == "orr":
-                pool.append(orr(p, rng.randint(0, len(s.succ) - 2)))
-            elif move == "notl":
-                pool.append(notl(p, rng.randint(0, len(s.ante))))
-            elif move == "notr":
-                pool.append(notr(p, rng.randint(0, len(s.succ))))
-            elif move == "cl":
-                pool.append(cl(p, 0))
-            elif move == "cr":
-                pool.append(cr(p, len(s.succ) - 2))
-            elif move == "orl_self":
-                pool.append(orl(p, p, rng.randint(0, len(s.ante) - 1)))
-            elif move == "andr_self":
-                pool.append(andr(p, p, rng.randint(0, len(s.succ) - 1)))
-            elif move == "rm":
-                pool.append(rm(p))
-            elif move == "re":
-                pool.append(re(p, q))
-        except (AssertionError, IndexError):
-            continue
+                    moves += ["RE", "RE"]
+        rule = rng.choice(moves)
+        f = rand_wff() if rule in ("WL", "WR") else None
+        # k is drawn from the positions of the principal's side.
+        room = {
+            "WL": len(s.ante), "WR": len(s.succ), "ImpR": len(s.succ) - 1, "AndR": len(s.succ) - 1,
+            "OrR": len(s.succ) - 2, "NotL": len(s.ante), "NotR": len(s.succ), "OrL": len(s.ante) - 1,
+        }.get(rule)
+        k = len(s.succ) - 2 if rule == "CR" else 0 if room is None else rng.randint(0, room)
+        premises = (p, q) if rule == "RE" else (p, p) if rule in ("OrL", "AndR") else (p,)
+        pool.append(conclude(rule, premises, k, f))
 
     p = pool[-1]
     while p.sequent.ante or len(p.sequent.succ) != 1:
         s = p.sequent
         if s.ante and s.succ:
-            p = impr(p, len(s.succ) - 1)
+            p = conclude("ImpR", (p,), len(s.succ) - 1)
         elif s.ante:
-            p = notr(p, 0)
+            p = conclude("NotR", (p,))
         elif len(s.succ) >= 2:
-            p = orr(p, len(s.succ) - 2)
+            p = conclude("OrR", (p,), len(s.succ) - 2)
         else:
-            p = wr(p, Atom("A"), 0)
+            p = conclude("WR", (p,), 0, Atom("A"))
     return p

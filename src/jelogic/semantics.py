@@ -265,25 +265,36 @@ def saturate(
     return FiniteBasicEvaluation(dialect, dict(eps.atoms), table, bound, cs)
 
 
+def _operands(f: Formula) -> tuple[Formula, ...]:
+    """The subformulas whose truth decides ``f``'s: a connective's operands;
+    none for an atom, falsum or assertion, whose truth is looked up."""
+    return f._children(f) if isinstance(f, (Implies, And, Or, Not)) else ()
+
+
 def eval_basic(eps: FiniteBasicEvaluation, f: Formula) -> bool:
-    """Truth under the evaluation; term lookups hit the table (default empty)."""
-    if isinstance(f, Bottom):
-        return False
-    if isinstance(f, Atom):
-        return eps.atoms.get(f.name, False)
-    if isinstance(f, Implies):
-        return (not eval_basic(eps, f.left)) or eval_basic(eps, f.right)
-    if isinstance(f, And):
-        return eval_basic(eps, f.left) and eval_basic(eps, f.right)
-    if isinstance(f, Or):
-        return eval_basic(eps, f.left) or eval_basic(eps, f.right)
-    if isinstance(f, Not):
-        return not eval_basic(eps, f.inner)
-    if isinstance(f, ProofOf):
-        return f.body in eps.entry(f.term)
-    if isinstance(f, JustOf):
-        return f.body in eps.entry(f.term)
-    raise DialectError(f"no truth clause for {print_formula(f)} under a basic evaluation")
+    """Truth under the evaluation; term lookups hit the table (default empty).
+    Each distinct subformula is evaluated once, after its operands, without
+    recursion; every operand is evaluated, so a formula with no truth clause
+    anywhere outside an assertion raises ``DialectError``."""
+    truth: dict[Formula, bool] = {}
+    for g in postorder(f, kids=_operands):
+        if isinstance(g, Atom):
+            truth[g] = eps.atoms.get(g.name, False)
+        elif isinstance(g, Implies):
+            truth[g] = not truth[g.left] or truth[g.right]
+        elif isinstance(g, Not):
+            truth[g] = not truth[g.inner]
+        elif isinstance(g, And):
+            truth[g] = truth[g.left] and truth[g.right]
+        elif isinstance(g, Or):
+            truth[g] = truth[g.left] or truth[g.right]
+        elif isinstance(g, (ProofOf, JustOf)):
+            truth[g] = g.body in eps.entry(g.term)
+        elif isinstance(g, Bottom):
+            truth[g] = False
+        else:
+            raise DialectError(f"no truth clause for {print_formula(g)} under a basic evaluation")
+    return truth[f]
 
 
 class Violation(_FrozenRecord):

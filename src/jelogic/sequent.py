@@ -11,10 +11,13 @@ modal rule, which carries no side context:
 * GE:  from ``A => B`` and ``B => A`` infer ``[]A => []B``;
 * GM:  from ``A => B`` infer ``[]A => []B``.
 
-Every rule has one fixed premise layout (``premises_of``, tabled in
-docs/formats.md), so a rule instance is determined by its conclusion and
-principal occurrence, and ``correspondences`` reads the occurrence
-correspondence between premises and conclusion off it.  Each box occurrence
+Every rule has one fixed premise layout, so a rule instance is determined
+by its conclusion and principal occurrence.  The ten rules with one
+principal formula have theirs in one table, ``LAYOUTS`` (printed in
+docs/formats.md): ``premises_of`` reads it backwards, from a conclusion to
+its premises, and ``conclude`` forwards, building a node from its premises.
+``correspondences`` reads the occurrence correspondence between premises and
+conclusion off ``premises_of``.  Each box occurrence
 of a proof, read as a tree, corresponds through it to exactly one of the
 root sequent's, so ``compute_families`` takes those as the families.  It
 reads the proof as shapes, each distinct subproof with the families of its
@@ -24,13 +27,15 @@ classes.
 ``prove_bounded`` is a deterministic backward search that decomposes
 propositional structure eagerly (those rules are invertible), then tries
 every antecedent/succedent box pair at the modal transition, inserting the
-weakening and contraction steps explicitly so its output always passes
+weakening steps explicitly, by ``conclude``, so its output always passes
 ``check_sequent_proof``.  It searches a repeated subgoal once.  Proofs are
 hash-consed like terms and formulas, so equal subproofs are one object,
 whoever built them.
 """
 
 from __future__ import annotations
+
+from operator import attrgetter
 
 from .syntax import (
     And,
@@ -126,6 +131,43 @@ _CALCULUS_RULES = {
 }
 
 
+def _slots(premise: str) -> tuple[slice, slice]:
+    """The slices of the principal's children that a premise puts at the
+    front and at the end: ``"A, B =>"`` is ``(slice(0, 2), slice(0, 0))``."""
+    out = []
+    for names in premise.split("=>"):
+        names = names.replace(",", " ").split()
+        start = "AB".index(names[0]) if names else 0
+        out.append(slice(start, start + len(names)))
+    return tuple(out)
+
+
+# The rules with one principal formula, the table of docs/formats.md as data:
+# the principal's side and connective (none for a weakening, whose principal
+# may be any formula), and per premise, which of the principal's children A
+# and B go to the front of the antecedent and which to the end of the
+# succedent, once the principal has left its side.  Read premise by premise,
+# front before end, the children come in order, A before B.  The axioms, CL,
+# CR, RE and RM are cases of their own.
+LAYOUTS = {
+    rule: (side, connective, tuple(_slots(premise) for premise in premises))
+    for rule, side, connective, *premises in (
+        ("ImpL", "L", Implies, "=> A", "B =>"),
+        ("ImpR", "R", Implies, "A => B"),
+        ("AndL", "L", And, "A, B =>"),
+        ("AndR", "R", And, "=> A", "=> B"),
+        ("OrL", "L", Or, "A =>", "B =>"),
+        ("OrR", "R", Or, "=> A, B"),
+        ("NotL", "L", Not, "=> A"),
+        ("NotR", "R", Not, "A =>"),
+        ("WL", "L", None, "=>"),
+        ("WR", "R", None, "=>"),
+    )
+}
+
+_ARTICLED = {Implies: "an implication", And: "a conjunction", Or: "a disjunction", Not: "a negation"}
+
+
 def _single(principal, side: str, s: Sequent):
     if len(principal) != 1 or principal[0][0] != side:
         raise SequentProofError("bad-rule", f"principal {principal} not a single {side} occurrence")
@@ -137,8 +179,28 @@ def _single(principal, side: str, s: Sequent):
 
 
 def premises_of(rule: str, principal, s: Sequent) -> tuple[Sequent, ...]:
-    """The premise sequents a rule instance must have, in fixed layout."""
+    """The premise sequents a rule instance must have, in fixed layout: for
+    a rule of ``LAYOUTS``, read off the table."""
     ante, succ = s.ante, s.succ
+    layout = LAYOUTS.get(rule)
+    if layout is not None:
+        side, connective, premises = layout
+        k, f = _single(principal, side, s)
+        if connective is None:
+            kids = ()
+        elif isinstance(f, connective):
+            kids = f._children(f)
+        else:
+            raise SequentProofError("bad-rule", f"{rule} principal is not {_ARTICLED[connective]}")
+        if side == "L":
+            ante = ante[:k] + ante[k + 1:]
+        else:
+            succ = succ[:k] + succ[k + 1:]
+        if len(premises) == 1:  # unrolled: this is the search's inner loop
+            ((front, end),) = premises
+            return (Sequent(kids[front] + ante, succ + kids[end]),)
+        (front, end), (front2, end2) = premises
+        return Sequent(kids[front] + ante, succ + kids[end]), Sequent(kids[front2] + ante, succ + kids[end2])
     match rule:
         case "AxP":
             if principal != (("L", 0), ("R", 0)):
@@ -152,58 +214,6 @@ def premises_of(rule: str, principal, s: Sequent) -> tuple[Sequent, ...]:
             if not (ante == (BOT,) and succ == ()):
                 raise SequentProofError("bad-rule", f"not a falsum axiom: {s}")
             return ()
-        case "ImpL":
-            k, f = _single(principal, "L", s)
-            if not isinstance(f, Implies):
-                raise SequentProofError("bad-rule", "ImpL principal is not an implication")
-            rest = ante[:k] + ante[k + 1:]
-            return (Sequent(rest, succ + (f.left,)), Sequent((f.right,) + rest, succ))
-        case "ImpR":
-            k, f = _single(principal, "R", s)
-            if not isinstance(f, Implies):
-                raise SequentProofError("bad-rule", "ImpR principal is not an implication")
-            rest = succ[:k] + succ[k + 1:]
-            return (Sequent((f.left,) + ante, rest + (f.right,)),)
-        case "AndL":
-            k, f = _single(principal, "L", s)
-            if not isinstance(f, And):
-                raise SequentProofError("bad-rule", "AndL principal is not a conjunction")
-            rest = ante[:k] + ante[k + 1:]
-            return (Sequent((f.left, f.right) + rest, succ),)
-        case "AndR":
-            k, f = _single(principal, "R", s)
-            if not isinstance(f, And):
-                raise SequentProofError("bad-rule", "AndR principal is not a conjunction")
-            rest = succ[:k] + succ[k + 1:]
-            return (Sequent(ante, rest + (f.left,)), Sequent(ante, rest + (f.right,)))
-        case "OrL":
-            k, f = _single(principal, "L", s)
-            if not isinstance(f, Or):
-                raise SequentProofError("bad-rule", "OrL principal is not a disjunction")
-            rest = ante[:k] + ante[k + 1:]
-            return (Sequent((f.left,) + rest, succ), Sequent((f.right,) + rest, succ))
-        case "OrR":
-            k, f = _single(principal, "R", s)
-            if not isinstance(f, Or):
-                raise SequentProofError("bad-rule", "OrR principal is not a disjunction")
-            rest = succ[:k] + succ[k + 1:]
-            return (Sequent(ante, rest + (f.left, f.right)),)
-        case "NotL":
-            k, f = _single(principal, "L", s)
-            if not isinstance(f, Not):
-                raise SequentProofError("bad-rule", "NotL principal is not a negation")
-            return (Sequent(ante[:k] + ante[k + 1:], succ + (f.inner,)),)
-        case "NotR":
-            k, f = _single(principal, "R", s)
-            if not isinstance(f, Not):
-                raise SequentProofError("bad-rule", "NotR principal is not a negation")
-            return (Sequent((f.inner,) + ante, succ[:k] + succ[k + 1:]),)
-        case "WL":
-            k, _ = _single(principal, "L", s)
-            return (Sequent(ante[:k] + ante[k + 1:], succ),)
-        case "WR":
-            k, _ = _single(principal, "R", s)
-            return (Sequent(ante, succ[:k] + succ[k + 1:]),)
         case "CL":
             k, f = _single(principal, "L", s)
             return (Sequent(ante[:k] + (f, f) + ante[k + 1:], succ),)
@@ -220,6 +230,76 @@ def premises_of(rule: str, principal, s: Sequent) -> tuple[Sequent, ...]:
                 return (Sequent((a,), (b,)), Sequent((b,), (a,)))
             return (Sequent((a,), (b,)),)
     raise SequentProofError("bad-rule", f"unknown rule {rule!r}")
+
+
+def _layout_conclusion(layout, given: tuple[Sequent, ...], k: int, formula):
+    """The principal and conclusion read forwards off the premise sequents
+    ``given``; None unless they hold the principal's children, share one
+    context, and ``k`` is a position of the conclusion's side."""
+    side, connective, premises = layout
+    if len(given) != len(premises):
+        return None
+    kids: tuple = ()
+    context = None
+    for q, (front, end) in zip(given, premises):
+        lead, cut = front.stop - front.start, len(q.succ) - end.stop + end.start
+        if cut < 0 or len(q.ante) < lead:
+            return None
+        rest = q.ante[lead:], q.succ[:cut]
+        if context not in (None, rest):
+            return None
+        context = ante, succ = rest
+        kids += q.ante[:lead] + q.succ[cut:]
+    f = formula if connective is None else connective(*kids)
+    if f is None or not 0 <= k <= len(ante if side == "L" else succ):
+        return None
+    if side == "L":
+        return (("L", k),), Sequent(ante[:k] + (f,) + ante[k:], succ)
+    return (("R", k),), Sequent(ante, succ[:k] + (f,) + succ[k:])
+
+
+def _case_conclusion(rule: str, given: tuple[Sequent, ...], k: int, formula):
+    """As ``_layout_conclusion``, for the axioms, CL, CR, RE and RM; None
+    unless ``premises_of`` of the conclusion gives ``given`` back."""
+    q = given[0] if given else None
+    if rule == "AxP" and formula is not None and not given:
+        read = (("L", 0), ("R", 0)), Sequent((formula,), (formula,))
+    elif rule == "AxBot" and not given:
+        read = (("L", 0),), Sequent((BOT,), ())
+    elif rule == "CL" and len(given) == 1:
+        read = (("L", k),), Sequent(q.ante[:k + 1] + q.ante[k + 2:], q.succ)
+    elif rule == "CR" and len(given) == 1:
+        read = (("R", k),), Sequent(q.ante, q.succ[:k + 1] + q.succ[k + 2:])
+    elif rule in ("RE", "RM") and q is not None and len(q.ante) == len(q.succ) == 1:
+        read = (("L", 0), ("R", 0)), Sequent((Box(q.ante[0]),), (Box(q.succ[0]),))
+    else:
+        return None
+    return read if premises_of(rule, *read) == given else None
+
+
+_SEQUENT = attrgetter("sequent")
+
+
+def conclude(rule: str, premises, k: int = 0, formula: Formula | None = None) -> Proof:
+    """The node of ``rule`` over the proofs ``premises``, its conclusion
+    built forwards from theirs: the inverse of ``premises_of``.  ``k`` is
+    the principal's index on its side, and ``formula`` the atom of AxP or
+    the formula WL and WR add.  Raises ``SequentProofError`` when the
+    premises do not fit the rule."""
+    premises = tuple(premises)
+    given = tuple(map(_SEQUENT, premises))
+    layout = LAYOUTS.get(rule)
+    if layout is not None:
+        read = _layout_conclusion(layout, given, k, formula)
+    else:
+        read = _case_conclusion(rule, given, k, formula)
+    if read is None:
+        shown = "; ".join(map(str, given)) or "no premises"
+        raise SequentProofError(
+            "premise-mismatch" if rule in RULES else "bad-rule",
+            f"{rule} with k = {k} and formula {formula} does not conclude from {shown}",
+        )
+    return Proof(read[1], rule, read[0], premises)
 
 
 def correspondences(rule: str, principal, s: Sequent) -> tuple[dict, ...]:
@@ -326,25 +406,24 @@ def _inserts(src: tuple, dst: tuple) -> list[tuple[int, Formula]]:
 def _bridge(proof: Proof, target: Sequent) -> Proof:
     """Stack weakening nodes on top of ``proof`` until it concludes ``target``
     (whose sides must contain the proved sides as subsequences)."""
+    if proof.sequent == target:  # the usual case: nothing to weaken
+        return proof
     cur = proof
     for pos, f in _inserts(proof.sequent.ante, target.ante):
-        s = Sequent(cur.sequent.ante[:pos] + (f,) + cur.sequent.ante[pos:], cur.sequent.succ)
-        cur = Proof(s, "WL", (("L", pos),), (cur,))
+        cur = conclude("WL", (cur,), pos, f)
     for pos, f in _inserts(proof.sequent.succ, target.succ):
-        s = Sequent(cur.sequent.ante, cur.sequent.succ[:pos] + (f,) + cur.sequent.succ[pos:])
-        cur = Proof(s, "WR", (("R", pos),), (cur,))
+        cur = conclude("WR", (cur,), pos, f)
     return cur
 
 
+# The search decomposes a formula by the rule of its side and connective, and
+# looks one step ahead through the rules with one premise for a premise that
+# an axiom closes.
 _DECOMP = {
-    "L": {Implies: "ImpL", And: "AndL", Or: "OrL", Not: "NotL"},
-    "R": {Implies: "ImpR", And: "AndR", Or: "OrR", Not: "NotR"},
+    side: {connective: rule for rule, (s, connective, _) in LAYOUTS.items() if s == side and connective}
+    for side in "LR"
 }
-
-
-# The propositional rules with one premise: the search looks one step ahead
-# through them for a premise that an axiom closes.
-_SINGLE_PREMISE = frozenset({"ImpR", "AndL", "OrR", "NotL", "NotR"})
+_SINGLE_PREMISE = frozenset(rule for rule, (_, connective, ps) in LAYOUTS.items() if connective and len(ps) == 1)
 
 
 def _axiom_leaf(c: Sequent) -> Proof | None:
@@ -353,9 +432,9 @@ def _axiom_leaf(c: Sequent) -> Proof | None:
     antecedent atom that is also a succedent formula."""
     for f in c.ante:
         if isinstance(f, Bottom):
-            return Proof(Sequent((BOT,), ()), "AxBot", (("L", 0),), ())
+            return conclude("AxBot", ())
         if isinstance(f, Atom) and f in c.succ:
-            return Proof(Sequent((f,), (f,)), "AxP", (("L", 0), ("R", 0)), ())
+            return conclude("AxP", (), formula=f)
     return None
 
 
@@ -410,27 +489,21 @@ def _expand(c: Sequent, calculus: str, depth: int, memo: dict) -> Proof | None:
                 return None  # propositional rules are invertible: no backtracking
             children.append(_bridge(sub, premise))
         return Proof(c, rule, principal, tuple(children))
+    rule = "RE" if calculus == "GE" else "RM"
     for fa in c.ante:
         if not isinstance(fa, Box):
             continue
         for fb in c.succ:
             if not isinstance(fb, Box):
                 continue
-            first = _search(_canonical(Sequent((fa.body,), (fb.body,))), calculus, depth - 1, memo)
-            if first is None:
-                continue
-            concl = Sequent((fa,), (fb,))
-            principal = (("L", 0), ("R", 0))
-            if calculus == "GE":
-                second = _search(_canonical(Sequent((fb.body,), (fa.body,))), calculus, depth - 1, memo)
-                if second is None:
-                    continue
-                p1, p2 = premises_of("RE", principal, concl)
-                node = Proof(concl, "RE", principal, (_bridge(first, p1), _bridge(second, p2)))
+            children = []
+            for premise in premises_of(rule, (("L", 0), ("R", 0)), Sequent((fa,), (fb,))):
+                sub = _search(_canonical(premise), calculus, depth - 1, memo)
+                if sub is None:
+                    break
+                children.append(_bridge(sub, premise))
             else:
-                (p1,) = premises_of("RM", principal, concl)
-                node = Proof(concl, "RM", principal, (_bridge(first, p1),))
-            return _bridge(node, c)
+                return _bridge(conclude(rule, children), c)
     return None
 
 
@@ -623,7 +696,19 @@ def compute_families(p: Proof) -> FamilyAnalysis:
                 classes.append(sorted(postorder(f, kids=linked.__getitem__)))
                 for g in classes[-1]:
                     label[g] = f
-        shapes, position = _shapes(p, tuple(label))
+        # The shapes under class labels are the shapes above with their
+        # labels read through ``label``, those that become equal merged.  A
+        # postorder walk of the tree reaches a merged shape first where it
+        # first reaches any of its members, so the order is theirs.
+        at: list[int] = []  # each shape's position among the merged
+        position, merged = {}, []
+        for s in shapes:
+            key = s.proof, tuple(label[k] for k in s.labels)
+            if key not in position:
+                position[key] = len(merged)
+                merged.append(Shape(*key, tuple(at[c] for c in s.children)))
+            at.append(position[key])
+        shapes = merged
 
     families = []
     for f, (side, i, path) in enumerate(root):

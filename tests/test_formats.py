@@ -20,10 +20,10 @@ from jelogic.formats import (
     write_model,
     write_sequent_proof,
 )
-from jelogic.generate import axp, random_sequent_theorem, random_theorem, wl
+from jelogic.generate import random_sequent_theorem, random_theorem
 from jelogic.hilbert import ANStep, AxiomStep, Hyp, check_derivation, prove_id
 from jelogic.semantics import FiniteBasicEvaluation, QuasiModel, saturate
-from jelogic.sequent import check_sequent_proof
+from jelogic.sequent import check_sequent_proof, conclude
 from jelogic.syntax import (
     Atom,
     Box,
@@ -259,8 +259,9 @@ class TestSequentProofFormat:
 
     def test_proof_repr_is_the_dataclass_format(self):
         leaf = "Proof(sequent=Sequent(ante=(Atom(name='A'),), succ=(Atom(name='A'),)), rule='AxP', principal=(('L', 0), ('R', 0)), children=())"
-        assert repr(axp("A")) == leaf
-        assert repr(wl(axp("A"), Atom("B"), 1)) == (
+        axiom = conclude("AxP", (), formula=Atom("A"))
+        assert repr(axiom) == leaf
+        assert repr(conclude("WL", (axiom,), 1, Atom("B"))) == (
             "Proof(sequent=Sequent(ante=(Atom(name='A'), Atom(name='B')), succ=(Atom(name='A'),)), "
             f"rule='WL', principal=(('L', 1),), children=({leaf},))"
         )

@@ -11,25 +11,10 @@ import random
 import pytest
 
 from jelogic import realization
-from jelogic.generate import (
-    andl,
-    andr,
-    axp,
-    cr,
-    impr,
-    notl,
-    notr,
-    orl,
-    orr,
-    random_sequent_theorem,
-    re,
-    rm,
-    wl,
-    wr,
-)
+from jelogic.generate import random_sequent_theorem
 from jelogic.realization import realize, realize_simplified, verify_realization
-from jelogic.sequent import Proof, Sequent, premises_of, prove_bounded
-from jelogic.syntax import And, Atom, BOT, Box, Implies, Or, print_formula
+from jelogic.sequent import Proof, Sequent, conclude, prove_bounded
+from jelogic.syntax import And, Atom, Box, Implies, Or, print_formula
 
 from _helpers import CS_JE, CS_JEM, proof_of
 
@@ -38,60 +23,52 @@ X, Y, Z = Box(Atom("A")), Box(Atom("B")), Box(Atom("C"))
 
 def _box_id(calculus: str, atom: str) -> Proof:
     """``[]p => []p`` by the calculus's modal rule."""
-    p = axp(atom)
-    return re(p, p) if calculus == "GE" else rm(p)
-
-
-def _impl(p1: Proof, p2: Proof, k: int) -> Proof:
-    """ImpL from ``rest => succ, A`` and ``B, rest => succ``, with ``A -> B``
-    at position ``k`` of the conclusion's antecedent."""
-    a, bb = p1.sequent.succ[-1], p2.sequent.ante[0]
-    rest = p1.sequent.ante
-    s = Sequent(rest[:k] + (Implies(a, bb),) + rest[k:], p1.sequent.succ[:-1])
-    assert premises_of("ImpL", (("L", k),), s) == (p1.sequent, p2.sequent)
-    return Proof(s, "ImpL", (("L", k),), (p1, p2))
+    p = conclude("AxP", (), formula=Atom(atom))
+    return conclude("RE", (p, p)) if calculus == "GE" else conclude("RM", (p,))
 
 
 def _bot_left(rest) -> Proof:
     """``_|_, rest =>`` by AxBot and weakenings."""
-    p = Proof(Sequent((BOT,), ()), "AxBot", (("L", 0),), ())
+    p = conclude("AxBot", ())
     for k, f in enumerate(rest, 1):
-        p = wl(p, f, k)
+        p = conclude("WL", (p,), k, f)
     return p
 
 
-# name -> (rule under test, proof from the proofs of X => X and Y => Y);
-# Z = []C only ever enters by weakening, as a side formula.
+# name -> (rule under test, its premises from the proofs x of X => X and y of
+# Y => Y), the principal at position 0; Z = []C only ever enters by
+# weakening, as a side formula.
 CASES = {
-    "AndL-one": ("AndL", lambda x, y: andl(wl(x, Y, 1))),  # X & Y => X
-    "AndL-side": ("AndL", lambda x, y: andl(wr(wl(x, Y, 1), Z, 1))),  # X & Y => X, Z
-    "AndR-one": ("AndR", lambda x, y: andr(x, x, 0)),  # X => X & X
-    "AndR-side": ("AndR", lambda x, y: andr(wr(x, Z, 0), wr(x, Z, 0), 0)),  # X => X & X, Z
-    "ImpL-empty": ("ImpL", lambda x, y: _impl(x, _bot_left((X,)), 0)),  # X -> _|_, X =>
-    "ImpL-one": ("ImpL", lambda x, y: _impl(wr(x, Y, 0), wl(y, X, 1), 0)),  # X -> Y, X => Y
+    "AndL-one": ("AndL", lambda x, y: (conclude("WL", (x,), 1, Y),)),  # X & Y => X
+    "AndL-side": ("AndL", lambda x, y: (conclude("WR", (conclude("WL", (x,), 1, Y),), 1, Z),)),  # X & Y => X, Z
+    "AndR-one": ("AndR", lambda x, y: (x, x)),  # X => X & X
+    "AndR-side": ("AndR", lambda x, y: (conclude("WR", (x,), 0, Z), conclude("WR", (x,), 0, Z))),  # X => X & X, Z
+    "ImpL-empty": ("ImpL", lambda x, y: (x, _bot_left((X,)))),  # X -> _|_, X =>
+    "ImpL-one": ("ImpL", lambda x, y: (conclude("WR", (x,), 0, Y), conclude("WL", (y,), 1, X))),  # X -> Y, X => Y
     "ImpL-side": (
         "ImpL",
-        lambda x, y: _impl(wr(wr(x, Y, 0), Z, 1), wr(wl(y, X, 1), Z, 1), 0),
+        lambda x, y: (
+            conclude("WR", (conclude("WR", (x,), 0, Y),), 1, Z),
+            conclude("WR", (conclude("WL", (y,), 1, X),), 1, Z),
+        ),
     ),  # X -> Y, X => Y, Z
-    "ImpR-one": ("ImpR", lambda x, y: impr(x, 0)),  # => X -> X
-    "ImpR-side": ("ImpR", lambda x, y: impr(wr(x, Z, 0), 0)),  # => X -> X, Z
-    "NotL-empty": ("NotL", lambda x, y: notl(x, 0)),  # ~X, X =>
-    "NotL-one": ("NotL", lambda x, y: notl(wr(x, Z, 0), 0)),  # ~X, X => Z
-    "NotL-side": ("NotL", lambda x, y: notl(wr(wr(x, Z, 0), Y, 1), 0)),  # ~X, X => Z, Y
-    "NotR-one": ("NotR", lambda x, y: notr(notl(x, 0), 0)),  # X => ~~X
-    "NotR-side": ("NotR", lambda x, y: notr(notl(wr(x, Z, 0), 0), 0)),  # X => ~~X, Z
-    "OrL-one": ("OrL", lambda x, y: orl(x, x, 0)),  # X | X => X
-    "OrL-side": ("OrL", lambda x, y: orl(wr(x, Y, 1), wr(y, X, 0), 0)),  # X | Y => X, Y
-    "OrR-one": ("OrR", lambda x, y: orr(wr(x, Y, 1), 0)),  # X => X | Y
-    "OrR-side": ("OrR", lambda x, y: orr(wr(wr(x, Z, 0), Y, 2), 0)),  # X => X | Y, Z
+    "ImpR-one": ("ImpR", lambda x, y: (x,)),  # => X -> X
+    "ImpR-side": ("ImpR", lambda x, y: (conclude("WR", (x,), 0, Z),)),  # => X -> X, Z
+    "NotL-empty": ("NotL", lambda x, y: (x,)),  # ~X, X =>
+    "NotL-one": ("NotL", lambda x, y: (conclude("WR", (x,), 0, Z),)),  # ~X, X => Z
+    "NotL-side": ("NotL", lambda x, y: (conclude("WR", (conclude("WR", (x,), 0, Z),), 1, Y),)),  # ~X, X => Z, Y
+    "NotR-one": ("NotR", lambda x, y: (conclude("NotL", (x,)),)),  # X => ~~X
+    "NotR-side": ("NotR", lambda x, y: (conclude("NotL", (conclude("WR", (x,), 0, Z),)),)),  # X => ~~X, Z
+    "OrL-one": ("OrL", lambda x, y: (x, x)),  # X | X => X
+    "OrL-side": ("OrL", lambda x, y: (conclude("WR", (x,), 1, Y), conclude("WR", (y,), 0, X))),  # X | Y => X, Y
+    "OrR-one": ("OrR", lambda x, y: (conclude("WR", (x,), 1, Y),)),  # X => X | Y
+    "OrR-side": ("OrR", lambda x, y: (conclude("WR", (conclude("WR", (x,), 0, Z),), 2, Y),)),  # X => X | Y, Z
 }
 
 
 def _case(name: str, calculus: str) -> Proof:
-    rule, build = CASES[name]
-    p = build(_box_id(calculus, "A"), _box_id(calculus, "B"))
-    assert p.rule == rule
-    return p
+    rule, premises = CASES[name]
+    return conclude(rule, premises(_box_id(calculus, "A"), _box_id(calculus, "B")))
 
 
 @pytest.mark.parametrize("calculus", ["GE", "GM"])
@@ -273,7 +250,8 @@ def test_route_chain_under_impr_is_one_fold(monkeypatch, calculus):
     """``=> X -> X | Y, Z`` by ImpR over OrR over two WRs: the WRs and the
     OrR leave pending routes, and ImpR folds the chain once."""
     x = _box_id(calculus, "A")
-    p = impr(orr(wr(wr(x, Z, 0), Y, 2), 1), 0)
+    chain = conclude("WR", (conclude("WR", (x,), 0, Z),), 2, Y)
+    p = conclude("ImpR", (conclude("OrR", (chain,), 1),))
     assert [p.rule, p.children[0].rule] == ["ImpR", "OrR"]
     assert str(p.sequent) == "=> []A -> []A | []B, []C"
     folds = _count_folds(monkeypatch)
@@ -287,7 +265,8 @@ def test_materialized_chain_is_one_fold(monkeypatch, calculus):
     """A chain of WR, CR and OrR under the root is built once, as one fold
     from the modal leaf, and equals the chain routed at each step."""
     x = _box_id(calculus, "A")
-    p = orr(cr(wr(wr(wr(x, Y, 0), Y, 0), Z, 3), 0), 1)  # X => Y, X | Z
+    weakened = conclude("WR", (conclude("WR", (conclude("WR", (x,), 0, Y),), 0, Y),), 3, Z)  # X => Y, Y, X, Z
+    p = conclude("OrR", (conclude("CR", (weakened,)),), 1)  # X => Y, X | Z
     assert [p.rule, p.children[0].rule] == ["OrR", "CR"]
     folds = _count_folds(monkeypatch)
     cs = CS_JE if calculus == "GE" else CS_JEM
@@ -323,13 +302,14 @@ def test_pending_route_survives_a_later_resolution(mode):
     sum, built before either chain, holds both instances' witnesses; both
     chains are folded with it, and the result verifies."""
     a, c, d, e = (Atom(n) for n in "ACDE")
-    x1 = wl(rm(axp("A")), Box(And(a, a)), 1)  # []A, [](A & A) => []A
-    x2 = wl(rm(andl(wl(axp("A"), a, 1))), Box(a), 0)  # []A, [](A & A) => []A
+    axiom = conclude("AxP", (), formula=a)
+    x1 = conclude("WL", (conclude("RM", (axiom,)),), 1, Box(And(a, a)))  # []A, [](A & A) => []A
+    x2 = conclude("WL", (conclude("RM", (conclude("AndL", (conclude("WL", (axiom,), 1, a),)),)),), 0, Box(a))  # likewise
 
     def side(q, last):
-        return orr(wr(wr(q, last, 0), c, 2), 0)  # ... => []A | C, last
+        return conclude("OrR", (conclude("WR", (conclude("WR", (q,), 0, last),), 2, c),))  # ... => []A | C, last
 
-    p = andr(side(x1, d), side(x2, e), 1)
+    p = conclude("AndR", (side(x1, d), side(x2, e)), 1)
     assert str(p.sequent) == "[]A, [](A & A) => []A | C, D & E"
     r = realize(p, "GM", CS_JEM, mode=mode)
     verify_realization(r)

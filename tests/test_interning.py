@@ -13,6 +13,7 @@ import pytest
 from jelogic.axioms import FormulaMeta, JustMeta, ProofMeta, instantiate, match, scheme_by_id
 from jelogic.generate import random_theorem
 from jelogic.hilbert import AxiomStep, step_formulas
+from jelogic.semantics import FiniteBasicEvaluation, eval_basic
 from jelogic.syntax import (
     Atom,
     Bang,
@@ -144,6 +145,9 @@ def test_copies_of_a_node_deeper_than_the_recursion_limit():
     with pytest.raises(DialectError, match="justification variables belong to JEM only"):
         check_dialect(justs, Dialect.JE)
     assert term_depth(bangs) == n + 1
+    eps = FiniteBasicEvaluation(Dialect.JE, {"A": True})
+    assert eval_basic(eps, nots) is True
+    assert eval_basic(eps, _chain(Implies, Not(a), n, a)) is False  # A -> ... -> A -> ~A
     assert subterms(bangs)[::n] == [ProofVar(0), bangs]
 
 

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from jelogic import realization
 from jelogic.axioms import ConstantSpecification
-from jelogic.generate import _equivalence_pair, axp, random_formula, random_sequent_theorem, re, rm, wl
+from jelogic.generate import _equivalence_pair, random_formula, random_sequent_theorem
 from jelogic.hilbert import (
     Builder,
     NotAppropriate,
@@ -28,7 +28,7 @@ from jelogic.realization import (
     verify_realization,
 )
 from jelogic.semantics import find_modal_countermodel
-from jelogic.sequent import Proof, Sequent, compute_families, prove_bounded
+from jelogic.sequent import Proof, Sequent, compute_families, conclude, prove_bounded
 from jelogic.syntax import (
     Atom,
     Bang,
@@ -59,6 +59,7 @@ from jelogic.syntax import (
 from _helpers import CS_JE, CS_JEM, fragment_formulas, proof_of, realize_text
 
 A, B, C = Atom("A"), Atom("B"), Atom("C")
+AXIOM = conclude("AxP", (), formula=A)  # A => A
 
 
 def _sub_result(result, s: Substitution):
@@ -78,14 +79,14 @@ def _sub_result(result, s: Substitution):
 
 class TestRealize:
     def test_boxless_proof(self):
-        r = realize(axp("A"), "GE", CS_JE)
+        r = realize(AXIOM, "GE", CS_JE)
         assert r.antecedent == (A,) and r.succedent == (A,)
         assert r.realized == Implies(A, A)
         assert r.log == () and r.mode == "strict"
         verify_realization(r)
 
     def test_identity_on_one_box(self):
-        r = realize(re(axp("A"), axp("A")), "GE", CS_JE)
+        r = realize(conclude("RE", (AXIOM, AXIOM)), "GE", CS_JE)
         (ante,), (succ,) = r.antecedent, r.succedent
         assert forgetful(ante) == forgetful(succ) == parse_formula("[]A", Dialect.MODAL)
         assert isinstance(ante, JustOf) and isinstance(ante.term, Evidence)
@@ -98,16 +99,16 @@ class TestRealize:
 
     def test_specification_dialect_must_match_calculus(self):
         with pytest.raises(DialectError):
-            realize(axp("A"), "GE", CS_JEM)
+            realize(AXIOM, "GE", CS_JEM)
 
     def test_specification_must_be_appropriate(self):
         skimpy = ConstantSpecification(Dialect.JE, {"c0": frozenset({"jt"})})
         with pytest.raises(NotAppropriate):
-            realize(axp("A"), "GE", skimpy)
+            realize(AXIOM, "GE", skimpy)
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
-            realize(axp("A"), "GE", CS_JE, mode="fast")
+            realize(AXIOM, "GE", CS_JE, mode="fast")
 
     def test_log_counts_internalized_premises(self):
         r1 = realize_text("=> []A -> ([]B -> []A)", "GE")
@@ -132,7 +133,7 @@ class TestRealize:
 
 class TestVerify:
     def test_roundtrip_mismatch(self):
-        r = realize(axp("A"), "GE", CS_JE)
+        r = realize(AXIOM, "GE", CS_JE)
         tampered = dataclasses.replace(r, antecedent=(B,))
         with pytest.raises(RoundtripMismatch):
             verify_realization(tampered)
@@ -141,20 +142,20 @@ class TestVerify:
         """A succedent box realized by a variable the derivation never
         mentions forgets back to the source, but the derivation does not
         conclude it."""
-        r = realize(re(axp("A"), axp("A")), "GE", CS_JE)
+        r = realize(conclude("RE", (AXIOM, AXIOM)), "GE", CS_JE)
         ghost = JustOf(Evidence(ProofVar(10**6)), A)
         tampered = dataclasses.replace(r, succedent=(ghost,))
         with pytest.raises(DerivationFails):
             verify_realization(tampered)
 
     def test_derivation_wrong_conclusion(self):
-        r = realize(axp("A"), "GE", CS_JE)
+        r = realize(AXIOM, "GE", CS_JE)
         tampered = dataclasses.replace(r, derivation=prove_id(Dialect.JE, B))
         with pytest.raises(DerivationFails):
             verify_realization(tampered)
 
     def test_derivation_with_foreign_hypothesis(self):
-        r = realize(axp("A"), "GE", CS_JE)
+        r = realize(AXIOM, "GE", CS_JE)
         b = Builder(Dialect.JE)
         b.hyp(C)
         conclusion = b.embed(r.derivation)
@@ -344,10 +345,11 @@ def test_modal_rules_nested_twice_internalize_as_bang(seed, calculus):
     rng = random.Random(seed)
     if calculus == "GM":
         theorem = random_sequent_theorem(rng, "GM")
-        p = rm(rm(wl(theorem, random_formula(rng, Dialect.MODAL, 2), 0)))
+        weakened = conclude("WL", (theorem,), 0, random_formula(rng, Dialect.MODAL, 2))
+        p = conclude("RM", (conclude("RM", (weakened,)),))
     else:
         fwd, back = _equivalence_pair(rng.choice("ABC"))
-        p = re(re(fwd, back), re(back, fwd))
+        p = conclude("RE", (conclude("RE", (fwd, back)), conclude("RE", (back, fwd))))
     cs = CS_JE if calculus == "GE" else CS_JEM
     for mode in ("strict", "simplify"):
         r = realize(p, calculus, cs, mode)

@@ -164,6 +164,12 @@ class TestEvalBasic:
         with pytest.raises(DialectError):
             eval_basic(_je(), Box(A))
 
+    def test_box_raises_behind_a_decided_operand(self):
+        # ``_|_ -> []A`` is decided by its left operand, but every operand
+        # is evaluated.
+        with pytest.raises(DialectError):
+            eval_basic(_je(), Implies(BOT, Box(A)))
+
 
 class TestCheckBasicModel:
     def test_factivity_violation(self):

@@ -6,24 +6,16 @@ import weakref
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import jelogic.sequent
 from jelogic.formats import parse_sequent_proof, write_sequent_proof
-from jelogic.generate import (
-    axp,
-    axbot,
-    impr,
-    orr,
-    random_sequent_theorem,
-    re,
-    rm,
-    wl,
-    wr,
-)
+from jelogic.generate import random_sequent_theorem
 from jelogic.sequent import (
     Proof,
     Sequent,
     SequentProofError,
     check_sequent_proof,
     compute_families,
+    conclude,
     correspondences,
     parse_sequent_line,
     premises_of,
@@ -50,6 +42,7 @@ from jelogic.syntax import (
 from _helpers import fragment_formulas, sequent_boxes, tree_families
 
 A, B, C, D = Atom("A"), Atom("B"), Atom("C"), Atom("D")
+AXIOM = conclude("AxP", (), formula=A)  # A => A
 
 
 def _count(p: Proof, rule: str) -> int:
@@ -58,26 +51,24 @@ def _count(p: Proof, rule: str) -> int:
 
 def _weakening_proof() -> Proof:
     """A hand proof of => []A -> ([]B -> []A) with a single congruence step."""
-    leaf = axp("A")
-    ren = re(leaf, leaf)            # []A => []A
-    w = wl(ren, Box(B), 0)          # []B, []A => []A
-    return impr(impr(w, 0), 0)      # => []A -> ([]B -> []A)
+    ren = conclude("RE", (AXIOM, AXIOM))   # []A => []A
+    w = conclude("WL", (ren,), 0, Box(B))  # []B, []A => []A
+    return conclude("ImpR", (conclude("ImpR", (w,), 0),), 0)  # => []A -> ([]B -> []A)
 
 
 def _nested_boxes_proof() -> Proof:
     """A hand proof of [][]A => [][]A with one outer and two inner steps."""
-    leaf = axp("A")
-    inner = re(leaf, leaf)          # []A => []A
-    return re(inner, inner)         # [][]A => [][]A
+    inner = conclude("RE", (AXIOM, AXIOM))  # []A => []A
+    return conclude("RE", (inner, inner))   # [][]A => [][]A
 
 
 class TestCheck:
     def test_atomic_axiom(self):
-        assert check_sequent_proof(axp("A"), "GE") == Sequent((A,), (A,))
-        assert check_sequent_proof(axp("A"), "GM") == Sequent((A,), (A,))
+        assert check_sequent_proof(AXIOM, "GE") == Sequent((A,), (A,))
+        assert check_sequent_proof(AXIOM, "GM") == Sequent((A,), (A,))
 
     def test_falsum_axiom(self):
-        assert check_sequent_proof(axbot(), "GE") == Sequent((BOT,), ())
+        assert check_sequent_proof(conclude("AxBot", ()), "GE") == Sequent((BOT,), ())
 
     def test_atomic_axiom_requires_atom(self):
         bogus = Proof(Sequent((And(A, B),), (And(A, B),)), "AxP", (("L", 0), ("R", 0)), ())
@@ -86,14 +77,14 @@ class TestCheck:
         assert e.value.kind == "bad-rule"
 
     def test_congruence_rule_belongs_to_ge(self):
-        p = re(axp("A"), axp("A"))
+        p = conclude("RE", (AXIOM, AXIOM))
         assert check_sequent_proof(p, "GE") == Sequent((Box(A),), (Box(A),))
         with pytest.raises(SequentProofError) as e:
             check_sequent_proof(p, "GM")
         assert e.value.kind == "wrong-calculus"
 
     def test_monotonicity_rule_belongs_to_gm(self):
-        p = rm(axp("A"))
+        p = conclude("RM", (AXIOM,))
         assert check_sequent_proof(p, "GM") == Sequent((Box(A),), (Box(A),))
         with pytest.raises(SequentProofError) as e:
             check_sequent_proof(p, "GE")
@@ -101,10 +92,10 @@ class TestCheck:
 
     def test_unknown_calculus(self):
         with pytest.raises(SequentProofError):
-            check_sequent_proof(axp("A"), "S4")
+            check_sequent_proof(AXIOM, "S4")
 
     def test_premise_mismatch(self):
-        bogus = Proof(Sequent((B, A), (A,)), "WL", (("L", 0),), (axp("B"),))
+        bogus = Proof(Sequent((B, A), (A,)), "WL", (("L", 0),), (conclude("AxP", (), formula=B),))
         with pytest.raises(SequentProofError) as e:
             check_sequent_proof(bogus, "GE")
         assert e.value.kind == "premise-mismatch"
@@ -262,9 +253,9 @@ class TestSearch:
 
 
 def test_proof_size_counts_a_dag_as_its_tree():
-    leaf = axp("A")
-    inner = re(leaf, leaf)              # []A => []A, leaf shared
-    outer = re(inner, inner)            # [][]A => [][]A, inner shared
+    leaf = AXIOM
+    inner = conclude("RE", (leaf, leaf))    # []A => []A, leaf shared
+    outer = conclude("RE", (inner, inner))  # [][]A => [][]A, inner shared
     assert proof_size(leaf) == (1, 1)
     assert proof_size(inner) == (3, 2)
     assert proof_size(outer) == (7, 3)
@@ -293,21 +284,36 @@ class TestFamilies:
         assert sorted(len(c.instances) for c in fa.classes) == [1, 1]
 
     def test_propositional_proof_has_no_families(self):
-        fa = compute_families(axp("A"))
+        fa = compute_families(AXIOM)
         assert fa.families == () and fa.classes == () and fa.modal_rule is None
 
     def test_monotone_proof_polarities(self):
-        leaf = axp("A")                     # A => A
-        widened = orr(wr(leaf, B, 1), 0)    # A => A | B
-        fa = compute_families(rm(widened))  # []A => [](A | B)
+        widened = conclude("OrR", (conclude("WR", (AXIOM,), 1, B),), 0)  # A => A | B
+        fa = compute_families(conclude("RM", (widened,)))                # []A => [](A | B)
         assert fa.modal_rule == "RM"
         assert fa.classes == ()
         essentials = [f for f in fa.families if f.essential]
         assert len(essentials) == 1 and essentials[0].polarity == "positive"
         assert {f.polarity for f in fa.families} == {"positive", "negative"}
 
+    @pytest.mark.parametrize("text", [
+        "=> []A -> ([]B -> []A)",           # golden 1
+        f"{'[]' * 8}A => {'[]' * 8}A",      # the ladder at n = 8
+        "=> [](A -> A) -> [](B -> B)",      # golden 3
+    ])
+    def test_label_maps_once_per_distinct_subproof(self, monkeypatch, text):
+        """The class-labelled shapes of GE are read off the family-labelled
+        ones, so no node's label maps are computed twice."""
+        p = prove_bounded(parse_sequent_line(text), "GE", 10)
+        calls = []
+        label_maps = jelogic.sequent._label_maps
+        monkeypatch.setattr("jelogic.sequent._label_maps", lambda node: calls.append(node) or label_maps(node))
+        assert compute_families(p).classes
+        assert len(calls) == len(set(calls)) == proof_size(p)[1]
+
     def test_mixed_modal_rules_rejected(self):
-        mixed = re(rm(axp("A")), rm(axp("A")))
+        monotone = conclude("RM", (AXIOM,))
+        mixed = conclude("RE", (monotone, monotone))
         with pytest.raises(SequentProofError) as e:
             compute_families(mixed)
         assert e.value.kind == "wrong-calculus"
