@@ -5,7 +5,8 @@ Four formats, each versioned by its header line:
 * ``# jelogic derivation v1``   -- Hilbert derivations, one numbered step per
   line (``hyp``/``axiom``/``an``/``mp``) and a final ``conclusion`` line.
   Axiom instances carry the scheme id and the instance formula; the reader
-  rejects a formula that does not match its scheme.
+  rejects a formula that does not match its scheme.  ``mp`` and
+  ``conclusion`` name steps read before them by their first position.
 * ``# jelogic cs v1``           -- constant specifications, one constant and
   its scheme ids per line.
 * ``# jelogic sequent-proof v1`` -- proof trees, one node per line, children
@@ -103,23 +104,36 @@ def write_derivation(d: Derivation) -> str:
     # Steps share subformulas: each is printed once per file.
     written = (Hyp, AxiomStep, ANStep)
     texts = _printed([s.axiom if isinstance(s, ANStep) else s.formula for s in d.steps if isinstance(s, written)])
-    for i, step in enumerate(d.steps):
-        if isinstance(step, Hyp):
-            out.append(f"{i} hyp {next(texts)}")
-        elif isinstance(step, AxiomStep):
-            out.append(f"{i} axiom {step.scheme} {next(texts)}")
-        elif isinstance(step, ANStep):
-            out.append(f"{i} an {step.constant} {next(texts)}")
-        elif isinstance(step, MPStep):
-            out.append(f"{i} mp {step.major} {step.minor}")
-        else:
-            raise FormatError(f"unwritable step {step!r}")
-    out.append(f"conclusion {d.conclusion}")
+    numbers: dict = {}  # each step's first position
+    try:
+        for i, step in enumerate(d.steps):
+            if isinstance(step, Hyp):
+                out.append(f"{i} hyp {next(texts)}")
+            elif isinstance(step, AxiomStep):
+                out.append(f"{i} axiom {step.scheme} {next(texts)}")
+            elif isinstance(step, ANStep):
+                out.append(f"{i} an {step.constant} {next(texts)}")
+            elif isinstance(step, MPStep):
+                out.append(f"{i} mp {numbers[step.major]} {numbers[step.minor]}")
+            else:
+                raise FormatError(f"unwritable step {step!r}")
+            numbers.setdefault(step, i)
+        out.append(f"conclusion {numbers[d.conclusion]}")
+    except KeyError:
+        raise FormatError("unwritable derivation: a premise or the conclusion is not an earlier step") from None
     return "\n".join(out) + "\n"
 
 
 def parse_derivation(text: str) -> Derivation:
     return _read(text, _DERIVATION_HEADER, _read_derivation)
+
+
+def _earlier(steps: list, text: str, what: str):
+    """The step numbered ``text``, which must have been read already."""
+    n = _int(text, what)
+    if not 0 <= n < len(steps):
+        raise FormatError(f"{what} {n} names no step read so far")
+    return steps[n]
 
 
 def _read_derivation(lines) -> Derivation:
@@ -132,7 +146,7 @@ def _read_derivation(lines) -> Derivation:
         if parts[0] == "conclusion":
             if conclusion is not None:
                 raise FormatError("a second conclusion line")
-            conclusion = _int(parts[1] if len(parts) == 2 else "", "conclusion")
+            conclusion = _earlier(steps, parts[1] if len(parts) == 2 else "", "conclusion")
             continue
         if conclusion is not None:
             raise FormatError("steps after the conclusion line")
@@ -155,8 +169,8 @@ def _read_derivation(lines) -> Derivation:
                 constant, ftext = _fields(rest, 2)
                 steps.append(ANStep(constant, reader.formula(ftext)))
             elif kind == "mp":
-                major, minor = rest.split()
-                steps.append(MPStep(int(major), int(minor)))
+                major, minor = (_earlier(steps, n, "premise") for n in _fields(rest, 2))
+                steps.append(MPStep(major, minor))
             else:
                 raise FormatError(f"unknown step kind {kind!r}")
         except (ParseError, DialectError) as e:

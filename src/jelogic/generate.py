@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 
 from .axioms import CATALOGUE, metavariables
-from .hilbert import Builder, Derivation
+from .hilbert import Builder, Derivation, Step
 from .sequent import Proof, conclude
 from .syntax import (
     And,
@@ -135,7 +135,7 @@ def random_theorem(rng: random.Random, dialect: Dialect, steps: int = 6) -> Deri
     """A hypothesis-free derivation grown by random axiom instances and
     opportunistic applications of modus ponens."""
     b = Builder(dialect)
-    pool: list[int] = []  # step indices, one entry per draw, repeats kept
+    pool: list[Step] = []  # one entry per draw, repeats kept
     schemes = CATALOGUE[dialect]
 
     def add_axiom():
@@ -146,13 +146,13 @@ def random_theorem(rng: random.Random, dialect: Dialect, steps: int = 6) -> Deri
     for _ in range(steps):
         if pool and rng.random() < 0.55:
             majors = [
-                i for i in pool if isinstance(b.formulas[i], Implies)
-                and any(b.formulas[j] == b.formulas[i].left for j in pool)
+                m for m in pool if isinstance(m.formula, Implies)
+                and any(a.formula == m.formula.left for a in pool)
             ]
             if majors:
-                i = majors[rng.randrange(len(majors))]
-                j = next(j for j in pool if b.formulas[j] == b.formulas[i].left)
-                pool.append(b.mp(i, j))
+                major = majors[rng.randrange(len(majors))]
+                minor = next(a for a in pool if a.formula == major.formula.left)
+                pool.append(b.mp(major, minor))
                 continue
         add_axiom()
     return b.derivation(pool[-1])

@@ -1,20 +1,22 @@
 """Hilbert-style derivations for JE/JEM: checking and the core transforms.
 
-A derivation is a sequence of steps, each one of
+A derivation is built from steps, each one of
 
-* ``Hyp(F)``             -- assume F;
-* ``AxiomStep(F, id)``    -- F is an instance of scheme ``id``;
-* ``ANStep(c, A)``        -- axiom necessitation: conclude ``c:A`` provided the
-  constant specification assigns ``c`` a scheme that ``A`` instantiates;
-* ``MPStep(i, j)``        -- modus ponens from steps i (major) and j (minor).
+* ``Hyp(F)``               -- assume F;
+* ``AxiomStep(F, id)``      -- F is an instance of scheme ``id``;
+* ``ANStep(c, A)``          -- axiom necessitation: conclude ``c:A`` provided
+  the constant specification assigns ``c`` a scheme that ``A`` instantiates;
+* ``MPStep(major, minor)``  -- modus ponens from the step ``major``, which
+  proves ``A -> B``, and the step ``minor``, which proves ``A``.
 
-Steps may be shared (the sequence is really a DAG through MP back references).
-A ``Builder`` derives each formula once: any request for a formula it already
-proves returns the earlier step, whatever kind of step that is.  This keeps
-the transforms from blowing up on repeated subgoals and cuts every detour that
-re-derives a known formula.  A ``hyp(F)`` request may therefore be answered by
-an earlier derived step, so a judgment can list fewer hypotheses than were
-offered.
+Steps are hash-consed like terms and formulas: equal steps are one object,
+and an ``MPStep`` holds its premise steps, so the steps under a conclusion
+form a DAG.  Every step carries the formula it proves as ``formula``: ``c:A``
+for ``ANStep(c, A)`` and ``B`` for a modus ponens whose major proves
+``A -> B``.  A ``Derivation`` is a dialect, its steps in the order they were
+built and its conclusion step; step numbers belong to the file format
+(``formats``).  A ``Builder`` derives each formula once, which keeps the
+transforms from blowing up on repeated subgoals.
 
 ``check_derivation`` validates every step.  It runs where a derivation enters
 from outside (each file the command line reads) and at the gates
@@ -38,6 +40,7 @@ The three transforms implement the standard metatheory constructively:
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Mapping
 
 from .axioms import (
@@ -61,6 +64,8 @@ from .syntax import (
     ProofTerm,
     Substitution,
     _FrozenRecord,
+    _HashConsed,
+    _Interned,
     _Substituter,
     _set,
     check_dialect,
@@ -85,38 +90,49 @@ class NotAppropriate(Exception):
         self.missing = missing
 
 
-class Hyp(_FrozenRecord):
+class Hyp(_HashConsed):
     formula: Formula
 
-    def __init__(self, formula):
-        _set(self, "formula", formula)
 
-
-class AxiomStep(_FrozenRecord):
+class AxiomStep(_HashConsed):
     formula: Formula
     scheme: str
 
-    def __init__(self, formula, scheme):
-        _set(self, "formula", formula)
-        _set(self, "scheme", scheme)
+
+class _Concluded(_Interned):
+    """Metaclass of the steps whose formula is not a field: a node gets it
+    from ``_conclude`` when it is first built."""
+
+    def __call__(cls, *values, **named):
+        node = super().__call__(*values, **named)
+        if not hasattr(node, "formula"):
+            _set(node, "formula", cls._conclude(node))
+        return node
 
 
-class ANStep(_FrozenRecord):
+class _Concluding(_HashConsed, metaclass=_Concluded):
+    __slots__ = ("formula",)
+
+
+class ANStep(_Concluding):
     constant: str
     axiom: Formula
 
-    def __init__(self, constant, axiom):
-        _set(self, "constant", constant)
-        _set(self, "axiom", axiom)
+    def _conclude(self):
+        return ProofOf(ProofConst(self.constant), self.axiom)
 
 
-class MPStep(_FrozenRecord):
-    major: int
-    minor: int
+class MPStep(_Concluding):
+    """Modus ponens; its formula is None when the major proves no
+    implication, which ``check_derivation`` rejects."""
 
-    def __init__(self, major, minor):
-        _set(self, "major", major)
-        _set(self, "minor", minor)
+    major: Step
+    minor: Step
+    _children = attrgetter("major", "minor")  # the premises, for ``postorder``
+
+    def _conclude(self):
+        f = self.major.formula
+        return f.right if isinstance(f, Implies) else None
 
 
 Step = Hyp | AxiomStep | ANStep | MPStep
@@ -125,7 +141,7 @@ Step = Hyp | AxiomStep | ANStep | MPStep
 class Derivation(_FrozenRecord):
     dialect: Dialect
     steps: tuple[Step, ...]
-    conclusion: int
+    conclusion: Step
 
     def __init__(self, dialect, steps, conclusion):
         _set(self, "dialect", dialect)
@@ -145,68 +161,66 @@ class Judgment(_FrozenRecord):
         _set(self, "conclusion", conclusion)
 
 
-def step_formulas(d: Derivation) -> list[Formula]:
-    """The formula proved at each step; raises on malformed MP references."""
-    out: list[Formula] = []
-    for i, step in enumerate(d.steps):
-        match step:
-            case Hyp(f):
-                out.append(f)
-            case AxiomStep(f, _):
-                out.append(f)
-            case ANStep(c, a):
-                out.append(ProofOf(ProofConst(c), a))
-            case MPStep(major, minor):
-                if major >= i or minor >= i or major < 0 or minor < 0:
-                    raise DerivationError("index-order", i)
-                maj = out[major]
-                if not isinstance(maj, Implies) or maj.left != out[minor]:
-                    raise DerivationError(
-                        "bad-mp", i, f"{print_formula(maj)} does not apply to {print_formula(out[minor])}"
-                    )
-                out.append(maj.right)
-            case _:
-                raise DerivationError("bad-step", i, repr(step))
-    return out
-
-
 def read_judgment(d: Derivation) -> Judgment:
     """The judgment a derivation's steps state: its hypothesis steps and the
-    formula its conclusion step proves.  Checks the modus ponens links but
-    neither axiom nor necessitation steps; ``check_derivation`` does."""
-    return _judgment(d, step_formulas(d))
-
-
-def _judgment(d: Derivation, formulas: list[Formula]) -> Judgment:
-    """``read_judgment`` from the derivation's ``step_formulas``."""
-    if not 0 <= d.conclusion < len(formulas):
-        raise DerivationError("index-order", d.conclusion, "conclusion out of range")
-    return Judgment(frozenset(s.formula for s in d.steps if isinstance(s, Hyp)), formulas[d.conclusion])
+    formula its conclusion step proves.  Checks nothing;
+    ``check_derivation`` does."""
+    return Judgment(frozenset(s.formula for s in d.steps if isinstance(s, Hyp)), d.conclusion.formula)
 
 
 def check_derivation(d: Derivation, cs: ConstantSpecification) -> Judgment:
     """Validate every step and return the judgment the derivation establishes."""
-    judgment = read_judgment(d)
-    # The nodes validated so far: steps share subformulas, so each distinct
-    # node is checked against the dialect once per derivation.
-    seen: set = set()
+    return _check(d, cs, {})
+
+
+def _check(d: Derivation, cs: ConstantSpecification, memo: dict) -> Judgment:
+    """``check_derivation``, where ``memo`` maps a dialect to the steps that
+    passed under it and ``cs`` and the formula nodes ``check_dialect``
+    accepted, so that each distinct node is checked once across calls.  The
+    order is the derivation's own: every premise is an earlier step of it."""
+    checked, seen = memo.setdefault(d.dialect, (set(), set()))
+    earlier: set = set()
     for i, step in enumerate(d.steps):
-        match step:
-            case Hyp(f):
-                check_dialect(f, d.dialect, Formula, seen)
-            case AxiomStep(f, scheme_id):
-                try:
-                    pattern = scheme_by_id(scheme_id, d.dialect).pattern
-                except KeyError:
-                    raise DerivationError("bad-axiom", i, f"unknown scheme {scheme_id}")
-                if match(pattern, f) is None:
-                    raise DerivationError("bad-axiom", i, f"not an instance of {scheme_id}")
-                check_dialect(f, d.dialect, Formula, seen)
-            case ANStep(c, a):
-                if not cs_contains(cs, c, a):
-                    raise DerivationError("bad-an", i, f"({c}, {print_formula(a)}) not in the specification")
-                check_dialect(a, d.dialect, Formula, seen)
-    return judgment
+        if isinstance(step, MPStep) and not (step.major in earlier and step.minor in earlier):
+            raise DerivationError("index-order", i, "a premise is not an earlier step")
+        if step not in checked:
+            _check_step(step, i, d.dialect, cs, seen)
+            checked.add(step)
+        earlier.add(step)
+    if d.conclusion not in earlier:
+        raise DerivationError("index-order", detail="the conclusion is not a step")
+    return read_judgment(d)
+
+
+def _check_step(step: Step, i: int, dialect: Dialect, cs: ConstantSpecification, seen: set) -> None:
+    """Check step ``i`` on its own; its premises passed."""
+    match step:
+        case MPStep():
+            _check_link(step, i)
+        case Hyp(f):
+            check_dialect(f, dialect, Formula, seen)
+        case AxiomStep(f, scheme_id):
+            try:
+                pattern = scheme_by_id(scheme_id, dialect).pattern
+            except KeyError:
+                raise DerivationError("bad-axiom", i, f"unknown scheme {scheme_id}")
+            if match(pattern, f) is None:
+                raise DerivationError("bad-axiom", i, f"not an instance of {scheme_id}")
+            check_dialect(f, dialect, Formula, seen)
+        case ANStep(c, a):
+            if not cs_contains(cs, c, a):
+                raise DerivationError("bad-an", i, f"({c}, {print_formula(a)}) not in the specification")
+            check_dialect(a, dialect, Formula, seen)
+        case _:
+            raise DerivationError("bad-step", i, repr(step))
+
+
+def _check_link(step: MPStep, i: int) -> None:
+    """Raise ``bad-mp`` unless the major proves an implication from the
+    minor's formula."""
+    f, a = step.major.formula, step.minor.formula
+    if not isinstance(f, Implies) or f.left != a:
+        raise DerivationError("bad-mp", i, f"{print_formula(f)} does not apply to {print_formula(a)}")
 
 
 # ---------------------------------------------------------------------------
@@ -218,68 +232,60 @@ class Builder:
 
     Steps are indexed by the formula they prove, whatever their kind: a
     request for a formula some earlier step already proves returns that
-    step's index, so glue that re-derives a known formula adds nothing and
-    ``prune`` drops whatever it built towards it.  In particular ``hyp(F)``
-    may return an earlier non-hypothesis step proving F, and a judgment can
-    then list fewer hypotheses than were offered, which is still sound."""
+    step, so glue that re-derives a known formula adds nothing and ``prune``
+    drops whatever it built towards it.  In particular ``hyp(F)`` may return
+    an earlier non-hypothesis step proving F, and a judgment can then list
+    fewer hypotheses than were offered, which is still sound.  The methods
+    return steps, which ``mp`` takes as premises."""
 
     def __init__(self, dialect: Dialect):
         self.dialect = dialect
         self.steps: list[Step] = []
-        self.formulas: list[Formula] = []
-        self._index: dict[Formula, int] = {}
+        self._index: dict[Formula, Step] = {}
 
-    def _add(self, step: Step, formula: Formula) -> int:
-        idx = self._index.get(formula)
-        if idx is not None:
-            return idx
-        self.steps.append(step)
-        self.formulas.append(formula)
-        idx = len(self.steps) - 1
-        self._index[formula] = idx
-        return idx
+    def _add(self, step: Step) -> Step:
+        known = self._index.get(step.formula)
+        if known is None:
+            known = self._index[step.formula] = step
+            self.steps.append(step)
+        return known
 
-    def hyp(self, f: Formula) -> int:
-        return self._add(Hyp(f), f)
+    def hyp(self, f: Formula) -> Step:
+        return self._add(Hyp(f))
 
-    def axiom(self, scheme_id: str, binding: Mapping[str, object]) -> int:
-        f = instantiate(scheme_by_id(scheme_id, self.dialect).pattern, binding)
-        return self._add(AxiomStep(f, scheme_id), f)
+    def axiom(self, scheme_id: str, binding: Mapping[str, object]) -> Step:
+        return self._add(AxiomStep(instantiate(scheme_by_id(scheme_id, self.dialect).pattern, binding), scheme_id))
 
-    def an(self, constant: str, axiom_formula: Formula) -> int:
-        f = ProofOf(ProofConst(constant), axiom_formula)
-        return self._add(ANStep(constant, axiom_formula), f)
+    def an(self, constant: str, axiom_formula: Formula) -> Step:
+        return self._add(ANStep(constant, axiom_formula))
 
-    def mp(self, major: int, minor: int) -> int:
-        maj = self.formulas[major]
-        if not isinstance(maj, Implies) or maj.left != self.formulas[minor]:
+    def mp(self, major: Step, minor: Step) -> Step:
+        maj = major.formula
+        if not isinstance(maj, Implies) or maj.left != minor.formula:
             raise ValueError(
-                f"mp mismatch: {print_formula(maj)} against {print_formula(self.formulas[minor])}"
+                f"mp mismatch: {print_formula(maj)} against {print_formula(minor.formula)}"
             )
-        return self._add(MPStep(major, minor), maj.right)
+        return self._add(MPStep(major, minor))
 
-    def _replay(self, step: Step, remap: Mapping[int, int]) -> int:
-        """Add one step of another derivation, whose earlier steps ``remap``
-        sends to indices here.  An axiom step is copied as it is."""
-        match step:
-            case Hyp(f):
-                return self.hyp(f)
-            case AxiomStep(f, _):
-                return self._add(step, f)
-            case ANStep(c, a):
-                return self.an(c, a)
-            case MPStep(major, minor):
-                return self.mp(remap[major], remap[minor])
-        raise TypeError(f"not a step: {step!r}")
+    def _take(self, step: Step) -> Step:
+        """The step here for ``step``'s formula: an earlier one, or ``step``
+        itself with its premises replaced by the steps here for their
+        formulas, which must have been taken already."""
+        known = self._index.get(step.formula)
+        if known is not None:
+            return known
+        if isinstance(step, MPStep):
+            step = MPStep(self._index[step.major.formula], self._index[step.minor.formula])
+        return self._add(step)
 
-    def embed(self, d: Derivation) -> int:
-        """Replay a whole derivation; returns the index of its conclusion."""
-        remap: dict[int, int] = {}
-        for i, step in enumerate(d.steps):
-            remap[i] = self._replay(step, remap)
-        return remap[d.conclusion]
+    def embed(self, d: Derivation) -> Step:
+        """Take every step of a derivation in order; returns the step here
+        for its conclusion's formula."""
+        for step in d.steps:
+            self._take(step)
+        return self._index[d.conclusion.formula]
 
-    def derivation(self, conclusion: int) -> Derivation:
+    def derivation(self, conclusion: Step) -> Derivation:
         return Derivation(self.dialect, tuple(self.steps), conclusion)
 
 
@@ -287,20 +293,8 @@ def prune(d: Derivation) -> Derivation:
     """Drop steps the conclusion never uses (hypothesis steps are kept: they
     are part of the judgment even when unused).  On a builder's output this
     removes the detours that ended at a formula the builder already had."""
-
-    def premises(i: int) -> tuple[int, ...]:
-        step = d.steps[i]
-        return (step.major, step.minor) if isinstance(step, MPStep) else ()
-
-    keep = set(postorder(d.conclusion, kids=premises))
-    keep.update(i for i, s in enumerate(d.steps) if isinstance(s, Hyp))
-    order = sorted(keep)
-    remap = {old: new for new, old in enumerate(order)}
-    steps = tuple(
-        MPStep(remap[s.major], remap[s.minor]) if isinstance(s, MPStep) else s
-        for s in (d.steps[i] for i in order)
-    )
-    return Derivation(d.dialect, steps, remap[d.conclusion])
+    used = set(postorder(d.conclusion))
+    return Derivation(d.dialect, tuple(s for s in d.steps if s in used or isinstance(s, Hyp)), d.conclusion)
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +306,7 @@ def derive_axiom(dialect: Dialect, scheme_id: str, binding: Mapping[str, object]
     return b.derivation(b.axiom(scheme_id, binding))
 
 
-def _emit_imp_id(b: Builder, a: Formula) -> int:
+def _emit_imp_id(b: Builder, a: Formula) -> Step:
     """Emit the classic five-step proof of ``A -> A``, or for ``_|_ -> _|_``
     the one ``pl_efq`` instance."""
     if isinstance(a, Bottom):
@@ -339,40 +333,34 @@ def deduction_transform(d: Derivation, discharge: Formula, normalize: bool = Fal
     as a hypothesis).  Set ``normalize`` to prune unused detour steps.
 
     Only steps that depend on the discharged hypothesis are rewritten; the
-    rest are copied verbatim and lifted with a single K step where a rewritten
-    consumer needs them.  Realization nests this transform once per sequent
-    rule, so the output must stay proportional to the dependent part."""
+    rest are taken as they are and lifted with a single K step where a
+    rewritten consumer needs them.  Realization nests this transform once
+    per sequent rule, so the output must stay proportional to the dependent
+    part."""
     d = prune(d)
-    formulas = step_formulas(d)
-    depends = [False] * len(d.steps)
-    for i, step in enumerate(d.steps):
-        match step:
-            case Hyp(h) if h == discharge:
-                depends[i] = True
-            case MPStep(major, minor):
-                depends[i] = depends[major] or depends[minor]
+    hyp = Hyp(discharge)
+    depends: set[Step] = set()
+    for step in d.steps:
+        if step is hyp or isinstance(step, MPStep) and (step.major in depends or step.minor in depends):
+            depends.add(step)
     b = Builder(d.dialect)
-    plain: dict[int, int] = {}  # original step, copied as-is
-    lifted: dict[int, int] = {}  # step proving  discharge -> formula
+    lifted: dict[Step, Step] = {}  # a dependent step -> the step proving  discharge -> its formula
 
-    def lift_of(i: int) -> int:
-        h = lifted.get(i)
-        if h is None:  # a copied step used once on the dependent path
-            k = b.axiom("pl_k", {"F": formulas[i], "G": discharge})
-            h = lifted[i] = b.mp(k, plain[i])
+    def lift_of(step: Step) -> Step:
+        h = lifted.get(step)
+        if h is None:  # a step taken as it is, used once on the dependent path
+            k = b.axiom("pl_k", {"F": step.formula, "G": discharge})
+            h = lifted[step] = b.mp(k, b._index[step.formula])
         return h
 
-    for i, step in enumerate(d.steps):
-        if not depends[i]:
-            plain[i] = b._replay(step, plain)
-            continue
-        match step:
-            case Hyp():
-                lifted[i] = _emit_imp_id(b, discharge)
-            case MPStep(major, minor):
-                s_idx = b.axiom("pl_s", {"F": discharge, "G": formulas[minor], "H": formulas[i]})
-                t = b.mp(s_idx, lift_of(major))
-                lifted[i] = b.mp(t, lift_of(minor))
+    for step in d.steps:
+        if step not in depends:
+            b._take(step)
+        elif step is hyp:
+            lifted[step] = _emit_imp_id(b, discharge)
+        else:
+            s = b.axiom("pl_s", {"F": discharge, "G": step.minor.formula, "H": step.formula})
+            lifted[step] = b.mp(b.mp(s, lift_of(step.major)), lift_of(step.minor))
     out = b.derivation(lift_of(d.conclusion))
     return prune(out) if normalize else out
 
@@ -392,14 +380,15 @@ def internalize(d: Derivation, cs: ConstantSpecification) -> tuple[ProofTerm, De
     * a step that proves a proof assertion ``t:F`` -- a necessitation step
       ``c:A`` or a modus ponens conclusion -- becomes ``!t`` through one
       ``j4`` instance ``t:F -> !t:(t:F)`` applied to the step itself, so
-      only the plain steps it needs are replayed and none of them is lifted;
+      only the plain steps it needs are taken over and none of them is
+      lifted;
     * any other modus ponens becomes ``l * k`` from the terms ``l`` and
       ``k`` of its major and minor, through one ``j`` instance.
 
-    Which steps are lifted and which replayed is decided from the conclusion
-    down, so no unused lift is emitted.  A term ``!t`` takes ``t`` from a
-    formula of the input, so unlike constants and applications it can
-    contain proof variables.  Requires an axiomatically appropriate
+    Which steps are lifted and which taken over is decided from the
+    conclusion down, so no unused lift is emitted.  A term ``!t`` takes
+    ``t`` from a formula of the input, so unlike constants and applications
+    it can contain proof variables.  Requires an axiomatically appropriate
     specification.
 
     The input is not checked again: the output checks if the steps the
@@ -409,45 +398,45 @@ def internalize(d: Derivation, cs: ConstantSpecification) -> tuple[ProofTerm, De
     missing = check_axiomatically_appropriate(cs)
     if missing:
         raise NotAppropriate(missing)
-    formulas = step_formulas(d)
-    judgment = _judgment(d, formulas)
-    if judgment.hypotheses:
-        raise DerivationError("has-hypotheses", detail=str(sorted(map(print_formula, judgment.hypotheses))))
-    lifted = [False] * len(d.steps)  # needs a derivation of term:formula
-    replayed = [False] * len(d.steps)  # needs the step itself
-    lifted[d.conclusion] = True
-    for i in reversed(range(len(d.steps))):
-        step = d.steps[i]
-        bang = lifted[i] and isinstance(formulas[i], ProofOf)
-        replayed[i] = replayed[i] or bang
+    hypotheses = read_judgment(d).hypotheses
+    if hypotheses:
+        raise DerivationError("has-hypotheses", detail=str(sorted(map(print_formula, hypotheses))))
+    lifted = {d.conclusion}  # need a derivation of term:formula
+    taken: set[Step] = set()  # need the step itself
+    for step in reversed(d.steps):
+        bang = step in lifted and isinstance(step.formula, ProofOf)
+        if bang:
+            taken.add(step)
         if isinstance(step, MPStep):
             for k in (step.major, step.minor):
-                replayed[k] = replayed[k] or replayed[i]
-                lifted[k] = lifted[k] or (lifted[i] and not bang)
+                if step in taken:
+                    taken.add(k)
+                if step in lifted and not bang:
+                    lifted.add(k)
     b = Builder(d.dialect)
-    plain: dict[int, int] = {}
-    res: dict[int, tuple[ProofTerm, int]] = {}
+    res: dict[Step, tuple[ProofTerm, Step]] = {}
     for i, step in enumerate(d.steps):
-        if replayed[i]:
-            plain[i] = b._replay(step, plain)
-        if not lifted[i]:
+        if step in taken:
+            b._take(step)
+        if step not in lifted:
             continue
-        f = formulas[i]
+        f = step.formula
         if isinstance(f, ProofOf):
             j4 = b.axiom("j4", {"L": f.term, "F": f.body})
-            res[i] = (Bang(f.term), b.mp(j4, plain[i]))
+            res[step] = (Bang(f.term), b.mp(j4, b._index[f]))
         elif isinstance(step, AxiomStep):
             const = next(iter(cs.constants_for(step.scheme)), None)
             if const is None:
                 raise DerivationError("bad-axiom", i, f"no constant covers scheme {step.scheme}")
-            res[i] = (ProofConst(const), b.an(const, f))
+            res[step] = (ProofConst(const), b.an(const, f))
         else:
+            _check_link(step, i)
             lj, pj = res[step.major]
             lk, pk = res[step.minor]
-            inst = b.axiom("j", {"L": lj, "K": lk, "F": formulas[step.minor], "G": f})
-            res[i] = (Apply(lj, lk), b.mp(b.mp(inst, pj), pk))
-    term, idx = res[d.conclusion]
-    return term, b.derivation(idx)
+            inst = b.axiom("j", {"L": lj, "K": lk, "F": step.minor.formula, "G": f})
+            res[step] = (Apply(lj, lk), b.mp(b.mp(inst, pj), pk))
+    term, conclusion = res[d.conclusion]
+    return term, b.derivation(conclusion)
 
 
 # ---------------------------------------------------------------------------
@@ -461,26 +450,19 @@ def substitute_derivation(d: Derivation, s: Substitution) -> Derivation:
     nothing changes is kept as it is, and so is a derivation none of whose
     steps changes."""
     sub = _Substituter(s)
-    steps: list[Step] = []
-    changed = False
+    new: dict[Step, Step] = {}
     for old in d.steps:
-        step = old
-        match step:
+        match old:
             case Hyp(f):
-                nf = sub(f)
-                if nf is not f:
-                    step = Hyp(nf)
+                new[old] = Hyp(sub(f))
             case AxiomStep(f, scheme_id):
-                nf = sub(f)
-                if nf is not f:
-                    step = AxiomStep(nf, scheme_id)
+                new[old] = AxiomStep(sub(f), scheme_id)
             case ANStep(c, a):
-                na = sub(a)
-                if na is not a:
-                    step = ANStep(c, na)
-        steps.append(step)
-        changed = changed or step is not old
-    return Derivation(d.dialect, tuple(steps), d.conclusion) if changed else d
+                new[old] = ANStep(c, sub(a))
+            case MPStep(major, minor):
+                new[old] = MPStep(new[major], new[minor])
+    steps = tuple(new[old] for old in d.steps)
+    return d if steps == d.steps else Derivation(d.dialect, steps, new[d.conclusion])
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +472,7 @@ def substitute_derivation(d: Derivation, s: Substitution) -> Derivation:
 def compose(d1: Derivation, d2: Derivation) -> Derivation:
     """From ``|- A -> B`` and ``|- B -> C`` build ``|- A -> C`` (hypotheses of
     either input are carried along)."""
-    f1 = step_formulas(d1)[d1.conclusion]
+    f1 = d1.conclusion.formula
     if not isinstance(f1, Implies):
         raise ValueError("compose expects implications")
     b = Builder(d1.dialect)

@@ -47,8 +47,9 @@ The engine trusts its builder: at each shape it compares only the conclusion
 and hypotheses read off the derivation's steps with the shape's realized
 sequent, and ``internalize`` lifts a premise derivation without checking it
 again, so ``realize`` checks no derivation.  ``verify_realization`` is the
-full check, of the root's derivation and of every logged one; every caller
-in the package runs it: the CLI, ``realize_simplified`` and the benchmark.
+full check, of the root's derivation and of every logged one, each distinct
+step once; every caller in the package runs it: the CLI,
+``realize_simplified`` and the benchmark.
 """
 
 from __future__ import annotations
@@ -62,7 +63,6 @@ from .hilbert import (
     Derivation,
     DerivationError,
     NotAppropriate,
-    check_derivation,
     compose,
     by_contradiction,
     deduction_transform,
@@ -71,8 +71,8 @@ from .hilbert import (
     internalize,
     prove_id,
     prune,
+    _check,
     read_judgment,
-    step_formulas,
 )
 from .sequent import (
     FamilyAnalysis,
@@ -200,8 +200,7 @@ def _then(first: Derivation, then: Derivation) -> Derivation:
     """From ``|- F -> G`` and ``|- G -> H``, ``|- F -> H`` by pl_k and pl_s
     (hypotheses of either input are carried along).  Five steps over the
     inputs, where ``compose`` deduction-transforms a modus ponens chain."""
-    fg = step_formulas(first)[first.conclusion]
-    gh = step_formulas(then)[then.conclusion]
+    fg, gh = first.conclusion.formula, then.conclusion.formula
     b = Builder(first.dialect)
     i1, i2 = b.embed(first), b.embed(then)
     lifted = b.mp(b.axiom("pl_k", {"F": gh, "G": fg.left}), i2)
@@ -267,7 +266,7 @@ def _sum_chain(u: Term, target: Term, node) -> tuple | None:
 def _lift_sum(d: Derivation, chain, wrap, plus_scheme: str, keys) -> Derivation:
     """Weaken ``|- w:F`` to ``|- u:F``, where ``chain`` leads from ``u``
     down to ``w``."""
-    f = step_formulas(d)[d.conclusion].body
+    f = d.conclusion.formula.body
     b = Builder(d.dialect)
     i = b.embed(d)
     for parent, side in reversed(chain):
@@ -764,8 +763,9 @@ def verify_realization(
         or tuple(forgetful(f) for f in result.succedent) != root.succ
     ):
         raise RoundtripMismatch("realized sequent does not forget back to the source sequent")
+    memo: dict = {}  # shared by the root and the log, which share cs
     try:
-        j = check_derivation(result.derivation, cs)
+        j = _check(result.derivation, cs, memo)
     except DerivationError as e:
         raise DerivationFails(str(e)) from e
     if j.conclusion != _disj(result.succedent):
@@ -781,7 +781,7 @@ def verify_realization(
         )
     for entry in result.log:
         try:
-            je = check_derivation(entry.derivation, cs)
+            je = _check(entry.derivation, cs, memo)
         except DerivationError as e:
             raise DerivationFails(f"logged internalization: {e}") from e
         if je.hypotheses or je.conclusion != ProofOf(entry.term, entry.formula):

@@ -257,9 +257,9 @@ class _Interned(_Slotted):
 
 class _HashConsed(metaclass=_Interned):
     """Base of the hash-consed classes: the term and formula nodes, the
-    metavariables of axiom patterns and sequent proofs.  Instances are
-    immutable, equal fields give the identical object, and ``==`` and
-    ``hash`` are by identity."""
+    metavariables of axiom patterns, sequent proofs and Hilbert steps.
+    Instances are immutable, equal fields give the identical object, and
+    ``==`` and ``hash`` are by identity."""
 
     __slots__ = ("__weakref__",)
     __setattr__ = _frozen_setattr

@@ -14,6 +14,7 @@ from jelogic import (
     prove_bounded,
     realize,
 )
+from jelogic.hilbert import Derivation, MPStep
 from jelogic.sequent import correspondences
 from jelogic.syntax import (
     Apply,
@@ -71,6 +72,16 @@ def proof_of(text: str, calculus: str, depth: int = 10):
 def realize_text(text: str, calculus: str, depth: int = 10):
     cs = CS_JE if calculus == "GE" else CS_JEM
     return realize(proof_of(text, calculus, depth), calculus, cs)
+
+
+def replaced_step(d: Derivation, i: int, step) -> Derivation:
+    """``d`` with step ``i`` replaced by ``step``, and every modus ponens
+    above it rebuilt over the replacement."""
+    new = {d.steps[i]: step}
+    for s in d.steps[i + 1:]:
+        if isinstance(s, MPStep):
+            new[s] = MPStep(new.get(s.major, s.major), new.get(s.minor, s.minor))
+    return Derivation(d.dialect, tuple(new.get(s, s) for s in d.steps), new.get(d.conclusion, d.conclusion))
 
 
 def deep_proof_text(levels: int = 1500) -> str:

@@ -15,7 +15,7 @@ import pytest
 import jelogic
 from jelogic import Dialect, Sequent, compute_families, cs_total
 from jelogic.axioms import ConstantSpecification, UnknownScheme
-from jelogic.hilbert import MPStep
+from jelogic.hilbert import Hyp, MPStep
 from jelogic.semantics import FiniteBasicEvaluation, FuzzReport, QuasiModel
 from jelogic.syntax import Atom, Bottom, Implies, Substitution
 
@@ -54,7 +54,7 @@ def test_no_class_carries_generated_code():
 
 def test_frozen_records_are_immutable():
     s = Sequent((A,), (A,))
-    for record in (s, MPStep(0, 1), realize_text("=> []A -> []A", "GE").derivation):
+    for record in (s, MPStep(Hyp(Implies(A, Bottom())), Hyp(A)), realize_text("=> []A -> []A", "GE").derivation):
         name = dataclasses.fields(record)[0].name
         with pytest.raises(AttributeError):
             setattr(record, name, None)
@@ -89,7 +89,9 @@ def test_frozen_records_over_dicts_are_unhashable_by_name():
 def test_record_reprs_are_the_dataclass_format():
     s = Sequent((A,), (Implies(A, Bottom()),))
     assert repr(s) == "Sequent(ante=(Atom(name='A'),), succ=(Implies(left=Atom(name='A'), right=Bottom()),))"
-    assert repr(MPStep(0, 1)) == "MPStep(major=0, minor=1)"
+    assert repr(MPStep(Hyp(Implies(A, Bottom())), Hyp(A))) == (
+        "MPStep(major=Hyp(formula=Implies(left=Atom(name='A'), right=Bottom())), minor=Hyp(formula=Atom(name='A')))"
+    )
     r = realize_text("=> []A -> []A", "GE")
     assert repr(r).startswith("RealizationResult(calculus='GE', dialect=<Dialect.JE: 'JE'>, antecedent=(), ")
     assert repr(r).endswith(", mode='strict')")

@@ -30,7 +30,8 @@ def run(capsys, *argv):
 
 
 def _mp_file(tmp_path):
-    d = Derivation(Dialect.JE, (Hyp(Implies(A, B)), Hyp(A), MPStep(0, 1)), 2)
+    mp = MPStep(Hyp(Implies(A, B)), Hyp(A))
+    d = Derivation(Dialect.JE, (mp.major, mp.minor, mp), mp)
     path = tmp_path / "mp.deriv"
     path.write_text(write_derivation(d))
     return path
@@ -265,8 +266,36 @@ class TestDerivationCommands:
         path.write_text(
             "# jelogic derivation v1\ndialect JE\n0 hyp A\n1 hyp B\n2 mp 0 1\nconclusion 2\n"
         )
-        code, _, _ = run(capsys, "check", str(path))
+        code, _, record = run(capsys, "check", str(path))
         assert code == 1
+        assert record["error"] == "bad-mp at step 2: A does not apply to B"
+
+    @pytest.mark.parametrize(
+        "steps, line",
+        [
+            ("0 mp 1 1\n1 hyp A\nconclusion 1", 3),
+            ("0 hyp A\n1 mp 0 -1\nconclusion 1", 4),
+            ("0 hyp A\n1 hyp B\n2 hyp A -> B\nconclusion 3", 6),
+            ("0 hyp A\n1 hyp B\n2 hyp A -> B\nconclusion -1", 6),
+        ],
+    )
+    def test_a_step_not_read_yet_is_an_input_error(self, capsys, tmp_path, steps, line):
+        """``mp`` and ``conclusion`` name steps read before them: a forward
+        reference or a number out of range is a fault of the file."""
+        path = tmp_path / "ref.deriv"
+        path.write_text(f"# jelogic derivation v1\ndialect JE\n{steps}\n")
+        code, _, record = run(capsys, "check", str(path))
+        assert code == 2 and record["error"].startswith(f"line {line}: ")
+        assert "names no step read so far" in record["error"]
+
+    def test_check_counts_a_step_listed_twice(self, capsys, tmp_path):
+        path = tmp_path / "twice.deriv"
+        path.write_text(
+            "# jelogic derivation v1\ndialect JE\n0 hyp A -> B\n1 hyp A\n2 hyp A\n3 mp 0 2\nconclusion 3\n"
+        )
+        code, _, record = run(capsys, "check", str(path))
+        assert code == 0 and record["steps"] == 4
+        assert record["hypotheses"] == ["A", "A -> B"] and record["conclusion"] == "B"
 
     def test_check_rejects_a_second_conclusion_line(self, capsys, tmp_path):
         """The last of two conclusion lines names a step that checks, but a
@@ -274,7 +303,8 @@ class TestDerivationCommands:
         d = prove_id(Dialect.JE, A)
         path = tmp_path / "two.deriv"
         path.write_text(write_derivation(d) + "conclusion 0\n")
-        assert write_derivation(d).endswith(f"conclusion {d.conclusion}\n") and d.conclusion != 0
+        last = d.steps.index(d.conclusion)
+        assert write_derivation(d).endswith(f"conclusion {last}\n") and last != 0
         code, _, record = run(capsys, "check", str(path))
         assert code == 2 and "second conclusion" in record["error"]
 

@@ -6,6 +6,7 @@ import weakref
 from dataclasses import fields
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jelogic import Sequent, prove_bounded, realize
 from jelogic.axioms import ConstantSpecification, cs_total
@@ -90,6 +91,51 @@ class TestDerivationFormat:
     def test_conclusion_required(self):
         with pytest.raises(FormatError):
             parse_derivation("# jelogic derivation v1\ndialect JE\n0 hyp A\n")
+
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            ("1 mp 0\nconclusion 0", "line 4: malformed step 1: expected 2 fields in '0'"),
+            ("1 mp 0 x\nconclusion 0", "line 4: malformed step 1: bad premise 'x'"),
+            ("1 mp 0 0 0\nconclusion 0", "line 4: malformed step 1: bad premise '0 0'"),
+            ("1 mp 1 0\nconclusion 0", "line 4: malformed step 1: premise 1 names no step read so far"),
+            ("1 mp 0 -1\nconclusion 0", "line 4: malformed step 1: premise -1 names no step read so far"),
+            ("1 hyp B\nconclusion 2", "line 5: conclusion 2 names no step read so far"),
+            ("1 hyp B\nconclusion -1", "line 5: conclusion -1 names no step read so far"),
+            ("1 hyp B\nconclusion x", "line 5: bad conclusion 'x'"),
+        ],
+    )
+    def test_step_references_are_read_in_the_format_s_words(self, lines, message):
+        """An ``mp`` line names two steps read before it and the
+        ``conclusion`` line one; anything else there is a format error that
+        names its line."""
+        with pytest.raises(FormatError) as e:
+            parse_derivation(f"# jelogic derivation v1\ndialect JE\n0 hyp A\n{lines}\n")
+        assert str(e.value) == message
+
+    def test_a_step_listed_twice_is_written_at_its_first_position(self):
+        text = "# jelogic derivation v1\ndialect JE\n0 hyp A -> B\n1 hyp A\n2 hyp A\n3 mp 0 2\nconclusion 3\n"
+        d = parse_derivation(text)
+        assert len(d) == 4 and d.steps[1] is d.steps[2] is d.steps[3].minor
+        assert write_derivation(d) == text.replace("3 mp 0 2", "3 mp 0 1")
+
+
+def _realized_and_random(data) -> list:
+    seed = data.draw(st.integers(0, 10**9))
+    calculus = data.draw(st.sampled_from(["GE", "GM"]))
+    rng = random.Random(seed)
+    cs = CS_JE if calculus == "GE" else CS_JEM
+    r = realize(random_sequent_theorem(rng, calculus, depth=4), calculus, cs)
+    return [random_theorem(rng, cs.dialect, steps=8), r.derivation] + [e.derivation for e in r.log]
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_reading_a_written_derivation_returns_its_steps(data):
+    for d in _realized_and_random(data):
+        back = parse_derivation(write_derivation(d))
+        assert len(back) == len(d) and back.conclusion is d.conclusion
+        assert all(b is s for b, s in zip(back.steps, d.steps))
 
 
 def _nodes(roots):

@@ -33,7 +33,6 @@ from jelogic.hilbert import (
     internalize,
     prove_id,
     prune,
-    step_formulas,
     substitute_derivation,
 )
 from jelogic.realization import CALCULUS_DIALECT, realize
@@ -59,6 +58,8 @@ from jelogic.syntax import (
     parse_formula,
 )
 
+from _helpers import replaced_step
+
 A, B, C = Atom("A"), Atom("B"), Atom("C")
 CS_JE = cs_total(Dialect.JE)
 CS_JEM = cs_total(Dialect.JEM)
@@ -68,8 +69,13 @@ def _je(text: str):
     return parse_formula(text, Dialect.JE)
 
 
+def _one_step(dialect: Dialect, step) -> Derivation:
+    return Derivation(dialect, (step,), step)
+
+
 def _mp_example() -> Derivation:
-    return Derivation(Dialect.JE, (Hyp(Implies(A, B)), Hyp(A), MPStep(0, 1)), 2)
+    mp = MPStep(Hyp(Implies(A, B)), Hyp(A))
+    return Derivation(Dialect.JE, (mp.major, mp.minor, mp), mp)
 
 
 class TestChecker:
@@ -79,31 +85,34 @@ class TestChecker:
 
     def test_necessitation_step(self):
         axiom = _je("p0:A -> A")
-        d = Derivation(Dialect.JE, (ANStep("c_jt", axiom),), 0)
+        d = _one_step(Dialect.JE, ANStep("c_jt", axiom))
         j = check_derivation(d, CS_JE)
         assert j.hypotheses == frozenset()
         assert j.conclusion == ProofOf(ProofConst("c_jt"), axiom)
 
     def test_bad_modus_ponens(self):
-        d = Derivation(Dialect.JE, (Hyp(Implies(A, B)), Hyp(B), MPStep(0, 1)), 2)
+        mp = MPStep(Hyp(Implies(A, B)), Hyp(B))
+        d = Derivation(Dialect.JE, (mp.major, mp.minor, mp), mp)
         with pytest.raises(DerivationError) as e:
             check_derivation(d, CS_JE)
         assert e.value.kind == "bad-mp"
 
     def test_forward_reference(self):
-        d = Derivation(Dialect.JE, (MPStep(1, 0), Hyp(A)), 0)
-        with pytest.raises(DerivationError) as e:
-            check_derivation(d, CS_JE)
-        assert e.value.kind == "index-order"
+        mp = MPStep(Hyp(Implies(A, A)), Hyp(A))
+        for steps in ((mp, mp.major, mp.minor), (mp.major, mp, mp.minor), (mp.major, mp)):
+            with pytest.raises(DerivationError) as e:
+                check_derivation(Derivation(Dialect.JE, steps, mp), CS_JE)
+            assert (e.value.kind, e.value.step) == ("index-order", steps.index(mp))
 
     def test_conclusion_out_of_range(self):
-        with pytest.raises(DerivationError):
-            check_derivation(Derivation(Dialect.JE, (Hyp(A),), 3), CS_JE)
+        with pytest.raises(DerivationError) as e:
+            check_derivation(Derivation(Dialect.JE, (Hyp(A),), Hyp(B)), CS_JE)
+        assert e.value.kind == "index-order"
 
     def test_axiom_step_must_be_instance(self):
         bogus = AxiomStep(Implies(A, B), "pl_k")
         with pytest.raises(DerivationError) as e:
-            check_derivation(Derivation(Dialect.JE, (bogus,), 0), CS_JE)
+            check_derivation(_one_step(Dialect.JE, bogus), CS_JE)
         assert e.value.kind == "bad-axiom"
 
     def test_axiom_step_is_its_formula_and_scheme(self):
@@ -121,21 +130,21 @@ class TestChecker:
         for s in schemes:
             for f in [A] + [g for g in instances if match(s.pattern, g) is None]:
                 with pytest.raises(DerivationError) as e:
-                    check_derivation(Derivation(dialect, (AxiomStep(f, s.id),), 0), cs)
+                    check_derivation(_one_step(dialect, AxiomStep(f, s.id)), cs)
                 assert (e.value.kind, e.value.step) == ("bad-axiom", 0)
         with pytest.raises(DerivationError) as e:
-            check_derivation(Derivation(dialect, (AxiomStep(instances[0], "zz"),), 0), cs)
+            check_derivation(_one_step(dialect, AxiomStep(instances[0], "zz")), cs)
         assert e.value.kind == "bad-axiom"
 
     def test_necessitation_outside_specification(self):
-        d = Derivation(Dialect.JE, (ANStep("c_jt", _je("A -> (B -> A)")),), 0)
+        d = _one_step(Dialect.JE, ANStep("c_jt", _je("A -> (B -> A)")))
         with pytest.raises(DerivationError) as e:
             check_derivation(d, CS_JE)
         assert e.value.kind == "bad-an"
 
     def test_dialect_enforced_on_hypotheses(self):
         alien = _je("[e(p0)]A")
-        d = Derivation(Dialect.JEM, (Hyp(alien),), 0)
+        d = _one_step(Dialect.JEM, Hyp(alien))
         with pytest.raises(DialectError):
             check_derivation(d, CS_JEM)
 
@@ -145,13 +154,14 @@ class TestChecker:
         bad = ProofOf(Apply(A, ProofVar(0)), B)
         for steps in ((Hyp(bad),), (Hyp(A), Hyp(bad))):
             with pytest.raises(DialectError, match="not a proof term: Atom"):
-                check_derivation(Derivation(Dialect.JE, steps, len(steps) - 1), CS_JE)
+                check_derivation(Derivation(Dialect.JE, steps, steps[-1]), CS_JE)
 
     def test_dialect_enforced_below_a_shared_node(self):
         # The checker validates each node once across steps; a node first
         # met inside a later step is still validated.
         shared = _je("[e(p0)]A")
-        d = Derivation(Dialect.JE, (Hyp(shared), Hyp(Implies(shared, Box(A)))), 1)
+        top = Hyp(Implies(shared, Box(A)))
+        d = Derivation(Dialect.JE, (Hyp(shared), top), top)
         with pytest.raises(DialectError):
             check_derivation(d, CS_JE)
 
@@ -229,7 +239,7 @@ class TestBuilder:
 
 class TestDeduction:
     def test_discharges_lone_hypothesis(self):
-        d = Derivation(Dialect.JE, (Hyp(A),), 0)
+        d = _one_step(Dialect.JE, Hyp(A))
         out = deduction_transform(d, A)
         assert check_derivation(out, CS_JE) == Judgment(frozenset(), Implies(A, A))
 
@@ -239,7 +249,7 @@ class TestDeduction:
         assert j == Judgment(frozenset({Implies(A, B)}), Implies(A, B))
 
     def test_vacuous_discharge(self):
-        d = Derivation(Dialect.JE, (Hyp(A),), 0)
+        d = _one_step(Dialect.JE, Hyp(A))
         out = deduction_transform(d, C)
         assert check_derivation(out, CS_JE) == Judgment(frozenset({A}), Implies(C, A))
 
@@ -253,7 +263,7 @@ class TestDeduction:
         assert j == Judgment(frozenset({Implies(A, B), A}), B)
 
     def test_normalize_prunes(self):
-        d = Derivation(Dialect.JE, (Hyp(A),), 0)
+        d = _one_step(Dialect.JE, Hyp(A))
         out = deduction_transform(d, A, normalize=True)
         assert len(out) <= 5
 
@@ -268,7 +278,7 @@ class TestInternalize:
 
     def test_single_necessitation_uses_checker(self):
         axiom = _je("p0:A -> A")
-        d = Derivation(Dialect.JE, (ANStep("c_jt", axiom),), 0)
+        d = _one_step(Dialect.JE, ANStep("c_jt", axiom))
         term, d2 = internalize(d, CS_JE)
         assert term == Bang(ProofConst("c_jt"))
         j = check_derivation(d2, CS_JE)
@@ -304,7 +314,7 @@ class TestInternalize:
 
     @pytest.mark.parametrize("scheme", ["jm", "zz"])
     def test_axiom_outside_the_dialect(self, scheme):
-        d = Derivation(Dialect.JE, (AxiomStep(_je("A -> (B -> A)"), scheme),), 0)
+        d = _one_step(Dialect.JE, AxiomStep(_je("A -> (B -> A)"), scheme))
         with pytest.raises(DerivationError) as e:
             internalize(d, CS_JE)
         assert (e.value.kind, e.value.step) == ("bad-axiom", 0)
@@ -329,7 +339,7 @@ class TestSubstitution:
 
     def test_necessitation_survives(self):
         axiom = _je("p0:A -> A")
-        d = Derivation(Dialect.JE, (ANStep("c_jt", axiom),), 0)
+        d = _one_step(Dialect.JE, ANStep("c_jt", axiom))
         s = Substitution(atoms={"A": B}, proof_vars={0: Apply(ProofConst("c1"), ProofConst("c2"))})
         out = substitute_derivation(d, s)
         j = check_derivation(out, CS_JE)
@@ -401,7 +411,7 @@ def _with_hypotheses(dialect: Dialect) -> Derivation:
     lk = b.mp(b.mp(j_inst, b.hyp(ProofOf(l, Implies(A, B)))), b.hyp(ProofOf(k, A)))
     bang = b.mp(b.axiom("j4", {"L": Apply(l, k), "F": B}), lk)
     j = b.hyp(JustOf(just, A))
-    pair = b.axiom("pl_and_intro", {"F": b.formulas[j], "G": b.formulas[bang]})
+    pair = b.axiom("pl_and_intro", {"F": j.formula, "G": bang.formula})
     return b.derivation(b.mp(b.mp(pair, j), bang))
 
 
@@ -454,8 +464,7 @@ def _relabelled(rng: random.Random, d: Derivation) -> Derivation:
         return d
     i = rng.choice(axioms)
     scheme = rng.choice(CATALOGUE[d.dialect]).id
-    steps = d.steps[:i] + (AxiomStep(d.steps[i].formula, scheme),) + d.steps[i + 1:]
-    return Derivation(d.dialect, steps, d.conclusion)
+    return replaced_step(d, i, AxiomStep(d.steps[i].formula, scheme))
 
 
 @given(st.integers(0, 10**9), st.sampled_from(["GE", "GM"]))
@@ -479,10 +488,10 @@ def _mutant(rng: random.Random, d: Derivation) -> Derivation:
     """``d`` with the formula of one axiom or necessitation step replaced by
     the formula of another step or by a random formula."""
     i = rng.choice([i for i, s in enumerate(d.steps) if not isinstance(s, MPStep)])
-    f = rng.choice(step_formulas(d) + [random_formula(rng, d.dialect, 2)])
+    f = rng.choice([s.formula for s in d.steps] + [random_formula(rng, d.dialect, 2)])
     step = d.steps[i]
     step = AxiomStep(f, step.scheme) if isinstance(step, AxiomStep) else ANStep(step.constant, f)
-    return Derivation(d.dialect, d.steps[:i] + (step,) + d.steps[i + 1:], d.conclusion)
+    return replaced_step(d, i, step)
 
 
 @given(st.integers(0, 10**9), st.sampled_from([Dialect.JE, Dialect.JEM]))

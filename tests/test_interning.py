@@ -12,7 +12,7 @@ import pytest
 
 from jelogic.axioms import FormulaMeta, JustMeta, ProofMeta, instantiate, match, scheme_by_id
 from jelogic.generate import random_theorem
-from jelogic.hilbert import AxiomStep, step_formulas
+from jelogic.hilbert import AxiomStep
 from jelogic.semantics import FiniteBasicEvaluation, eval_basic
 from jelogic.syntax import (
     Atom,
@@ -53,7 +53,7 @@ DIALECTS = [Dialect.JE, Dialect.JEM, Dialect.MODAL]
 def _formulas(dialect):
     if dialect is Dialect.MODAL:
         return fragment_formulas()
-    return [f for d in SOURCES[dialect] for f in step_formulas(d)]
+    return [s.formula for d in SOURCES[dialect] for s in d.steps]
 
 
 def _children(node):

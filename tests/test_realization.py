@@ -9,11 +9,13 @@ from jelogic import realization
 from jelogic.axioms import ConstantSpecification
 from jelogic.generate import _equivalence_pair, random_formula, random_sequent_theorem
 from jelogic.hilbert import (
+    ANStep,
+    AxiomStep,
     Builder,
+    MPStep,
     NotAppropriate,
     check_derivation,
     prove_id,
-    step_formulas,
     substitute_derivation,
 )
 from jelogic.realization import (
@@ -56,7 +58,7 @@ from jelogic.syntax import (
     subterms,
 )
 
-from _helpers import CS_JE, CS_JEM, fragment_formulas, proof_of, realize_text
+from _helpers import CS_JE, CS_JEM, fragment_formulas, proof_of, realize_text, replaced_step
 
 A, B, C = Atom("A"), Atom("B"), Atom("C")
 AXIOM = conclude("AxP", (), formula=A)  # A => A
@@ -199,6 +201,68 @@ class TestVerify:
             verify_realization(compound)
 
 
+    # The root and the log share one memo of checked steps: a fault in one
+    # log entry must still fail, though the root checks the steps around it.
+    def _tampered_log(self, k, change):
+        r = realize(_ladder(3, "GM"), "GM", CS_JEM)
+        log = list(r.log)
+        log[k] = LogEntry(log[k].term, log[k].formula, change(log[k].derivation))
+        assert set(r.log[k].derivation.steps) <= set(r.derivation.steps)
+        return dataclasses.replace(r, log=tuple(log))
+
+    def test_relabelled_axiom_in_one_log_entry(self):
+        def relabel(d):
+            i = next(i for i, s in enumerate(d.steps) if isinstance(s, AxiomStep) and s.scheme != "pl_k")
+            return replaced_step(d, i, AxiomStep(d.steps[i].formula, "pl_k"))
+
+        with pytest.raises(DerivationFails, match="logged internalization: bad-axiom"):
+            verify_realization(self._tampered_log(1, relabel))
+
+    def test_necessitation_outside_the_specification_in_one_log_entry(self):
+        def foreign(d):
+            i = next(i for i, s in enumerate(d.steps) if isinstance(s, ANStep))
+            return replaced_step(d, i, ANStep("c_zz", d.steps[i].axiom))
+
+        with pytest.raises(DerivationFails, match="logged internalization: bad-an"):
+            verify_realization(self._tampered_log(2, foreign))
+
+    def test_log_entry_missing_a_premise(self):
+        def drop(d):
+            i = next(i for i, s in enumerate(d.steps) if any(s in (t.major, t.minor) for t in d.steps[i + 1:] if isinstance(t, MPStep)))
+            return dataclasses.replace(d, steps=d.steps[:i] + d.steps[i + 1:])
+
+        with pytest.raises(DerivationFails, match="logged internalization: index-order"):
+            verify_realization(self._tampered_log(0, drop))
+
+    def test_swapped_log_terms(self):
+        r = realize(_ladder(3, "GM"), "GM", CS_JEM)
+        first, second = r.log[:2]
+        assert first.term != second.term
+        log = (LogEntry(second.term, first.formula, first.derivation),
+               LogEntry(first.term, second.formula, second.derivation)) + r.log[2:]
+        with pytest.raises(DerivationFails, match="recorded judgment"):
+            verify_realization(dataclasses.replace(r, log=log))
+
+    def test_each_distinct_step_is_checked_once(self, monkeypatch):
+        """At GM n = 8 the root's derivation holds every step of the log's:
+        one ``verify_realization`` checks each distinct step once."""
+        import jelogic.hilbert
+
+        r = realize(_ladder(8, "GM"), "GM", CS_JEM)
+        checked = []
+        check_step = jelogic.hilbert._check_step
+
+        def counting(step, *rest):
+            checked.append(step)
+            return check_step(step, *rest)
+
+        monkeypatch.setattr(jelogic.hilbert, "_check_step", counting)
+        verify_realization(r)
+        steps = set(r.derivation.steps).union(*(e.derivation.steps for e in r.log))
+        assert len(checked) == len(set(checked)) == len(steps) == len(r.derivation)
+        assert set(checked) == steps
+
+
 class TestSimplify:
     def test_mirror_witnesses_collapse(self):
         strict = realize_text("=> [](A & B) -> [](B & A)", "GE")
@@ -260,7 +324,7 @@ def test_each_formula_is_derived_once(source, calculus):
         proof = random_sequent_theorem(random.Random(source), calculus)
     r = realize(proof, calculus, CS_JE if calculus == "GE" else CS_JEM)
     for result in (r, simplify(r)):
-        formulas = step_formulas(result.derivation)
+        formulas = [s.formula for s in result.derivation.steps]
         assert len(set(formulas)) == len(formulas)
         verify_realization(result)
 
@@ -400,14 +464,14 @@ def test_realize_checks_no_derivation(monkeypatch):
     import jelogic.hilbert
 
     checked = []
-    check = jelogic.hilbert.check_derivation
+    check = jelogic.hilbert._check
 
-    def counting_check(d, cs):
+    def counting_check(d, cs, memo):
         checked.append(d)
-        return check(d, cs)
+        return check(d, cs, memo)
 
-    monkeypatch.setattr(realization, "check_derivation", counting_check)
-    monkeypatch.setattr(jelogic.hilbert, "check_derivation", counting_check)
+    monkeypatch.setattr(realization, "_check", counting_check)
+    monkeypatch.setattr(jelogic.hilbert, "_check", counting_check)
     r = realize_text("[][][]A => [][][]A", "GE")
     assert checked == []
     verify_realization(r)
@@ -572,3 +636,86 @@ def test_valid_fragment_formulas_prove_realize_and_verify(calculus, logic):
         slim = simplify(strict)
         assert slim.mode == "simplify", print_formula(f)
         verify_realization(slim)
+
+
+# At each golden (strict, then simplify) and each level n = 1..5 of the GE
+# and GM ladders: the derivation's length, the log's, and the printed
+# realized formula.  The benchmark's ``derivation_steps`` and
+# ``output_chars`` add up such figures.
+_PINNED = [
+    ('=> []A -> ([]B -> []A)', 'GE', 'strict', 1, 2,
+     '[e(c_pl_s * c_pl_k * c_pl_k + c_pl_s * c_pl_k * c_pl_k)]A -> [e(p0)]B -> [e(c_pl_s * c_pl_k * c_pl_k + c_pl_s * c_pl_k * c_pl_k)]A'),
+    ('=> []A -> ([]B -> []A)', 'GE', 'simplify', 1, 2,
+     '[e(c_pl_s * c_pl_k * c_pl_k)]A -> [e(p0)]B -> [e(c_pl_s * c_pl_k * c_pl_k)]A'),
+    ('[][]A => [][]A', 'GE', 'strict', 1, 4,
+     '[e(c_pl_s * c_pl_k * c_pl_k + c_pl_s * c_pl_k * c_pl_k)][e(c_pl_s * c_pl_k * c_pl_k + c_pl_s * c_pl_k * c_pl_k)]A -> [e(c_pl_s * c_pl_k * c_pl_k + c_pl_s * c_pl_k * c_pl_k)][e(c_pl_s * c_pl_k * c_pl_k + c_pl_s * c_pl_k * c_pl_k)]A'),
+    ('[][]A => [][]A', 'GE', 'simplify', 1, 4,
+     '[e(c_pl_s * c_pl_k * c_pl_k)][e(c_pl_s * c_pl_k * c_pl_k)]A -> [e(c_pl_s * c_pl_k * c_pl_k)][e(c_pl_s * c_pl_k * c_pl_k)]A'),
+    ('=> [](A -> A) -> [](B -> B)', 'GE', 'strict', 39, 2,
+     '[e(c_pl_k * (c_pl_s * c_pl_k * c_pl_k) + c_pl_k * (c_pl_s * c_pl_k * c_pl_k))](A -> A) -> [e(c_pl_k * (c_pl_s * c_pl_k * c_pl_k) + c_pl_k * (c_pl_s * c_pl_k * c_pl_k))](B -> B)'),
+    ('=> [](A -> A) -> [](B -> B)', 'GE', 'simplify', 31, 2,
+     '[e(c_pl_k * (c_pl_s * c_pl_k * c_pl_k))](A -> A) -> [e(c_pl_k * (c_pl_s * c_pl_k * c_pl_k))](B -> B)'),
+    ('=> [](A & B) -> ([]A & []B)', 'GM', 'strict', 15, 2,
+     '[x0](A & B) -> [m(c_pl_and_elim_l, x0)]A & [m(c_pl_and_elim_r, x0)]B'),
+    ('=> [](A & B) -> ([]A & []B)', 'GM', 'simplify', 15, 2,
+     '[x0](A & B) -> [m(c_pl_and_elim_l, x0)]A & [m(c_pl_and_elim_r, x0)]B'),
+    ('=> ([]A | []B) -> [](A | B)', 'GM', 'strict', 32, 2,
+     '[x0]A | [x1]B -> [m(c_pl_or_intro_l, x0) + m(c_pl_or_intro_r, x1)](A | B)'),
+    ('=> ([]A | []B) -> [](A | B)', 'GM', 'simplify', 32, 2,
+     '[x0]A | [x1]B -> [m(c_pl_or_intro_l, x0) + m(c_pl_or_intro_r, x1)](A | B)'),
+    ('=> []([]A & []B) -> ([][]A & [][]B)', 'GM', 'strict', 67, 4,
+     '[x0]([x1]A & [x2]B) -> [m(c_pl_s * (c_pl_k * (c_jm * !(c_pl_s * c_pl_k * c_pl_k))) * c_pl_and_elim_l, x0)][m(c_pl_s * c_pl_k * c_pl_k, x1)]A & [m(c_pl_s * (c_pl_k * (c_jm * !(c_pl_s * c_pl_k * c_pl_k))) * c_pl_and_elim_r, x0)][m(c_pl_s * c_pl_k * c_pl_k, x2)]B'),
+    ('=> []([]A & []B) -> ([][]A & [][]B)', 'GM', 'simplify', 67, 4,
+     '[x0]([x1]A & [x2]B) -> [m(c_pl_s * (c_pl_k * (c_jm * !(c_pl_s * c_pl_k * c_pl_k))) * c_pl_and_elim_l, x0)][m(c_pl_s * c_pl_k * c_pl_k, x1)]A & [m(c_pl_s * (c_pl_k * (c_jm * !(c_pl_s * c_pl_k * c_pl_k))) * c_pl_and_elim_r, x0)][m(c_pl_s * c_pl_k * c_pl_k, x2)]B'),
+    ('[]A => []A', 'GE', 'strict', 1, 2,
+     '[e(c_pl_s * c_pl_k * c_pl_k + c_pl_s * c_pl_k * c_pl_k)]A -> [e(c_pl_s * c_pl_k * c_pl_k + c_pl_s * c_pl_k * c_pl_k)]A'),
+    ('[]A => []A', 'GE', 'simplify', 1, 2,
+     '[e(c_pl_s * c_pl_k * c_pl_k)]A -> [e(c_pl_s * c_pl_k * c_pl_k)]A'),
+    ('[][]A => [][]A', 'GE', 'strict', 1, 4,
+     '[e(c_pl_s * c_pl_k * c_pl_k + c_pl_s * c_pl_k * c_pl_k)][e(c_pl_s * c_pl_k * c_pl_k + c_pl_s * c_pl_k * c_pl_k)]A -> [e(c_pl_s * c_pl_k * c_pl_k + c_pl_s * c_pl_k * c_pl_k)][e(c_pl_s * c_pl_k * c_pl_k + c_pl_s * c_pl_k * c_pl_k)]A'),
+    ('[][]A => [][]A', 'GE', 'simplify', 1, 4,
+     '[e(c_pl_s * c_pl_k * c_pl_k)][e(c_pl_s * c_pl_k * c_pl_k)]A -> [e(c_pl_s * c_pl_k * c_pl_k)][e(c_pl_s * c_pl_k * c_pl_k)]A'),
+    ('[][][]A => [][][]A', 'GE', 'strict', 1, 6,
+     '[e(c_pl_s * c_pl_k * c_pl_k + c_pl_s * c_pl_k * c_pl_k)][e(c_pl_s * c_pl_k * c_pl_k + c_pl_s * c_pl_k * c_pl_k)][e(c_pl_s * c_pl_k * c_pl_k + c_pl_s * c_pl_k * c_pl_k)]A -> [e(c_pl_s * c_pl_k * c_pl_k + c_pl_s * c_pl_k * c_pl_k)][e(c_pl_s * c_pl_k * c_pl_k + c_pl_s * c_pl_k * c_pl_k)][e(c_pl_s * c_pl_k * c_pl_k + c_pl_s * c_pl_k * c_pl_k)]A'),
+    ('[][][]A => [][][]A', 'GE', 'simplify', 1, 6,
+     '[e(c_pl_s * c_pl_k * c_pl_k)][e(c_pl_s * c_pl_k * c_pl_k)][e(c_pl_s * c_pl_k * c_pl_k)]A -> [e(c_pl_s * c_pl_k * c_pl_k)][e(c_pl_s * c_pl_k * c_pl_k)][e(c_pl_s * c_pl_k * c_pl_k)]A'),
+    ('[][][][]A => [][][][]A', 'GE', 'strict', 1, 8,
+     '[e(c_pl_s * c_pl_k * c_pl_k + c_pl_s * c_pl_k * c_pl_k)][e(c_pl_s * c_pl_k * c_pl_k + c_pl_s * c_pl_k * c_pl_k)][e(c_pl_s * c_pl_k * c_pl_k + c_pl_s * c_pl_k * c_pl_k)][e(c_pl_s * c_pl_k * c_pl_k + c_pl_s * c_pl_k * c_pl_k)]A -> [e(c_pl_s * c_pl_k * c_pl_k + c_pl_s * c_pl_k * c_pl_k)][e(c_pl_s * c_pl_k * c_pl_k + c_pl_s * c_pl_k * c_pl_k)][e(c_pl_s * c_pl_k * c_pl_k + c_pl_s * c_pl_k * c_pl_k)][e(c_pl_s * c_pl_k * c_pl_k + c_pl_s * c_pl_k * c_pl_k)]A'),
+    ('[][][][]A => [][][][]A', 'GE', 'simplify', 1, 8,
+     '[e(c_pl_s * c_pl_k * c_pl_k)][e(c_pl_s * c_pl_k * c_pl_k)][e(c_pl_s * c_pl_k * c_pl_k)][e(c_pl_s * c_pl_k * c_pl_k)]A -> [e(c_pl_s * c_pl_k * c_pl_k)][e(c_pl_s * c_pl_k * c_pl_k)][e(c_pl_s * c_pl_k * c_pl_k)][e(c_pl_s * c_pl_k * c_pl_k)]A'),
+    ('[][][][][]A => [][][][][]A', 'GE', 'strict', 1, 10,
+     '[e(c_pl_s * c_pl_k * c_pl_k + c_pl_s * c_pl_k * c_pl_k)][e(c_pl_s * c_pl_k * c_pl_k + c_pl_s * c_pl_k * c_pl_k)][e(c_pl_s * c_pl_k * c_pl_k + c_pl_s * c_pl_k * c_pl_k)][e(c_pl_s * c_pl_k * c_pl_k + c_pl_s * c_pl_k * c_pl_k)][e(c_pl_s * c_pl_k * c_pl_k + c_pl_s * c_pl_k * c_pl_k)]A -> [e(c_pl_s * c_pl_k * c_pl_k + c_pl_s * c_pl_k * c_pl_k)][e(c_pl_s * c_pl_k * c_pl_k + c_pl_s * c_pl_k * c_pl_k)][e(c_pl_s * c_pl_k * c_pl_k + c_pl_s * c_pl_k * c_pl_k)][e(c_pl_s * c_pl_k * c_pl_k + c_pl_s * c_pl_k * c_pl_k)][e(c_pl_s * c_pl_k * c_pl_k + c_pl_s * c_pl_k * c_pl_k)]A'),
+    ('[][][][][]A => [][][][][]A', 'GE', 'simplify', 1, 10,
+     '[e(c_pl_s * c_pl_k * c_pl_k)][e(c_pl_s * c_pl_k * c_pl_k)][e(c_pl_s * c_pl_k * c_pl_k)][e(c_pl_s * c_pl_k * c_pl_k)][e(c_pl_s * c_pl_k * c_pl_k)]A -> [e(c_pl_s * c_pl_k * c_pl_k)][e(c_pl_s * c_pl_k * c_pl_k)][e(c_pl_s * c_pl_k * c_pl_k)][e(c_pl_s * c_pl_k * c_pl_k)][e(c_pl_s * c_pl_k * c_pl_k)]A'),
+    ('[]A => []A', 'GM', 'strict', 13, 1,
+     '[x0]A -> [m(c_pl_s * c_pl_k * c_pl_k, x0)]A'),
+    ('[]A => []A', 'GM', 'simplify', 13, 1,
+     '[x0]A -> [m(c_pl_s * c_pl_k * c_pl_k, x0)]A'),
+    ('[][]A => [][]A', 'GM', 'strict', 19, 2,
+     '[x0][x1]A -> [m(c_jm * !(c_pl_s * c_pl_k * c_pl_k), x0)][m(c_pl_s * c_pl_k * c_pl_k, x1)]A'),
+    ('[][]A => [][]A', 'GM', 'simplify', 19, 2,
+     '[x0][x1]A -> [m(c_jm * !(c_pl_s * c_pl_k * c_pl_k), x0)][m(c_pl_s * c_pl_k * c_pl_k, x1)]A'),
+    ('[][][]A => [][][]A', 'GM', 'strict', 25, 3,
+     '[x0][x1][x2]A -> [m(c_jm * !(c_jm * !(c_pl_s * c_pl_k * c_pl_k)), x0)][m(c_jm * !(c_pl_s * c_pl_k * c_pl_k), x1)][m(c_pl_s * c_pl_k * c_pl_k, x2)]A'),
+    ('[][][]A => [][][]A', 'GM', 'simplify', 25, 3,
+     '[x0][x1][x2]A -> [m(c_jm * !(c_jm * !(c_pl_s * c_pl_k * c_pl_k)), x0)][m(c_jm * !(c_pl_s * c_pl_k * c_pl_k), x1)][m(c_pl_s * c_pl_k * c_pl_k, x2)]A'),
+    ('[][][][]A => [][][][]A', 'GM', 'strict', 31, 4,
+     '[x0][x1][x2][x3]A -> [m(c_jm * !(c_jm * !(c_jm * !(c_pl_s * c_pl_k * c_pl_k))), x0)][m(c_jm * !(c_jm * !(c_pl_s * c_pl_k * c_pl_k)), x1)][m(c_jm * !(c_pl_s * c_pl_k * c_pl_k), x2)][m(c_pl_s * c_pl_k * c_pl_k, x3)]A'),
+    ('[][][][]A => [][][][]A', 'GM', 'simplify', 31, 4,
+     '[x0][x1][x2][x3]A -> [m(c_jm * !(c_jm * !(c_jm * !(c_pl_s * c_pl_k * c_pl_k))), x0)][m(c_jm * !(c_jm * !(c_pl_s * c_pl_k * c_pl_k)), x1)][m(c_jm * !(c_pl_s * c_pl_k * c_pl_k), x2)][m(c_pl_s * c_pl_k * c_pl_k, x3)]A'),
+    ('[][][][][]A => [][][][][]A', 'GM', 'strict', 37, 5,
+     '[x0][x1][x2][x3][x4]A -> [m(c_jm * !(c_jm * !(c_jm * !(c_jm * !(c_pl_s * c_pl_k * c_pl_k)))), x0)][m(c_jm * !(c_jm * !(c_jm * !(c_pl_s * c_pl_k * c_pl_k))), x1)][m(c_jm * !(c_jm * !(c_pl_s * c_pl_k * c_pl_k)), x2)][m(c_jm * !(c_pl_s * c_pl_k * c_pl_k), x3)][m(c_pl_s * c_pl_k * c_pl_k, x4)]A'),
+    ('[][][][][]A => [][][][][]A', 'GM', 'simplify', 37, 5,
+     '[x0][x1][x2][x3][x4]A -> [m(c_jm * !(c_jm * !(c_jm * !(c_jm * !(c_pl_s * c_pl_k * c_pl_k)))), x0)][m(c_jm * !(c_jm * !(c_jm * !(c_pl_s * c_pl_k * c_pl_k))), x1)][m(c_jm * !(c_jm * !(c_pl_s * c_pl_k * c_pl_k)), x2)][m(c_jm * !(c_pl_s * c_pl_k * c_pl_k), x3)][m(c_pl_s * c_pl_k * c_pl_k, x4)]A'),
+]
+
+
+@pytest.mark.parametrize("text, calculus, mode, steps, log, printed", _PINNED)
+def test_sizes_and_realized_formulas_are_pinned(text, calculus, mode, steps, log, printed):
+    boxes = text.split(" =>")[0].count("[]")
+    ladder = text == f"{'[]' * boxes}A => {'[]' * boxes}A"
+    r = realize_text(text, calculus, boxes + 2 if ladder else 10)
+    if mode == "simplify":
+        r = simplify(r)
+    assert (len(r.derivation), len(r.log), print_formula(r.realized)) == (steps, log, printed)
+    verify_realization(r)
