@@ -68,10 +68,6 @@ class AxiomScheme(_FrozenRecord):
     id: str
     pattern: Formula
 
-    def __init__(self, id, pattern):
-        _set(self, "id", id)
-        _set(self, "pattern", pattern)
-
     def __repr__(self):
         return f"AxiomScheme({self.id})"
 

@@ -100,7 +100,6 @@ from .syntax import (
     Sum,
     Term,
     _FrozenRecord,
-    _set,
     box_occurrences,
     children,
     forgetful,
@@ -140,11 +139,6 @@ class LogEntry(_FrozenRecord):
     formula: Formula
     derivation: Derivation
 
-    def __init__(self, term, formula, derivation):
-        _set(self, "term", term)
-        _set(self, "formula", formula)
-        _set(self, "derivation", derivation)
-
 
 class RealizationResult(_FrozenRecord):
     calculus: str
@@ -160,17 +154,6 @@ class RealizationResult(_FrozenRecord):
     # Frozen, but ``cs`` holds a dict: declared unhashable so that ``hash``
     # names this class rather than the dict.
     __hash__ = None
-
-    def __init__(self, calculus, dialect, antecedent, succedent, derivation, log, mode, source, cs):
-        _set(self, "calculus", calculus)
-        _set(self, "dialect", dialect)
-        _set(self, "antecedent", antecedent)
-        _set(self, "succedent", succedent)
-        _set(self, "derivation", derivation)
-        _set(self, "log", log)
-        _set(self, "mode", mode)
-        _set(self, "source", source)
-        _set(self, "cs", cs)
 
     @property
     def realized(self) -> Formula:

@@ -56,7 +56,6 @@ from .syntax import (
     Term,
     _FrozenRecord,
     _Record,
-    _set,
     check_dialect,
     children,
     formula_children,
@@ -301,10 +300,6 @@ class Violation(_FrozenRecord):
     kind: str
     message: str
 
-    def __init__(self, kind, message):
-        _set(self, "kind", kind)
-        _set(self, "message", message)
-
     def __str__(self):
         return f"[{self.kind}] {self.message}"
 
@@ -385,11 +380,6 @@ class QuasiModel(_Record):
     worlds: tuple[str, ...]
     neighborhoods: dict[str, frozenset[frozenset[str]]]
     evaluations: dict[str, FiniteBasicEvaluation]
-
-    def __init__(self, worlds, neighborhoods, evaluations):
-        self.worlds = worlds
-        self.neighborhoods = neighborhoods
-        self.evaluations = evaluations
 
 
 def model_truth(m: QuasiModel, w: str, f: Formula) -> bool:
@@ -515,12 +505,6 @@ class FuzzFailure(_FrozenRecord):
     formula: str
     model: str
 
-    def __init__(self, trial, scheme, formula, model):
-        _set(self, "trial", trial)
-        _set(self, "scheme", scheme)
-        _set(self, "formula", formula)
-        _set(self, "model", model)
-
 
 class FuzzReport(_Record):
     dialect: Dialect
@@ -639,12 +623,6 @@ class ModalCountermodel(_FrozenRecord):
     atom_masks: tuple[tuple[str, int], ...]
     neighborhoods: tuple[int, ...]  # per world: membership bitmap over subset masks
     world: int
-
-    def __init__(self, world_count, atom_masks, neighborhoods, world):
-        _set(self, "world_count", world_count)
-        _set(self, "atom_masks", atom_masks)
-        _set(self, "neighborhoods", neighborhoods)
-        _set(self, "world", world)
 
     def describe(self) -> str:
         names = [f"w{i}" for i in range(self.world_count)]

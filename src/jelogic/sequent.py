@@ -72,12 +72,13 @@ class Sequent(_FrozenRecord):
     ante: tuple[Formula, ...]
     succ: tuple[Formula, ...]
 
+    # The search builds a sequent per premise and ``check_sequent_proof``
+    # compares one.  Spelled out, the initializer costs half of the shared
+    # one, and == and hash half of what the shared ones over ``_key`` do.
     def __init__(self, ante, succ):
         _set(self, "ante", ante)
         _set(self, "succ", succ)
 
-    # ``check_sequent_proof`` compares a sequent per premise.  Spelled out,
-    # == and hash cost half of what the shared ones over ``_key`` do.
     def __eq__(self, other):
         if other.__class__ is self.__class__:
             return (self.ante, self.succ) == (other.ante, other.succ)
@@ -438,24 +439,27 @@ def _axiom_leaf(c: Sequent) -> Proof | None:
     return None
 
 
-def _search(c: Sequent, calculus: str, depth: int, memo: dict) -> Proof | None:
+def _search(c: Sequent, calculus: str, depth: int, memo: dict, leaf=...) -> Proof | None:
     """A proof of the canonical sequent ``c`` within ``depth``, or None.
     ``memo`` maps the sides of a canonical sequent to ``(depth, proof)``: a
     proof serves any remaining depth at least the one it was found at, a
-    failure (proof None) only a depth at most the one it was found at."""
-    leaf = _axiom_leaf(c)
-    if leaf is not None:
-        return _bridge(leaf, c)
-    if depth <= 0:
-        return None
+    failure (proof None) only a depth at most the one it was found at.  A
+    sequent enters it when first met, so ``_axiom_leaf`` is asked about it
+    once: closed by an axiom, found at depth 0, or else failed at depth 0.
+    ``leaf`` is its answer for ``c`` when the caller asked it already."""
     key = c.ante, c.succ
     known = memo.get(key)
-    if known is not None:
-        found_at, proof = known
-        if depth >= found_at if proof is not None else depth <= found_at:
-            return proof
+    if known is None:
+        if leaf is ...:
+            leaf = _axiom_leaf(c)
+        known = memo[key] = 0, (None if leaf is None else _bridge(leaf, c))
+    found_at, proof = known
+    if depth >= found_at if proof is not None else depth <= found_at:
+        return proof
+    if depth <= 0:
+        return None
     proof = _expand(c, calculus, depth, memo)
-    if proof is not None or known is None or known[1] is None:
+    if proof is not None or known[1] is None:
         memo[key] = depth, proof
     return proof
 
@@ -478,13 +482,14 @@ def _expand(c: Sequent, calculus: str, depth: int, memo: dict) -> Proof | None:
                 (premise,) = premises
                 leaf = _axiom_leaf(premise)
                 if leaf is not None:
-                    closed = _bridge(_bridge(leaf, _canonical(premise)), premise)
-                    return Proof(c, rule, principal, (closed,))
+                    closed = _search(_canonical(premise), calculus, 0, memo, leaf)
+                    return Proof(c, rule, principal, (_bridge(closed, premise),))
     if chosen is not None:
         rule, principal, premises = chosen
+        leaf = None if rule in _SINGLE_PREMISE else ...  # the look-ahead asked about its premise
         children = []
         for premise in premises:
-            sub = _search(_canonical(premise), calculus, depth - 1, memo)
+            sub = _search(_canonical(premise), calculus, depth - 1, memo, leaf)
             if sub is None:
                 return None  # propositional rules are invertible: no backtracking
             children.append(_bridge(sub, premise))
@@ -593,11 +598,6 @@ class Shape(_FrozenRecord):
     labels: tuple[int, ...]
     children: tuple[int, ...]    # positions of the premises' shapes
 
-    def __init__(self, proof, labels, children):
-        _set(self, "proof", proof)
-        _set(self, "labels", labels)
-        _set(self, "children", children)
-
 
 def _shapes(p: Proof, labels: tuple[int, ...]) -> tuple[list[Shape], dict[tuple, int]]:
     """The shapes of ``p`` with ``labels`` on the root's box occurrences, in
@@ -627,20 +627,10 @@ class Family(_FrozenRecord):
     instances: tuple[int, ...]   # positions in FamilyAnalysis.shapes of the modal rules introducing into it
     polarity: str                # "positive" or "negative"
 
-    def __init__(self, occurrence, essential, instances, polarity):
-        _set(self, "occurrence", occurrence)
-        _set(self, "essential", essential)
-        _set(self, "instances", instances)
-        _set(self, "polarity", polarity)
-
 
 class EquivClass(_FrozenRecord):
     families: tuple[int, ...]    # indices into FamilyAnalysis.families
     instances: tuple[int, ...]   # positions in FamilyAnalysis.shapes of the RE rules of the class
-
-    def __init__(self, families, instances):
-        _set(self, "families", families)
-        _set(self, "instances", instances)
 
 
 class FamilyAnalysis(_Record):
@@ -648,12 +638,6 @@ class FamilyAnalysis(_Record):
     families: tuple[Family, ...]
     classes: tuple[EquivClass, ...]   # nonempty only when RE occurs
     modal_rule: str | None            # "RE", "RM" or None
-
-    def __init__(self, shapes, families, classes, modal_rule):
-        self.shapes = shapes
-        self.families = families
-        self.classes = classes
-        self.modal_rule = modal_rule
 
 
 def compute_families(p: Proof) -> FamilyAnalysis:

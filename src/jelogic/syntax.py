@@ -79,7 +79,9 @@ class ProofOfPresent(Exception):
 # compiles no code.  The annotated names of a class body become its
 # ``__slots__``, ``__match_args__`` and ``dataclasses`` fields, so ``match``
 # patterns, ``dataclasses.fields``, ``is_dataclass`` and ``replace`` work as
-# on a dataclass.
+# on a dataclass.  Nodes and records take their fields by position or by
+# keyword, checked by ``_Slotted._fields``, and share one ``repr`` and one
+# pickle.
 
 # Sets a field of a frozen instance, past its ``__setattr__``.
 _set = object.__setattr__
@@ -100,7 +102,7 @@ class _Slotted(type):
     """Metaclass of the node and record classes.  A class body without
     ``__slots__`` declares its fields by annotation; it may give a field
     ``field(compare=False)`` or ``field(repr=False)``; defaults are the
-    business of the class's ``__init__``."""
+    business of a record class's own ``__init__``."""
 
     def __new__(meta, name, bases, ns):
         if "__slots__" in ns:  # a base class: shared methods, no fields
@@ -123,6 +125,22 @@ class _Slotted(type):
         cls._key = _key(tuple(f.name for f in fs if f.compare))
         return cls
 
+    def _fields(cls, values, named) -> tuple:
+        """``values`` followed by the keyword ``named`` fields, in field
+        order: one value per field, or a TypeError naming the class."""
+        names = cls.__match_args__
+        if len(values) > len(names) or not named and len(values) < len(names):
+            raise TypeError(f"{cls.__name__}() takes the fields {names}, got {len(values)} values")
+        rest = names[len(values):]
+        for name in named:
+            if name not in rest:
+                problem = "multiple values for" if name in names else "an unexpected keyword argument"
+                raise TypeError(f"{cls.__name__}() got {problem} {name!r}")
+        for name in rest:
+            if name not in named:
+                raise TypeError(f"{cls.__name__}() missing field {name!r}")
+        return (*values, *(named[name] for name in rest))
+
 
 def _frozen_setattr(self, name, value):
     raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -132,20 +150,11 @@ def _frozen_delattr(self, name):
     raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
-def _repr(self) -> str:
-    shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._shown)
-    return f"{type(self).__qualname__}({shown})"
-
-
-def _reduce(self):
-    # Pickle rebuilds through the constructor, and so do a record's copies.
-    return type(self), tuple(getattr(self, name) for name in self.__match_args__)
-
-
 # ---------------------------------------------------------------------------
-# Repr and pickling of hash-consed nodes: over the distinct nodes that a
-# node's fields hold, directly or in tuples and records (a proof holds its
-# sequent's formulas and its premises), so that nodes nest arbitrarily deep.
+# Repr and pickling of nodes and records: over the distinct hash-consed nodes
+# that the fields hold, directly or in tuples and records (a proof holds its
+# sequent's formulas and its premises, a derivation its steps), so that nodes
+# nest arbitrarily deep and a node shared below several fields is one entry.
 
 
 def _mapped(value, fn, kind):
@@ -160,9 +169,11 @@ def _mapped(value, fn, kind):
     return value
 
 
-def _field_values(node, fn) -> tuple:
-    """``node``'s field values, ``fn`` applied to the nodes they hold."""
-    return _mapped(tuple(getattr(node, name) for name in node.__match_args__), fn, _HashConsed)
+def _field_values(node, fn, names=None) -> tuple:
+    """The values of ``node``'s fields ``names`` (by default all of them),
+    ``fn`` applied to the nodes they hold."""
+    names = node.__match_args__ if names is None else names
+    return _mapped(tuple(getattr(node, name) for name in names), fn, _HashConsed)
 
 
 def _parts(node) -> list:
@@ -180,13 +191,18 @@ class _Shown(str):
 
 
 def _node_text(node, shown) -> _Shown:
-    values = zip(node.__match_args__, _field_values(node, shown))
+    """The dataclass format of ``node``'s fields other than ``repr=False``
+    ones, ``shown`` giving the text of each node they hold."""
+    values = zip(node._shown, _field_values(node, shown, node._shown))
     return _Shown(f"{type(node).__qualname__}({', '.join(f'{name}={v!r}' for name, v in values)})")
 
 
 def _node_repr(self) -> str:
-    """The dataclass format, which ``_node_text`` makes for every class."""
-    return str(next(_bottom_up((self,), _parts, defaultdict(lambda: _node_text))))
+    """The dataclass format, each distinct node's text made once."""
+    parts: list = []
+    _field_values(self, parts.append, self._shown)
+    texts = _bottom_up(parts, _parts, defaultdict(lambda: _node_text))
+    return str(_node_text(self, lambda node: next(texts)))
 
 
 class _At(int):
@@ -196,15 +212,21 @@ class _At(int):
 
 
 def _node_reduce(self):
-    """Pickle as a table of the distinct nodes under this one, each after
-    the nodes its fields hold, which it names by position."""
-    nodes = postorder(self, kids=_parts)
+    """Pickle as a table of the distinct nodes that the fields hold, each
+    after the nodes its own fields hold, which it names by position, and
+    last ``self``.  An object whose fields hold no node, such as a leaf or
+    a record inside a table, pickles as its class and its fields."""
+    nodes: dict = {}
+    for part in _parts(self):
+        nodes.update(dict.fromkeys(postorder(part, nodes, _parts)))
+    if not nodes:
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
     at = {node: _At(i) for i, node in enumerate(nodes)}
-    return _unpickle, (tuple((type(node), _field_values(node, at.__getitem__)) for node in nodes),)
+    return _unpickle, (tuple((type(node), _field_values(node, at.__getitem__)) for node in (*nodes, self)),)
 
 
 def _unpickle(table):
-    """The node ``_node_reduce`` pickled: its table's last."""
+    """The node or record ``_node_reduce`` pickled: its table's last."""
     built: list = []
     for cls, values in table:
         built.append(cls(*_mapped(values, built.__getitem__, _At)))
@@ -223,36 +245,26 @@ class _Interned(_Slotted):
     """Metaclass of the hash-consed classes: a constructor call returns the
     live node with the same class and fields if there is one, and builds
     and enters it otherwise.  Child nodes were built the same way and hash
-    by identity, so a key hashes in O(1).  Fields may be passed by keyword."""
+    by identity, so a key hashes in O(1).  A class whose ``_conclude`` is
+    set derives more of a node from its fields once, when it is built."""
 
     def __call__(cls, *values, **named):
         if named:
-            values = cls._positional(values, named)
+            values = cls._fields(values, named)
         key = (cls, *values)
         ref = _LIVE.get(key)
         node = None if ref is None else ref()
         if node is None:
             names = cls.__match_args__
             if len(values) != len(names):
-                raise TypeError(f"{cls.__name__}() takes the fields {names}, got {len(values)} values")
+                cls._fields(values, {})  # raises: a field is missing or a value extra
             node = object.__new__(cls)
             for name, value in zip(names, values):
                 _set(node, name, value)
+            if cls._conclude is not None:
+                cls._conclude(node)
             _NODES[key] = node
         return node
-
-    def _positional(cls, values, named):
-        """``values`` followed by the keyword ``named`` fields, in field order."""
-        rest = cls.__match_args__[len(values):]
-        for name in named:
-            if name not in rest:
-                taken = name in cls.__match_args__
-                problem = "multiple values for" if taken else "an unexpected keyword argument"
-                raise TypeError(f"{cls.__name__}() got {problem} {name!r}")
-        for name in rest:
-            if name not in named:
-                raise TypeError(f"{cls.__name__}() missing field {name!r}")
-        return (*values, *(named[name] for name in rest))
 
 
 class _HashConsed(metaclass=_Interned):
@@ -266,6 +278,7 @@ class _HashConsed(metaclass=_Interned):
     __delattr__ = _frozen_delattr
     __repr__ = _node_repr
     __reduce__ = _node_reduce
+    _conclude = None
 
     # A copy is the node itself, at any depth.
     def __copy__(self):
@@ -288,12 +301,26 @@ class _Node(_HashConsed):
 
 class _Record(metaclass=_Slotted):
     """Base of the mutable records: ``==`` compares the fields, and
-    instances are unhashable.  Each record writes out its ``__init__``."""
+    instances are unhashable.  A record takes its fields by position or by
+    keyword, as nodes do; a class whose fields have defaults or must be
+    validated writes out its own ``__init__``.  ``repr`` and pickle are the
+    nodes': a record pickles as one table of the distinct nodes under all
+    its fields."""
 
     __slots__ = ()
-    __repr__ = _repr
-    __reduce__ = _reduce
+    __repr__ = _node_repr
+    __reduce__ = _node_reduce
     __hash__ = None
+
+    def __init__(self, *values, **named):
+        cls = type(self)
+        if named or len(values) != len(cls.__match_args__):
+            values = cls._fields(values, named)
+        for name, value in zip(cls.__match_args__, values):
+            _set(self, name, value)
+
+    def __copy__(self):  # shallow: the same field values
+        return type(self)(*[getattr(self, name) for name in self.__match_args__])
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

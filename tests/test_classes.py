@@ -8,6 +8,7 @@ import dataclasses
 import importlib
 import pickle
 import pkgutil
+import re
 import types
 
 import pytest
@@ -17,7 +18,7 @@ from jelogic import Dialect, Sequent, compute_families, cs_total
 from jelogic.axioms import ConstantSpecification, UnknownScheme
 from jelogic.hilbert import Hyp, MPStep
 from jelogic.semantics import FiniteBasicEvaluation, FuzzReport, QuasiModel
-from jelogic.syntax import Atom, Bottom, Implies, Substitution
+from jelogic.syntax import Atom, Bottom, Implies, Substitution, _Record
 
 from _helpers import proof_of, realize_text
 
@@ -127,3 +128,72 @@ def test_constant_specifications_validate_on_construction():
         ConstantSpecification(Dialect.JE, {"c0": frozenset({"nope"})})
     cs = cs_total(Dialect.JEM)
     assert dataclasses.replace(cs) == cs
+
+
+def _shared_initializer_classes():
+    """The record classes that take the shared initializer (the bases have
+    no fields)."""
+    return [
+        cls for cls in _classes()
+        if issubclass(cls, _Record) and cls.__init__ is _Record.__init__ and "__match_args__" in vars(cls)
+    ]
+
+
+def test_records_take_their_fields_by_position_or_by_keyword():
+    classes = _shared_initializer_classes()
+    assert len(classes) == 13
+    for cls in classes:
+        names = cls.__match_args__
+        values = [object() for _ in names]
+        record = cls(*values)
+        assert [getattr(record, name) for name in names] == values
+        assert cls(**dict(zip(names, values))) == record
+        assert cls(values[0], **dict(zip(names[1:], values[1:]))) == record
+        assert dataclasses.replace(record) == record
+        new = object()
+        assert getattr(dataclasses.replace(record, **{names[-1]: new}), names[-1]) is new
+        twin = copy.copy(record)  # shallow: the same field values
+        assert twin is not record and all(getattr(twin, name) is getattr(record, name) for name in names)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda cls, values: cls(*values[:-1]), "{cls}() takes the fields {names}, got {short} values"),
+        (lambda cls, values: cls(*values, None), "{cls}() takes the fields {names}, got {long} values"),
+        (lambda cls, values: cls(*values[:-2], **{cls.__match_args__[-2]: None}), "{cls}() missing field {last!r}"),
+        (lambda cls, values: cls(*values, rigth=None), "{cls}() got an unexpected keyword argument 'rigth'"),
+        (lambda cls, values: cls(*values, **{cls.__match_args__[0]: None}), "{cls}() got multiple values for {first!r}"),
+    ],
+    ids=["missing", "extra", "missing-keyword", "unknown", "twice"],
+)
+def test_records_reject_their_fields_as_nodes_do(call, message):
+    classes = [cls for cls in _shared_initializer_classes() if len(cls.__match_args__) > 1]
+    for cls in [*classes, Implies, MPStep]:
+        names = cls.__match_args__
+        text = message.format(
+            cls=cls.__name__, names=names, short=len(names) - 1, long=len(names) + 1, first=names[0], last=names[-1]
+        )
+        with pytest.raises(TypeError, match=re.escape(text)):
+            call(cls, [Atom("A")] * len(names))
+
+
+def test_a_realization_pickles_as_one_table_of_its_nodes():
+    """Steps, formulas and terms shared between the steps of a derivation,
+    and between the derivations of a realization, are written once."""
+    boxes = "[]" * 16
+    r = realize_text(f"{boxes}A => {boxes}A", "GM", depth=18)
+    conclusion = len(pickle.dumps(r.derivation.conclusion))
+    data = pickle.dumps(r.derivation)
+    assert len(data) <= 2 * conclusion
+    back = pickle.loads(data)
+    assert all(a is b for a, b in zip(back.steps, r.derivation.steps, strict=True))
+    assert back.conclusion is r.derivation.conclusion
+    # Beyond its derivation, the realization holds its source proof and a
+    # log whose 16 derivations list 864 steps between them, each of them
+    # written as a reference into the one table.
+    data = pickle.dumps(r)
+    assert len(data) <= 2 * len(pickle.dumps(r.derivation))
+    back = pickle.loads(data)
+    assert back == r and back.source is r.source
+    assert all(a.derivation.conclusion is b.derivation.conclusion for a, b in zip(back.log, r.log, strict=True))

@@ -231,6 +231,21 @@ class TestSearch:
             check_sequent_proof(p, "GE")
             assert len(calls) == proof_size(p)[1]
 
+    def test_each_sequent_is_asked_about_axioms_once_per_call(self, monkeypatch):
+        # The look-ahead asks about a one-premise rule's premise, which the
+        # search of the chosen rule then meets again.
+        asked = []
+        leaf = jelogic.sequent._axiom_leaf
+        monkeypatch.setattr("jelogic.sequent._axiom_leaf", lambda c: asked.append((c.ante, c.succ)) or leaf(c))
+        calls = 0
+        for calculus in ("GE", "GM"):
+            for f in fragment_formulas()[:400]:
+                asked.clear()
+                prove_bounded(Sequent((), (f,)), calculus, 10)
+                calls += len(asked)
+                assert len(set(asked)) == len(asked)
+        assert calls > 1000
+
     def test_memo_lives_for_one_call(self):
         s = parse_sequent_line("[][][]A => [][][]A")
         p = prove_bounded(s, "GE", 5)
