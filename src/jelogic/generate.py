@@ -37,7 +37,7 @@ from .syntax import (
     ProofTerm,
     ProofVar,
     Sum,
-    box_occurrences,
+    occurrences,
 )
 
 _ATOMS = ("A", "B", "C")
@@ -172,7 +172,7 @@ def _equivalence_pair(atom: str) -> tuple[Proof, Proof]:
 
 
 def _boxfree(f: Formula) -> bool:
-    return not box_occurrences(f)
+    return not any(isinstance(node, Box) for _, node, _ in occurrences(f))
 
 
 def random_sequent_theorem(

@@ -10,11 +10,14 @@ hypothesis whose formula the glue also derives drops out of the judgment.
 
 The walk goes over shapes, not tree nodes.  Proofs are hash-consed, so
 equal subproofs are one ``Proof`` object, and ``compute_families`` reads the
-proof as shapes: a ``Proof`` object with the group (equivalence class in GE,
-family otherwise) of each of its box occurrences.  Every box occurrence
-below a node corresponds to one of its own, so tree nodes of one shape have
-equal candidates at every corresponding occurrence of their subproofs, and
-each shape is realized once.
+proof as shapes: a ``Proof`` object with its sequent annotated, each box
+``[]B`` as ``[x_g]B`` with the variable of its group g (equivalence class in
+GE, family otherwise).  Every box occurrence below a node corresponds to one
+of its own, so tree nodes of one shape have equal candidates at every
+corresponding occurrence of their subproofs, and each shape is realized
+once.  A shape's realized sequent is its annotated one with each group's
+variable replaced by the group's candidate, by one memoized substitution
+shared by all shapes.
 
 Families never introduced by a modal rule are realized by fresh variables.
 A group introduced by modal rules is realized by the sum, in shape order, of
@@ -83,7 +86,6 @@ from .sequent import (
 )
 from .syntax import (
     BOT,
-    Box,
     Dialect,
     DialectError,
     Evidence,
@@ -98,14 +100,14 @@ from .syntax import (
     ProofOf,
     ProofVar,
     Sum,
+    Substitution,
     Term,
     _FrozenRecord,
-    box_occurrences,
+    _Substituter,
     children,
     forgetful,
-    polarity_at,
+    occurrences,
     print_formula,
-    subformula_at,
 )
 
 CALCULUS_DIALECT = {"GE": Dialect.JE, "GM": Dialect.JEM}
@@ -235,15 +237,21 @@ def _cases(dialect: Dialect, a: Formula, arm_a: Derivation, arm_na: Derivation, 
 def _sum_chain(u: Term, target: Term, node) -> tuple | None:
     """The ``node`` sums on the leftmost path from ``u`` down to ``target``,
     each with the side taken (0 left, 1 right); None if no path of sums
-    reaches ``target``."""
-    if u == target:
-        return ()
-    if isinstance(u, node):
-        for side, kid in enumerate(children(u)):
-            rest = _sum_chain(kid, target, node)
-            if rest is not None:
-                return ((u, side),) + rest
-    return None
+    reaches ``target``.  A depth-first walk over an explicit stack: the
+    chain so far, each sum with the side being tried."""
+    chain: list = []
+    at = u
+    while at != target:
+        if isinstance(at, node):
+            chain.append((at, 0))
+        else:  # a dead end: go back to the nearest sum with a side left
+            while chain and chain[-1][1]:
+                chain.pop()
+            if not chain:
+                return None
+            chain[-1] = chain[-1][0], 1
+        at = children(chain[-1][0])[chain[-1][1]]
+    return tuple(chain)
 
 
 def _lift_sum(d: Derivation, chain, wrap, plus_scheme: str, keys) -> Derivation:
@@ -273,6 +281,23 @@ def _lift_just_sum(d: Derivation, u: Term, target: Term) -> Derivation:
 # The realization engine
 
 
+class _Candidates(dict):
+    """The candidate of each group, by the index of the variable its shapes
+    carry; a group's sum is built by ``build`` the first time it is asked
+    for, by ``[]`` or by ``get``, which is how ``_Substituter`` asks."""
+
+    def __init__(self, build):
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, group: int) -> Term:
+        t = self[group] = self.build(group)
+        return t
+
+    def get(self, group: int, default=None) -> Term:
+        return self[group]
+
+
 class _Engine:
     def __init__(self, proof: Proof, calculus: str, cs: ConstantSpecification, mode: str):
         self.calculus = calculus
@@ -281,8 +306,9 @@ class _Engine:
         self.mode = mode
         self.analysis: FamilyAnalysis = compute_families(proof)
         self.shapes = self.analysis.shapes
-        self.cands: dict[int, Term] = {}     # by label, a group's on first use
-        self.groups: dict[int, tuple[int, ...]] = {}   # a group's instances, by label
+        self.cands = _Candidates(self._group_term)
+        self.annotation = _Substituter(Substitution(just_vars=self.cands))   # shared by all shapes
+        self.groups: dict[int, tuple[int, ...]] = {}   # a group's instances, by its variable
         self.entries: dict[int, tuple[LogEntry, ...]] = {}   # by shape position, like derivs and routes
         self.derivs: dict[int, Derivation] = {}
         self.routes: dict[int, tuple] = {}   # pending routes
@@ -293,8 +319,8 @@ class _Engine:
 
     def _assign_candidates(self):
         """Fresh variables for the families no modal rule introduces into,
-        and the instances of each group under the label its shapes carry: a
-        class's shapes label its families with its first."""
+        and the instances of each group under the variable its shapes carry:
+        a class's shapes carry its first family's."""
         analysis = self.analysis
         for cls in analysis.classes:
             self.groups[cls.families[0]] = cls.instances
@@ -306,15 +332,11 @@ class _Engine:
             elif self.calculus == "GM":
                 self.groups[fid] = fam.instances
 
-    def _cand(self, label: int) -> Term:
-        """The label's candidate; a group's is the sum of its instances'
-        values, in shape order, built the first time it is asked for."""
-        t = self.cands.get(label)
-        if t is None:
-            values = [self._value(k) for k in self.groups[label]]
-            t = Evidence(reduce(Sum, values)) if self.calculus == "GE" else reduce(JustSum, values)
-            self.cands[label] = t
-        return t
+    def _group_term(self, group: int) -> Term:
+        """The group's candidate: the sum of its instances' values, in shape
+        order."""
+        values = [self._value(k) for k in self.groups[group]]
+        return Evidence(reduce(Sum, values)) if self.calculus == "GE" else reduce(JustSum, values)
 
     def _value(self, k: int) -> Term:
         """The summand of the modal-rule shape k.  Its premises' derivations
@@ -331,27 +353,17 @@ class _Engine:
             entries.append(LogEntry(lam, Implies(f, g), p))
         self.entries[k] = tuple(entries)
         if shape.proof.rule == "RM":
-            return MApply(entries[0].term, self._cand(shape.labels[0]))
+            return MApply(entries[0].term, self.cands[shape.sequent.ante[0].term.index])
         lam1, lam2 = (e.term for e in entries)
         return lam1 if self.mode == "simplify" and lam1 == lam2 else Sum(lam1, lam2)
 
     # -- annotation ------------------------------------------------------
 
     def _annotate(self, k: int):
-        """The shape's sequent with each box annotated by its label's
-        candidate; the labels come in the preorder of the boxes."""
-        shape = self.shapes[k]
-        labels = iter(shape.labels)
-
-        def go(f: Formula) -> Formula:
-            if isinstance(f, Box):
-                term = self._cand(next(labels))
-                return JustOf(term, go(f.body))
-            kids = children(f)
-            return type(f)(*map(go, kids)) if kids else f
-
-        s = shape.proof.sequent
-        return tuple(map(go, s.ante)), tuple(map(go, s.succ))
+        """The shape's sequent with each family variable replaced by its
+        group's candidate."""
+        s = self.shapes[k].sequent
+        return tuple(map(self.annotation, s.ante)), tuple(map(self.annotation, s.succ))
 
     # -- routes over succedents ------------------------------------------
     #
@@ -773,14 +785,12 @@ def verify_realization(
         # Each negative box of the realized sequent, on its own, not by
         # family: ``realized`` puts the antecedent left of implications, so
         # polarities in it are those in the sequent.
-        realized = result.realized
         seen: set[Term] = set()
-        for path in box_occurrences(forgetful(realized)):
-            if polarity_at(realized, path) != "negative":
+        for _, node, positive in occurrences(result.realized):
+            if not isinstance(node, JustOf) or positive:
                 continue
-            term = subformula_at(realized, path).term
-            if not isinstance(term, JustVar):
-                raise NotNormal(f"negative box realized by a non-variable term {term!r}")
-            if term in seen:
+            if not isinstance(node.term, JustVar):
+                raise NotNormal(f"negative box realized by a non-variable term {node.term!r}")
+            if node.term in seen:
                 raise NotNormal("two negative boxes share one variable")
-            seen.add(term)
+            seen.add(node.term)

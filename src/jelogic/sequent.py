@@ -1,5 +1,5 @@
 """Cut-free sequent calculi GE and GM over the modal dialect, plus the
-occurrence-tracking that realization needs.
+families of box occurrences that realization needs.
 
 Sequents are pairs of formula tuples; the stored order fixes occurrence
 identity, while the logic itself treats both sides as multisets (explicit
@@ -16,14 +16,15 @@ by its conclusion and principal occurrence.  The ten rules with one
 principal formula have theirs in one table, ``LAYOUTS`` (printed in
 docs/formats.md): ``premises_of`` reads it backwards, from a conclusion to
 its premises, and ``conclude`` forwards, building a node from its premises.
-``correspondences`` reads the occurrence correspondence between premises and
-conclusion off ``premises_of``.  Each box occurrence
-of a proof, read as a tree, corresponds through it to exactly one of the
-root sequent's, so ``compute_families`` takes those as the families.  It
-reads the proof as shapes, each distinct subproof with the families of its
-box occurrences, marks the families the modal rules introduce, and (for GE)
-groups families introduced by a shared rule instance into equivalence
-classes.
+Every box occurrence of a premise is one of its conclusion's, moved where
+the rule moves it, so each box occurrence of a proof, read as a tree,
+corresponds to exactly one of the root sequent's, and
+``compute_families`` takes those as the families.  It annotates the root
+sequent once, each box with a variable naming its family, and reads the
+annotated premises of every node off ``premises_of``.  So it reads the proof
+as shapes, each distinct subproof with its annotated sequent, marks the
+families the modal rules introduce, and (for GE) groups families introduced
+by a shared rule instance into equivalence classes.
 ``prove_bounded`` is a deterministic backward search that decomposes
 propositional structure eagerly (those rules are invertible), then tries
 every antecedent/succedent box pair at the modal transition, inserting the
@@ -51,12 +52,15 @@ from .syntax import (
     _FrozenRecord,
     _HashConsed,
     _Record,
+    JustOf,
+    JustVar,
+    Substitution,
+    _Substituter,
     _set,
-    box_occurrences,
     check_dialect,
     formula_children,
+    occurrences,
     parse_sequent as _parse_sides,
-    polarity_at,
     postorder,
     print_sequent as _print_sides,
 )
@@ -179,6 +183,13 @@ def _single(principal, side: str, s: Sequent):
     return k, seq_side[k]
 
 
+# RE and RM take an annotated box ``[t]A`` as principal too, so that
+# ``premises_of`` of an annotated sequent is its annotated premises (see
+# ``compute_families``).  ``check_sequent_proof`` admits only modal formulas
+# at the root, so no checked proof holds one.
+_BOXES = (Box, JustOf)
+
+
 def premises_of(rule: str, principal, s: Sequent) -> tuple[Sequent, ...]:
     """The premise sequents a rule instance must have, in fixed layout: for
     a rule of ``LAYOUTS``, read off the table."""
@@ -224,7 +235,7 @@ def premises_of(rule: str, principal, s: Sequent) -> tuple[Sequent, ...]:
         case "RE" | "RM":
             if principal != (("L", 0), ("R", 0)):
                 raise SequentProofError("bad-rule", f"{rule} principal must be both boxes")
-            if len(ante) != 1 or len(succ) != 1 or not isinstance(ante[0], Box) or not isinstance(succ[0], Box):
+            if len(ante) != 1 or len(succ) != 1 or not isinstance(ante[0], _BOXES) or not isinstance(succ[0], _BOXES):
                 raise SequentProofError("bad-rule", f"{rule} needs exactly []A => []B, got {s}")
             a, b = ante[0].body, succ[0].body
             if rule == "RE":
@@ -301,40 +312,6 @@ def conclude(rule: str, premises, k: int = 0, formula: Formula | None = None) ->
             f"{rule} with k = {k} and formula {formula} does not conclude from {shown}",
         )
     return Proof(read[1], rule, read[0], premises)
-
-
-def correspondences(rule: str, principal, s: Sequent) -> tuple[dict, ...]:
-    """Per premise, a total map from premise occurrences ``(side, i)`` to
-    ``((side, j), path)``: the conclusion occurrence the premise formula lives
-    in and the path to it inside that formula.
-
-    The maps are read off ``premises_of``, applied once to a labelled copy of
-    ``s``.  In the copy, the formula at a non-principal occurrence ``(side, j)``
-    is an atom naming that occurrence, and a principal formula keeps its
-    connective over atoms naming its children (one without children stays as
-    it is).  Every premise formula then comes out as one of these names, put
-    where the rule puts the formula, and one lookup gives its ``((side, j),
-    path)``.  This relies on ``premises_of`` looking only at the principal
-    formulas and at the lengths of the two sides.  The names start with
-    ``#``, which no parsed atom does, so no atom of ``s`` passes for one."""
-    where = {}
-    sides = []
-    for side, formulas in (("L", s.ante), ("R", s.succ)):
-        labelled = []
-        for j, f in enumerate(formulas):
-            if (side, j) in principal:
-                kids = tuple(Atom(f"#{side}{j}.{c}") for c in range(len(formula_children(f))))
-                where.update((kid, ((side, j), (c,))) for c, kid in enumerate(kids))
-                f = type(f)(*kids) if kids else f
-            else:
-                f = Atom(f"#{side}{j}")
-            where[f] = ((side, j), ())
-            labelled.append(f)
-        sides.append(tuple(labelled))
-    return tuple(
-        {(side, i): where[f] for side, fs in (("L", p.ante), ("R", p.succ)) for i, f in enumerate(fs)}
-        for p in premises_of(rule, principal, Sequent(*sides))
-    )
 
 
 def check_sequent_proof(p: Proof, calculus: str) -> Sequent:
@@ -549,76 +526,79 @@ def prove_bounded(s: Sequent, calculus: str, depth: int) -> Proof | None:
 # ---------------------------------------------------------------------------
 # Families of box occurrences
 #
-# Every box occurrence of a premise corresponds to exactly one box occurrence
-# of its conclusion (``correspondences`` is total), so, read as a tree, a
-# proof joins each box occurrence to exactly one box occurrence of the root
-# sequent.  The families are the root's box occurrences.  A walk from the
-# root labels each occurrence with its family and reads the labels of a
-# premise's occurrences off its parent's; a node seen again with the same
-# labels is a subtree seen before, so the walk goes over each such pair once.
+# No rule makes a box: each premise formula ``premises_of`` gives is a side
+# formula of the conclusion, a child of its principal formula or (CL, CR)
+# the principal itself.  So, read as a tree, a proof joins each box
+# occurrence to exactly one box occurrence of the root sequent, and the
+# families are the root's box occurrences.  ``compute_families`` annotates the
+# root sequent once, each box ``[]B`` as ``[x_f]B`` with the variable of its
+# family f, and ``premises_of`` of an annotated sequent is the annotated
+# premises: each box carries the variable of the root box it corresponds to.
+# A node seen again with the same annotated sequent is a subtree seen before,
+# so the walk goes over each such pair once.
 
 
-def _boxes(s: Sequent) -> list[tuple[str, int, tuple[int, ...]]]:
-    """The box occurrences ``(side, index, path)`` of ``s``: the antecedent
-    before the succedent, each formula's boxes in preorder."""
-    return [
-        (side, i, path)
-        for side, formulas in (("L", s.ante), ("R", s.succ))
-        for i, f in enumerate(formulas)
-        for path in box_occurrences(f)
-    ]
-
-
-def _label_maps(node: Proof) -> tuple[tuple[int, ...], ...]:
-    """Per premise, for each of its box occurrences, the position among the
-    node's own of the occurrence it corresponds to."""
-    try:
-        corr = correspondences(node.rule, node.principal, node.sequent)
-        if len(corr) != len(node.children):
-            raise SequentProofError("premise-mismatch")
-        at = {occurrence: k for k, occurrence in enumerate(_boxes(node.sequent))}
-        maps = []
-        for cmap, child in zip(corr, node.children):
-            m = []
-            for side, i, path in _boxes(child.sequent):
-                (side2, j), prefix = cmap[side, i]
-                m.append(at[side2, j, prefix + path])
-            maps.append(tuple(m))
-        return tuple(maps)
-    except (SequentProofError, KeyError):
-        raise SequentProofError("unchecked", f"{node.rule} at {node.sequent} is not a valid instance") from None
+def _annotated(s: Sequent) -> tuple[Sequent, list[tuple[tuple, bool]]]:
+    """``s`` with its f-th box occurrence ``[]B`` as ``[x_f]B``, counting the
+    antecedent before the succedent and each formula's boxes in preorder,
+    and each box occurrence ``(side, index, path)`` with whether it is
+    positive in the sequent."""
+    boxes: list[tuple[tuple, bool]] = []
+    sides = []
+    for side, formulas in (("L", s.ante), ("R", s.succ)):
+        annotated = []
+        for i, f in enumerate(formulas):
+            walk = list(occurrences(f))
+            boxes += [((side, i, path), positive == (side == "R")) for path, node, positive in walk if isinstance(node, Box)]
+            # Reversed, the preorder walk reaches each node after its
+            # children, the leftmost last, so they lie on top of ``built``.
+            family, built = len(boxes), []
+            for _, node, _ in reversed(walk):
+                kids = [built.pop() for _ in formula_children(node)]
+                if isinstance(node, Box):
+                    family -= 1
+                    node = JustOf(JustVar(family), *kids)
+                elif kids:
+                    node = type(node)(*kids)
+                built.append(node)
+            annotated += built
+        sides.append(tuple(annotated))
+    return Sequent(*sides), boxes
 
 
 class Shape(_FrozenRecord):
-    """A proof node read with labels on its box occurrences: the ``Proof``
-    object and a label per occurrence, in ``_boxes`` order.  Tree nodes with
-    one shape have equally labelled subtrees."""
+    """A proof node read with its box occurrences annotated: the ``Proof``
+    object and its sequent with each box ``[]B`` as ``[x_f]B``, f the box's
+    family (in GE, the first family of its class).  Tree nodes with one
+    shape have equally annotated subtrees."""
 
     proof: Proof
-    labels: tuple[int, ...]
+    sequent: Sequent
     children: tuple[int, ...]    # positions of the premises' shapes
 
 
-def _shapes(p: Proof, labels: tuple[int, ...]) -> tuple[list[Shape], dict[tuple, int]]:
-    """The shapes of ``p`` with ``labels`` on the root's box occurrences, in
-    the order a postorder walk of the tree first reaches them, and the
-    position of each ``(proof, labels)`` pair among them."""
-    maps: dict[Proof, tuple] = {}
-    premises: dict[tuple, tuple] = {}  # each pair's labelled premises, built once
+def _shapes(p: Proof, annotated: Sequent) -> list[Shape]:
+    """The shapes of ``p`` with ``annotated`` as its sequent, in the order a
+    postorder walk of the tree first reaches them."""
+    premises: dict[tuple, tuple] = {}  # each pair's annotated premises, built once
 
-    def labelled_premises(key):
-        node, labels = key
-        if node not in maps:
-            maps[node] = _label_maps(node)
-        premises[key] = tuple((c, tuple(labels[k] for k in m)) for c, m in zip(node.children, maps[node]))
+    def annotated_premises(key):
+        node, s = key
+        try:
+            given = premises_of(node.rule, node.principal, s)
+        except SequentProofError:
+            given = None
+        if given is None or len(given) != len(node.children):
+            raise SequentProofError("unchecked", f"{node.rule} at {node.sequent} is not a valid instance")
+        premises[key] = tuple(zip(node.children, given))
         return premises[key]
 
     position: dict[tuple, int] = {}
     shapes: list[Shape] = []
-    for key in postorder((p, labels), kids=labelled_premises):
+    for key in postorder((p, annotated), kids=annotated_premises):
         position[key] = len(shapes)
         shapes.append(Shape(*key, tuple(position[kid] for kid in premises[key])))
-    return shapes, position
+    return shapes
 
 
 class Family(_FrozenRecord):
@@ -642,14 +622,15 @@ class FamilyAnalysis(_Record):
 
 def compute_families(p: Proof) -> FamilyAnalysis:
     """The families of the proof's box occurrences, one per box occurrence
-    of the root sequent in ``_boxes`` order, classified for realization,
-    and the proof's shapes.  A shape labels each box occurrence with its
-    family; in GE, a family of an equivalence class is labelled with the
-    class's first family instead, so that the instances of a class that
-    prove one subproof are one shape.  The proof must be structurally valid
-    (the same premise layouts ``check_sequent_proof`` enforces)."""
-    root = _boxes(p.sequent)
-    shapes, position = _shapes(p, tuple(range(len(root))))
+    of the root sequent, the antecedent before the succedent and each
+    formula's boxes in preorder, classified for realization, and the
+    proof's shapes.  A shape annotates each box with its family's variable;
+    in GE, a family of an equivalence class takes the class's first
+    family's instead, so that the instances of a class that prove one
+    subproof are one shape.  The proof must be structurally valid (the same
+    premise layouts ``check_sequent_proof`` enforces)."""
+    annotated, boxes = _annotated(p.sequent)
+    shapes = _shapes(p, annotated)
     rules_used = {s.proof.rule for s in shapes}
     if "RE" in rules_used and "RM" in rules_used:
         raise SequentProofError("wrong-calculus", "proof mixes RE and RM")
@@ -657,17 +638,17 @@ def compute_families(p: Proof) -> FamilyAnalysis:
 
     # The shapes of the modal rules introducing into each family: in GM
     # those of its right box, in GE those of either box.
-    intro: list[list[Shape]] = [[] for _ in root]
+    intro: list[list[int]] = [[] for _ in boxes]
     pairs = []   # the families of the two boxes of each RE shape
-    for s in shapes:
+    for k, s in enumerate(shapes):
         if s.proof.rule in ("RE", "RM"):
-            left, right = s.labels[0], s.labels[len(box_occurrences(s.proof.sequent.ante[0]))]
-            intro[right].append(s)
+            left, right = s.sequent.ante[0].term.index, s.sequent.succ[0].term.index
+            intro[right].append(k)
             if s.proof.rule == "RE":
-                intro[left].append(s)
+                intro[left].append(k)
                 pairs.append((left, right))
 
-    label = list(range(len(root)))
+    at = list(range(len(shapes)))   # each shape's position among the merged
     classes: list[list[int]] = []
     if modal_rule == "RE":
         # The classes: the families the pairs link, directly or not.
@@ -675,35 +656,33 @@ def compute_families(p: Proof) -> FamilyAnalysis:
         for left, right in pairs:
             linked.setdefault(left, []).append(right)
             linked.setdefault(right, []).append(left)
+        first: dict[int, JustVar] = {}
         for f in sorted(linked):
-            if label[f] == f:  # not in a class yet, so the least of its own
+            if f not in first:  # not in a class yet, so the least of its own
                 classes.append(sorted(postorder(f, kids=linked.__getitem__)))
-                for g in classes[-1]:
-                    label[g] = f
-        # The shapes under class labels are the shapes above with their
-        # labels read through ``label``, those that become equal merged.  A
-        # postorder walk of the tree reaches a merged shape first where it
-        # first reaches any of its members, so the order is theirs.
-        at: list[int] = []  # each shape's position among the merged
+                first.update((g, JustVar(f)) for g in classes[-1])
+        # The shapes under class variables are the shapes above with each
+        # family's variable replaced by its class's first, those that become
+        # equal merged.  A postorder walk of the tree reaches a merged shape
+        # first where it first reaches any of its members, so the order is
+        # theirs.
+        merge = _Substituter(Substitution(just_vars=first))
         position, merged = {}, []
-        for s in shapes:
-            key = s.proof, tuple(label[k] for k in s.labels)
+        for k, s in enumerate(shapes):
+            key = s.proof, Sequent(tuple(map(merge, s.sequent.ante)), tuple(map(merge, s.sequent.succ)))
             if key not in position:
                 position[key] = len(merged)
                 merged.append(Shape(*key, tuple(at[c] for c in s.children)))
-            at.append(position[key])
+            at[k] = position[key]
         shapes = merged
 
-    families = []
-    for f, (side, i, path) in enumerate(root):
-        polarity = polarity_at((p.sequent.ante if side == "L" else p.sequent.succ)[i], path)
-        if side == "L":
-            polarity = "negative" if polarity == "positive" else "positive"
-        instances = sorted({position[s.proof, tuple(label[k] for k in s.labels)] for s in intro[f]})
-        families.append(Family((side, i, path), bool(instances), tuple(instances), polarity))
+    families = tuple(
+        Family(occurrence, bool(intro[f]), tuple(sorted({at[k] for k in intro[f]})), "positive" if positive else "negative")
+        for f, (occurrence, positive) in enumerate(boxes)
+    )
     return FamilyAnalysis(
         shapes,
-        tuple(families),
+        families,
         tuple(EquivClass(tuple(fams), tuple(sorted({k for f in fams for k in families[f].instances}))) for fams in classes),
         modal_rule,
     )

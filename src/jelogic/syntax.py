@@ -19,9 +19,9 @@ formulas are identical objects, ``==`` and ``hash`` are by identity, and a
 term DAG costs memory per distinct node.  ``children`` gives a node's child
 nodes in field order, over which ``type(node)(*kids)`` rebuilds it, and
 ``postorder`` is the one walk over terms, formulas and proofs: their
-distinct nodes, each after its children, without recursion.  Occurrences of
-subformulas are addressed by paths (tuples of formula-child indices), which
-the sequent machinery uses to track box occurrences across rule applications.
+distinct nodes, each after its children, without recursion.  ``occurrences``
+walks a formula as a tree instead, each subformula occurrence with its path
+(formula-child indices) and polarity.
 
 Concrete syntax notes (the full grammar lives in docs/grammar.md):
 
@@ -61,10 +61,6 @@ class ParseError(Exception):
 
 class DialectError(Exception):
     """A term or formula uses a constructor the dialect does not have."""
-
-
-class BadPath(Exception):
-    """An occurrence path does not point into the formula."""
 
 
 class ProofOfPresent(Exception):
@@ -533,42 +529,20 @@ def _bottom_up(roots, kids, make):
         yield value(root)
 
 
-def subformula_at(f: Formula, path: tuple[int, ...]) -> Formula:
-    node = f
-    for i, step in enumerate(path):
-        kids = formula_children(node)
-        if step >= len(kids):
-            raise BadPath(f"no child {step} at {path[:i]}")
-        node = kids[step]
-    return node
-
-
-def box_occurrences(f: Formula) -> tuple[tuple[int, ...], ...]:
-    """Paths to every ``Box`` node of ``f`` read as a tree, in preorder."""
-    out = []
-    stack = [((), f)]
+def occurrences(f: Formula):
+    """The subformula occurrences of ``f`` read as a tree, in preorder, without
+    recursion: ``(path, node, positive)``, where ``path`` holds the
+    formula-child indices from ``f`` down to the occurrence and ``positive``
+    is its polarity.  ``f`` itself is positive; the left side of an
+    implication and the body of a negation flip, every other place keeps."""
+    stack = [((), f, True)]
     while stack:
-        path, node = stack.pop()
-        if isinstance(node, Box):
-            out.append(path)
+        path, node, positive = stack.pop()
+        yield path, node, positive
         kids = formula_children(node)
-        stack.extend((path + (i,), kids[i]) for i in reversed(range(len(kids))))
-    return tuple(out)
-
-
-def polarity_at(f: Formula, path: tuple[int, ...]) -> str:
-    """Polarity of the subformula at ``path``: the whole formula is positive,
-    implication flips its left side, negation flips, everything else keeps."""
-    node = f
-    flips = 0
-    for i, step in enumerate(path):
-        kids = formula_children(node)
-        if step >= len(kids):
-            raise BadPath(f"no child {step} at {path[:i]}")
-        if isinstance(node, Not) or (isinstance(node, Implies) and step == 0):
-            flips += 1
-        node = kids[step]
-    return "positive" if flips % 2 == 0 else "negative"
+        for i in reversed(range(len(kids))):
+            flips = isinstance(node, Not) or (i == 0 and isinstance(node, Implies))
+            stack.append((path + (i,), kids[i], positive != flips))
 
 
 def term_depth(t: Term) -> int:

@@ -1,7 +1,7 @@
 """Shared test utilities: proof search shortcuts, a tree-expanding family
-analysis to test ``compute_families`` against, a recursive printer to test
-``print_formula`` and ``print_term`` against, and shape matching with named
-holes for internalized witness terms."""
+analysis over occurrence paths to test ``compute_families`` against, a
+recursive printer to test ``print_formula`` and ``print_term`` against, and
+shape matching with named holes for internalized witness terms."""
 
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ from jelogic import (
     realize,
 )
 from jelogic.hilbert import Derivation, MPStep
-from jelogic.sequent import correspondences
+from jelogic.sequent import premises_of
 from jelogic.syntax import (
     Apply,
     And,
@@ -37,7 +37,8 @@ from jelogic.syntax import (
     ProofVar,
     Sum,
     Term,
-    box_occurrences,
+    formula_children,
+    occurrences,
 )
 
 CS_JE = cs_total(Dialect.JE)
@@ -94,6 +95,13 @@ def deep_proof_text(levels: int = 1500) -> str:
     return "\n".join(lines) + "\n"
 
 
+def subformula_at(f: Formula, path: tuple[int, ...]) -> Formula:
+    """The subformula of ``f`` at ``path``, formula-child indices from ``f``."""
+    for step in path:
+        f = formula_children(f)[step]
+    return f
+
+
 def sequent_boxes(s: Sequent) -> list[tuple]:
     """The box occurrences ``(side, index, path)`` of ``s``: the antecedent
     before the succedent, each formula's boxes in preorder."""
@@ -101,8 +109,54 @@ def sequent_boxes(s: Sequent) -> list[tuple]:
         (side, i, path)
         for side, formulas in (("L", s.ante), ("R", s.succ))
         for i, f in enumerate(formulas)
-        for path in box_occurrences(f)
+        for path, node, _ in occurrences(f)
+        if isinstance(node, Box)
     ]
+
+
+def shape_labels(s: Sequent) -> tuple[int, ...]:
+    """The family variables of an annotated sequent, one per box occurrence
+    in ``sequent_boxes`` order."""
+    return tuple(
+        node.term.index
+        for f in s.ante + s.succ
+        for _, node, _ in occurrences(f)
+        if isinstance(node, JustOf)
+    )
+
+
+def correspondences(rule: str, principal, s: Sequent) -> tuple[dict, ...]:
+    """Per premise, a total map from premise occurrences ``(side, i)`` to
+    ``((side, j), path)``: the conclusion occurrence the premise formula lives
+    in and the path to it inside that formula.
+
+    The maps are read off ``premises_of``, applied once to a labelled copy of
+    ``s``.  In the copy, the formula at a non-principal occurrence ``(side, j)``
+    is an atom naming that occurrence, and a principal formula keeps its
+    connective over atoms naming its children (one without children stays as
+    it is).  Every premise formula then comes out as one of these names, put
+    where the rule puts the formula, and one lookup gives its ``((side, j),
+    path)``.  This relies on ``premises_of`` looking only at the principal
+    formulas and at the lengths of the two sides.  The names start with
+    ``#``, which no parsed atom does, so no atom of ``s`` passes for one."""
+    where = {}
+    sides = []
+    for side, formulas in (("L", s.ante), ("R", s.succ)):
+        labelled = []
+        for j, f in enumerate(formulas):
+            if (side, j) in principal:
+                kids = tuple(Atom(f"#{side}{j}.{c}") for c in range(len(formula_children(f))))
+                where.update((kid, ((side, j), (c,))) for c, kid in enumerate(kids))
+                f = type(f)(*kids) if kids else f
+            else:
+                f = Atom(f"#{side}{j}")
+            where[f] = ((side, j), ())
+            labelled.append(f)
+        sides.append(tuple(labelled))
+    return tuple(
+        {(side, i): where[f] for side, fs in (("L", p.ante), ("R", p.succ)) for i, f in enumerate(fs)}
+        for p in premises_of(rule, principal, Sequent(*sides))
+    )
 
 
 def tree_families(p) -> tuple[list, list, dict]:

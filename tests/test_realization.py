@@ -1,6 +1,7 @@
 import dataclasses
 import random
 import time
+from functools import reduce
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -38,6 +39,7 @@ from jelogic.syntax import (
     Dialect,
     DialectError,
     Evidence,
+    Formula,
     Implies,
     JustOf,
     JustSum,
@@ -52,13 +54,21 @@ from jelogic.syntax import (
     apply_substitution,
     forgetful,
     parse_formula,
-    box_occurrences,
     print_formula,
-    subformula_at,
     subterms,
+    terms_in,
 )
 
-from _helpers import CS_JE, CS_JEM, fragment_formulas, proof_of, realize_text, replaced_step
+from _helpers import (
+    CS_JE,
+    CS_JEM,
+    fragment_formulas,
+    proof_of,
+    realize_text,
+    replaced_step,
+    shape_labels,
+    subformula_at,
+)
 
 A, B, C = Atom("A"), Atom("B"), Atom("C")
 AXIOM = conclude("AxP", (), formula=A)  # A => A
@@ -515,8 +525,7 @@ def _assert_groups_are_deeper_below_their_rules(p: Proof):
     for shape in fa.shapes:
         if shape.proof.rule not in ("RE", "RM"):
             continue
-        right = len(box_occurrences(shape.proof.sequent.ante[0]))
-        here = depths(shape.labels[0]) | depths(shape.labels[right])
+        here = depths(shape.sequent.ante[0].term.index) | depths(shape.sequent.succ[0].term.index)
         assert len(here) == 1, (shape.proof.sequent, here)
         below, stack = set(), list(shape.children)
         while stack:
@@ -525,7 +534,7 @@ def _assert_groups_are_deeper_below_their_rules(p: Proof):
                 below.add(k)
                 stack.extend(fa.shapes[k].children)
         for k in below:
-            for label in fa.shapes[k].labels:
+            for label in shape_labels(fa.shapes[k].sequent):
                 assert min(depths(label)) > max(here), (shape.proof.sequent, fa.shapes[k].proof.sequent)
 
 
@@ -555,13 +564,19 @@ _GOLDENS = [
 
 def test_realization_revises_no_term(monkeypatch):
     """Every group's term is final when first built: realizing substitutes
-    into nothing, in either mode, and every result verifies."""
+    into nothing but the family variables of annotated sequents, in either
+    mode, and every result verifies."""
     import jelogic.syntax
 
-    def refuse(self, x):
-        raise AssertionError("a term was substituted into")
+    substitute = jelogic.syntax._Substituter.__call__
 
-    monkeypatch.setattr(jelogic.syntax._Substituter, "__call__", refuse)
+    def refuse_built_terms(self, x):
+        built = [t for t in (terms_in(x) if isinstance(x, Formula) else [x]) if not isinstance(t, JustVar)]
+        if built or self.s.atoms or self.s.proof_vars:
+            raise AssertionError("a term was substituted into")
+        return substitute(self, x)
+
+    monkeypatch.setattr(jelogic.syntax._Substituter, "__call__", refuse_built_terms)
     proofs = [(proof_of(text, calculus), calculus) for text, calculus in _GOLDENS]
     proofs += [(random_sequent_theorem(random.Random(seed), calculus), calculus)
                for seed in range(20) for calculus in ("GE", "GM")]
@@ -593,6 +608,17 @@ def test_equal_subproofs_in_different_classes_stay_apart():
         r = realize(proof_of("=> ([]A -> []A) & ([]A -> []A)", "GE"), "GE", CS_JE, mode)
         assert len(r.log) == 4
         verify_realization(r)
+
+
+def test_sum_chain_of_a_long_class_sum():
+    """A class sum nests one level per summand; the path down to a summand
+    is found without a Python frame per level."""
+    u = reduce(Sum, [ProofVar(i) for i in range(2000)])
+    chain = realization._sum_chain(u, ProofVar(0), Sum)
+    assert len(chain) == 1999 and chain[0][0] is u
+    assert all(side == 0 and isinstance(s, Sum) for s, side in chain)
+    assert realization._sum_chain(u, ProofVar(1999), Sum) == ((u, 1),)
+    assert realization._sum_chain(u, ProofVar(2000), Sum) is None
 
 
 def test_simplify_falls_back_to_the_given_result(monkeypatch):

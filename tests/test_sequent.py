@@ -16,7 +16,6 @@ from jelogic.sequent import (
     check_sequent_proof,
     compute_families,
     conclude,
-    correspondences,
     parse_sequent_line,
     premises_of,
     proof_size,
@@ -29,17 +28,27 @@ from jelogic.syntax import (
     Atom,
     BOT,
     Box,
+    DialectError,
     Implies,
+    JustOf,
+    JustVar,
     Or,
     ProofOf,
     ProofVar,
     Substitution,
     apply_substitution,
+    forgetful,
     postorder,
-    subformula_at,
 )
 
-from _helpers import fragment_formulas, sequent_boxes, tree_families
+from _helpers import (
+    correspondences,
+    fragment_formulas,
+    sequent_boxes,
+    shape_labels,
+    subformula_at,
+    tree_families,
+)
 
 A, B, C, D = Atom("A"), Atom("B"), Atom("C"), Atom("D")
 AXIOM = conclude("AxP", (), formula=A)  # A => A
@@ -316,15 +325,29 @@ class TestFamilies:
         f"{'[]' * 8}A => {'[]' * 8}A",      # the ladder at n = 8
         "=> [](A -> A) -> [](B -> B)",      # golden 3
     ])
-    def test_label_maps_once_per_distinct_subproof(self, monkeypatch, text):
-        """The class-labelled shapes of GE are read off the family-labelled
-        ones, so no node's label maps are computed twice."""
+    def test_premises_once_per_distinct_family_annotated_shape(self, monkeypatch, text):
+        """The class-annotated shapes of GE are read off the family-annotated
+        ones, so ``premises_of`` reads each of those once: once per distinct
+        pair of a subproof and the families of its boxes in the tree."""
         p = prove_bounded(parse_sequent_line(text), "GE", 10)
         calls = []
-        label_maps = jelogic.sequent._label_maps
-        monkeypatch.setattr("jelogic.sequent._label_maps", lambda node: calls.append(node) or label_maps(node))
+
+        def counted(rule, principal, s):
+            calls.append((rule, principal, s))
+            return premises_of(rule, principal, s)
+
+        monkeypatch.setattr("jelogic.sequent.premises_of", counted)
         assert compute_families(p).classes
-        assert len(calls) == len(set(calls)) == proof_size(p)[1]
+        nodes, _, family = tree_families(p)
+        shapes = {
+            (q.rule, q.principal, q.sequent, tuple(family[(nid, *o)] for o in sequent_boxes(q.sequent)))
+            for nid, (q, _) in enumerate(nodes)
+        }
+        read = [
+            (rule, principal, Sequent(tuple(map(forgetful, s.ante)), tuple(map(forgetful, s.succ))), shape_labels(s))
+            for rule, principal, s in calls
+        ]
+        assert len(read) == len(set(read)) == len(shapes) and set(read) == shapes
 
     def test_mixed_modal_rules_rejected(self):
         monotone = conclude("RM", (AXIOM,))
@@ -406,7 +429,7 @@ class TestCorrespondences:
         check_sequent_proof(q, calculus)
         fp, fq = compute_families(p), compute_families(q)
         assert fp.families and fq.families == fp.families and fq.classes == fp.classes
-        assert [s.labels for s in fq.shapes] == [s.labels for s in fp.shapes]
+        assert [shape_labels(s.sequent) for s in fq.shapes] == [shape_labels(s.sequent) for s in fp.shapes]
 
 
 @given(st.integers(0, 10**9), st.sampled_from(["GE", "GM"]))
@@ -417,11 +440,12 @@ def test_forward_generated_proofs_check_and_analyze(seed, calculus):
     _assert_maps_sound(p)
     fa = compute_families(p)
 
-    # A family per box occurrence of the root sequent, and a label per box
-    # occurrence of every shape.
+    # A family per box occurrence of the root sequent, and every shape's
+    # sequent its proof's, annotated.
     assert [f.occurrence for f in fa.families] == sequent_boxes(p.sequent)
     for shape in fa.shapes:
-        assert len(shape.labels) == len(sequent_boxes(shape.proof.sequent))
+        forgotten = Sequent(tuple(map(forgetful, shape.sequent.ante)), tuple(map(forgetful, shape.sequent.succ)))
+        assert forgotten == shape.proof.sequent
 
     for f in fa.families:
         assert f.essential == bool(f.instances)
@@ -436,10 +460,10 @@ def test_forward_generated_proofs_check_and_analyze(seed, calculus):
 def _assert_shapes_are_the_tree(p: Proof):
     """``compute_families`` against the tree-expanding reference: each tree
     family holds exactly one of the root's box occurrences; essential
-    families and classes agree; and the shapes are the tree's ``(proof,
-    labels)`` pairs, in the order a postorder walk first reaches them, with
-    every tree node reached through the shapes' children having its
-    shape's proof and labels."""
+    families and classes agree; and the shapes are the tree's pairs of a
+    proof and the groups of its boxes, in the order a postorder walk first
+    reaches them, with every tree node reached through the shapes' children
+    having its shape's proof and groups, read off the annotated sequent."""
     fa = compute_families(p)
     nodes, families, family = tree_families(p)
     assert [[t[1:] for t in tokens if t[0] == 0] for tokens in families] == [[f.occurrence] for f in fa.families]
@@ -476,11 +500,11 @@ def _assert_shapes_are_the_tree(p: Proof):
         postorder.append(nid)
 
     walk(0)
-    assert [(s.proof, s.labels) for s in fa.shapes] == list(dict.fromkeys(map(key, postorder)))
+    assert [(s.proof, shape_labels(s.sequent)) for s in fa.shapes] == list(dict.fromkeys(map(key, postorder)))
     stack = [(0, len(fa.shapes) - 1)]
     while stack:
         nid, k = stack.pop()
-        assert (fa.shapes[k].proof, fa.shapes[k].labels) == key(nid)
+        assert (fa.shapes[k].proof, shape_labels(fa.shapes[k].sequent)) == key(nid)
         stack.extend(zip(nodes[nid][1], fa.shapes[k].children))
 
 
@@ -504,6 +528,37 @@ def test_shapes_of_random_proofs_are_the_tree(seed, calculus):
 def test_shapes_of_shared_subproofs_are_the_tree(text, calculus):
     s = parse_sequent_line(text)
     _assert_shapes_are_the_tree(prove_bounded(s, calculus, 10))
+
+
+def test_shape_children_carry_the_annotated_premises():
+    """``premises_of`` of a shape's annotated sequent is its children's
+    annotated sequents, in GE after the classes merge as well."""
+    proofs = [random_sequent_theorem(random.Random(seed), calculus) for seed in range(30) for calculus in ("GE", "GM")]
+    proofs += [prove_bounded(parse_sequent_line(text), calculus, 10) for text, calculus in (
+        ("[]A, []A => []A & []A", "GE"),
+        ("=> ([]A -> []A) & ([]A -> []A)", "GE"),
+        ("=> []([]A & []B) -> ([][]A & [][]B)", "GM"),
+        (f"{'[]' * 6}A => {'[]' * 6}A", "GE"),
+        (f"{'[]' * 6}A => {'[]' * 6}A", "GM"),
+    )]
+    for p in proofs:
+        fa = compute_families(p)
+        assert fa.shapes[-1].proof is p
+        for shape in fa.shapes:
+            given = premises_of(shape.proof.rule, shape.proof.principal, shape.sequent)
+            assert given == tuple(fa.shapes[c].sequent for c in shape.children)
+
+
+@pytest.mark.parametrize("rule, children", [("RE", (AXIOM, AXIOM)), ("RM", (AXIOM,))])
+def test_annotated_principal_is_no_checked_proof(rule, children):
+    """``premises_of`` takes an annotated box as the principal of RE and RM,
+    so that it reads annotated sequents, but a checked proof holds only
+    modal formulas: one whose root holds ``[x0]A`` is rejected."""
+    boxed = JustOf(JustVar(0), A)
+    assert premises_of(rule, (("L", 0), ("R", 0)), Sequent((boxed,), (boxed,))) == (AXIOM.sequent,) * len(children)
+    p = Proof(Sequent((boxed,), (boxed,)), rule, (("L", 0), ("R", 0)), children)
+    with pytest.raises(DialectError):
+        check_sequent_proof(p, "GE" if rule == "RE" else "GM")
 
 
 @given(st.integers(0, 10**9))

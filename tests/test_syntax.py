@@ -38,18 +38,16 @@ from jelogic.syntax import (
     Sum,
     Term,
     apply_substitution,
-    box_occurrences,
     check_dialect,
     forgetful,
     parse_formula,
     parse_just_term,
     parse_proof_term,
+    occurrences,
     parse_sequent,
-    polarity_at,
     print_formula,
     print_sequent,
     print_term,
-    subformula_at,
     _Parser,
 )
 from jelogic.sequent import parse_sequent_line
@@ -368,31 +366,49 @@ class TestSubstitution:
         assert apply_substitution(apply_substitution(f, s1), s2) == apply_substitution(f, merged)
 
 
+def _boxes(f) -> dict:
+    """The polarity of each box occurrence of ``f``, by path, in preorder."""
+    return {path: positive for path, node, positive in occurrences(f) if isinstance(node, (Box, JustOf))}
+
+
 class TestOccurrences:
     def test_box_occurrences_nested(self):
         f = parse_formula("[][]A", Dialect.MODAL)
-        assert box_occurrences(f) == ((), (0,))
+        assert list(_boxes(f)) == [(), (0,)]
 
     def test_box_occurrences_none(self):
-        assert box_occurrences(Implies(A, B)) == ()
+        assert _boxes(Implies(A, B)) == {}
 
     def test_box_occurrences_distribution(self):
         f = parse_formula("[](A & B) -> ([]A & []B)", Dialect.MODAL)
-        assert len(box_occurrences(f)) == 3
+        assert len(_boxes(f)) == 3
 
-    def test_subformula_at(self):
+    def test_occurrences_in_preorder(self):
         f = parse_formula("[]A -> []B", Dialect.MODAL)
-        assert subformula_at(f, (0,)) == Box(A)
-        assert subformula_at(f, (1, 0)) == B
+        assert [(path, node) for path, node, _ in occurrences(f)] == [
+            ((), f), ((0,), Box(A)), ((0, 0), A), ((1,), Box(B)), ((1, 0), B),
+        ]
 
     def test_polarity_antecedent_of_implication(self):
         f = parse_formula("[]A -> []B", Dialect.MODAL)
-        assert polarity_at(f, (0,)) == "negative"
-        assert polarity_at(f, (1,)) == "positive"
+        assert _boxes(f) == {(0,): False, (1,): True}
 
     def test_polarity_double_negation(self):
         f = parse_formula("~~[]A", Dialect.MODAL)
-        assert polarity_at(f, (0, 0)) == "positive"
+        assert _boxes(f) == {(0, 0): True}
+
+    def test_annotated_boxes_and_terms(self):
+        """An annotated box is an occurrence like a box; its term is not a
+        subformula, so the walk does not enter it."""
+        f = Implies(JustOf(JustVar(0), A), JustOf(JustVar(1), B))
+        assert [node for _, node, _ in occurrences(f)] == [f, f.left, A, f.right, B]
+        assert _boxes(f) == {(0,): False, (1,): True}
+
+    def test_no_recursion_over_depth(self):
+        f = A
+        for _ in range(5000):
+            f = Not(Box(f))
+        assert len(_boxes(f)) == 5000
 
 
 def _rand_formula(seed: int, dialect: Dialect):
@@ -421,10 +437,9 @@ def test_printing_agrees_with_the_recursive_printer(seed, dialect):
 @settings(max_examples=100, deadline=None)
 def test_polarity_flips_under_negation(seed):
     f = _rand_formula(seed, Dialect.MODAL)
-    for path in box_occurrences(f):
-        direct = polarity_at(f, path)
-        inverted = polarity_at(Not(f), (0,) + path)
-        assert direct != inverted
+    direct, inverted = _boxes(f), _boxes(Not(f))
+    assert list(inverted) == [(0,) + path for path in direct]
+    assert all(inverted[(0,) + path] != positive for path, positive in direct.items())
 
 
 @given(st.integers(0, 10**9))
