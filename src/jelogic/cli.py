@@ -146,7 +146,7 @@ def _cmd_check(args) -> int:
     d, _, j = _load_derivation(args)
     hyps = sorted(print_formula(f) for f in j.hypotheses)
     human = (
-        f"derivation checks ({len(d.steps)} steps)\n"
+        f"derivation checks ({len(d)} steps)\n"
         f"hypotheses: {', '.join(hyps) if hyps else '(none)'}\n"
         f"conclusion: {print_formula(j.conclusion)}"
     )
@@ -155,7 +155,7 @@ def _cmd_check(args) -> int:
         {
             "command": "check",
             "ok": True,
-            "steps": len(d.steps),
+            "steps": len(d),
             "hypotheses": hyps,
             "conclusion": print_formula(j.conclusion),
         },
@@ -181,7 +181,7 @@ def _emit_derivation(args, out: Derivation, cs: ConstantSpecification, lead: str
 def _cmd_deduce(args) -> int:
     d, cs, _ = _load_derivation(args)
     f = parse_formula(args.discharge, d.dialect)
-    out = deduction_transform(d, f, normalize=True)
+    out = deduction_transform(d, f)
     shown = print_formula(f)
     return _emit_derivation(args, out, cs, f"discharged {shown}\nconclusion: ", {"discharged": shown})
 

@@ -6,7 +6,8 @@ Four formats, each versioned by its header line:
   line (``hyp``/``axiom``/``an``/``mp``) and a final ``conclusion`` line.
   Axiom instances carry the scheme id and the instance formula; the reader
   rejects a formula that does not match its scheme.  ``mp`` and
-  ``conclusion`` name steps read before them by their first position.
+  ``conclusion`` name steps read before them by their first position.  The
+  writer writes each distinct step once, in the order of ``steps``.
 * ``# jelogic cs v1``           -- constant specifications, one constant and
   its scheme ids per line.
 * ``# jelogic sequent-proof v1`` -- proof trees, one node per line, children
@@ -25,7 +26,7 @@ with the distinct nodes in the file.
 from __future__ import annotations
 
 from .axioms import ConstantSpecification, match, scheme_by_id
-from .hilbert import ANStep, AxiomStep, Derivation, Hyp, MPStep
+from .hilbert import ANStep, AxiomStep, Derivation, Hyp, MPStep, _rooted
 from .semantics import FiniteBasicEvaluation, QuasiModel
 from .sequent import Proof, Sequent
 from .syntax import Dialect, DialectError, ParseError, Reader, _printed, print_formula, print_term
@@ -101,26 +102,23 @@ _DERIVATION_HEADER = "# jelogic derivation v1"
 
 def write_derivation(d: Derivation) -> str:
     out = [_DERIVATION_HEADER, f"dialect {d.dialect.name}"]
+    steps = d.steps
     # Steps share subformulas: each is printed once per file.
     written = (Hyp, AxiomStep, ANStep)
-    texts = _printed([s.axiom if isinstance(s, ANStep) else s.formula for s in d.steps if isinstance(s, written)])
-    numbers: dict = {}  # each step's first position
-    try:
-        for i, step in enumerate(d.steps):
-            if isinstance(step, Hyp):
-                out.append(f"{i} hyp {next(texts)}")
-            elif isinstance(step, AxiomStep):
-                out.append(f"{i} axiom {step.scheme} {next(texts)}")
-            elif isinstance(step, ANStep):
-                out.append(f"{i} an {step.constant} {next(texts)}")
-            elif isinstance(step, MPStep):
-                out.append(f"{i} mp {numbers[step.major]} {numbers[step.minor]}")
-            else:
-                raise FormatError(f"unwritable step {step!r}")
-            numbers.setdefault(step, i)
-        out.append(f"conclusion {numbers[d.conclusion]}")
-    except KeyError:
-        raise FormatError("unwritable derivation: a premise or the conclusion is not an earlier step") from None
+    texts = _printed([s.axiom if isinstance(s, ANStep) else s.formula for s in steps if isinstance(s, written)])
+    numbers = {step: i for i, step in enumerate(steps)}
+    for i, step in enumerate(steps):
+        if isinstance(step, Hyp):
+            out.append(f"{i} hyp {next(texts)}")
+        elif isinstance(step, AxiomStep):
+            out.append(f"{i} axiom {step.scheme} {next(texts)}")
+        elif isinstance(step, ANStep):
+            out.append(f"{i} an {step.constant} {next(texts)}")
+        elif isinstance(step, MPStep):
+            out.append(f"{i} mp {numbers[step.major]} {numbers[step.minor]}")
+        else:
+            raise FormatError(f"unwritable step {step!r}")
+    out.append(f"conclusion {numbers[d.conclusion]}")
     return "\n".join(out) + "\n"
 
 
@@ -181,7 +179,7 @@ def _read_derivation(lines) -> Derivation:
             raise FormatError(f"malformed step {num}: {e}") from e
     if conclusion is None:
         raise FormatError("missing conclusion line")
-    return Derivation(dialect, tuple(steps), conclusion)
+    return _rooted(dialect, conclusion, steps)
 
 
 # ---------------------------------------------------------------------------

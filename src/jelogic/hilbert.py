@@ -13,13 +13,14 @@ Steps are hash-consed like terms and formulas: equal steps are one object,
 and an ``MPStep`` holds its premise steps, so the steps under a conclusion
 form a DAG.  Every step carries the formula it proves as ``formula``: ``c:A``
 for ``ANStep(c, A)`` and ``B`` for a modus ponens whose major proves
-``A -> B``.  A ``Derivation`` is a dialect, its steps in the order they were
-built and its conclusion step; step numbers belong to the file format
-(``formats``).  A ``Builder`` derives each formula once, which keeps the
-transforms from blowing up on repeated subgoals.  A derivation pickles as
-one table of its distinct steps and their formulas and terms, while its
-``repr`` stays the dataclass tree, which spells each step's premises out in
-full: 6829218 characters for the GM ladder ``[]^16 A => []^16 A``.
+``A -> B``.  A ``Derivation`` is a dialect and the roots of its DAG: the
+conclusion step, then each step it holds that no step uses, such as an
+unused hypothesis.  Its ``steps`` are read off the roots, each after its
+premises; step numbers belong to the file format (``formats``).  A
+``Builder`` derives each formula once, which keeps the transforms from
+blowing up on repeated subgoals.  A derivation pickles as one table of its
+distinct steps and their formulas and terms; its ``repr`` is the dataclass
+tree, which spells each root's premises out in full.
 
 ``check_derivation`` validates every step.  It runs where a derivation enters
 from outside (each file the command line reads) and at the gates
@@ -134,11 +135,31 @@ Step = Hyp | AxiomStep | ANStep | MPStep
 
 class Derivation(_FrozenRecord):
     dialect: Dialect
-    steps: tuple[Step, ...]
-    conclusion: Step
+    roots: tuple[Step, ...]
+
+    @property
+    def conclusion(self) -> Step:
+        return self.roots[0]
+
+    @property
+    def steps(self) -> tuple[Step, ...]:
+        """The distinct steps under the roots, each after its premises: the
+        postorder of each root in turn."""
+        out: dict = {}
+        for root in self.roots:
+            out.update(dict.fromkeys(postorder(root, out)))
+        return tuple(out)
 
     def __len__(self):
         return len(self.steps)
+
+
+def _rooted(dialect: Dialect, conclusion: Step, held) -> Derivation:
+    """The derivation of ``conclusion`` that also holds the steps ``held``:
+    its roots are the conclusion, then each held step no step uses."""
+    steps = Derivation(dialect, (conclusion, *held)).steps
+    used = {p for s in steps if isinstance(s, MPStep) for p in (s.major, s.minor)}
+    return Derivation(dialect, (conclusion, *(s for s in dict.fromkeys(held) if s not in used and s is not conclusion)))
 
 
 class Judgment(_FrozenRecord):
@@ -160,21 +181,19 @@ def check_derivation(d: Derivation, cs: ConstantSpecification) -> Judgment:
 
 def _check(d: Derivation, cs: ConstantSpecification, memo: dict) -> Judgment:
     """``check_derivation``, where ``memo`` maps a dialect to the steps that
-    passed under it and ``cs`` and the formula nodes ``check_dialect``
-    accepted, so that each distinct node is checked once across calls.  The
-    order is the derivation's own: every premise is an earlier step of it."""
-    checked, seen = memo.setdefault(d.dialect, (set(), set()))
-    earlier: set = set()
-    for i, step in enumerate(d.steps):
-        if isinstance(step, MPStep) and not (step.major in earlier and step.minor in earlier):
-            raise DerivationError("index-order", i, "a premise is not an earlier step")
-        if step not in checked:
-            _check_step(step, i, d.dialect, cs, seen)
-            checked.add(step)
-        earlier.add(step)
-    if d.conclusion not in earlier:
-        raise DerivationError("index-order", detail="the conclusion is not a step")
-    return read_judgment(d)
+    passed under it and ``cs`` with no hypothesis under them, at which a
+    walk stops, and to the formula nodes ``check_dialect`` accepted.  Steps
+    are numbered as walked: for a fresh memo, as in ``steps``."""
+    closed, seen = memo.setdefault(d.dialect, (set(), set()))
+    opened: set = set()  # the steps walked here with a hypothesis under them
+    walk = (s for root in d.roots for s in postorder(root, closed) if s not in opened)
+    for i, step in enumerate(walk):
+        _check_step(step, i, d.dialect, cs, seen)
+        if isinstance(step, Hyp) or isinstance(step, MPStep) and (step.major in opened or step.minor in opened):
+            opened.add(step)
+        else:
+            closed.add(step)
+    return Judgment(frozenset(s.formula for s in opened if isinstance(s, Hyp)), d.conclusion.formula)
 
 
 def _check_step(step: Step, i: int, dialect: Dialect, cs: ConstantSpecification, seen: set) -> None:
@@ -217,22 +236,20 @@ class Builder:
 
     Steps are indexed by the formula they prove, whatever their kind: a
     request for a formula some earlier step already proves returns that
-    step, so glue that re-derives a known formula adds nothing and ``prune``
-    drops whatever it built towards it.  In particular ``hyp(F)`` may return
-    an earlier non-hypothesis step proving F, and a judgment can then list
-    fewer hypotheses than were offered, which is still sound.  The methods
-    return steps, which ``mp`` takes as premises."""
+    step, so glue that re-derives a known formula adds nothing, and a
+    derivation made here leaves out what was built towards it.  In particular
+    ``hyp(F)`` may return an earlier non-hypothesis step proving F, and a
+    judgment can then list fewer hypotheses than were offered, which is
+    still sound.  The methods return steps, which ``mp`` takes as premises."""
 
     def __init__(self, dialect: Dialect):
         self.dialect = dialect
-        self.steps: list[Step] = []
         self._index: dict[Formula, Step] = {}
 
     def _add(self, step: Step) -> Step:
         known = self._index.get(step.formula)
         if known is None:
             known = self._index[step.formula] = step
-            self.steps.append(step)
         return known
 
     def hyp(self, f: Formula) -> Step:
@@ -256,30 +273,28 @@ class Builder:
         """The step here for ``step``'s formula: an earlier one, or ``step``
         itself with its premises replaced by the steps here for their
         formulas, which must have been taken already."""
-        known = self._index.get(step.formula)
-        if known is not None:
-            return known
-        if isinstance(step, MPStep):
-            step = MPStep(self._index[step.major.formula], self._index[step.minor.formula])
-        return self._add(step)
+        index = self._index
+        known = index.get(step.formula)
+        if known is None:
+            if isinstance(step, MPStep):
+                premises = index[step.major.formula], index[step.minor.formula]
+                step = step if premises == (step.major, step.minor) else MPStep(*premises)
+            known = index[step.formula] = step
+        return known
 
     def embed(self, d: Derivation) -> Step:
-        """Take every step of a derivation in order; returns the step here
-        for its conclusion's formula."""
+        """Take every step of a derivation, each after its premises; returns
+        the step here for its conclusion's formula."""
         for step in d.steps:
             self._take(step)
         return self._index[d.conclusion.formula]
 
     def derivation(self, conclusion: Step) -> Derivation:
-        return Derivation(self.dialect, tuple(self.steps), conclusion)
-
-
-def prune(d: Derivation) -> Derivation:
-    """Drop steps the conclusion never uses (hypothesis steps are kept: they
-    are part of the judgment even when unused).  On a builder's output this
-    removes the detours that ended at a formula the builder already had."""
-    used = set(postorder(d.conclusion))
-    return Derivation(d.dialect, tuple(s for s in d.steps if s in used or isinstance(s, Hyp)), d.conclusion)
+        """The derivation of ``conclusion`` that also holds every hypothesis
+        taken here: the other steps the conclusion does not use are detours."""
+        hyps = [s for s in self._index.values() if isinstance(s, Hyp)]
+        under = set(postorder(conclusion)) if hyps else ()
+        return Derivation(self.dialect, (conclusion, *(h for h in hyps if h not in under)))
 
 
 # ---------------------------------------------------------------------------
@@ -313,21 +328,17 @@ def prove_id(dialect: Dialect, a: Formula) -> Derivation:
 # Deduction
 
 
-def deduction_transform(d: Derivation, discharge: Formula, normalize: bool = False) -> Derivation:
+def deduction_transform(d: Derivation, discharge: Formula) -> Derivation:
     """From ``Γ, A |- B`` build ``Γ |- A -> B`` (also valid when A never occurs
-    as a hypothesis).  Set ``normalize`` to prune unused detour steps.
+    as a hypothesis).
 
     Only steps that depend on the discharged hypothesis are rewritten; the
     rest are taken as they are and lifted with a single K step where a
     rewritten consumer needs them.  Realization nests this transform once
     per sequent rule, so the output must stay proportional to the dependent
     part."""
-    d = prune(d)
     hyp = Hyp(discharge)
     depends: set[Step] = set()
-    for step in d.steps:
-        if step is hyp or isinstance(step, MPStep) and (step.major in depends or step.minor in depends):
-            depends.add(step)
     b = Builder(d.dialect)
     lifted: dict[Step, Step] = {}  # a dependent step -> the step proving  discharge -> its formula
 
@@ -338,16 +349,17 @@ def deduction_transform(d: Derivation, discharge: Formula, normalize: bool = Fal
             h = lifted[step] = b.mp(k, b._index[step.formula])
         return h
 
-    for step in d.steps:
-        if step not in depends:
-            b._take(step)
-        elif step is hyp:
+    for step in d.steps:  # each after its premises, so ``depends`` knows them
+        if step is hyp:
             lifted[step] = _emit_imp_id(b, discharge)
-        else:
+        elif isinstance(step, MPStep) and (step.major in depends or step.minor in depends):
             s = b.axiom("pl_s", {"F": discharge, "G": step.minor.formula, "H": step.formula})
             lifted[step] = b.mp(b.mp(s, lift_of(step.major)), lift_of(step.minor))
-    out = b.derivation(lift_of(d.conclusion))
-    return prune(out) if normalize else out
+        else:
+            b._take(step)
+            continue
+        depends.add(step)
+    return b.derivation(lift_of(d.conclusion))
 
 
 # ---------------------------------------------------------------------------
@@ -383,12 +395,13 @@ def internalize(d: Derivation, cs: ConstantSpecification) -> tuple[ProofTerm, De
     missing = check_axiomatically_appropriate(cs)
     if missing:
         raise NotAppropriate(missing)
-    hypotheses = read_judgment(d).hypotheses
+    steps = d.steps
+    hypotheses = {s.formula for s in steps if isinstance(s, Hyp)}
     if hypotheses:
         raise DerivationError("has-hypotheses", detail=str(sorted(map(print_formula, hypotheses))))
     lifted = {d.conclusion}  # need a derivation of term:formula
     taken: set[Step] = set()  # need the step itself
-    for step in reversed(d.steps):
+    for step in reversed(steps):
         bang = step in lifted and isinstance(step.formula, ProofOf)
         if bang:
             taken.add(step)
@@ -400,7 +413,7 @@ def internalize(d: Derivation, cs: ConstantSpecification) -> tuple[ProofTerm, De
                     lifted.add(k)
     b = Builder(d.dialect)
     res: dict[Step, tuple[ProofTerm, Step]] = {}
-    for i, step in enumerate(d.steps):
+    for i, step in enumerate(steps):
         if step in taken:
             b._take(step)
         if step not in lifted:
@@ -446,8 +459,8 @@ def substitute_derivation(d: Derivation, s: Substitution) -> Derivation:
                 new[old] = ANStep(c, sub(a))
             case MPStep(major, minor):
                 new[old] = MPStep(new[major], new[minor])
-    steps = tuple(new[old] for old in d.steps)
-    return d if steps == d.steps else Derivation(d.dialect, steps, new[d.conclusion])
+    roots = tuple(new[old] for old in d.roots)
+    return d if roots == d.roots else _rooted(d.dialect, roots[0], roots[1:])
 
 
 # ---------------------------------------------------------------------------

@@ -65,7 +65,9 @@ from .hilbert import (
     Builder,
     Derivation,
     DerivationError,
+    Hyp,
     NotAppropriate,
+    Step,
     compose,
     by_contradiction,
     deduction_transform,
@@ -73,7 +75,6 @@ from .hilbert import (
     efq_to,
     internalize,
     prove_id,
-    prune,
     _check,
     read_judgment,
 )
@@ -254,27 +255,16 @@ def _sum_chain(u: Term, target: Term, node) -> tuple | None:
     return tuple(chain)
 
 
-def _lift_sum(d: Derivation, chain, wrap, plus_scheme: str, keys) -> Derivation:
-    """Weaken ``|- w:F`` to ``|- u:F``, where ``chain`` leads from ``u``
-    down to ``w``."""
-    f = d.conclusion.formula.body
-    b = Builder(d.dialect)
-    i = b.embed(d)
+def _lift_sum(b: Builder, i: Step, chain, wrap, plus_scheme: str, keys) -> Step:
+    """Weaken the step ``i`` here of ``w:F`` to one of ``u:F``; ``chain`` leads from ``u`` down to ``w``."""
+    f = i.formula.body
     for parent, side in reversed(chain):
         left, right = children(parent)
         intro = "pl_or_intro_r" if side else "pl_or_intro_l"
         oi = b.axiom(intro, {"F": wrap(left, f), "G": wrap(right, f)})
         jp = b.axiom(plus_scheme, {keys[0]: left, keys[1]: right, "F": f})
         i = b.mp(jp, b.mp(oi, i))
-    return b.derivation(i)
-
-
-def _lift_proof_sum(d: Derivation, u: Term, target: Term) -> Derivation:
-    return _lift_sum(d, _sum_chain(u, target, Sum), ProofOf, "jplus1", ("L", "K"))
-
-
-def _lift_just_sum(d: Derivation, u: Term, target: Term) -> Derivation:
-    return _lift_sum(d, _sum_chain(u, target, JustSum), JustOf, "jplus2", ("T", "S"))
+    return i
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +425,7 @@ class _Engine:
         if d is None:
             base, moves = self.routes[nid]
             _, dst = self._annotate(nid)
-            d = self.derivs[nid] = prune(self._route(base, moves, dst))
+            d = self.derivs[nid] = self._route(base, moves, dst)
             self._require(nid)
         return d
 
@@ -467,7 +457,7 @@ class _Engine:
             node = self.shapes[nid].proof
             out = _RULES[node.rule](self, nid, node)
             if isinstance(out, Derivation):
-                self.derivs[nid] = prune(out)
+                self.derivs[nid] = out
                 self._require(nid)
             else:
                 self.routes[nid] = out
@@ -479,12 +469,10 @@ class _Engine:
 
     def _rule_ax_p(self, nid: int, node: Proof) -> Derivation:
         ante, _ = self._annotate(nid)
-        b = Builder(self.dialect)
-        return b.derivation(b.hyp(ante[0]))
+        return Derivation(self.dialect, (Hyp(ante[0]),))
 
     def _rule_ax_bot(self, nid: int, node: Proof) -> Derivation:
-        b = Builder(self.dialect)
-        return b.derivation(b.hyp(BOT))
+        return Derivation(self.dialect, (Hyp(BOT),))
 
     def _rule_structural(self, nid: int, node: Proof):
         """Weakening and contraction: on the left, the premise's derivation or
@@ -629,11 +617,12 @@ class _Engine:
         ante, succ = self._annotate(nid)
         u = ante[0].term.proof
         ann_a, ann_b = ante[0].body, succ[0].body
-        l1, l2 = (_lift_proof_sum(e.derivation, u, e.term) for e in self.entries[nid])
         fwd = ProofOf(u, Implies(ann_a, ann_b))
         bwd = ProofOf(u, Implies(ann_b, ann_a))
         b = Builder(self.dialect)
-        conj = b.mp(b.mp(b.axiom("pl_and_intro", {"F": fwd, "G": bwd}), b.embed(l1)), b.embed(l2))
+        conj = b.axiom("pl_and_intro", {"F": fwd, "G": bwd})
+        for e in self.entries[nid]:
+            conj = b.mp(conj, _lift_sum(b, b.embed(e.derivation), _sum_chain(u, e.term, Sum), ProofOf, "jplus1", ("L", "K")))
         arrow = b.mp(b.axiom("je", {"L": u, "F": ann_a, "G": ann_b}), conj)
         h = b.hyp(ante[0])
         return b.derivation(b.mp(arrow, h))
@@ -647,9 +636,8 @@ class _Engine:
         b = Builder(self.dialect)
         jm = b.axiom("jm", {"L": entry.term, "T": t_left, "F": ann_a, "G": ann_b})
         arr = b.mp(jm, b.embed(entry.derivation))
-        h = b.hyp(ante[0])
-        small = b.derivation(b.mp(arr, h))
-        return _lift_just_sum(small, u, MApply(entry.term, t_left))
+        chain = _sum_chain(u, MApply(entry.term, t_left), JustSum)
+        return b.derivation(_lift_sum(b, b.mp(arr, b.hyp(ante[0])), chain, JustOf, "jplus2", ("T", "S")))
 
 
 _RULES = {
@@ -689,7 +677,7 @@ def realize(
         raise ValueError(f"unknown mode {mode!r}")
     try:
         check_sequent_proof(proof, calculus)
-    except SequentProofError as e:
+    except (SequentProofError, DialectError) as e:  # a rule broken, or a formula outside the modal dialect
         raise UncheckedProof(str(e)) from e
     dialect = CALCULUS_DIALECT[calculus]
     if cs.dialect is not dialect:
@@ -751,7 +739,7 @@ def verify_realization(
         cs = result.cs
     try:
         root = check_sequent_proof(proof, result.calculus)
-    except SequentProofError as e:
+    except (SequentProofError, DialectError) as e:
         raise UncheckedProof(str(e)) from e
     if (
         tuple(forgetful(f) for f in result.antecedent) != root.ante

@@ -688,6 +688,8 @@ class _Substituter:
 
     def __call__(self, node: Formula | Term) -> Formula | Term:
         memo, s = self._memo, self.s
+        if node in memo:
+            return memo[node]
         for n in postorder(node, memo):
             kids = children(n)
             if kids:

@@ -78,11 +78,12 @@ def realize_text(text: str, calculus: str, depth: int = 10):
 def replaced_step(d: Derivation, i: int, step) -> Derivation:
     """``d`` with step ``i`` replaced by ``step``, and every modus ponens
     above it rebuilt over the replacement."""
-    new = {d.steps[i]: step}
-    for s in d.steps[i + 1:]:
+    steps = d.steps
+    new = {steps[i]: step}
+    for s in steps[i + 1:]:
         if isinstance(s, MPStep):
             new[s] = MPStep(new.get(s.major, s.major), new.get(s.minor, s.minor))
-    return Derivation(d.dialect, tuple(new.get(s, s) for s in d.steps), new.get(d.conclusion, d.conclusion))
+    return Derivation(d.dialect, tuple(new.get(s, s) for s in d.roots))
 
 
 def deep_proof_text(levels: int = 1500) -> str:

@@ -16,7 +16,7 @@ PUBLIC_API = [
     "find_modal_countermodel", "forgetful", "internalize", "match_axiom", "model_truth",
     "monotone_closure", "parse_formula", "parse_just_term", "parse_proof_term",
     "parse_sequent", "parse_sequent_line", "print_formula", "print_sequent", "print_term",
-    "prove_bounded", "prune", "realize", "saturate", "scheme_by_id", "simplify",
+    "prove_bounded", "realize", "saturate", "scheme_by_id", "simplify",
     "soundness_fuzz", "substitute_derivation", "verify_realization",
 ]
 

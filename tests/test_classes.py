@@ -181,19 +181,20 @@ def test_records_reject_their_fields_as_nodes_do(call, message):
 def test_a_realization_pickles_as_one_table_of_its_nodes():
     """Steps, formulas and terms shared between the steps of a derivation,
     and between the derivations of a realization, are written once."""
-    boxes = "[]" * 16
-    r = realize_text(f"{boxes}A => {boxes}A", "GM", depth=18)
-    conclusion = len(pickle.dumps(r.derivation.conclusion))
-    data = pickle.dumps(r.derivation)
-    assert len(data) <= 2 * conclusion
-    back = pickle.loads(data)
-    assert all(a is b for a, b in zip(back.steps, r.derivation.steps, strict=True))
-    assert back.conclusion is r.derivation.conclusion
-    # Beyond its derivation, the realization holds its source proof and a
-    # log whose 16 derivations list 864 steps between them, each of them
-    # written as a reference into the one table.
-    data = pickle.dumps(r)
-    assert len(data) <= 2 * len(pickle.dumps(r.derivation))
-    back = pickle.loads(data)
-    assert back == r and back.source is r.source
-    assert all(a.derivation.conclusion is b.derivation.conclusion for a, b in zip(back.log, r.log, strict=True))
+    for n in (16, 32):
+        boxes = "[]" * n
+        r = realize_text(f"{boxes}A => {boxes}A", "GM", depth=n + 2)
+        conclusion = len(pickle.dumps(r.derivation.conclusion))
+        data = pickle.dumps(r.derivation)
+        assert len(data) <= 2 * conclusion
+        back = pickle.loads(data)
+        assert all(a is b for a, b in zip(back.steps, r.derivation.steps, strict=True))
+        assert back.conclusion is r.derivation.conclusion
+        # Beyond its conclusion, the realization holds its source proof and
+        # a log of n derivations, each a few references into the one table,
+        # though they list 864 (n = 16) and 3264 (n = 32) steps between them.
+        data = pickle.dumps(r)
+        assert len(data) <= 2 * conclusion
+        back = pickle.loads(data)
+        assert back == r and back.source is r.source
+        assert all(a.derivation.conclusion is b.derivation.conclusion for a, b in zip(back.log, r.log, strict=True))

@@ -1,5 +1,6 @@
 import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -30,8 +31,7 @@ def run(capsys, *argv):
 
 
 def _mp_file(tmp_path):
-    mp = MPStep(Hyp(Implies(A, B)), Hyp(A))
-    d = Derivation(Dialect.JE, (mp.major, mp.minor, mp), mp)
+    d = Derivation(Dialect.JE, (MPStep(Hyp(Implies(A, B)), Hyp(A)),))
     path = tmp_path / "mp.deriv"
     path.write_text(write_derivation(d))
     return path
@@ -289,13 +289,34 @@ class TestDerivationCommands:
         assert "names no step read so far" in record["error"]
 
     def test_check_counts_a_step_listed_twice(self, capsys, tmp_path):
+        """Once: the count is of distinct steps."""
         path = tmp_path / "twice.deriv"
         path.write_text(
             "# jelogic derivation v1\ndialect JE\n0 hyp A -> B\n1 hyp A\n2 hyp A\n3 mp 0 2\nconclusion 3\n"
         )
         code, _, record = run(capsys, "check", str(path))
-        assert code == 0 and record["steps"] == 4
+        assert code == 0 and record["steps"] == 3
         assert record["hypotheses"] == ["A", "A -> B"] and record["conclusion"] == "B"
+
+    def test_a_file_in_builder_order_reads(self, capsys):
+        """Golden 4's strict ``realize -o`` file as an older writer wrote it,
+        its steps in the order the builder took them: ``check`` gives the
+        judgment and step count it gave then, and the file writes back with
+        the steps numbered in the order of ``steps``, which reads back
+        equal."""
+        path = Path(__file__).parent / "data" / "golden4_strict_builder_order.deriv"
+        code, _, record = run(capsys, "check", str(path))
+        assert code == 0 and record["steps"] == 15 and record["hypotheses"] == []
+        assert record["conclusion"] == "[x0](A & B) -> [m(c_pl_and_elim_l, x0)]A & [m(c_pl_and_elim_r, x0)]B"
+        text = path.read_text()
+        d = parse_derivation(text)
+        out = write_derivation(d)
+        assert out != text
+        back = parse_derivation(out)
+        assert back == d and write_derivation(back) == out
+        lines = out.splitlines()
+        for i, step in enumerate(d.steps):  # step i of the file is the i-th of ``steps``
+            assert parse_derivation("\n".join(lines[: 3 + i] + [f"conclusion {i}"])).conclusion is step
 
     def test_check_rejects_a_second_conclusion_line(self, capsys, tmp_path):
         """The last of two conclusion lines names a step that checks, but a
@@ -303,7 +324,7 @@ class TestDerivationCommands:
         d = prove_id(Dialect.JE, A)
         path = tmp_path / "two.deriv"
         path.write_text(write_derivation(d) + "conclusion 0\n")
-        last = d.steps.index(d.conclusion)
+        last = len(d) - 1
         assert write_derivation(d).endswith(f"conclusion {last}\n") and last != 0
         code, _, record = run(capsys, "check", str(path))
         assert code == 2 and "second conclusion" in record["error"]

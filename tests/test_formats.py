@@ -113,11 +113,11 @@ class TestDerivationFormat:
             parse_derivation(f"# jelogic derivation v1\ndialect JE\n0 hyp A\n{lines}\n")
         assert str(e.value) == message
 
-    def test_a_step_listed_twice_is_written_at_its_first_position(self):
+    def test_a_step_listed_twice_is_written_once(self):
         text = "# jelogic derivation v1\ndialect JE\n0 hyp A -> B\n1 hyp A\n2 hyp A\n3 mp 0 2\nconclusion 3\n"
         d = parse_derivation(text)
-        assert len(d) == 4 and d.steps[1] is d.steps[2] is d.steps[3].minor
-        assert write_derivation(d) == text.replace("3 mp 0 2", "3 mp 0 1")
+        assert len(d) == 3 and d.steps[1] is d.steps[2].minor
+        assert write_derivation(d) == text.replace("2 hyp A\n3 mp 0 2\nconclusion 3", "2 mp 0 1\nconclusion 2")
 
 
 def _realized_and_random(data) -> list:

@@ -23,7 +23,7 @@ from jelogic.generate import random_sequent_theorem
 from jelogic.realization import realize
 from jelogic.syntax import print_formula, print_term
 
-DIGEST = "2c54bb7f6bb429e261fe2a0614bf845e15e1dac754943290a67643100a642995"
+DIGEST = "1e90349f99eef70f86f92ab9d5d92e8a3c457dfeca0591a57f27d2b1bdc47915"
 
 GOLDENS = [
     ("=> []A -> ([]B -> []A)", "GE"),

@@ -13,6 +13,7 @@ from jelogic.hilbert import (
     ANStep,
     AxiomStep,
     Builder,
+    Hyp,
     MPStep,
     NotAppropriate,
     check_derivation,
@@ -108,6 +109,18 @@ class TestRealize:
         bogus = Proof(Sequent((A,), (B,)), "AxP", (("L", 0), ("R", 0)), ())
         with pytest.raises(UncheckedProof):
             realize(bogus, "GE", CS_JE)
+
+    def test_proof_of_a_justified_sequent_rejected(self):
+        """An RM proof of ``[x0]A => [x0]A`` holds a formula outside the
+        modal dialect at its root: an unchecked proof, for ``realize`` and
+        ``verify_realization`` alike."""
+        boxed = JustOf(JustVar(0), A)
+        bogus = Proof(Sequent((boxed,), (boxed,)), "RM", (("L", 0), ("R", 0)), (AXIOM,))
+        with pytest.raises(UncheckedProof):
+            realize(bogus, "GM", CS_JEM)
+        r = realize_text("[]A => []A", "GM")
+        with pytest.raises(UncheckedProof):
+            verify_realization(r, bogus)
 
     def test_specification_dialect_must_match_calculus(self):
         with pytest.raises(DialectError):
@@ -237,12 +250,15 @@ class TestVerify:
             verify_realization(self._tampered_log(2, foreign))
 
     def test_log_entry_missing_a_premise(self):
-        def drop(d):
-            i = next(i for i, s in enumerate(d.steps) if any(s in (t.major, t.minor) for t in d.steps[i + 1:] if isinstance(t, MPStep)))
-            return dataclasses.replace(d, steps=d.steps[:i] + d.steps[i + 1:])
+        """A premise assumed, not derived: the entry's steps above it check,
+        but its judgment has a hypothesis."""
 
-        with pytest.raises(DerivationFails, match="logged internalization: index-order"):
-            verify_realization(self._tampered_log(0, drop))
+        def assume(d):
+            i = next(i for i, s in enumerate(d.steps) if isinstance(s, MPStep))
+            return replaced_step(d, i, Hyp(d.steps[i].formula))
+
+        with pytest.raises(DerivationFails, match="does not conclude its recorded judgment"):
+            verify_realization(self._tampered_log(0, assume))
 
     def test_swapped_log_terms(self):
         r = realize(_ladder(3, "GM"), "GM", CS_JEM)
@@ -271,6 +287,28 @@ class TestVerify:
         steps = set(r.derivation.steps).union(*(e.derivation.steps for e in r.log))
         assert len(checked) == len(set(checked)) == len(steps) == len(r.derivation)
         assert set(checked) == steps
+
+    def test_each_distinct_step_is_walked_once(self, monkeypatch):
+        """At GM n = 64 the root and the 64 log entries list 13063 steps
+        between them, 391 of them distinct: the shared memo stops each walk
+        at the steps an earlier one checked."""
+        import jelogic.hilbert
+
+        r = realize(_ladder(64, "GM"), "GM", CS_JEM)
+        steps = r.derivation.steps
+        assert len(r.log) == 64 and len(steps) == 391
+        walked = []
+        postorder = jelogic.hilbert.postorder
+
+        def recording(*args):
+            out = postorder(*args)
+            walked.extend(out)
+            return out
+
+        monkeypatch.setattr(jelogic.hilbert, "postorder", recording)
+        verify_realization(r)
+        assert len(walked) == len(set(walked)) == 391
+        assert set(walked) == set(steps)
 
 
 class TestSimplify:
