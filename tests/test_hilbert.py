@@ -236,7 +236,6 @@ class TestDeduction:
         d = _one_step(Dialect.JE, Hyp(A))
         out = deduction_transform(d, A)
         assert check_derivation(out, CS_JE) == Judgment(frozenset(), Implies(A, A))
-        assert len(out) == 5  # the proof of A -> A alone
 
     def test_discharges_one_of_two(self):
         out = deduction_transform(_mp_example(), A)
@@ -247,6 +246,12 @@ class TestDeduction:
         d = _one_step(Dialect.JE, Hyp(A))
         out = deduction_transform(d, C)
         assert check_derivation(out, CS_JE) == Judgment(frozenset({A}), Implies(C, A))
+
+    def test_normalize_prunes(self):
+        # the output holds only the steps under its root: no separate pass
+        d = _one_step(Dialect.JE, Hyp(A))
+        out = deduction_transform(d, A)
+        assert len(out) == 5  # the proof of A -> A alone
 
     def test_right_inverse_is_modus_ponens(self):
         imp = deduction_transform(_mp_example(), A)  # A -> B from A -> B
