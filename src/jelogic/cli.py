@@ -3,10 +3,13 @@
 Every subcommand prints a short human-readable report followed by one JSON
 line (the structured record).  Exit status: 0 on success, 1 when the input is
 well-formed but the logical claim fails (a derivation that does not check, an
-unprovable sequent, a model violation, fuzz failures), 2 on malformed input.
+unprovable sequent, a model violation, fuzz failures), 2 on malformed input or
+input past a resource limit (``syntax._Parser.MAX_DEPTH``,
+``sequent.SEARCH_DEPTH_LIMIT``), which the record's ``error`` names.
 The derivation commands (``check``, ``deduce``, ``internalize``, ``subst``)
 check the derivation they read, and a command that builds a derivation checks
-that too before it reports success.
+that too before it reports success: ``realize`` runs ``verify_realization`` on
+its result in either mode, and its record's ``mode`` names the mode.
 Artifacts written with ``-o`` use the formats module and can be fed straight
 back into the matching subcommand.
 """
@@ -34,8 +37,8 @@ from .hilbert import (
 from .formats import (
     FormatError,
     parse_cs,
-    parse_derivation,
     parse_model,
+    parse_numbered_derivation,
     parse_sequent_proof,
     write_derivation,
     write_sequent_proof,
@@ -45,7 +48,6 @@ from .realization import (
     UncheckedProof,
     VerificationError,
     realize,
-    realize_simplified,
     verify_realization,
 )
 from .semantics import (
@@ -55,7 +57,7 @@ from .semantics import (
     model_truth,
     soundness_fuzz,
 )
-from .sequent import Sequent, SequentProofError, check_sequent_proof, proof_size, prove_bounded
+from .sequent import Sequent, SequentProofError, check_sequent_proof, parse_sequent_line, proof_size, prove_bounded
 from .syntax import (
     BOT,
     And,
@@ -68,6 +70,7 @@ from .syntax import (
     parse_formula,
     parse_just_term,
     parse_proof_term,
+    parse_sequent,
     print_formula,
     print_term,
     print_sequent,
@@ -89,10 +92,6 @@ def _emit(human: str, record: dict) -> None:
     print(json.dumps(record, sort_keys=True))
 
 
-def _dialect(name: str) -> Dialect:
-    return Dialect[name]
-
-
 def _load_cs(path: str | None, dialect: Dialect) -> ConstantSpecification:
     if path is None:
         return cs_total(dialect)
@@ -107,16 +106,18 @@ def _load_cs(path: str | None, dialect: Dialect) -> ConstantSpecification:
 def _load_derivation(args) -> tuple[Derivation, ConstantSpecification, Judgment]:
     """The derivation file of a derivation command, its specification
     (``--cs``, total by default) and the judgment it checks to.  Each of
-    these commands reads its input here, so each checks it once."""
-    d = parse_derivation(Path(args.derivation).read_text())
+    these commands reads its input here, so each checks it once.  A check
+    error names the failing step by its number in the file."""
+    d, numbers = parse_numbered_derivation(Path(args.derivation).read_text())
     cs = _load_cs(args.cs, d.dialect)
-    return d, cs, check_derivation(d, cs)
+    try:
+        return d, cs, check_derivation(d, cs)
+    except DerivationError as e:  # each names its step, by its position in d.steps
+        raise DerivationError(e.kind, numbers[d.steps[e.step]], e.detail) from None
 
 
 def _read_sequent(text: str) -> Sequent:
     if "=>" in text:
-        from .sequent import parse_sequent_line
-
         return parse_sequent_line(text)
     return Sequent((), (parse_formula(text, Dialect.MODAL),))
 
@@ -126,7 +127,7 @@ def _read_sequent(text: str) -> Sequent:
 
 
 def _cmd_parse(args) -> int:
-    dialect = _dialect(args.dialect)
+    dialect = Dialect[args.dialect]
     if args.kind == "formula":
         canonical = print_formula(parse_formula(args.text, dialect))
     elif args.kind == "proof-term":
@@ -134,8 +135,6 @@ def _cmd_parse(args) -> int:
     elif args.kind == "just-term":
         canonical = print_term(parse_just_term(args.text, dialect))
     else:
-        from .syntax import parse_sequent
-
         ante, succ = parse_sequent(args.text, dialect)
         canonical = print_sequent(ante, succ)
     _emit(canonical, {"command": "parse", "ok": True, "kind": args.kind, "canonical": canonical})
@@ -231,10 +230,9 @@ def _cmd_prove(args) -> int:
     proof = prove_bounded(s, args.calculus, args.depth)
     if proof is not None:
         nodes, distinct = proof_size(proof)
-        if args.output:
-            Path(args.output).write_text(write_sequent_proof(proof, args.calculus))
         human = f"proved: {s} ({nodes} nodes, {distinct} distinct)"
         if args.output:
+            Path(args.output).write_text(write_sequent_proof(proof, args.calculus))
             human += f"\nwrote {args.output}"
         _emit(
             human,
@@ -306,16 +304,11 @@ def _cmd_realize(args) -> int:
                 {"command": "realize", "ok": False, "sequent": str(s), "depth": args.depth},
             )
             return 1
-    result, fallback = realize_simplified(proof, calculus, cs) if args.simplify else (None, None)
-    if result is None:
-        result = realize(proof, calculus, cs)
-        verify_realization(result)
+    result = realize(proof, calculus, cs, "simplify" if args.simplify else "strict")
+    verify_realization(result)
+    human = f"realized ({result.mode}): {print_formula(result.realized)}"
     if args.output:
         Path(args.output).write_text(write_derivation(result.derivation))
-    human = f"realized ({result.mode}): {print_formula(result.realized)}"
-    if fallback:
-        human += f"\nsimplify fell back to strict: {fallback}"
-    if args.output:
         human += f"\nwrote {args.output}"
     _emit(
         human,
@@ -329,7 +322,6 @@ def _cmd_realize(args) -> int:
             "succedent": [print_formula(f) for f in result.succedent],
             "internalizations": len(result.log),
             "steps": len(result.derivation),
-            "simplify_fallback": fallback,
             "output": args.output,
         },
     )
@@ -373,7 +365,7 @@ def _cmd_model_check(args) -> int:
 
 
 def _cmd_fuzz(args) -> int:
-    dialect = _dialect(args.dialect)
+    dialect = Dialect[args.dialect]
     report = soundness_fuzz(dialect, args.trials, seed=args.seed)
     lines = [
         f"{report.checked} of {report.trials} trials checked "

@@ -123,6 +123,11 @@ def write_derivation(d: Derivation) -> str:
 
 
 def parse_derivation(text: str) -> Derivation:
+    return parse_numbered_derivation(text)[0]
+
+
+def parse_numbered_derivation(text: str) -> tuple[Derivation, dict]:
+    """The derivation, and each step's number in ``text`` (its first line's)."""
     return _read(text, _DERIVATION_HEADER, _read_derivation)
 
 
@@ -134,7 +139,7 @@ def _earlier(steps: list, text: str, what: str):
     return steps[n]
 
 
-def _read_derivation(lines) -> Derivation:
+def _read_derivation(lines) -> tuple[Derivation, dict]:
     dialect = _dialect_line(lines)
     reader = Reader(dialect)
     steps = []
@@ -179,7 +184,7 @@ def _read_derivation(lines) -> Derivation:
             raise FormatError(f"malformed step {num}: {e}") from e
     if conclusion is None:
         raise FormatError("missing conclusion line")
-    return _rooted(dialect, conclusion, steps)
+    return _rooted(dialect, conclusion, steps), {step: n for n, step in reversed(list(enumerate(steps)))}
 
 
 # ---------------------------------------------------------------------------

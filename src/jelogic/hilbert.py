@@ -83,6 +83,7 @@ class DerivationError(Exception):
         super().__init__(f"{msg}: {detail}" if detail else msg)
         self.kind = kind
         self.step = step
+        self.detail = detail
 
 
 class NotAppropriate(Exception):

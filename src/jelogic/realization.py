@@ -51,8 +51,8 @@ and hypotheses read off the derivation's steps with the shape's realized
 sequent, and ``internalize`` lifts a premise derivation without checking it
 again, so ``realize`` checks no derivation.  ``verify_realization`` is the
 full check, of the root's derivation and of every logged one, each distinct
-step once; every caller in the package runs it: the CLI,
-``realize_simplified`` and the benchmark.
+step once; every caller in the package runs it, on strict and simplified
+results alike: the CLI and the benchmark.
 """
 
 from __future__ import annotations
@@ -702,26 +702,12 @@ def realize(
 
 
 def simplify(result: RealizationResult) -> RealizationResult:
-    """Re-run the realization collapsing syntactically equal witness pairs;
-    falls back to the given result itself if the collapsed run fails to
-    check (``realize_simplified`` gives the reason)."""
+    """The simplify-mode realization of the result's proof, under its
+    calculus and specification; ``result`` itself when it is one already.
+    Like ``realize``, it checks no derivation: ``verify_realization`` does."""
     if result.mode == "simplify":
         return result
-    out, _ = realize_simplified(result.source, result.calculus, result.cs)
-    return result if out is None else out
-
-
-def realize_simplified(
-    proof: Proof, calculus: str, cs: ConstantSpecification
-) -> tuple[RealizationResult | None, str | None]:
-    """The simplify-mode realization of ``proof``, verified, and None; or
-    None and ``"<error class>: <message>"`` when that run fails to check."""
-    try:
-        out = realize(proof, calculus, cs, mode="simplify")
-        verify_realization(out)
-        return out, None
-    except (DerivationError, VerificationError) as e:
-        return None, f"{type(e).__name__}: {e}"
+    return realize(result.source, result.calculus, result.cs, "simplify")
 
 
 def verify_realization(
@@ -733,10 +719,8 @@ def verify_realization(
     to the source, the derivation and every logged internalization check,
     and (for the monotonic calculus) negative boxes are realized by pairwise
     distinct variables."""
-    if proof is None:
-        proof = result.source
-    if cs is None:
-        cs = result.cs
+    proof = result.source if proof is None else proof
+    cs = result.cs if cs is None else cs
     try:
         root = check_sequent_proof(proof, result.calculus)
     except (SequentProofError, DialectError) as e:

@@ -404,6 +404,15 @@ _DECOMP = {
 _SINGLE_PREMISE = frozenset(rule for rule, (_, connective, ps) in LAYOUTS.items() if connective and len(ps) == 1)
 
 
+# The search recurses two Python frames per rule application (``_search``
+# and ``_expand``): this many keeps it well inside Python's default 1000.
+SEARCH_DEPTH_LIMIT = 400
+
+
+class SearchLimitExceeded(ValueError):
+    """The search would nest more than ``SEARCH_DEPTH_LIMIT`` rule applications."""
+
+
 def _axiom_leaf(c: Sequent) -> Proof | None:
     """The axiom that closes ``c`` under weakenings, if one does: ``_|_ =>``
     for a falsum in the antecedent, else ``P => P`` for the first
@@ -416,14 +425,16 @@ def _axiom_leaf(c: Sequent) -> Proof | None:
     return None
 
 
-def _search(c: Sequent, calculus: str, depth: int, memo: dict, leaf=...) -> Proof | None:
+def _search(c: Sequent, calculus: str, depth: int, memo: dict, leaf=..., floor: int = 0) -> Proof | None:
     """A proof of the canonical sequent ``c`` within ``depth``, or None.
     ``memo`` maps the sides of a canonical sequent to ``(depth, proof)``: a
     proof serves any remaining depth at least the one it was found at, a
     failure (proof None) only a depth at most the one it was found at.  A
     sequent enters it when first met, so ``_axiom_leaf`` is asked about it
     once: closed by an axiom, found at depth 0, or else failed at depth 0.
-    ``leaf`` is its answer for ``c`` when the caller asked it already."""
+    ``leaf`` is its answer for ``c`` when the caller asked it already.
+    At a remaining depth of ``floor`` the search has nested
+    ``SEARCH_DEPTH_LIMIT`` rule applications, and one more raises."""
     key = c.ante, c.succ
     known = memo.get(key)
     if known is None:
@@ -435,13 +446,15 @@ def _search(c: Sequent, calculus: str, depth: int, memo: dict, leaf=...) -> Proo
         return proof
     if depth <= 0:
         return None
-    proof = _expand(c, calculus, depth, memo)
+    if depth <= floor:
+        raise SearchLimitExceeded(f"search deeper than SEARCH_DEPTH_LIMIT = {SEARCH_DEPTH_LIMIT} nested rule applications")
+    proof = _expand(c, calculus, depth, memo, floor)
     if proof is not None or known[1] is None:
         memo[key] = depth, proof
     return proof
 
 
-def _expand(c: Sequent, calculus: str, depth: int, memo: dict) -> Proof | None:
+def _expand(c: Sequent, calculus: str, depth: int, memo: dict, floor: int) -> Proof | None:
     """One rule application below ``c``, which no axiom closes, and the
     search of its premises."""
     chosen = None
@@ -466,7 +479,7 @@ def _expand(c: Sequent, calculus: str, depth: int, memo: dict) -> Proof | None:
         leaf = None if rule in _SINGLE_PREMISE else ...  # the look-ahead asked about its premise
         children = []
         for premise in premises:
-            sub = _search(_canonical(premise), calculus, depth - 1, memo, leaf)
+            sub = _search(_canonical(premise), calculus, depth - 1, memo, leaf, floor)
             if sub is None:
                 return None  # propositional rules are invertible: no backtracking
             children.append(_bridge(sub, premise))
@@ -480,7 +493,7 @@ def _expand(c: Sequent, calculus: str, depth: int, memo: dict) -> Proof | None:
                 continue
             children = []
             for premise in premises_of(rule, (("L", 0), ("R", 0)), Sequent((fa,), (fb,))):
-                sub = _search(_canonical(premise), calculus, depth - 1, memo)
+                sub = _search(_canonical(premise), calculus, depth - 1, memo, floor=floor)
                 if sub is None:
                     break
                 children.append(_bridge(sub, premise))
@@ -509,7 +522,9 @@ def prove_bounded(s: Sequent, calculus: str, depth: int) -> Proof | None:
     reuses the first proof found, and the memo is dropped when the call
     returns.  Proofs are hash-consed, so the result is a DAG whose equal
     subproofs are one ``Proof`` object: the GE ladder ``[]^n A => []^n A``
-    has 2^(n+1) - 1 tree nodes but n + 1 distinct ones."""
+    has 2^(n+1) - 1 tree nodes but n + 1 distinct ones.  Whatever ``depth``
+    allows, a search that would nest more than ``SEARCH_DEPTH_LIMIT`` rule
+    applications raises ``SearchLimitExceeded``."""
     if calculus not in _CALCULUS_RULES:
         raise SequentProofError("bad-rule", f"unknown calculus {calculus!r}")
     if depth <= 0:
@@ -517,7 +532,7 @@ def prove_bounded(s: Sequent, calculus: str, depth: int) -> Proof | None:
     seen: set = set()
     for f in s.ante + s.succ:
         check_dialect(f, Dialect.MODAL, Formula, seen)
-    sub = _search(_canonical(s), calculus, depth, {})
+    sub = _search(_canonical(s), calculus, depth, {}, floor=depth - SEARCH_DEPTH_LIMIT)
     if sub is None:
         return None
     return _bridge(sub, s)

@@ -856,11 +856,12 @@ class _Parser:
     # The deepest nesting accepted, counted two ways: the depth of the syntax
     # tree (a level per connective, box, assertion and term constructor), and
     # while reading, the parentheses, prefixes and right operands open at the
-    # current token.  The parser, the semantic evaluators and realization's
-    # annotation of a sequent recurse once per level, and the limit keeps
-    # them far inside Python's default limit of 1000 frames; the other walks
-    # use ``postorder``.  Files the toolkit writes can pass the limit: see
-    # docs/grammar.md.
+    # current token.  The parser's descent recurses once per level, and the
+    # limit keeps it far inside Python's default limit of 1000 frames; the
+    # walks over what it reads use ``postorder`` or a memo filled in it, save
+    # ``saturate`` on ``e(s + t)`` (once per summand).  Proof search recurses
+    # per rule application, under ``sequent.SEARCH_DEPTH_LIMIT``.  Files the
+    # toolkit writes can pass the limit: see docs/grammar.md.
     MAX_DEPTH = 200
 
     def __init__(self, text: str, reader: Reader):

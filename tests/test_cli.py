@@ -8,10 +8,10 @@ from jelogic import cli, realization
 from jelogic.axioms import cs_total
 from jelogic.cli import main
 from jelogic.formats import parse_derivation, write_cs, write_derivation, write_model
-from jelogic.hilbert import Derivation, DerivationError, Hyp, MPStep, prove_id
+from jelogic.hilbert import Derivation, Hyp, MPStep, prove_id
 from jelogic.realization import realize
 from jelogic.semantics import FiniteBasicEvaluation, QuasiModel, saturate
-from jelogic.sequent import parse_sequent_line
+from jelogic.sequent import SEARCH_DEPTH_LIMIT, parse_sequent_line
 from jelogic.syntax import And, Atom, Bottom, Box, Dialect, Evidence, Implies, Not, Or, ProofVar, _Parser
 
 from _helpers import deep_proof_text
@@ -70,6 +70,14 @@ class TestParse:
 
 
 class TestProve:
+    def test_a_search_past_its_limit_is_an_input_error(self, capsys):
+        """Three formulas of 190 negations each: within the parser's nesting
+        limit, but their search nests more rules than the search may."""
+        side = ", ".join("~" * 190 + atom for atom in "ABC")
+        code, human, record = run(capsys, "prove", f"{side} => D", "--calculus", "GE", "--depth", "1000")
+        assert code == 2 and "Traceback" not in human
+        assert f"SEARCH_DEPTH_LIMIT = {SEARCH_DEPTH_LIMIT}" in record["error"]
+
     def test_theorem_with_proof_file(self, capsys, tmp_path):
         out = tmp_path / "proof.seq"
         code, human, record = run(
@@ -208,24 +216,24 @@ class TestRealize:
         assert code == 1 and record["ok"] is False
 
     def test_simplify_fallback_is_null_without_a_fallback(self, capsys):
-        for flags in ((), ("--simplify",)):
+        for flags, mode in (((), "strict"), (("--simplify",), "simplify")):
             code, _, record = run(capsys, "realize", "=> [](A & B) -> [](B & A)", "--calculus", "GE", *flags)
-            assert code == 0 and record["simplify_fallback"] is None
-        assert record["mode"] == "simplify"
+            assert code == 0 and record["mode"] == mode
+            assert "simplify_fallback" not in record
 
-    def test_simplify_fallback_names_the_reason(self, capsys, monkeypatch):
-        def failing(proof, calculus, cs, mode="strict"):
-            if mode == "simplify":
-                raise DerivationError("realization-unstable", detail="forced")
-            return realize(proof, calculus, cs, mode)
+    def test_simplify_that_fails_the_gate_exits_1(self, capsys, monkeypatch):
+        """A simplified result is checked as a strict one is: one that fails
+        ``verify_realization`` is the command's failure, not a strict rerun."""
+        def failing(result, proof=None, cs=None):
+            raise realization.DerivationFails(f"forced in {result.mode} mode")
 
-        monkeypatch.setattr(realization, "realize", failing)
+        monkeypatch.setattr(cli, "verify_realization", failing)
         code, out, record = run(
             capsys, "realize", "=> [](A & B) -> [](B & A)", "--calculus", "GE", "--simplify"
         )
-        assert code == 0 and record["ok"] is True and record["mode"] == "strict"
-        assert record["simplify_fallback"] == "DerivationError: realization-unstable: forced"
-        assert "simplify fell back to strict: DerivationError" in out
+        assert code == 1 and record["ok"] is False
+        assert record["error"] == "forced in simplify mode"
+        assert "strict" not in out
 
     def test_simplify_realizes_and_verifies_once(self, capsys, monkeypatch):
         calls = []
@@ -242,7 +250,7 @@ class TestRealize:
         code, _, record = run(
             capsys, "realize", "=> [](A & B) -> [](B & A)", "--calculus", "GE", "--simplify"
         )
-        assert code == 0 and record["mode"] == "simplify" and record["simplify_fallback"] is None
+        assert code == 0 and record["mode"] == "simplify"
         assert calls == ["realize", "verify"]
 
     def test_modes_are_exclusive(self, capsys):
@@ -269,6 +277,17 @@ class TestDerivationCommands:
         code, _, record = run(capsys, "check", str(path))
         assert code == 1
         assert record["error"] == "bad-mp at step 2: A does not apply to B"
+
+    def test_a_failing_step_is_named_by_its_number_in_the_file(self, capsys, tmp_path):
+        """The file need not list its steps in the order they are checked:
+        an unused ``hyp`` line after the ones the ``mp`` uses, say."""
+        path = tmp_path / "misordered.deriv"
+        path.write_text(
+            "# jelogic derivation v1\ndialect JE\n0 hyp A\n1 hyp B\n2 hyp C\n3 mp 2 1\nconclusion 3\n"
+        )
+        code, _, record = run(capsys, "check", str(path))
+        assert code == 1
+        assert record["error"] == "bad-mp at step 3: C does not apply to B"
 
     @pytest.mark.parametrize(
         "steps, line",

@@ -4,7 +4,7 @@ Every propositional rule is exercised over the boxed formulas ``X = []A``
 and ``Y = []B`` (closed by RE in GE and RM in GM), once with a one-formula
 succedent and once with a side formula next to it; ImpL and NotL also with
 an empty succedent, where they need no fold.  Each proof must realize in both
-modes, verify, and simplify without falling back."""
+modes and verify in both."""
 
 import random
 
@@ -12,7 +12,7 @@ import pytest
 
 from jelogic import realization
 from jelogic.generate import random_sequent_theorem
-from jelogic.realization import realize, realize_simplified, verify_realization
+from jelogic.realization import realize, verify_realization
 from jelogic.sequent import Proof, Sequent, conclude, prove_bounded
 from jelogic.syntax import And, Atom, Box, Implies, Or, print_formula
 
@@ -80,8 +80,8 @@ def test_rule_glue_realizes_in_both_modes(name, calculus):
     cs = CS_JE if calculus == "GE" else CS_JEM
     strict = realize(p, calculus, cs)
     verify_realization(strict)
-    slim, reason = realize_simplified(p, calculus, cs)
-    assert reason is None and slim.mode == "simplify"
+    slim = realize(p, calculus, cs, "simplify")
+    assert slim.mode == "simplify"
     verify_realization(slim)
 
 

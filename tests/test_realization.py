@@ -27,7 +27,6 @@ from jelogic.realization import (
     RoundtripMismatch,
     UncheckedProof,
     realize,
-    realize_simplified,
     simplify,
     verify_realization,
 )
@@ -53,8 +52,10 @@ from jelogic.syntax import (
     Substitution,
     Sum,
     apply_substitution,
+    children,
     forgetful,
     parse_formula,
+    postorder,
     print_formula,
     subterms,
     terms_in,
@@ -659,22 +660,6 @@ def test_sum_chain_of_a_long_class_sum():
     assert realization._sum_chain(u, ProofVar(2000), Sum) is None
 
 
-def test_simplify_falls_back_to_the_given_result(monkeypatch):
-    """``realize_simplified`` names why the collapsed run failed, and
-    ``simplify`` then returns the strict result itself."""
-    strict = realize_text("=> [](A & B) -> [](B & A)", "GE")
-    slim, reason = realize_simplified(strict.source, "GE", strict.cs)
-    assert slim.mode == "simplify" and reason is None
-    assert simplify(strict).realized == slim.realized
-
-    def unverifiable(result, proof=None, cs=None):
-        raise DerivationFails("forced")
-
-    monkeypatch.setattr(realization, "verify_realization", unverifiable)
-    assert realize_simplified(strict.source, "GE", strict.cs) == (None, "DerivationFails: forced")
-    assert simplify(strict) is strict
-
-
 def _valid_fragment_sample(logic: str, size: int = 60) -> list:
     """A fixed-seed sample of the criterion-6 fragment formulas that have no
     countermodel of two worlds, which in this fragment are its theorems."""
@@ -700,6 +685,32 @@ def test_valid_fragment_formulas_prove_realize_and_verify(calculus, logic):
         slim = simplify(strict)
         assert slim.mode == "simplify", print_formula(f)
         verify_realization(slim)
+
+
+def _tree_nodes(f) -> int:
+    """The formula and term nodes of ``f``'s unfolded syntax tree."""
+    size: dict = {}
+    for node in postorder(f):
+        size[node] = 1 + sum(size[k] for k in children(node))
+    return size[f]
+
+
+@pytest.mark.parametrize("calculus, logic", [("GE", "E"), ("GM", "EM")])
+def test_simplify_verifies_and_is_no_larger_than_strict(calculus, logic):
+    """Collapsing equal witness pairs is sound (``je`` takes one ``L`` for
+    both directions), so the simplify-mode realization passes the gate
+    wherever the strict one does, and is no larger: neither in the tree
+    nodes of the realized formula nor in the derivation's steps."""
+    cs = CS_JE if calculus == "GE" else CS_JEM
+    proofs = [prove_bounded(Sequent((), (f,)), calculus, 10) for f in _valid_fragment_sample(logic)]
+    proofs += [random_sequent_theorem(random.Random(seed), calculus, depth=6) for seed in range(100)]
+    for proof in proofs:
+        strict = realize(proof, calculus, cs)
+        slim = realize(proof, calculus, cs, "simplify")
+        verify_realization(strict)
+        verify_realization(slim)
+        assert _tree_nodes(slim.realized) <= _tree_nodes(strict.realized), str(proof.sequent)
+        assert len(slim.derivation) <= len(strict.derivation), str(proof.sequent)
 
 
 # At each golden (strict, then simplify) and each level n = 1..5 of the GE

@@ -2,6 +2,7 @@ import gc
 import random
 import time
 import weakref
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +11,9 @@ import jelogic.sequent
 from jelogic.formats import parse_sequent_proof, write_sequent_proof
 from jelogic.generate import random_sequent_theorem
 from jelogic.sequent import (
+    SEARCH_DEPTH_LIMIT,
     Proof,
+    SearchLimitExceeded,
     Sequent,
     SequentProofError,
     check_sequent_proof,
@@ -32,6 +35,7 @@ from jelogic.syntax import (
     Implies,
     JustOf,
     JustVar,
+    Not,
     Or,
     ProofOf,
     ProofVar,
@@ -264,6 +268,22 @@ class TestSearch:
         del p, q
         gc.collect()
         assert ref() is None
+
+    def test_search_nests_rules_up_to_its_limit(self):
+        """``A => ~^2k A`` takes 2k nested rule applications: at the limit
+        it proves, whatever depth is allowed; past it the search raises."""
+        def chain(n):
+            return reduce(lambda f, _: Not(f), range(n), A)
+
+        at_limit = Sequent((A,), (chain(SEARCH_DEPTH_LIMIT),))
+        p = prove_bounded(at_limit, "GE", 1000)
+        assert p is not None and p is prove_bounded(at_limit, "GE", SEARCH_DEPTH_LIMIT)
+        assert check_sequent_proof(p, "GE") == at_limit
+        past = Sequent((A,), (chain(SEARCH_DEPTH_LIMIT + 2),))
+        with pytest.raises(SearchLimitExceeded, match="SEARCH_DEPTH_LIMIT") as e:
+            prove_bounded(past, "GM", 1000)
+        assert isinstance(e.value, ValueError)
+        assert prove_bounded(past, "GM", SEARCH_DEPTH_LIMIT) is None  # within depth: no proof, no error
 
     def test_memo_keeps_depths_apart(self):
         c = _canonical(parse_sequent_line("[][]A => [][]A"))  # needs depth 2
