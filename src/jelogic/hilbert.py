@@ -13,8 +13,10 @@ Steps are hash-consed like terms and formulas: equal steps are one object,
 and an ``MPStep`` holds its premise steps, so the steps under a conclusion
 form a DAG.  Every step carries the formula it proves as ``formula``: ``c:A``
 for ``ANStep(c, A)`` and ``B`` for a modus ponens whose major proves
-``A -> B``.  A ``Derivation`` is a dialect and the roots of its DAG: the
-conclusion step, then each step it holds that no step uses, such as an
+``A -> B``.  It also carries, as ``hypotheses``, the formulas of the ``Hyp``
+steps under it, so the checker and the transforms read what a step depends
+on off the step.  A ``Derivation`` is a dialect and the roots of its DAG:
+the conclusion step, then each step it holds that no step uses, such as an
 unused hypothesis.  Its ``steps`` are read off the roots, each after its
 premises; step numbers belong to the file format (``formats``).  A
 ``Builder`` derives each formula once, which keeps the transforms from
@@ -94,18 +96,29 @@ class NotAppropriate(Exception):
         self.missing = missing
 
 
-class Hyp(_HashConsed):
+class _Step(_HashConsed):
+    """Base of the steps: ``hypotheses``, the formulas of the ``Hyp`` steps
+    under a step, is not a field.  ``_conclude`` sets it when a node is
+    first built, or the class holds it where it is always empty."""
+
+    __slots__ = ("hypotheses",)
+
+
+class Hyp(_Step):
     formula: Formula
 
+    def _conclude(self):
+        _set(self, "hypotheses", frozenset((self.formula,)))
 
-class AxiomStep(_HashConsed):
+
+class AxiomStep(_Step):
     formula: Formula
     scheme: str
+    hypotheses = frozenset()
 
 
-class _Concluding(_HashConsed):
-    """Base of the steps whose formula is not a field: ``_conclude`` sets
-    it when a node is first built."""
+class _Concluding(_Step):
+    """Base of the steps whose formula ``_conclude`` sets, not a field."""
 
     __slots__ = ("formula",)
 
@@ -113,6 +126,7 @@ class _Concluding(_HashConsed):
 class ANStep(_Concluding):
     constant: str
     axiom: Formula
+    hypotheses = frozenset()
 
     def _conclude(self):
         _set(self, "formula", ProofOf(ProofConst(self.constant), self.axiom))
@@ -129,6 +143,8 @@ class MPStep(_Concluding):
     def _conclude(self):
         f = self.major.formula
         _set(self, "formula", f.right if isinstance(f, Implies) else None)
+        h, k = self.major.hypotheses, self.minor.hypotheses
+        _set(self, "hypotheses", h if k <= h else k if h <= k else h | k)
 
 
 Step = Hyp | AxiomStep | ANStep | MPStep
@@ -169,10 +185,10 @@ class Judgment(_FrozenRecord):
 
 
 def read_judgment(d: Derivation) -> Judgment:
-    """The judgment a derivation's steps state: its hypothesis steps and the
-    formula its conclusion step proves.  Checks nothing;
+    """The judgment a derivation's steps state: the hypotheses under its
+    roots and the formula its conclusion step proves.  Checks nothing;
     ``check_derivation`` does."""
-    return Judgment(frozenset(s.formula for s in d.steps if isinstance(s, Hyp)), d.conclusion.formula)
+    return Judgment(frozenset().union(*(root.hypotheses for root in d.roots)), d.conclusion.formula)
 
 
 def check_derivation(d: Derivation, cs: ConstantSpecification) -> Judgment:
@@ -182,19 +198,14 @@ def check_derivation(d: Derivation, cs: ConstantSpecification) -> Judgment:
 
 def _check(d: Derivation, cs: ConstantSpecification, memo: dict) -> Judgment:
     """``check_derivation``, where ``memo`` maps a dialect to the steps that
-    passed under it and ``cs`` with no hypothesis under them, at which a
-    walk stops, and to the formula nodes ``check_dialect`` accepted.  Steps
-    are numbered as walked: for a fresh memo, as in ``steps``."""
+    passed under it and ``cs``, at which a walk stops, and to the formula
+    nodes ``check_dialect`` accepted.  Steps are numbered as walked: for a
+    fresh memo, as in ``steps``.  The judgment is read off the roots."""
     closed, seen = memo.setdefault(d.dialect, (set(), set()))
-    opened: set = set()  # the steps walked here with a hypothesis under them
-    walk = (s for root in d.roots for s in postorder(root, closed) if s not in opened)
-    for i, step in enumerate(walk):
+    for i, step in enumerate(s for root in d.roots for s in postorder(root, closed)):
         _check_step(step, i, d.dialect, cs, seen)
-        if isinstance(step, Hyp) or isinstance(step, MPStep) and (step.major in opened or step.minor in opened):
-            opened.add(step)
-        else:
-            closed.add(step)
-    return Judgment(frozenset(s.formula for s in opened if isinstance(s, Hyp)), d.conclusion.formula)
+        closed.add(step)
+    return read_judgment(d)
 
 
 def _check_step(step: Step, i: int, dialect: Dialect, cs: ConstantSpecification, seen: set) -> None:
@@ -293,9 +304,8 @@ class Builder:
     def derivation(self, conclusion: Step) -> Derivation:
         """The derivation of ``conclusion`` that also holds every hypothesis
         taken here: the other steps the conclusion does not use are detours."""
-        hyps = [s for s in self._index.values() if isinstance(s, Hyp)]
-        under = set(postorder(conclusion)) if hyps else ()
-        return Derivation(self.dialect, (conclusion, *(h for h in hyps if h not in under)))
+        hyps = (s for s in self._index.values() if isinstance(s, Hyp) and s.formula not in conclusion.hypotheses)
+        return Derivation(self.dialect, (conclusion, *hyps))
 
 
 # ---------------------------------------------------------------------------
@@ -337,9 +347,8 @@ def deduction_transform(d: Derivation, discharge: Formula) -> Derivation:
     rest are taken as they are and lifted with a single K step where a
     rewritten consumer needs them.  Realization nests this transform once
     per sequent rule, so the output must stay proportional to the dependent
-    part."""
+    part: the steps with ``discharge`` among their ``hypotheses``."""
     hyp = Hyp(discharge)
-    depends: set[Step] = set()
     b = Builder(d.dialect)
     lifted: dict[Step, Step] = {}  # a dependent step -> the step proving  discharge -> its formula
 
@@ -350,16 +359,14 @@ def deduction_transform(d: Derivation, discharge: Formula) -> Derivation:
             h = lifted[step] = b.mp(k, b._index[step.formula])
         return h
 
-    for step in d.steps:  # each after its premises, so ``depends`` knows them
+    for step in d.steps:  # each after its premises, so ``lifted`` holds them
         if step is hyp:
             lifted[step] = _emit_imp_id(b, discharge)
-        elif isinstance(step, MPStep) and (step.major in depends or step.minor in depends):
+        elif discharge in step.hypotheses:  # a modus ponens
             s = b.axiom("pl_s", {"F": discharge, "G": step.minor.formula, "H": step.formula})
             lifted[step] = b.mp(b.mp(s, lift_of(step.major)), lift_of(step.minor))
         else:
             b._take(step)
-            continue
-        depends.add(step)
     return b.derivation(lift_of(d.conclusion))
 
 
@@ -396,10 +403,10 @@ def internalize(d: Derivation, cs: ConstantSpecification) -> tuple[ProofTerm, De
     missing = check_axiomatically_appropriate(cs)
     if missing:
         raise NotAppropriate(missing)
-    steps = d.steps
-    hypotheses = {s.formula for s in steps if isinstance(s, Hyp)}
+    hypotheses = read_judgment(d).hypotheses
     if hypotheses:
         raise DerivationError("has-hypotheses", detail=str(sorted(map(print_formula, hypotheses))))
+    steps = d.steps
     lifted = {d.conclusion}  # need a derivation of term:formula
     taken: set[Step] = set()  # need the step itself
     for step in reversed(steps):

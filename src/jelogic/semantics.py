@@ -9,8 +9,8 @@ of the evaluation value itself.
 
 The closure conditions push content strictly upward, from subterms into
 composites, so the least fixed point at a term is a function of the base
-entries at its subterms.  ``saturate`` exploits that: entries are computed by
-memoised structural recursion, either for an explicit list of terms (cheap,
+entries at its subterms.  ``saturate`` computes entries in one pass, each
+after those it is made from, either for an explicit list of terms (cheap,
 used by the fuzzer) or for every term up to the bound over the table's leaves.
 
 On top of basic evaluations sit quasi-models (worlds, neighborhoods, one
@@ -176,6 +176,14 @@ def _all_terms_up_to(dialect: Dialect, leaves: set, bound: int) -> set[Term]:
     return set(proofs) | set(justs)
 
 
+def _entry_operands(t: Term) -> tuple[Term, ...]:
+    """The terms whose entries ``saturate`` makes a term's entry from, in
+    order: its children, then for ``e(s + t)`` also ``e(s)`` and ``e(t)``."""
+    if isinstance(t, Evidence) and isinstance(t.proof, Sum):
+        return (t.proof, Evidence(t.proof.left), Evidence(t.proof.right))
+    return children(t)
+
+
 def saturate(
     eps: FiniteBasicEvaluation,
     bound: int | None = None,
@@ -211,40 +219,6 @@ def saturate(
                 for sid, _ in match_axiom(f, dialect):
                     seeds_by_scheme.setdefault(sid, set()).add(f)
 
-    memo: dict[Term, frozenset] = {}
-
-    def star(t: Term) -> frozenset:
-        got = memo.get(t)
-        if got is not None:
-            return got
-        out = set(base.get(t, _EMPTY))
-        if isinstance(t, ProofConst):
-            if cs is not None:
-                for sid in cs.schemes_of(t.name):
-                    out |= seeds_by_scheme.get(sid, set())
-        elif isinstance(t, Apply):
-            out |= op_dot(star(t.left), star(t.right))
-        elif isinstance(t, Sum):
-            out |= star(t.left) | star(t.right)
-        elif isinstance(t, Bang):
-            out |= op_prefix(t.inner, star(t.inner))
-        elif isinstance(t, Evidence):
-            if isinstance(t.proof, Sum):
-                out |= star(Evidence(t.proof.left)) | star(Evidence(t.proof.right))
-            lam = star(t.proof)
-            while True:
-                grown = op_circle(lam, out) - out
-                if not grown:
-                    break
-                out |= grown
-        elif isinstance(t, MApply):
-            out |= op_dot(star(t.proof), star(t.just))
-        elif isinstance(t, JustSum):
-            out |= star(t.left) | star(t.right)
-        got = frozenset(out)
-        memo[t] = got
-        return got
-
     if terms is not None:
         want = list(base)
         for t in terms:
@@ -255,9 +229,29 @@ def saturate(
     else:
         leaves = {l for k in base for l in subterms(k) if not children(l)}
         want = [*_all_terms_up_to(dialect, leaves, bound), *base]
-    for t in want:
-        for s in postorder(t, memo):  # each subterm before the terms over it
-            star(s)
+    memo: dict[Term, frozenset] = {}
+    for w in want:
+        for t in postorder(w, memo, _entry_operands):  # each after its operands
+            out = set(base.get(t, _EMPTY))
+            if isinstance(t, ProofConst) and cs is not None:
+                for sid in cs.schemes_of(t.name):
+                    out |= seeds_by_scheme.get(sid, set())
+            elif isinstance(t, (Apply, MApply)):  # the applied proof, then its argument
+                out |= op_dot(*map(memo.__getitem__, children(t)))
+            elif isinstance(t, (Sum, JustSum)):
+                out |= memo[t.left] | memo[t.right]
+            elif isinstance(t, Bang):
+                out |= op_prefix(t.inner, memo[t.inner])
+            elif isinstance(t, Evidence):
+                if isinstance(t.proof, Sum):
+                    out |= memo[Evidence(t.proof.left)] | memo[Evidence(t.proof.right)]
+                lam = memo[t.proof]
+                while True:
+                    grown = op_circle(lam, out) - out
+                    if not grown:
+                        break
+                    out |= grown
+            memo[t] = frozenset(out)
     table = {t: fs for t, fs in memo.items() if fs}
     for t, fs in base.items():
         table.setdefault(t, fs)

@@ -858,10 +858,9 @@ class _Parser:
     # while reading, the parentheses, prefixes and right operands open at the
     # current token.  The parser's descent recurses once per level, and the
     # limit keeps it far inside Python's default limit of 1000 frames; the
-    # walks over what it reads use ``postorder`` or a memo filled in it, save
-    # ``saturate`` on ``e(s + t)`` (once per summand).  Proof search recurses
-    # per rule application, under ``sequent.SEARCH_DEPTH_LIMIT``.  Files the
-    # toolkit writes can pass the limit: see docs/grammar.md.
+    # walks over what it reads use ``postorder`` or a memo filled in it.  Proof
+    # search recurses per rule application, under ``sequent.SEARCH_DEPTH_LIMIT``.
+    # Files the toolkit writes can pass the limit: see docs/grammar.md.
     MAX_DEPTH = 200
 
     def __init__(self, text: str, reader: Reader):

@@ -1,9 +1,11 @@
 import dataclasses
+import gc
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from jelogic import hilbert
 from jelogic.axioms import CATALOGUE, ConstantSpecification, cs_total, instantiate, match
 from jelogic.formats import FormatError, parse_derivation, write_derivation
 from jelogic.generate import (
@@ -32,6 +34,7 @@ from jelogic.hilbert import (
     efq_to,
     internalize,
     prove_id,
+    read_judgment,
     substitute_derivation,
     _check,
 )
@@ -56,6 +59,7 @@ from jelogic.syntax import (
     Substitution,
     apply_substitution,
     parse_formula,
+    postorder,
 )
 
 from _helpers import replaced_step
@@ -95,13 +99,19 @@ class TestChecker:
             check_derivation(d, CS_JE)
         assert (e.value.kind, e.value.step) == ("bad-mp", 2)
 
-    def test_a_shared_memo_still_reads_the_hypotheses(self):
-        """``_check`` stops at steps an earlier call on its memo passed, but
-        walks again the steps with a hypothesis under them: a second call
-        gives the same judgment."""
+    def test_a_shared_memo_still_reads_the_hypotheses(self, monkeypatch):
+        """``_check`` stops at every step an earlier call on its memo passed,
+        those with a hypothesis under them too, and reads the judgment off
+        the roots, which carry their hypotheses: a second call walks no step
+        and gives the same judgment."""
         memo: dict = {}
         d = _mp_example()
-        assert _check(d, CS_JE, memo) == _check(d, CS_JE, memo) == Judgment(frozenset({Implies(A, B), A}), B)
+        first = _check(d, CS_JE, memo)
+        walked = []
+        check_step = hilbert._check_step
+        monkeypatch.setattr(hilbert, "_check_step", lambda step, *rest: walked.append(step) or check_step(step, *rest))
+        assert _check(d, CS_JE, memo) == first == Judgment(frozenset({Implies(A, B), A}), B)
+        assert walked == []
 
     def test_axiom_step_must_be_instance(self):
         bogus = AxiomStep(Implies(A, B), "pl_k")
@@ -229,6 +239,20 @@ class TestBuilder:
         slim = b.derivation(target)
         assert slim.roots == (target, hyp) and slim.steps == (target, hyp)
         assert check_derivation(slim, CS_JE) == Judgment(frozenset({B}), Implies(A, Implies(B, A)))
+
+    def test_judgment_and_derivation_walk_no_steps(self, monkeypatch):
+        """What a builder that took hypotheses hands out, and the judgment
+        read off it, come from the steps' ``hypotheses``: no walk."""
+        b = Builder(Dialect.JE)
+        conclusion = b.mp(b.hyp(Implies(A, B)), b.hyp(A))
+        unused = b.hyp(C)
+        walks = []
+        monkeypatch.setattr(hilbert, "postorder", lambda *args, **kw: walks.append(args) or [])
+        d = b.derivation(conclusion)
+        j = read_judgment(d)
+        assert walks == []
+        assert d.roots == (conclusion, unused)
+        assert j == Judgment(frozenset({Implies(A, B), A, C}), B)
 
 
 class TestDeduction:
@@ -393,6 +417,37 @@ def test_random_theorems_survive_the_pipeline(seed, dialect):
 
     lifted = deduction_transform(d, C)
     assert check_derivation(lifted, cs).conclusion == Implies(C, j.conclusion)
+
+
+def _hypotheses_under(step) -> frozenset:
+    return frozenset(s.formula for s in postorder(step) if isinstance(s, Hyp))
+
+
+@given(st.integers(0, 10**9), st.sampled_from(["GE", "GM"]))
+@settings(max_examples=40, deadline=None)
+def test_every_step_carries_the_hypotheses_under_it(seed, calculus):
+    """A step's ``hypotheses`` are the formulas of the ``Hyp`` steps under
+    it, on random theorems, on a derivation with hypotheses and its
+    deduction, on strict and simplify realizations with their logs, and on
+    each of them read back from its file once the steps are gone."""
+    rng = random.Random(seed)
+    dialect = CALCULUS_DIALECT[calculus]
+    cs = cs_total(dialect)
+    proof = random_sequent_theorem(rng, calculus, depth=4)
+    assumed = _with_hypotheses(dialect)
+    ds = [random_theorem(rng, dialect, steps=6), assumed, deduction_transform(assumed, ProofOf(ProofVar(1), A))]
+    for mode in ("strict", "simplify"):
+        r = realize(proof, calculus, cs, mode)
+        ds += [r.derivation, *(e.derivation for e in r.log)]
+    texts = [write_derivation(d) for d in ds]
+    for d in ds:
+        for step in d.steps:
+            assert step.hypotheses == _hypotheses_under(step)
+    del ds, assumed, r, d, step
+    gc.collect()  # a realization's engine is cyclic garbage
+    for text in texts:
+        for step in parse_derivation(text).steps:
+            assert step.hypotheses == _hypotheses_under(step)
 
 
 def _with_hypotheses(dialect: Dialect) -> Derivation:

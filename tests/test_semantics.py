@@ -1,4 +1,6 @@
+import gc
 import random
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -48,6 +50,7 @@ from jelogic.syntax import (
     ProofConst,
     ProofOf,
     ProofVar,
+    Sum,
     parse_formula,
     print_formula,
 )
@@ -141,6 +144,27 @@ class TestSaturate:
     def test_modal_dialect_rejected(self):
         with pytest.raises(DialectError):
             saturate(FiniteBasicEvaluation(Dialect.MODAL))
+
+    def test_a_long_evidence_sum_returns(self):
+        """The entry of ``e(s + t)`` is made from those of ``e(s)`` and
+        ``e(t)`` in one pass, with no Python frame per summand."""
+        summands = [ProofVar(i) for i in range(1500)]
+        total = Evidence(reduce(Sum, summands))
+        assert saturate(_je(bound=2000), 2000, None, (total,)).table == {}
+        eps = _je(table={Evidence(summands[-1]): frozenset({A})}, bound=2000)
+        assert saturate(eps, 2000, None, (total,)).entry(total) == frozenset({A})
+
+    def test_leaves_no_cyclic_garbage(self):
+        """Each entry is made in the loop, not by a closure that refers to
+        itself, so nothing a call builds waits for the cyclic collector."""
+        gc.collect()
+        gc.disable()
+        try:
+            saturate(_je(table={P0: frozenset({Implies(A, B), A}), Evidence(P1): frozenset({B})}))
+            soundness_fuzz(Dialect.JE, 50)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestEvalBasic:
