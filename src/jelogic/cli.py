@@ -264,20 +264,13 @@ def _cmd_prove(args) -> int:
     cm = find_modal_countermodel(f, "E" if args.calculus == "GE" else "EM")
     if cm is not None:
         human += f"\nrefuted by a countermodel of {print_formula(f)}:\n" + cm.describe()
-        names = [f"w{i}" for i in range(cm.world_count)]
-
-        def worlds_in(mask):
-            return [names[i] for i in range(cm.world_count) if mask >> i & 1]
-
+        names, atoms, neighborhoods = cm.by_name()
         record["countermodel"] = {
             "worlds": cm.world_count,
             "falsified_at": names[cm.world],
             "formula": print_formula(f),
-            "atoms": {a: worlds_in(mask) for a, mask in cm.atom_masks},
-            "neighborhoods": {
-                names[w]: [worlds_in(m) for m in range(1 << cm.world_count) if bits >> m & 1]
-                for w, bits in enumerate(cm.neighborhoods)
-            },
+            "atoms": atoms,
+            "neighborhoods": neighborhoods,
         }
     _emit(human, record)
     return 1

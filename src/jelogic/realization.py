@@ -28,18 +28,17 @@ instance's premise derivations.  So in strict mode every distinct modal-rule
 instance contributes its full witness pair, and equal subproofs in one class
 contribute one.
 
-Each group's term is built once, already final, when a shape first mentions
-it.  Its instances' premises are realized by then because of box depth.  A
-modal rule's premises are the bodies of its two boxes, and no other rule
-moves a formula into or out of a box, so every box occurrence at a node lies
-under exactly the modal rules between that node and the root.  Hence an
-instance's two boxes, and in GE every family of its class, lie as many boxes
-deep as the instance lies modal rules deep, and every box in the instance's
-premises lies deeper.  Shapes are realized deepest first, by the most modal
-rules above them: a shape that mentions a group d boxes deep lies at most d
-modal rules deep, and every shape in the premises of the group's instances
-lies at least d + 1 deep, so it is realized already.  Nothing built is ever
-rewritten.
+Shapes are realized deepest first, by the most modal rules above them, and
+each group's term is built, already final, where that walk reaches the depth
+of the group's instances, before any shape there.  Box depth makes that
+order sound.  A modal rule's premises are the bodies of its two boxes, and
+no other rule moves a formula into or out of a box, so every box occurrence
+at a node lies under exactly the modal rules between that node and the
+root.  Hence all instances of a group lie at one depth d: their two boxes,
+and in GE every family of the class, lie d boxes deep.  Their premises lie
+d + 1 deep, so they are realized already; and a shape d' deep mentions only
+groups at least d' boxes deep, so no shape reads a group before its term
+exists.  Nothing built is ever rewritten.
 
 Weakening, contraction and disjunction on the right only move succedent
 formulas.  Such a node records a pending route from the nearest premise that
@@ -212,6 +211,17 @@ def _fold(dialect: Dialect, fs: tuple, arrows: list[Derivation], target: Formula
     return b.derivation(out)
 
 
+def _inject(dialect: Dialect, fs: tuple, j: int) -> Derivation:
+    """``|- fs[j] -> d(fs)``: ``pl_or_intro_l`` into ``d(fs[j:])`` unless
+    fs[j] is last, then ``pl_or_intro_r`` out to ``d(fs)``.  Steps are
+    hash-consed, so a second call builds no new step."""
+    if len(fs) == 1:
+        return prove_id(dialect, fs[0])
+    schemes = ["pl_or_intro_r"] * j + ["pl_or_intro_l"] * (j < len(fs) - 1)
+    links = [derive_axiom(dialect, s, {"F": fs[i], "G": _disj(fs[i + 1:])}) for i, s in enumerate(schemes)]
+    return _chain(links[::-1])
+
+
 def _skip(k: int, n: int) -> list[int]:
     """The positions of an n-formula succedent with position k left out."""
     return [j for j in range(n) if j != k]
@@ -271,23 +281,6 @@ def _lift_sum(b: Builder, i: Step, chain, wrap, plus_scheme: str, keys) -> Step:
 # The realization engine
 
 
-class _Candidates(dict):
-    """The candidate of each group, by the index of the variable its shapes
-    carry; a group's sum is built by ``build`` the first time it is asked
-    for, by ``[]`` or by ``get``, which is how ``_Substituter`` asks."""
-
-    def __init__(self, build):
-        super().__init__()
-        self.build = build
-
-    def __missing__(self, group: int) -> Term:
-        t = self[group] = self.build(group)
-        return t
-
-    def get(self, group: int, default=None) -> Term:
-        return self[group]
-
-
 class _Engine:
     def __init__(self, proof: Proof, calculus: str, cs: ConstantSpecification, mode: str):
         self.calculus = calculus
@@ -296,13 +289,12 @@ class _Engine:
         self.mode = mode
         self.analysis: FamilyAnalysis = compute_families(proof)
         self.shapes = self.analysis.shapes
-        self.cands = _Candidates(self._group_term)
+        self.cands: dict[int, Term] = {}   # group candidates, by the variable their shapes carry
         self.annotation = _Substituter(Substitution(just_vars=self.cands))   # shared by all shapes
         self.groups: dict[int, tuple[int, ...]] = {}   # a group's instances, by its variable
         self.entries: dict[int, tuple[LogEntry, ...]] = {}   # by shape position, like derivs and routes
         self.derivs: dict[int, Derivation] = {}
         self.routes: dict[int, tuple] = {}   # pending routes
-        self.injections: dict[tuple, Derivation] = {}
         self._assign_candidates()
 
     # -- candidate terms -------------------------------------------------
@@ -368,24 +360,6 @@ class _Engine:
     # itself.  A rule that routes may add arrows of its own to a path, or
     # give ``to`` as an arrow ``G -> d(dst)`` instead of a position.
 
-    def _inject(self, fs: tuple, j: int) -> Derivation:
-        """``|- fs[j] -> d(fs)``, built once per ``(fs, j)`` in a run:
-        ``pl_or_intro_l`` into ``d(fs[j:])`` unless fs[j] is last, then
-        ``pl_or_intro_r`` out to ``d(fs)``."""
-        d = self.injections.get((fs, j))
-        if d is None:
-            if len(fs) == 1:
-                d = prove_id(self.dialect, fs[0])
-            else:
-                schemes = ["pl_or_intro_r"] * j + ["pl_or_intro_l"] * (j < len(fs) - 1)
-                links = [
-                    derive_axiom(self.dialect, s, {"F": fs[i], "G": _disj(fs[i + 1:])})
-                    for i, s in enumerate(schemes)
-                ]
-                d = _chain(links[::-1])
-            self.injections[(fs, j)] = d
-        return d
-
     def _arrow(self, to, path: tuple, dst: tuple) -> Derivation:
         """``|- F -> d(dst)`` along one move from F: the links of ``path``,
         then the injection of position ``to``, or ``to`` itself when it is an
@@ -394,7 +368,7 @@ class _Engine:
             return _chain(path + (to,))
         if path and len(dst) == 1:
             return _chain(path)  # the last link lands on d(dst) itself
-        return _chain(path + (self._inject(dst, to),))
+        return _chain(path + (_inject(self.dialect, dst, to),))
 
     def _route(self, base: int, moves: tuple, dst: tuple) -> Derivation:
         """From the base's derivation of d(src), one of d(dst) by one
@@ -446,14 +420,20 @@ class _Engine:
     def run(self) -> Derivation:
         """The root's derivation: the last shape's.  Shapes are realized
         deepest first, by the most modal rules above them, and in shape
-        order within one depth, so each comes after its premises and every
-        group's instances find their premises realized."""
+        order within one depth, so each comes after its premises.  Each
+        group's candidate is built where the walk reaches its instances'
+        depth, before the first shape there."""
         depth = [0] * len(self.shapes)
         for k in reversed(range(len(self.shapes))):   # parents first
             below = depth[k] + (self.shapes[k].proof.rule in ("RE", "RM"))
             for c in self.shapes[k].children:
                 depth[c] = max(depth[c], below)
+        due: dict[int, list[int]] = {}   # the groups, by their instances' depth
+        for group, instances in self.groups.items():
+            due.setdefault(depth[instances[0]], []).append(group)
         for nid in sorted(range(len(self.shapes)), key=lambda k: (-depth[k], k)):
+            for group in due.pop(depth[nid], ()):
+                self.cands[group] = self._group_term(group)
             node = self.shapes[nid].proof
             out = _RULES[node.rule](self, nid, node)
             if isinstance(out, Derivation):
@@ -520,7 +500,7 @@ class _Engine:
         a_bot = b.mp(b.axiom("pl_neg_elim", {"F": a}), b.hyp(Not(a)))
         efq = compose(b.derivation(a_bot), efq_to(self.dialect, bb))
         b = Builder(self.dialect)
-        arm_na = b.derivation(b.mp(b.embed(self._inject(succ, k)), b.embed(efq)))
+        arm_na = b.derivation(b.mp(b.embed(_inject(self.dialect, succ, k)), b.embed(efq)))
         return _cases(self.dialect, a, routed, arm_na, _disj(succ))
 
     def _rule_andl(self, nid: int, node: Proof) -> Derivation:
@@ -552,7 +532,7 @@ class _Engine:
         pair = b.derivation(b.mp(b.axiom("pl_and_intro", {"F": a, "G": bb}), b.hyp(a)))
         # An arrow, not a link: when A is B, compose discharges the pair's
         # hypothesis too, and the builder gets B -> B & B outright.
-        arrow_b = compose(pair, self._inject(succ, k))
+        arrow_b = compose(pair, _inject(self.dialect, succ, k))
         arrow_a = deduction_transform(self._route(*self._through(c2, sides + [(arrow_b, ())]), succ), a)
         return self._route(*self._through(c1, sides + [(arrow_a, ())]), succ)
 
@@ -606,7 +586,7 @@ class _Engine:
             return b.derivation(b.mp(intro, b.embed(deduction_transform(self._derivation(c), a))))
         routed = self._route(*self._through(c, [(w, ()) for w in _skip(k, len(succ))]), succ)
         b = Builder(self.dialect)
-        arm_na = b.derivation(b.mp(b.embed(self._inject(succ, k)), b.hyp(Not(a))))
+        arm_na = b.derivation(b.mp(b.embed(_inject(self.dialect, succ, k)), b.hyp(Not(a))))
         b = Builder(self.dialect)
         b.mp(b.axiom("pl_dne", {"F": a}), b.hyp(Not(Not(a))))
         arm_nna = b.derivation(b.embed(routed))

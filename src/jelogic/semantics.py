@@ -184,13 +184,9 @@ def _entry_operands(t: Term) -> tuple[Term, ...]:
     return children(t)
 
 
-def saturate(
-    eps: FiniteBasicEvaluation,
-    bound: int | None = None,
-    cs: ConstantSpecification | None = None,
-    terms: tuple[Term, ...] | None = None,
-) -> FiniteBasicEvaluation:
-    """Close the table under the dialect's conditions.
+def saturate(eps: FiniteBasicEvaluation, terms: tuple[Term, ...] | None = None) -> FiniteBasicEvaluation:
+    """Close the table under the dialect's conditions, up to the evaluation's
+    bound and with its specification's seeds.
 
     With ``terms`` given, exactly those terms (and whatever their entries
     depend on) are materialised; otherwise every term of depth <= bound built
@@ -202,10 +198,7 @@ def saturate(
     dialect = eps.dialect
     if dialect is Dialect.MODAL:
         raise DialectError("basic evaluations exist only for the justification dialects")
-    if bound is None:
-        bound = eps.bound
-    if cs is None:
-        cs = eps.cs
+    bound, cs = eps.bound, eps.cs
     for t in eps.table:
         check_dialect(t, dialect, Term)
         if term_depth(t) > bound:
@@ -387,15 +380,23 @@ def truth_set(m: QuasiModel, f: Formula) -> frozenset[str]:
     return frozenset(w for w in m.worlds if model_truth(m, w, f))
 
 
-def check_modular(m: QuasiModel, monotonic: bool | None = None) -> list[Violation]:
+def _supersets(x: frozenset, wset: frozenset):
+    """The proper supersets of ``x`` within ``wset``: by the number of
+    worlds added, and for each number in sorted order of the added ones."""
+    rest = sorted(wset - x)
+    for k in range(1, len(rest) + 1):
+        for extra in combinations(rest, k):
+            yield x | frozenset(extra)
+
+
+def check_modular(m: QuasiModel) -> list[Violation]:
     """Factivity at every world, justification-yields-belief for every
-    justification-term entry, and (for the monotonic dialect) closure of the
-    neighborhoods under supersets.  Violations are listed in a fixed order:
-    worlds as the model lists them, terms and formulas by their printed
-    form, neighborhoods by their sorted members."""
-    dialects = {eps.dialect for eps in m.evaluations.values()}
-    if monotonic is None:
-        monotonic = dialects == {Dialect.JEM}
+    justification-term entry, and (when every world's evaluation is in the
+    monotonic dialect) closure of the neighborhoods under supersets.
+    Violations are listed in a fixed order: worlds as the model lists them,
+    terms and formulas by their printed form, neighborhoods by their sorted
+    members."""
+    monotonic = {eps.dialect for eps in m.evaluations.values()} == {Dialect.JEM}
     out: list[Violation] = []
     wset = frozenset(m.worlds)
     for w in m.worlds:
@@ -424,17 +425,14 @@ def check_modular(m: QuasiModel, monotonic: bool | None = None) -> list[Violatio
         if monotonic:
             fam = m.neighborhoods.get(w, frozenset())
             for x in sorted(fam, key=sorted):
-                rest = wset - x
-                for k in range(1, len(rest) + 1):
-                    for extra in combinations(sorted(rest), k):
-                        y = x | frozenset(extra)
-                        if y not in fam:
-                            out.append(
-                                Violation(
-                                    "monotonicity",
-                                    f"at {w}: {sorted(x)} is a neighborhood but {sorted(y)} is not",
-                                )
+                for y in _supersets(x, wset):
+                    if y not in fam:
+                        out.append(
+                            Violation(
+                                "monotonicity",
+                                f"at {w}: {sorted(x)} is a neighborhood but {sorted(y)} is not",
                             )
+                        )
     return out
 
 
@@ -462,10 +460,7 @@ def monotone_closure(n: dict, worlds) -> dict:
     for w, fam in n.items():
         closed = set(fam)
         for x in fam:
-            rest = sorted(wset - x)
-            for k in range(1, len(rest) + 1):
-                for extra in combinations(rest, k):
-                    closed.add(x | frozenset(extra))
+            closed.update(_supersets(x, wset))
         out[w] = frozenset(closed)
     return out
 
@@ -618,18 +613,31 @@ class ModalCountermodel(_FrozenRecord):
     neighborhoods: tuple[int, ...]  # per world: membership bitmap over subset masks
     world: int
 
-    def describe(self) -> str:
+    def by_name(self) -> tuple[list[str], dict[str, list[str]], dict[str, list[list[str]]]]:
+        """The worlds ``w0``, ``w1``, ..., each atom's truth set and each
+        world's neighborhoods, with worlds by name: sets as lists of names
+        in world order, neighborhoods in the order of their masks."""
         names = [f"w{i}" for i in range(self.world_count)]
 
         def set_of(mask):
-            return "{" + ", ".join(names[i] for i in range(self.world_count) if mask >> i & 1) + "}"
+            return [names[i] for i in range(self.world_count) if mask >> i & 1]
+
+        atoms = {a: set_of(mask) for a, mask in self.atom_masks}
+        neighborhoods = {
+            names[w]: [set_of(m) for m in range(1 << self.world_count) if bits >> m & 1]
+            for w, bits in enumerate(self.neighborhoods)
+        }
+        return names, atoms, neighborhoods
+
+    def describe(self) -> str:
+        names, atoms, neighborhoods = self.by_name()
+
+        def shown(ws):
+            return "{" + ", ".join(ws) + "}"
 
         lines = [f"worlds: {', '.join(names)}"]
-        for a, mask in self.atom_masks:
-            lines.append(f"{a} true at {set_of(mask)}")
-        for i, bits in enumerate(self.neighborhoods):
-            members = [set_of(m) for m in range(1 << self.world_count) if bits >> m & 1]
-            lines.append(f"N({names[i]}) = {{{', '.join(members)}}}")
+        lines += [f"{a} true at {shown(ws)}" for a, ws in atoms.items()]
+        lines += [f"N({w}) = {{{', '.join(map(shown, n))}}}" for w, n in neighborhoods.items()]
         lines.append(f"falsified at {names[self.world]}")
         return "\n".join(lines)
 

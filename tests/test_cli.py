@@ -107,6 +107,23 @@ class TestProve:
         assert record["countermodel"] is not None
         assert "refuted by a countermodel" in human and "falsified at" in human
 
+    def test_refuted_formula_prints_the_countermodel_by_name(self, capsys):
+        """The text and the record name worlds alike: ``describe`` and the
+        record both read ``ModalCountermodel.by_name``."""
+        assert main(["prove", "=> []A -> [](A | B)", "--calculus", "GE"]) == 1
+        assert capsys.readouterr().out == (
+            "no proof within depth 10: => []A -> [](A | B)\n"
+            "refuted by a countermodel of []A -> [](A | B):\n"
+            "worlds: w0\n"
+            "A true at {}\n"
+            "B true at {w0}\n"
+            "N(w0) = {{}}\n"
+            "falsified at w0\n"
+            '{"calculus": "GE", "command": "prove", "countermodel": {"atoms": {"A": [], "B": ["w0"]}, '
+            '"falsified_at": "w0", "formula": "[]A -> [](A | B)", "neighborhoods": {"w0": [[]]}, '
+            '"worlds": 1}, "depth": 10, "ok": false, "sequent": "=> []A -> [](A | B)"}\n'
+        )
+
     def test_unproved_sequent_with_antecedent_has_a_countermodel(self, capsys):
         """The oracle is asked about /\\ ante -> \\/ succ; the reported model
         makes every antecedent formula true and every succedent formula false

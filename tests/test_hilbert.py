@@ -1,11 +1,11 @@
 import dataclasses
-import gc
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jelogic import hilbert
+from jelogic import hilbert, syntax
 from jelogic.axioms import CATALOGUE, ConstantSpecification, cs_total, instantiate, match
 from jelogic.formats import FormatError, parse_derivation, write_derivation
 from jelogic.generate import (
@@ -430,6 +430,9 @@ def test_every_step_carries_the_hypotheses_under_it(seed, calculus):
     it, on random theorems, on a derivation with hypotheses and its
     deduction, on strict and simplify realizations with their logs, and on
     each of them read back from its file once the steps are gone."""
+    # Steps built before this test, by other tests too, may be held
+    # elsewhere; every step made here is freed when the test drops it.
+    held = {n for n in list(syntax._NODES.values()) if isinstance(n, hilbert._Step)}
     rng = random.Random(seed)
     dialect = CALCULUS_DIALECT[calculus]
     cs = cs_total(dialect)
@@ -443,8 +446,9 @@ def test_every_step_carries_the_hypotheses_under_it(seed, calculus):
     for d in ds:
         for step in d.steps:
             assert step.hypotheses == _hypotheses_under(step)
+    gone = [weakref.ref(step) for d in ds for step in d.steps if step not in held]
     del ds, assumed, r, d, step
-    gc.collect()  # a realization's engine is cyclic garbage
+    assert all(ref() is None for ref in gone)  # so the steps read back are new objects
     for text in texts:
         for step in parse_derivation(text).steps:
             assert step.hypotheses == _hypotheses_under(step)

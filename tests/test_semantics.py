@@ -150,9 +150,9 @@ class TestSaturate:
         ``e(t)`` in one pass, with no Python frame per summand."""
         summands = [ProofVar(i) for i in range(1500)]
         total = Evidence(reduce(Sum, summands))
-        assert saturate(_je(bound=2000), 2000, None, (total,)).table == {}
+        assert saturate(_je(bound=2000), (total,)).table == {}
         eps = _je(table={Evidence(summands[-1]): frozenset({A})}, bound=2000)
-        assert saturate(eps, 2000, None, (total,)).entry(total) == frozenset({A})
+        assert saturate(eps, (total,)).entry(total) == frozenset({A})
 
     def test_leaves_no_cyclic_garbage(self):
         """Each entry is made in the loop, not by a closure that refers to
@@ -281,9 +281,8 @@ class TestQuasiModel:
             {"u": frozenset({frozenset({"u"})}), "v": frozenset()},
             {"u": _jem(), "v": _jem()},
         )
-        violations = check_modular(m)  # inferred monotonic from the dialect
+        violations = check_modular(m)  # monotonic by the dialect
         assert any(v.kind == "monotonicity" for v in violations)
-        assert check_modular(m, monotonic=False) == []
 
 
 class TestFullyExplanatory:
