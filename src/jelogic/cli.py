@@ -4,8 +4,9 @@ Every subcommand prints a short human-readable report followed by one JSON
 line (the structured record).  Exit status: 0 on success, 1 when the input is
 well-formed but the logical claim fails (a derivation that does not check, an
 unprovable sequent, a model violation, fuzz failures), 2 on malformed input or
-input past a resource limit (``syntax._Parser.MAX_DEPTH``,
-``sequent.SEARCH_DEPTH_LIMIT``), which the record's ``error`` names.
+input past a resource limit (``syntax._Parser.MAX_DEPTH``, or the search's
+``--depth``, by default ``sequent.SEARCH_DEPTH_LIMIT``), which the record's
+``error`` names.  Within that limit ``prove`` and ``realize`` decide a sequent.
 The derivation commands (``check``, ``deduce``, ``internalize``, ``subst``)
 check the derivation they read, and a command that builds a derivation checks
 that too before it reports success: ``realize`` runs ``verify_realization`` on
@@ -57,7 +58,7 @@ from .semantics import (
     model_truth,
     soundness_fuzz,
 )
-from .sequent import Sequent, SequentProofError, check_sequent_proof, parse_sequent_line, proof_size, prove_bounded
+from .sequent import SEARCH_DEPTH_LIMIT, Sequent, SequentProofError, check_sequent_proof, parse_sequent_line, proof_size, prove_bounded
 from .syntax import (
     BOT,
     And,
@@ -247,15 +248,8 @@ def _cmd_prove(args) -> int:
             },
         )
         return 0
-    record = {
-        "command": "prove",
-        "ok": False,
-        "calculus": args.calculus,
-        "sequent": str(s),
-        "depth": args.depth,
-        "countermodel": None,
-    }
-    human = f"no proof within depth {args.depth}: {s}"
+    record = {"command": "prove", "ok": False, "calculus": args.calculus, "sequent": str(s), "countermodel": None}
+    human = f"not provable in {args.calculus}: {s}"
     # The sequent as one formula: /\ ante -> \/ succ, with _|_ for an empty
     # succedent and no implication for an empty antecedent.
     f = reduce(Or, s.succ) if s.succ else BOT
@@ -292,10 +286,7 @@ def _cmd_realize(args) -> int:
             raise ParseError(f"{args.source} is neither an existing file nor a sequent: {e}") from e
         proof = prove_bounded(s, calculus, args.depth)
         if proof is None:
-            _emit(
-                f"no {calculus} proof within depth {args.depth}: {s}",
-                {"command": "realize", "ok": False, "sequent": str(s), "depth": args.depth},
-            )
+            _emit(f"not provable in {calculus}: {s}", {"command": "realize", "ok": False, "sequent": str(s)})
             return 1
     result = realize(proof, calculus, cs, "simplify" if args.simplify else "strict")
     verify_realization(result)
@@ -324,10 +315,13 @@ def _cmd_realize(args) -> int:
 def _cmd_model_check(args) -> int:
     m = parse_model(Path(args.model).read_text())
     dialect = next(iter(m.evaluations.values())).dialect
-    cs = _load_cs(args.cs, dialect) if args.cs else None
+    if args.cs:
+        cs = _load_cs(args.cs, dialect)
+        for eps in m.evaluations.values():
+            eps.cs = cs
     violations = []
     for w in m.worlds:
-        for v in check_basic_model(m.evaluations[w], cs):
+        for v in check_basic_model(m.evaluations[w]):
             violations.append(f"at {w}: {v}")
     for v in check_modular(m):
         violations.append(str(v))
@@ -435,10 +429,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--calculus", choices=["GE", "GM"])
     p.set_defaults(func=_cmd_seq_check)
 
-    p = sub.add_parser("prove", help="bounded backward proof search")
+    p = sub.add_parser("prove", help="backward proof search")
     p.add_argument("sequent", help="a sequent 'G => D' or a bare formula")
     p.add_argument("--calculus", choices=["GE", "GM"], required=True)
-    p.add_argument("--depth", type=int, default=10)
+    p.add_argument("--depth", type=int, default=SEARCH_DEPTH_LIMIT, help="nesting limit of the search")
     p.add_argument("-o", "--output", help="write the found proof here")
     p.set_defaults(func=_cmd_prove)
 
@@ -446,7 +440,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("source", help="proof file, or a sequent/formula to prove first")
     p.add_argument("--calculus", choices=["GE", "GM"], required=True)
     p.add_argument("--cs")
-    p.add_argument("--depth", type=int, default=10)
+    p.add_argument("--depth", type=int, default=SEARCH_DEPTH_LIMIT, help="nesting limit of the search")
     p.add_argument("--simplify", action="store_true", help="collapse equal witness pairs")
     p.add_argument("-o", "--output", help="write the realized derivation here")
     p.set_defaults(func=_cmd_realize)

@@ -133,9 +133,6 @@ class FiniteBasicEvaluation(_Record):
     def entry(self, t: Term) -> frozenset[Formula]:
         return self.table.get(t, _EMPTY)
 
-    def universe(self) -> tuple[Term, ...]:
-        return tuple(self.table)
-
 
 def _pool(table: dict) -> set[Formula]:
     """All formulas in the entries, closed under subformulas."""
@@ -291,14 +288,12 @@ class Violation(_FrozenRecord):
         return f"[{self.kind}] {self.message}"
 
 
-def check_basic_model(
-    eps: FiniteBasicEvaluation, cs: ConstantSpecification | None = None
-) -> list[Violation]:
+def check_basic_model(eps: FiniteBasicEvaluation) -> list[Violation]:
     """All closure conditions within the bound, plus factivity of every
-    proof-term entry.  Empty list means the evaluation is a basic model
-    (relative to its declared universe and bound)."""
-    if cs is None:
-        cs = eps.cs
+    proof-term entry, and closure under the evaluation's specification if
+    it has one.  Empty list means the evaluation is a basic model (relative
+    to its declared universe and bound)."""
+    cs = eps.cs
     dialect = eps.dialect
     bound = eps.bound
     out: list[Violation] = []
@@ -465,13 +460,11 @@ def monotone_closure(n: dict, worlds) -> dict:
     return out
 
 
-def build_singleton_model(
-    eps: FiniteBasicEvaluation, cs: ConstantSpecification | None = None
-) -> QuasiModel:
+def build_singleton_model(eps: FiniteBasicEvaluation) -> QuasiModel:
     """One-world quasi-model whose neighborhoods are exactly the truth sets of
     formulas justified by some justification term; modular by construction
     (supplemented first for the monotonic dialect)."""
-    violations = check_basic_model(eps, cs)
+    violations = check_basic_model(eps)
     if violations:
         raise NotBasicModel(violations)
     w = "w0"

@@ -29,9 +29,10 @@ by a shared rule instance into equivalence classes.
 propositional structure eagerly (those rules are invertible), then tries
 every antecedent/succedent box pair at the modal transition, inserting the
 weakening steps explicitly, by ``conclude``, so its output always passes
-``check_sequent_proof``.  It searches a repeated subgoal once.  Proofs are
-hash-consed like terms and formulas, so equal subproofs are one object,
-whoever built them.
+``check_sequent_proof``.  Every rule it applies makes the sequent smaller,
+so it decides within its nesting limit, and it searches a subgoal once.
+Proofs are hash-consed like terms and formulas, so equal subproofs are one
+object, whoever built them.
 """
 
 from __future__ import annotations
@@ -410,7 +411,8 @@ SEARCH_DEPTH_LIMIT = 400
 
 
 class SearchLimitExceeded(ValueError):
-    """The search would nest more than ``SEARCH_DEPTH_LIMIT`` rule applications."""
+    """The search would nest more rule applications than ``prove_bounded``'s
+    ``depth`` or ``SEARCH_DEPTH_LIMIT``, whichever is less."""
 
 
 def _axiom_leaf(c: Sequent) -> Proof | None:
@@ -425,38 +427,31 @@ def _axiom_leaf(c: Sequent) -> Proof | None:
     return None
 
 
-def _search(c: Sequent, calculus: str, depth: int, memo: dict, leaf=..., floor: int = 0) -> Proof | None:
-    """A proof of the canonical sequent ``c`` within ``depth``, or None.
-    ``memo`` maps the sides of a canonical sequent to ``(depth, proof)``: a
-    proof serves any remaining depth at least the one it was found at, a
-    failure (proof None) only a depth at most the one it was found at.  A
-    sequent enters it when first met, so ``_axiom_leaf`` is asked about it
-    once: closed by an axiom, found at depth 0, or else failed at depth 0.
-    ``leaf`` is its answer for ``c`` when the caller asked it already.
-    At a remaining depth of ``floor`` the search has nested
-    ``SEARCH_DEPTH_LIMIT`` rule applications, and one more raises."""
+def _search(c: Sequent, calculus: str, limit: int, memo: dict, leaf=...) -> Proof | None:
+    """A proof of the canonical sequent ``c``, or None when it has none;
+    ``memo`` keeps each answer under the sequent's sides.  ``leaf`` is
+    ``_axiom_leaf``'s answer for ``c`` when the caller asked it already.
+    ``limit`` more rule applications may nest above ``c``: at 0, a ``c``
+    that no axiom closes raises ``SearchLimitExceeded``."""
     key = c.ante, c.succ
-    known = memo.get(key)
-    if known is None:
-        if leaf is ...:
-            leaf = _axiom_leaf(c)
-        known = memo[key] = 0, (None if leaf is None else _bridge(leaf, c))
-    found_at, proof = known
-    if depth >= found_at if proof is not None else depth <= found_at:
+    proof = memo.get(key, ...)
+    if proof is not ...:
         return proof
-    if depth <= 0:
-        return None
-    if depth <= floor:
-        raise SearchLimitExceeded(f"search deeper than SEARCH_DEPTH_LIMIT = {SEARCH_DEPTH_LIMIT} nested rule applications")
-    proof = _expand(c, calculus, depth, memo, floor)
-    if proof is not None or known[1] is None:
-        memo[key] = depth, proof
+    if leaf is ...:
+        leaf = _axiom_leaf(c)
+    if leaf is not None:
+        proof = _bridge(leaf, c)
+    elif limit <= 0:
+        raise SearchLimitExceeded
+    else:
+        proof = _expand(c, calculus, limit - 1, memo)
+    memo[key] = proof
     return proof
 
 
-def _expand(c: Sequent, calculus: str, depth: int, memo: dict, floor: int) -> Proof | None:
+def _expand(c: Sequent, calculus: str, limit: int, memo: dict) -> Proof | None:
     """One rule application below ``c``, which no axiom closes, and the
-    search of its premises."""
+    search of its premises under ``limit``."""
     chosen = None
     for side, formulas in (("L", c.ante), ("R", c.succ)):
         rules = _DECOMP[side]
@@ -472,14 +467,14 @@ def _expand(c: Sequent, calculus: str, depth: int, memo: dict, floor: int) -> Pr
                 (premise,) = premises
                 leaf = _axiom_leaf(premise)
                 if leaf is not None:
-                    closed = _search(_canonical(premise), calculus, 0, memo, leaf)
+                    closed = _search(_canonical(premise), calculus, limit, memo, leaf)
                     return Proof(c, rule, principal, (_bridge(closed, premise),))
     if chosen is not None:
         rule, principal, premises = chosen
         leaf = None if rule in _SINGLE_PREMISE else ...  # the look-ahead asked about its premise
         children = []
         for premise in premises:
-            sub = _search(_canonical(premise), calculus, depth - 1, memo, leaf, floor)
+            sub = _search(_canonical(premise), calculus, limit, memo, leaf)
             if sub is None:
                 return None  # propositional rules are invertible: no backtracking
             children.append(_bridge(sub, premise))
@@ -493,7 +488,7 @@ def _expand(c: Sequent, calculus: str, depth: int, memo: dict, floor: int) -> Pr
                 continue
             children = []
             for premise in premises_of(rule, (("L", 0), ("R", 0)), Sequent((fa,), (fb,))):
-                sub = _search(_canonical(premise), calculus, depth - 1, memo, floor=floor)
+                sub = _search(_canonical(premise), calculus, limit, memo)
                 if sub is None:
                     break
                 children.append(_bridge(sub, premise))
@@ -503,9 +498,12 @@ def _expand(c: Sequent, calculus: str, depth: int, memo: dict, floor: int) -> Pr
 
 
 def prove_bounded(s: Sequent, calculus: str, depth: int) -> Proof | None:
-    """Deterministic backward proof search up to ``depth`` nested rule
-    applications (weakening and contraction bookkeeping is not counted).
-    Returns a proof that passes ``check_sequent_proof`` or None.
+    """Deterministic backward proof search: a proof of ``s`` that passes
+    ``check_sequent_proof``, or None when ``s`` has no proof in the
+    calculus.  The search nests at most ``depth`` rule applications, or
+    ``SEARCH_DEPTH_LIMIT`` if that is less (weakening and contraction
+    bookkeeping is not counted); a branch that would nest more raises
+    ``SearchLimitExceeded``, whose message names the limit in force.
 
     Each step closes the sequent by an axiom if one applies.  Otherwise it
     decomposes one propositional formula: a one-premise rule (ImpR, AndL,
@@ -514,17 +512,15 @@ def prove_bounded(s: Sequent, calculus: str, depth: int) -> Proof | None:
     propositional rules are invertible, so the choice decides only the
     proof's size, and the search never backtracks over it.  A sequent with
     nothing to decompose tries the modal rule on each antecedent/succedent
-    box pair in turn.  No proof is sought beyond this order: it is not the
-    smallest proof, and since the order sets the proof's height, None means
-    only that this order found no proof within ``depth``.
+    box pair in turn.  Every rule makes the canonical sequent (repeated
+    formulas dropped) smaller, so the search ends, and None is a decided
+    answer.  The proof found is not the smallest one.
 
     Within one call, a canonical subgoal is searched once: a repeated one
-    reuses the first proof found, and the memo is dropped when the call
-    returns.  Proofs are hash-consed, so the result is a DAG whose equal
-    subproofs are one ``Proof`` object: the GE ladder ``[]^n A => []^n A``
-    has 2^(n+1) - 1 tree nodes but n + 1 distinct ones.  Whatever ``depth``
-    allows, a search that would nest more than ``SEARCH_DEPTH_LIMIT`` rule
-    applications raises ``SearchLimitExceeded``."""
+    reuses its first answer, and the memo is dropped when the call returns.
+    Proofs are hash-consed, so the result is a DAG whose equal subproofs are
+    one ``Proof`` object: the GE ladder ``[]^n A => []^n A`` has 2^(n+1) - 1
+    tree nodes but n + 1 distinct ones."""
     if calculus not in _CALCULUS_RULES:
         raise SequentProofError("bad-rule", f"unknown calculus {calculus!r}")
     if depth <= 0:
@@ -532,10 +528,12 @@ def prove_bounded(s: Sequent, calculus: str, depth: int) -> Proof | None:
     seen: set = set()
     for f in s.ante + s.succ:
         check_dialect(f, Dialect.MODAL, Formula, seen)
-    sub = _search(_canonical(s), calculus, depth, {}, floor=depth - SEARCH_DEPTH_LIMIT)
-    if sub is None:
-        return None
-    return _bridge(sub, s)
+    try:
+        sub = _search(_canonical(s), calculus, min(depth, SEARCH_DEPTH_LIMIT), {})
+    except SearchLimitExceeded:
+        named = f"depth = {depth}" if depth < SEARCH_DEPTH_LIMIT else f"SEARCH_DEPTH_LIMIT = {SEARCH_DEPTH_LIMIT}"
+        raise SearchLimitExceeded(f"search deeper than {named} nested rule applications") from None
+    return None if sub is None else _bridge(sub, s)
 
 
 # ---------------------------------------------------------------------------

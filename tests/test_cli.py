@@ -12,7 +12,7 @@ from jelogic.hilbert import Derivation, Hyp, MPStep, prove_id
 from jelogic.realization import realize
 from jelogic.semantics import FiniteBasicEvaluation, QuasiModel, saturate
 from jelogic.sequent import SEARCH_DEPTH_LIMIT, parse_sequent_line
-from jelogic.syntax import And, Atom, Bottom, Box, Dialect, Evidence, Implies, Not, Or, ProofVar, _Parser
+from jelogic.syntax import And, Atom, Bottom, Box, Dialect, Evidence, Implies, Not, Or, ProofConst, ProofOf, ProofVar, _Parser
 
 from _helpers import deep_proof_text
 
@@ -78,6 +78,20 @@ class TestProve:
         assert code == 2 and "Traceback" not in human
         assert f"SEARCH_DEPTH_LIMIT = {SEARCH_DEPTH_LIMIT}" in record["error"]
 
+    def test_prove_and_realize_decide_and_depth_is_a_limit(self, capsys):
+        """By default the search decides: ``[]^11 A => []^11 A`` nests 11
+        RM, and a sequent with no proof exits 1.  A lower ``--depth`` is a
+        limit that, when hit, exits 2 naming it."""
+        boxes = "[]" * 11
+        for command in ("prove", "realize"):
+            code, _, _ = run(capsys, command, f"{boxes}A => {boxes}A", "--calculus", "GM")
+            assert code == 0
+            code, human, record = run(capsys, command, f"{boxes}A => {boxes}A", "--calculus", "GM", "--depth", "5")
+            assert code == 2 and "depth = 5 " in record["error"] and "Traceback" not in human
+            code, human, record = run(capsys, command, "[](A | B) => []A", "--calculus", "GM")
+            assert code == 1 and human.startswith("not provable in GM: [](A | B) => []A")
+            assert "depth" not in record
+
     def test_theorem_with_proof_file(self, capsys, tmp_path):
         out = tmp_path / "proof.seq"
         code, human, record = run(
@@ -112,7 +126,7 @@ class TestProve:
         record both read ``ModalCountermodel.by_name``."""
         assert main(["prove", "=> []A -> [](A | B)", "--calculus", "GE"]) == 1
         assert capsys.readouterr().out == (
-            "no proof within depth 10: => []A -> [](A | B)\n"
+            "not provable in GE: => []A -> [](A | B)\n"
             "refuted by a countermodel of []A -> [](A | B):\n"
             "worlds: w0\n"
             "A true at {}\n"
@@ -121,7 +135,7 @@ class TestProve:
             "falsified at w0\n"
             '{"calculus": "GE", "command": "prove", "countermodel": {"atoms": {"A": [], "B": ["w0"]}, '
             '"falsified_at": "w0", "formula": "[]A -> [](A | B)", "neighborhoods": {"w0": [[]]}, '
-            '"worlds": 1}, "depth": 10, "ok": false, "sequent": "=> []A -> [](A | B)"}\n'
+            '"worlds": 1}, "ok": false, "sequent": "=> []A -> [](A | B)"}\n'
         )
 
     def test_unproved_sequent_with_antecedent_has_a_countermodel(self, capsys):
@@ -518,6 +532,25 @@ class TestModelCheck:
         code, human, record = run(capsys, "model-check", str(path))
         assert code == 1 and record["violations"]
         assert "factivity" in human
+
+    def test_cs_checks_closure_under_the_specification(self, capsys, tmp_path):
+        """``--cs`` gives each evaluation read the specification, so the
+        constant ``c_jt``, in the universe without the factivity instance
+        the total specification assigns it, is reported only with it."""
+        instance = Implies(ProofOf(ProofVar(1), A), A)
+        eps = saturate(FiniteBasicEvaluation(
+            Dialect.JE, {"A": True, "B": True},
+            {ProofVar(0): frozenset({instance}), ProofConst("c_jt"): frozenset({B})},
+        ))
+        model = tmp_path / "m.model"
+        model.write_text(write_model(QuasiModel(("u",), {"u": frozenset()}, {"u": eps})))
+        cs = tmp_path / "total.cs"
+        cs.write_text(write_cs(cs_total(Dialect.JE)))
+        code, _, record = run(capsys, "model-check", str(model))
+        assert code == 0 and record["violations"] == []
+        code, human, record = run(capsys, "model-check", str(model), "--cs", str(cs))
+        assert code == 1 and record["violations"] == ["at u: [specification-closure] c_jt lacks p1:A -> A"]
+        assert "c_jt lacks p1:A -> A" in human
 
     def test_malformed_model_file(self, capsys, tmp_path):
         path = tmp_path / "junk.model"

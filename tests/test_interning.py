@@ -3,9 +3,11 @@ substituted, instantiated from a scheme, copied or rebuilt from its fields),
 the result is the one live node with its class and fields."""
 
 import copy
+import gc
 import pickle
 import random
 import re
+import weakref
 from dataclasses import fields, is_dataclass, replace
 
 import pytest
@@ -14,6 +16,7 @@ from jelogic.axioms import FormulaMeta, JustMeta, ProofMeta, instantiate, match,
 from jelogic.generate import random_theorem
 from jelogic.hilbert import AxiomStep
 from jelogic.semantics import FiniteBasicEvaluation, eval_basic
+from jelogic import syntax
 from jelogic.syntax import (
     Atom,
     Bang,
@@ -242,3 +245,25 @@ def test_metavariables_are_hash_consed():
     assert FormulaMeta("F") is FormulaMeta("F") is FormulaMeta(name="F")
     assert FormulaMeta("F") != ProofMeta("F")
     assert copy.deepcopy(FormulaMeta("F")) is FormulaMeta("F")
+
+
+def test_the_constructor_reads_the_weak_table_it_writes():
+    """``syntax._LIVE`` is the dict of weak references under ``_NODES``,
+    which the constructor reads to skip ``WeakValueDictionary.get``.  That
+    dict is private to ``weakref``: this pins its layout on every Python of
+    the CI matrix (3.10-3.13).  A live node's key maps to a reference that
+    returns it, and once the node is freed its key reads as a miss, so the
+    next call builds a new node."""
+    assert syntax._LIVE is syntax._NODES.data
+    name = "live_table_probe"
+    key = (Atom, name)
+    node = Atom(name)
+    assert syntax._LIVE[key]() is node
+    old = weakref.ref(node)
+    del node
+    gc.collect()
+    assert old() is None
+    ref = syntax._LIVE.get(key)
+    assert ref is None or ref() is None
+    new = Atom(name)
+    assert new.name == name and syntax._LIVE[key]() is new

@@ -220,13 +220,15 @@ class TestCheckBasicModel:
             P0: frozenset({instance}),
             ProofConst("c_jt"): frozenset({B}),
         }))
-        violations = check_basic_model(poor, cs)
+        poor.cs = cs  # saturated without it, so not closed under it
+        violations = check_basic_model(poor)
         assert any(v.kind == "specification-closure" and "c_jt" in v.message for v in violations)
         rich = saturate(_je(atoms=atoms, table={
             P0: frozenset({instance}),
             ProofConst("c_jt"): frozenset({B, instance}),
         }))
-        assert not any(v.kind == "specification-closure" for v in check_basic_model(rich, cs))
+        rich.cs = cs
+        assert not any(v.kind == "specification-closure" for v in check_basic_model(rich))
 
     def test_violation_rendering(self):
         eps = _je(table={P0: frozenset({Bottom()})})

@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 import jelogic.sequent
 from jelogic.formats import parse_sequent_proof, write_sequent_proof
-from jelogic.generate import random_sequent_theorem
+from jelogic.generate import random_formula, random_sequent_theorem
+from jelogic.semantics import find_modal_countermodel
 from jelogic.sequent import (
     SEARCH_DEPTH_LIMIT,
     Proof,
@@ -23,14 +24,13 @@ from jelogic.sequent import (
     premises_of,
     proof_size,
     prove_bounded,
-    _canonical,
-    _search,
 )
 from jelogic.syntax import (
     And,
     Atom,
     BOT,
     Box,
+    Dialect,
     DialectError,
     Implies,
     JustOf,
@@ -283,17 +283,18 @@ class TestSearch:
         with pytest.raises(SearchLimitExceeded, match="SEARCH_DEPTH_LIMIT") as e:
             prove_bounded(past, "GM", 1000)
         assert isinstance(e.value, ValueError)
-        assert prove_bounded(past, "GM", SEARCH_DEPTH_LIMIT) is None  # within depth: no proof, no error
+        with pytest.raises(SearchLimitExceeded, match=f"SEARCH_DEPTH_LIMIT = {SEARCH_DEPTH_LIMIT} "):
+            prove_bounded(past, "GM", SEARCH_DEPTH_LIMIT)
 
-    def test_memo_keeps_depths_apart(self):
-        c = _canonical(parse_sequent_line("[][]A => [][]A"))  # needs depth 2
-        memo = {}
-        assert _search(c, "GE", 1, memo) is None
-        p = _search(c, "GE", 2, memo)          # a failure at 1 says nothing at 2
-        assert p is not None
-        assert _search(c, "GE", 5, memo) is p  # a proof at 2 serves 5
-        assert _search(c, "GE", 1, memo) is None
-        assert _search(c, "GE", 2, memo) is p
+    def test_a_depth_below_the_proof_raises_naming_it(self):
+        """``depth`` is a limit, not a cut-off: the search does not report
+        "no proof" for a sequent whose proof nests deeper, and the proof it
+        finds within a larger limit is the same at any such limit."""
+        s = parse_sequent_line("[][]A => [][]A")  # two nested RE
+        with pytest.raises(SearchLimitExceeded, match="depth = 1 "):
+            prove_bounded(s, "GE", 1)
+        p = prove_bounded(s, "GE", 2)
+        assert p is not None and p is prove_bounded(s, "GE", SEARCH_DEPTH_LIMIT)
 
 
 def test_proof_size_counts_a_dag_as_its_tree():
@@ -595,3 +596,24 @@ def test_congruence_theorems_are_monotone_theorems(seed):
         q = prove_bounded(s, "GM", 7)
         assert q is not None
         check_sequent_proof(q, "GM")
+
+
+@pytest.mark.parametrize("calculus, logic", [("GE", "E"), ("GM", "EM")])
+def test_the_search_decides(calculus, logic):
+    """On random modal formulas, a proved one has no countermodel of two
+    worlds, and a lower limit changes no answer: at depth 10 the search
+    raises, or it returns what it returns at ``SEARCH_DEPTH_LIMIT``, the same
+    proof object or None."""
+    proved = raised = 0
+    for seed in range(3000):
+        f = random_formula(random.Random(seed), Dialect.MODAL, 5)
+        s = Sequent((), (f,))
+        p = prove_bounded(s, calculus, SEARCH_DEPTH_LIMIT)
+        if p is not None:
+            proved += 1
+            assert find_modal_countermodel(f, logic) is None, f
+        try:
+            assert prove_bounded(s, calculus, 10) is p, f
+        except SearchLimitExceeded:
+            raised += 1
+    assert proved and raised  # both answers, and the limit, are met
