@@ -4,9 +4,12 @@ Every subcommand prints a short human-readable report followed by one JSON
 line (the structured record).  Exit status: 0 on success, 1 when the input is
 well-formed but the logical claim fails (a derivation that does not check, an
 unprovable sequent, a model violation, fuzz failures), 2 on malformed input or
-input past a resource limit (``syntax._Parser.MAX_DEPTH``, or the search's
+input past a resource limit (``syntax._Parser.MAX_DEPTH`` levels of
+brackets, prefixes and right operands open at once, or the search's
 ``--depth``, by default ``sequent.SEARCH_DEPTH_LIMIT``), which the record's
 ``error`` names.  Within that limit ``prove`` and ``realize`` decide a sequent.
+A flat chain such as ``A0 & ... & A4999`` opens at most one parser level,
+whatever its length.
 The derivation commands (``check``, ``deduce``, ``internalize``, ``subst``)
 check the derivation they read, and a command that builds a derivation checks
 that too before it reports success: ``realize`` runs ``verify_realization`` on
@@ -286,7 +289,8 @@ def _cmd_realize(args) -> int:
             raise ParseError(f"{args.source} is neither an existing file nor a sequent: {e}") from e
         proof = prove_bounded(s, calculus, args.depth)
         if proof is None:
-            _emit(f"not provable in {calculus}: {s}", {"command": "realize", "ok": False, "sequent": str(s)})
+            record = {"command": "realize", "ok": False, "calculus": calculus, "sequent": str(s)}
+            _emit(f"not provable in {calculus}: {s}", record)
             return 1
     result = realize(proof, calculus, cs, "simplify" if args.simplify else "strict")
     verify_realization(result)

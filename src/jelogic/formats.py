@@ -25,22 +25,46 @@ with the distinct nodes in the file.
 
 from __future__ import annotations
 
-from .axioms import ConstantSpecification, match, scheme_by_id
+from .axioms import CATALOGUE, ConstantSpecification, match, scheme_by_id
 from .hilbert import ANStep, AxiomStep, Derivation, Hyp, MPStep, _rooted
 from .semantics import FiniteBasicEvaluation, QuasiModel
 from .sequent import Proof, Sequent
-from .syntax import Dialect, DialectError, ParseError, Reader, _printed, print_formula, print_term
+from .syntax import (
+    Dialect,
+    DialectError,
+    ParseError,
+    ProofConst,
+    _printed,
+    parse_formula,
+    parse_just_term,
+    parse_proof_term,
+    parse_sequent,
+    print_formula,
+    print_term,
+)
 
 
 class FormatError(Exception):
     pass
 
 
-def _parse_any_term(text: str, reader: Reader):
+def _parse_any_term(text: str, dialect: Dialect):
     try:
-        return reader.proof_term(text)
+        return parse_proof_term(text, dialect)
     except ParseError:
-        return reader.just_term(text)
+        return parse_just_term(text, dialect)
+
+
+def _constant(text: str, dialect: Dialect) -> str:
+    """``text``, which the term grammar must read as a proof constant, so
+    that the ``CONST:F`` an ``an`` step or a cs line licenses reads back."""
+    try:
+        term = parse_proof_term(text, dialect)
+    except (ParseError, DialectError):
+        term = None
+    if term is not ProofConst(text):
+        raise FormatError(f"{text!r} is not a proof constant name")
+    return text
 
 
 def _read(text: str, header: str, parse):
@@ -141,7 +165,6 @@ def _earlier(steps: list, text: str, what: str):
 
 def _read_derivation(lines) -> tuple[Derivation, dict]:
     dialect = _dialect_line(lines)
-    reader = Reader(dialect)
     steps = []
     conclusion = None
     for ln in lines:
@@ -161,16 +184,16 @@ def _read_derivation(lines) -> tuple[Derivation, dict]:
             raise FormatError(f"step numbered {num}, expected {len(steps)}")
         try:
             if kind == "hyp":
-                steps.append(Hyp(reader.formula(rest)))
+                steps.append(Hyp(parse_formula(rest, dialect)))
             elif kind == "axiom":
                 scheme_id, ftext = _fields(rest, 2)
-                f = reader.formula(ftext)
+                f = parse_formula(ftext, dialect)
                 if match(scheme_by_id(scheme_id, dialect).pattern, f) is None:
                     raise FormatError(f"{print_formula(f)} is not a {scheme_id} instance")
                 steps.append(AxiomStep(f, scheme_id))
             elif kind == "an":
                 constant, ftext = _fields(rest, 2)
-                steps.append(ANStep(constant, reader.formula(ftext)))
+                steps.append(ANStep(_constant(constant, dialect), parse_formula(ftext, dialect)))
             elif kind == "mp":
                 major, minor = (_earlier(steps, n, "premise") for n in _fields(rest, 2))
                 steps.append(MPStep(major, minor))
@@ -207,12 +230,14 @@ def parse_cs(text: str) -> ConstantSpecification:
 
 def _read_cs(lines) -> ConstantSpecification:
     dialect = _dialect_line(lines)
+    if dialect not in CATALOGUE:
+        raise FormatError(f"{dialect.name} has no proof constants")
     assignment: dict[str, frozenset[str]] = {}
     for ln in lines:
         if ":" not in ln:
             raise FormatError(f"malformed constant line {ln!r}")
         name, rest = ln.split(":", 1)
-        name = name.strip()
+        name = _constant(name.strip(), dialect)
         if name in assignment:
             raise FormatError(f"constant {name!r} declared twice")
         schemes = frozenset(rest.split())
@@ -251,7 +276,6 @@ def _read_sequent_proof(lines) -> tuple[Proof, str]:
     calculus = _keyword_line(lines, "calculus")
     if calculus not in ("GE", "GM"):
         raise FormatError(f"unknown calculus {calculus!r}")
-    reader = Reader(Dialect.MODAL)
     # Built with a stack, not recursion, so that a proof nests arbitrarily
     # deep: ``pending`` holds one node per level whose premises are still
     # being read, each as its line's fields and the premises built so far.
@@ -283,7 +307,7 @@ def _read_sequent_proof(lines) -> tuple[Proof, str]:
                 raise FormatError(f"bad principal occurrence {occ!r}")
             principal.append((occ[0], int(occ[1:])))
         try:
-            sequent = Sequent(*reader.sequent(seq_text.strip()))
+            sequent = Sequent(*parse_sequent(seq_text.strip(), Dialect.MODAL))
         except (ParseError, DialectError) as e:
             raise FormatError(f"bad sequent in {ln!r}: {e}") from e
         level = indent // 2
@@ -381,7 +405,6 @@ def _read_model(lines) -> QuasiModel:
     worlds = tuple(_keyword_line(lines, "worlds").split())
     if len(set(worlds)) != len(worlds):
         raise FormatError("world list must be nonempty and duplicate-free")
-    reader = Reader(dialect)
     wset = frozenset(worlds)
     neighborhoods: dict[str, frozenset[frozenset[str]]] = {w: frozenset() for w in worlds}
     atoms: dict[str, dict[str, bool]] = {w: {} for w in worlds}
@@ -407,9 +430,9 @@ def _read_model(lines) -> QuasiModel:
                 raise FormatError(f"unknown world {w!r}")
             term_text, fs_text = _fields(tail, 2, ":")
             try:
-                t = _parse_any_term(term_text.strip(), reader)
+                t = _parse_any_term(term_text.strip(), dialect)
                 fs = frozenset(
-                    reader.formula(s.strip())
+                    parse_formula(s.strip(), dialect)
                     for s in _split_outside_brackets(fs_text)
                     if s.strip()
                 )

@@ -31,7 +31,10 @@ Concrete syntax notes (the full grammar lives in docs/grammar.md):
   without parentheses.
 * ``A <-> B`` is accepted as input sugar for ``(A -> B) & (B -> A)``; the
   printer never emits it.
-* Nesting deeper than ``_Parser.MAX_DEPTH`` levels is a ``ParseError``.
+* More than ``_Parser.MAX_DEPTH`` levels open at once (parentheses,
+  prefixes, term constructors, right operands of ``->``) is a ``ParseError``.
+  Chains of ``&``, ``|``, ``*`` and ``+`` open at most one level, so they
+  may be any length.
 """
 
 from __future__ import annotations
@@ -809,42 +812,17 @@ def _token_starts(text: str) -> list[int]:
 _BINARY = {"->": (Implies, _PREC_IMP), "|": (Or, _PREC_OR), "&": (And, _PREC_AND)}
 
 
-class Reader:
-    """Parses texts of one dialect, checking each node's tree depth.
-
-    Nodes are hash-consed by their constructors, so equal subformulas and
-    subterms come back as the same object, whichever text or reader they
-    were read from.  The reader records the tree depth of every node it
-    builds, for ``_Parser.MAX_DEPTH``; make one per file or per call, since
-    the record keeps those nodes alive.
-    """
-
-    def __init__(self, dialect: Dialect):
-        self.dialect = dialect
-        self.depths: dict[Formula | Term, int] = {}  # tree depth; leaves are 0
-
-    def formula(self, text: str) -> Formula:
-        return self._read(text, _Parser.formula)
-
-    def proof_term(self, text: str) -> ProofTerm:
-        return self._read(text, _Parser.proof_term)
-
-    def just_term(self, text: str) -> JustTerm:
-        return self._read(text, _Parser.just_term)
-
-    def sequent(self, text: str) -> tuple[tuple[Formula, ...], tuple[Formula, ...]]:
-        return self._read(text, _Parser.sequent)
-
-    def _read(self, text: str, rule):
-        p = _Parser(text, self)
-        try:
-            out = rule(p)
-            if not p.at_end():
-                raise p.error(f"trailing input {p.peek()!r}")
-        except _Failure as e:
-            message, index = e.args
-            raise ParseError(message, _token_starts(text)[index]) from None
-        return out
+def _read(text: str, dialect: Dialect, rule):
+    """``rule`` of a ``_Parser`` over ``text``, which it must read to the end."""
+    p = _Parser(text, dialect)
+    try:
+        out = rule(p)
+        if not p.at_end():
+            raise p.error(f"trailing input {p.peek()!r}")
+    except _Failure as e:
+        message, index = e.args
+        raise ParseError(message, _token_starts(text)[index]) from None
+    return out
 
 
 class _Failure(Exception):
@@ -853,21 +831,22 @@ class _Failure(Exception):
 
 
 class _Parser:
-    # The deepest nesting accepted, counted two ways: the depth of the syntax
-    # tree (a level per connective, box, assertion and term constructor), and
-    # while reading, the parentheses, prefixes and right operands open at the
-    # current token.  The parser's descent recurses once per level, and the
-    # limit keeps it far inside Python's default limit of 1000 frames; the
-    # walks over what it reads use ``postorder`` or a memo filled in it.  Proof
+    # The deepest nesting accepted: the levels of the descent open at the
+    # current token, one per parenthesis, prefix, term constructor, body of
+    # ``:`` and right operand (``enter``).  A left-associative chain of
+    # ``&``, ``|``, ``*`` or ``+`` is a loop that opens one level per operand
+    # and closes it again, so it may be any length.  At the limit, parsing and
+    # printing back take at most 610 frames above the caller (JE parentheses,
+    # three calls per level), far inside Python's default 1000; the walks over
+    # what the parser reads use ``postorder`` or a memo filled in it.  Proof
     # search recurses per rule application, under ``sequent.SEARCH_DEPTH_LIMIT``.
     # Files the toolkit writes can pass the limit: see docs/grammar.md.
     MAX_DEPTH = 200
 
-    def __init__(self, text: str, reader: Reader):
+    def __init__(self, text: str, dialect: Dialect):
         self.tokens = _tokenize(text)
         self.pos = 0
-        self.dialect = reader.dialect
-        self.depths = reader.depths
+        self.dialect = dialect
         self.depth = 0  # parentheses, prefixes and right operands open here
 
     def peek(self) -> str:
@@ -896,16 +875,6 @@ class _Parser:
         if self.depth > self.MAX_DEPTH:
             raise self.error(f"nesting deeper than {self.MAX_DEPTH} levels")
 
-    # -- building
-
-    def node(self, cls, *kids):
-        depth = max(self.depths.get(c, 0) for c in kids) + 1
-        if depth > self.MAX_DEPTH:
-            raise self.error(f"nesting deeper than {self.MAX_DEPTH} levels")
-        node = cls(*kids)
-        self.depths[node] = depth
-        return node
-
     # -- formulas
 
     def sequent(self) -> tuple[tuple[Formula, ...], tuple[Formula, ...]]:
@@ -930,7 +899,7 @@ class _Parser:
         if self.peek() == "<->":
             self.next()
             right = self.binary(_PREC_IMP)
-            return self.node(And, self.node(Implies, left, right), self.node(Implies, right, left))
+            return And(Implies(left, right), Implies(right, left))
         return left
 
     def binary(self, min_prec: int) -> Formula:
@@ -946,7 +915,7 @@ class _Parser:
             self.enter()
             right = self.binary(prec if cls is Implies else prec + 1)
             self.depth -= 1
-            left = self.node(cls, left, right)
+            left = cls(left, right)
 
     def unary(self) -> Formula:
         tok = self.peek()
@@ -955,7 +924,7 @@ class _Parser:
             self.enter()
             inner = self.unary()
             self.depth -= 1
-            return self.node(Not, inner)
+            return Not(inner)
         if tok == "[":
             self.next()
             self.enter()
@@ -965,12 +934,12 @@ class _Parser:
                 self.next()
                 body = self.unary()
                 self.depth -= 1
-                return self.node(Box, body)
+                return Box(body)
             term = self.just_term()
             self.expect("]")
             body = self.unary()
             self.depth -= 1
-            return self.node(JustOf, term, body)
+            return JustOf(term, body)
         if tok == "_|_":
             self.next()
             return BOT
@@ -1017,7 +986,7 @@ class _Parser:
         else:
             raise self.error("the body of ':' must be an atom, _|_ or parenthesised")
         self.depth -= 1
-        return self.node(ProofOf, term, body)
+        return ProofOf(term, body)
 
     # -- proof terms
 
@@ -1029,14 +998,14 @@ class _Parser:
             if self.dialect is Dialect.JEM:
                 raise DialectError("proof-term sum is not available in JEM")
             self.next()
-            left = self.node(Sum, left, self.proof_prod())
+            left = Sum(left, self.proof_prod())
         return left
 
     def proof_prod(self) -> ProofTerm:
         left = self.proof_atom()
         while self.peek() == "*":
             self.next()
-            left = self.node(Apply, left, self.proof_atom())
+            left = Apply(left, self.proof_atom())
         return left
 
     def proof_atom(self) -> ProofTerm:
@@ -1046,7 +1015,7 @@ class _Parser:
             self.enter()
             inner = self.proof_atom()
             self.depth -= 1
-            return self.node(Bang, inner)
+            return Bang(inner)
         if tok == "(":
             self.next()
             self.enter()
@@ -1080,14 +1049,14 @@ class _Parser:
             inner = self.proof_term()
             self.expect(")")
             self.depth -= 1
-            return self.node(Evidence, inner)
+            return Evidence(inner)
         return self.just_sum()
 
     def just_sum(self) -> JustTerm:
         left = self.just_atom()
         while self.peek() == "+":
             self.next()
-            left = self.node(JustSum, left, self.just_atom())
+            left = JustSum(left, self.just_atom())
         return left
 
     def just_atom(self) -> JustTerm:
@@ -1110,7 +1079,7 @@ class _Parser:
             j = self.just_sum()
             self.expect(")")
             self.depth -= 1
-            return self.node(MApply, p, j)
+            return MApply(p, j)
         m = _JVAR_RE.match(tok)
         if m:
             self.next()
@@ -1119,17 +1088,17 @@ class _Parser:
 
 
 def parse_formula(text: str, dialect: Dialect) -> Formula:
-    return Reader(dialect).formula(text)
+    return _read(text, dialect, _Parser.formula)
 
 
 def parse_proof_term(text: str, dialect: Dialect) -> ProofTerm:
-    return Reader(dialect).proof_term(text)
+    return _read(text, dialect, _Parser.proof_term)
 
 
 def parse_just_term(text: str, dialect: Dialect) -> JustTerm:
-    return Reader(dialect).just_term(text)
+    return _read(text, dialect, _Parser.just_term)
 
 
 def parse_sequent(text: str, dialect: Dialect) -> tuple[tuple[Formula, ...], tuple[Formula, ...]]:
     """Parse ``F1, F2 => G1, G2``; either side may be empty."""
-    return Reader(dialect).sequent(text)
+    return _read(text, dialect, _Parser.sequent)

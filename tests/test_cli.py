@@ -245,6 +245,7 @@ class TestRealize:
     def test_unprovable_source(self, capsys):
         code, _, record = run(capsys, "realize", "=> []A -> [](A | B)", "--calculus", "GE")
         assert code == 1 and record["ok"] is False
+        assert record["calculus"] == "GE"
 
     def test_simplify_fallback_is_null_without_a_fallback(self, capsys):
         for flags, mode in (((), "strict"), (("--simplify",), "simplify")):
@@ -299,6 +300,22 @@ class TestDerivationCommands:
         code, _, record = run(capsys, "check", str(path))
         assert code == 0 and record["conclusion"] == "A -> A"
         assert record["hypotheses"] == []
+
+    def test_constant_names_must_read_back(self, capsys, tmp_path):
+        """A constant name the formula grammar cannot read is an input error
+        in a cs file and in an ``an`` step, so no written ``zzz:F`` fails
+        to read back."""
+        cs = tmp_path / "zzz.cs"
+        cs.write_text(write_cs(cs_total(Dialect.JE)).replace("c_jt:", "zzz:"))
+        deriv = tmp_path / "zzz.deriv"
+        deriv.write_text("# jelogic derivation v1\ndialect JE\n0 axiom pl_k A -> B -> A\n1 an zzz A -> B -> A\nconclusion 1\n")
+        code, human, record = run(capsys, "check", str(deriv), "--cs", str(cs))
+        assert code == 2 and "Traceback" not in human
+        assert record["error"] == "line 4: malformed step 1: 'zzz' is not a proof constant name"
+        deriv.write_text(write_derivation(prove_id(Dialect.JE, A)))
+        code, human, record = run(capsys, "check", str(deriv), "--cs", str(cs))
+        assert code == 2 and "Traceback" not in human
+        assert record["error"].endswith("'zzz' is not a proof constant name")
 
     def test_check_rejects_bad_modus_ponens(self, capsys, tmp_path):
         path = tmp_path / "bad.deriv"

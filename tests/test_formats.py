@@ -22,7 +22,7 @@ from jelogic.formats import (
     write_sequent_proof,
 )
 from jelogic.generate import random_sequent_theorem, random_theorem
-from jelogic.hilbert import ANStep, AxiomStep, Hyp, check_derivation, prove_id
+from jelogic.hilbert import ANStep, AxiomStep, Derivation, Hyp, MPStep, check_derivation, prove_id
 from jelogic.semantics import FiniteBasicEvaluation, QuasiModel, saturate
 from jelogic.sequent import check_sequent_proof, conclude
 from jelogic.syntax import (
@@ -30,10 +30,12 @@ from jelogic.syntax import (
     Box,
     Dialect,
     Evidence,
+    Implies,
     JustOf,
     JustVar,
     MApply,
     ProofVar,
+    Sum,
     parse_formula,
 )
 
@@ -118,6 +120,26 @@ class TestDerivationFormat:
         d = parse_derivation(text)
         assert len(d) == 3 and d.steps[1] is d.steps[2].minor
         assert write_derivation(d) == text.replace("2 hyp A\n3 mp 0 2\nconclusion 3", "2 mp 0 1\nconclusion 2")
+
+    def test_a_long_flat_sum_reads_back(self):
+        """The hypothesis ``[e(p0 + ... + p4999)]A`` is 5000 levels deep as a
+        tree, but the parser reads the sum in a loop, opening no level."""
+        term = ProofVar(0)
+        for i in range(1, 5000):
+            term = Sum(term, ProofVar(i))
+        h = JustOf(Evidence(term), A)
+        d = Derivation(Dialect.JE, (MPStep(Hyp(Implies(h, B)), Hyp(h)),))
+        back = parse_derivation(write_derivation(d))
+        assert back.roots == d.roots
+        assert check_derivation(back, cs_total(Dialect.JE)).hypotheses == frozenset({h, Implies(h, B)})
+
+    @pytest.mark.parametrize("name", ["zzz", "p0", "(c0)", "c-0", "c0*c1"])
+    def test_an_names_a_proof_constant(self, name):
+        """An ``an`` step concludes ``CONST:F``, which the formula grammar
+        reads back only when ``CONST`` is a proof constant."""
+        text = f"# jelogic derivation v1\ndialect JE\n0 an {name} A -> B -> A\nconclusion 0\n"
+        with pytest.raises(FormatError, match="^line 3: malformed step 0: .* is not a proof constant name"):
+            parse_derivation(text)
 
 
 def _realized_and_random(data) -> list:
@@ -263,6 +285,15 @@ class TestCsFormat:
     def test_malformed_line(self):
         with pytest.raises(FormatError):
             parse_cs("# jelogic cs v1\ndialect JE\nc0 jt\n")
+
+    def test_dialect_has_proof_constants(self):
+        with pytest.raises(FormatError, match="^line 2: MODAL has no proof constants$"):
+            parse_cs("# jelogic cs v1\ndialect MODAL\n")
+
+    @pytest.mark.parametrize("name", ["zzz", "p0", "x0", "c0 * c1", "(c0)", ""])
+    def test_names_a_proof_constant(self, name):
+        with pytest.raises(FormatError, match="^line 4: .* is not a proof constant name"):
+            parse_cs(f"# jelogic cs v1\ndialect JE\nc0: jt\n{name}: pl_k\n")
 
 
 class TestSequentProofFormat:

@@ -1,5 +1,6 @@
 import gc
 import random
+import sys
 import tracemalloc
 import weakref
 
@@ -33,7 +34,6 @@ from jelogic.syntax import (
     ProofOfPresent,
     ProofTerm,
     ProofVar,
-    Reader,
     Substitution,
     Sum,
     Term,
@@ -117,10 +117,9 @@ class TestSharing:
         assert f.left.body is f.right.right.inner
 
     def test_reader_shares_across_texts(self):
-        r = Reader(Dialect.JEM)
-        f, g = r.formula("[m(p0, x0)]A -> B"), r.formula("C | [m(p0, x0)]A")
+        f, g = parse_formula("[m(p0, x0)]A -> B", Dialect.JEM), parse_formula("C | [m(p0, x0)]A", Dialect.JEM)
         assert f.left is g.right
-        ante, succ = r.sequent("[m(p0, x0)]A => B")
+        ante, succ = parse_sequent("[m(p0, x0)]A => B", Dialect.JEM)
         assert ante[0] is f.left and succ[0] is f.right
 
     def test_parses_of_one_text_are_one_object(self):
@@ -151,19 +150,33 @@ class TestSharing:
 
 LIMIT = _Parser.MAX_DEPTH
 
-# Each shape at nesting n, for n >= 2.
+# Each shape at nesting n, for n >= 2: n levels open at once in the descent.
 NESTED = {
     "boxes": (lambda n: "[]" * n + "A", Dialect.MODAL),
     "negations": (lambda n: "~" * n + "A", Dialect.JE),
     "parentheses": (lambda n: "(" * n + "A" + ")" * n, Dialect.JE),
     "implications": (lambda n: " -> ".join(["A"] * (n + 1)), Dialect.MODAL),
-    "conjunctions": (lambda n: " & ".join(["A"] * (n + 1)), Dialect.MODAL),
     "justifications": (lambda n: "[x0]" * n + "A", Dialect.JEM),
-    "bangs": (lambda n: "!" * (n - 1) + "c0:A", Dialect.JE),
-    "applications": (lambda n: "[e(" + " * ".join(["c0"] * (n - 1)) + ")]A", Dialect.JE),
+    "bangs": (lambda n: "!" * n + "c0:A", Dialect.JE),
     "term parentheses": (lambda n: "[e(" + "(" * (n - 2) + "c0" + ")" * (n - 2) + ")]A", Dialect.JE),
     "m terms": (lambda n: "[" + "m(p0, " * (n - 1) + "x0" + ")" * (n - 1) + "]A", Dialect.JEM),
 }
+
+# Each left-associative chain of n operands, which opens one level at most.
+FLAT = {
+    "conjunctions": (lambda n: " & ".join(f"A{i}" for i in range(n)), Dialect.MODAL),
+    "disjunctions": (lambda n: " | ".join(f"A{i}" for i in range(n)), Dialect.MODAL),
+    "applications": (lambda n: "[e(" + " * ".join(f"p{i}" for i in range(n)) + ")]A", Dialect.JE),
+    "proof sums": (lambda n: "[e(" + " + ".join(f"p{i}" for i in range(n)) + ")]A", Dialect.JE),
+    "justification sums": (lambda n: "[" + " + ".join(f"x{i}" for i in range(n)) + "]A", Dialect.JEM),
+}
+
+
+def _frames() -> int:
+    frame, n = sys._getframe(), 0
+    while frame is not None:
+        frame, n = frame.f_back, n + 1
+    return n
 
 
 class TestNestingLimit:
@@ -179,6 +192,29 @@ class TestNestingLimit:
         with pytest.raises(ParseError, match=f"nesting deeper than {LIMIT} levels") as e:
             parse_formula(make(LIMIT + 1), dialect)
         assert e.value.position is not None
+
+    def test_the_limit_fits_a_small_frame_budget(self):
+        """At the limit, every shape parses and prints back within 700
+        frames of the caller, far inside Python's default 1000."""
+        budget = _frames() + 700
+        old = sys.getrecursionlimit()
+        sys.setrecursionlimit(budget)
+        try:
+            for make, dialect in NESTED.values():
+                f = parse_formula(make(LIMIT), dialect)
+                assert parse_formula(print_formula(f), dialect) is f
+        finally:
+            sys.setrecursionlimit(old)
+
+    @pytest.mark.parametrize("shape", FLAT)
+    def test_flat_chains_have_no_limit(self, shape):
+        make, dialect = FLAT[shape]
+        text = make(5000)
+        f = parse_formula(text, dialect)
+        assert print_formula(f) == text
+        ante, succ = parse_sequent(f"{text}, B => {text}", dialect)
+        assert ante == (f, B) and succ == (f,)
+        assert print_sequent(ante, succ) == f"{text}, B => {text}"
 
     def test_thousand_boxes_in_a_sequent(self):
         with pytest.raises(ParseError):
